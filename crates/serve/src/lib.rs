@@ -39,11 +39,19 @@
 //!   rejected), so a hostile neighbor cannot monopolise lanes even
 //!   with zero bank conflicts.
 //! * **Wire edge** ([`wire`], [`edge`]) — a length-prefixed binary
-//!   protocol over TCP served by one nonblocking edge thread
-//!   ([`Service::serve_edge`]): typed frames for hello/submit/
-//!   response/reject/metrics/drain, per-connection buffers, load
+//!   protocol over TCP served by one edge thread
+//!   ([`Service::serve_edge`]) that blocks in `epoll_wait` on its
+//!   sockets and one eventfd — no sleep-and-poll, no async runtime,
+//!   Linux only (elsewhere `serve_edge` returns
+//!   [`std::io::ErrorKind::Unsupported`]). Finished wire requests go
+//!   straight onto the edge's completion queue, and the event loop wakes
+//!   the edge at most once per machine slot, so responses and the
+//!   submits they trigger move in bursts (fewer slots per operation).
+//!   Typed frames for hello/submit/response/reject/metrics/drain, load
 //!   shedding with `retry_after_slots` backpressure, thousands of
-//!   concurrent connections, no async runtime.
+//!   concurrent connections, and bounded memory: an answer counts
+//!   against the in-flight caps until its bytes are written, so a
+//!   client that never reads holds at most its cap in answers.
 //! * **Observability** ([`metrics`]) — per-tenant counters and
 //!   HDR-style latency histograms (log₂ majors × 32 linear sub-buckets,
 //!   ≤ 3.2% quantile error) with p50/p90/p99 snapshots, exported as
@@ -82,6 +90,7 @@
 pub mod config;
 pub mod edge;
 pub mod metrics;
+mod poll;
 pub mod queue;
 pub mod request;
 pub mod scheduler;

@@ -1,17 +1,16 @@
 //! Bounded per-tenant admission queues.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Instant;
 
 use cfm_core::op::Operation;
 
-use crate::request::TicketInner;
+use crate::request::Reply;
 
 /// One admitted-but-not-yet-issued operation.
 pub(crate) struct Pending {
     pub(crate) op: Operation,
-    pub(crate) ticket: Arc<TicketInner>,
+    pub(crate) reply: Reply,
     pub(crate) submitted: Instant,
 }
 

@@ -6,6 +6,8 @@ use std::sync::Arc;
 use cfm_core::op::{Completion, Operation};
 use parking_lot::{Condvar, Mutex};
 
+use crate::edge::{CompletionQueue, Route};
+
 /// Index of a tenant in the [`crate::ServiceConfig`] roster.
 pub type TenantId = usize;
 
@@ -269,6 +271,37 @@ impl TicketInner {
         state.closed = true;
         drop(state);
         self.ready.notify_all();
+    }
+}
+
+/// Where an admitted request's outcome goes: an in-process [`Ticket`],
+/// or a wire connection's route on its edge's completion queue.
+pub(crate) enum Reply {
+    Ticket(Arc<TicketInner>),
+    Edge {
+        queue: Arc<CompletionQueue>,
+        route: Route,
+    },
+}
+
+impl Reply {
+    /// Deliver the outcome (`Err` only when the service abandons the
+    /// request). Returns the completion queue it went to, which owes its
+    /// edge a wake check once the batch is delivered.
+    pub(crate) fn deliver(self, outcome: Result<Response, Reject>) -> Option<Arc<CompletionQueue>> {
+        match self {
+            Reply::Ticket(ticket) => {
+                match outcome {
+                    Ok(response) => ticket.fulfill(response),
+                    Err(_) => ticket.close(),
+                }
+                None
+            }
+            Reply::Edge { queue, route } => {
+                queue.push(route, outcome);
+                Some(queue)
+            }
+        }
     }
 }
 

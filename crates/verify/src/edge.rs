@@ -22,7 +22,12 @@
 //!   flood must be shed with wire-level `Reject(Overloaded)` frames
 //!   carrying a non-zero `retry_after_slots` hint, an over-cap
 //!   connection must get a `Reject` frame then EOF, and the edge must
-//!   keep serving healthy traffic afterwards.
+//!   keep serving healthy traffic afterwards;
+//! * **slow-reader** — a client pipelines submits and reads nothing
+//!   until the socket buffers fill and the edge stops reading it. The
+//!   edge's write buffer must then hold at most the in-flight cap in
+//!   answers plus one other frame ([`cfm_serve::EdgeStats::wbuf_high_water`]);
+//!   once the client reads, every submit must be answered exactly once.
 //!
 //! The `self-test/edge-*` checks prove the wire-error detectors
 //! non-vacuous by seeding protocol faults and asserting each is caught
@@ -43,7 +48,8 @@ use std::time::{Duration, Instant};
 use cfm_core::config::CfmConfig;
 use cfm_serve::wire::{self, Decoder, Frame};
 use cfm_serve::{
-    Criticality, EdgeConfig, Reject, Request, Service, ServiceConfig, TenantSpec, PROTOCOL_VERSION,
+    Criticality, EdgeConfig, EdgeHandle, Reject, Request, Service, ServiceConfig, TenantSpec,
+    PROTOCOL_VERSION,
 };
 use cfm_workloads::tenants::{adversarial_mix, MixTenant, TenantTraffic};
 
@@ -716,6 +722,238 @@ fn flood_shedding(seed: u64) -> Check {
     }
 }
 
+/// Per-connection in-flight cap of the slow-reader check.
+const SLOW_READER_CAP: usize = 8;
+/// Submits the slow reader may pipeline before the edge must have
+/// stopped reading it (a safety stop; the socket buffers fill far
+/// sooner).
+const SLOW_READER_MAX_SUBMITS: u64 = 1_000_000;
+/// How long the slow reader's writes must stay blocked, with the service
+/// completing nothing, before the edge counts as stalled on it.
+const SLOW_READER_STALL: Duration = Duration::from_millis(200);
+
+/// Slow reader: pipeline submits without reading until the edge stops
+/// reading the connection, check the edge's write buffer stayed within
+/// the cap, then read everything and account every answer exactly once.
+fn slow_reader(seed: u64) -> Check {
+    // 32 banks: 256-byte read answers fill the socket buffers sooner.
+    let cfg = CfmConfig::new(16, 2, WORD_WIDTH).expect("valid shape");
+    let subject = format!(
+        "inflight_cap={SLOW_READER_CAP} banks={} seed={seed}",
+        cfg.banks()
+    );
+    let service = Arc::new(
+        Service::start(
+            ServiceConfig::new(cfg, OFFSETS)
+                .with_tenant(TenantSpec::new("slow").queue_capacity(QUEUE_CAPACITY)),
+        )
+        .expect("valid roster"),
+    );
+    let edge = service
+        .serve_edge(EdgeConfig {
+            max_inflight_per_conn: SLOW_READER_CAP,
+            ..EdgeConfig::default()
+        })
+        .expect("edge binds loopback");
+    let result = drive_slow_reader(&edge, &service, seed);
+    let stats = edge.shutdown();
+    let report = Arc::try_unwrap(service).ok().expect("client done").drain();
+    let check = match result {
+        Ok(r) => {
+            let bound = (SLOW_READER_CAP as u64 + 1) * r.max_frame;
+            if r.stalled_high_water <= bound
+                && stats.wbuf_high_water <= bound
+                && report.stats.bank_conflicts == 0
+            {
+                Check::pass(
+                    "edge/slow-reader",
+                    &subject,
+                    format!(
+                        "{} submits pipelined unread until the edge stopped reading; edge write \
+                         buffer peaked at {} bytes (bound {bound} = (cap + 1) x {}-byte frame); \
+                         then {} responses + {} rejections, each exactly once",
+                        r.submitted, stats.wbuf_high_water, r.max_frame, r.responses, r.rejects
+                    ),
+                )
+            } else {
+                Check::fail(
+                    "edge/slow-reader",
+                    &subject,
+                    format!(
+                        "edge write buffer peaked at {} bytes ({} while stalled), over the \
+                         bound {bound}; bank_conflicts={}",
+                        stats.wbuf_high_water, r.stalled_high_water, report.stats.bank_conflicts
+                    ),
+                    vec![],
+                )
+            }
+            .with_metric("submitted", r.submitted)
+            .with_metric("responses", r.responses)
+            .with_metric("rejects", r.rejects)
+            .with_metric("bound_bytes", bound)
+        }
+        Err(e) => Check::fail("edge/slow-reader", &subject, e, vec![]),
+    };
+    check
+        .with_metric("wbuf_high_water", stats.wbuf_high_water)
+        .with_metric("bank_conflicts", report.stats.bank_conflicts)
+}
+
+/// What the slow reader saw.
+struct SlowReader {
+    submitted: u64,
+    responses: u64,
+    rejects: u64,
+    /// The edge's write-buffer high-water mark when it stalled.
+    stalled_high_water: u64,
+    /// Largest frame the client received, in encoded bytes.
+    max_frame: u64,
+}
+
+fn drive_slow_reader(
+    edge: &EdgeHandle,
+    service: &Service,
+    seed: u64,
+) -> Result<SlowReader, String> {
+    let io_err = |e: io::Error| e.to_string();
+    let mut client = WireClient::connect(edge.addr()).map_err(io_err)?;
+    client.hello()?;
+    client.stream.set_nonblocking(true).map_err(io_err)?;
+    let offsets = service.offsets();
+
+    // Phase 1: write submits, read nothing, until writes stay blocked
+    // while the service completes nothing — the edge has stopped
+    // reading this connection.
+    let mut out: Vec<u8> = Vec::new();
+    let mut at = 0;
+    let mut submitted = 0u64;
+    let mut blocked: Option<(Instant, u64)> = None;
+    loop {
+        if at == out.len() {
+            if submitted >= SLOW_READER_MAX_SUBMITS {
+                return Err(format!(
+                    "{submitted} unread submits and the edge still reads the connection"
+                ));
+            }
+            out.clear();
+            at = 0;
+            for _ in 0..64 {
+                submitted += 1;
+                let offset = (submitted.wrapping_mul(7) ^ seed) as usize % offsets;
+                wire::encode_into(
+                    &Frame::Submit {
+                        request_id: submitted,
+                        request: Request::new(0, cfm_core::op::Operation::read(offset)),
+                    },
+                    &mut out,
+                );
+            }
+        }
+        match client.stream.write(&out[at..]) {
+            Ok(n) => {
+                at += n;
+                blocked = None;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                let completed = service.metrics().completed();
+                match blocked {
+                    Some((since, c)) if c == completed => {
+                        if since.elapsed() >= SLOW_READER_STALL {
+                            break;
+                        }
+                    }
+                    _ => blocked = Some((Instant::now(), completed)),
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("slow reader write failed: {e}")),
+        }
+    }
+    let stalled_high_water = edge.stats().wbuf_high_water;
+
+    // Phase 2: read everything (finishing the writes as the edge
+    // resumes) and account every submit exactly once.
+    let mut seen = vec![false; submitted as usize + 1];
+    let (mut responses, mut rejects, mut max_frame) = (0u64, 0u64, 0u64);
+    let mut buf = vec![0u8; 64 * 1024];
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while responses + rejects < submitted {
+        if Instant::now() > deadline {
+            return Err(format!(
+                "{} of {submitted} submits unanswered after reading resumed",
+                submitted - responses - rejects
+            ));
+        }
+        let mut progress = false;
+        if at < out.len() {
+            match client.stream.write(&out[at..]) {
+                Ok(n) => {
+                    at += n;
+                    progress = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(format!("slow reader write failed: {e}")),
+            }
+        }
+        match client.stream.read(&mut buf) {
+            Ok(0) => return Err("edge closed the slow reader".into()),
+            Ok(n) => {
+                client.dec.feed(&buf[..n]);
+                progress = true;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("slow reader read failed: {e}")),
+        }
+        while let Some(frame) = client
+            .dec
+            .next_frame()
+            .map_err(|e| format!("client-side wire error: {e}"))?
+        {
+            max_frame = max_frame.max(wire::encode(&frame).len() as u64);
+            let id = match frame {
+                Frame::Response { request_id, .. } => {
+                    responses += 1;
+                    request_id
+                }
+                Frame::Reject {
+                    request_id,
+                    reject:
+                        Reject::Overloaded {
+                            retry_after_slots, ..
+                        },
+                } if retry_after_slots > 0 => {
+                    rejects += 1;
+                    request_id
+                }
+                other => return Err(format!("unexpected frame to a slow reader: {other:?}")),
+            };
+            match seen.get_mut(id as usize) {
+                Some(s) if !*s && id > 0 => *s = true,
+                _ => return Err(format!("request {id} answered twice or never submitted")),
+            }
+        }
+        if !progress {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+    client.stream.set_nonblocking(false).map_err(io_err)?;
+    client.send(&Frame::Drain).map_err(io_err)?;
+    match client.recv()? {
+        Some(Frame::Drained) => {}
+        other => return Err(format!("expected Drained, got {other:?}")),
+    }
+    Ok(SlowReader {
+        submitted,
+        responses,
+        rejects,
+        stalled_high_water,
+        max_frame,
+    })
+}
+
 /// Seed one malformed byte sequence against a live edge and return the
 /// `Frame::Error` code the server answers with (then asserts EOF).
 fn seed_wire_fault(addr: SocketAddr, bytes: &[u8]) -> Result<u16, String> {
@@ -835,6 +1073,7 @@ pub fn verify(spec: &EdgeSpec, self_test: bool) -> Vec<Check> {
     let first = spec.seeds.first().copied().unwrap_or(1);
     checks.push(qos_bound(first));
     checks.push(flood_shedding(first));
+    checks.push(slow_reader(first));
     if self_test {
         checks.extend(self_tests());
     }

@@ -2,14 +2,15 @@
 //! (arbitrary bytes, truncation, frame round trips — the decoder must
 //! never panic and every failure must be a typed
 //! [`serve::WireError`](conflict_free_memory::serve::WireError)), plus
-//! a loopback integration test driving many concurrent wire clients
-//! through the per-connection drain handshake against a real service.
+//! loopback integration tests: many concurrent wire clients through the
+//! per-connection drain handshake against a real service, and clients
+//! that disconnect with requests in flight.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use conflict_free_memory::core::config::CfmConfig;
 use conflict_free_memory::core::op::Operation;
@@ -374,4 +375,114 @@ fn concurrent_clients_drain_cleanly_over_loopback() {
     let report = Arc::try_unwrap(service).ok().unwrap().drain();
     assert_eq!(report.stats.bank_conflicts, 0);
     assert_eq!(report.metrics.completed(), wire_responses);
+}
+
+/// A client that disconnects with requests still in the service leaves
+/// completions behind for a closed connection. The connections accepted
+/// after it reuse its connection slot (and usually its file descriptor)
+/// and reuse its request IDs, yet must only ever receive their own
+/// responses; the edge drops and counts the stale completions.
+#[test]
+fn stale_completions_never_reach_a_new_connection() {
+    const ROUNDS: u64 = 3;
+    const OPS: u64 = 32;
+
+    let machine = CfmConfig::new(4, 1, 16).unwrap();
+    // Tenant 0 issues one operation per 4096-slot window, so a leaver's
+    // requests are still queued when it disconnects.
+    let config = ServiceConfig::new(machine, 32)
+        .with_tenant(TenantSpec::new("leaver").queue_capacity(128).bank_budget(1))
+        .with_tenant(TenantSpec::new("stayer").queue_capacity(64))
+        .budget_window(4096);
+    let service = Arc::new(Service::start(config).unwrap());
+    let edge = service.serve_edge(EdgeConfig::default()).unwrap();
+    let addr = edge.addr();
+    let submits = |client: &mut Client, tenant: usize| {
+        let mut bytes = Vec::new();
+        for id in 1..=OPS {
+            wire::encode_into(
+                &Frame::Submit {
+                    request_id: id,
+                    request: Request::new(tenant, Operation::read(id as usize % 32)),
+                },
+                &mut bytes,
+            );
+        }
+        client.stream.write_all(&bytes).unwrap();
+    };
+    let hello = |client: &mut Client| {
+        client.send(&Frame::Hello {
+            version: PROTOCOL_VERSION,
+        });
+        assert!(matches!(client.recv(), Some(Frame::Welcome { .. })));
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    for _ in 0..ROUNDS {
+        // The leaver submits, and the Metrics answer that follows its
+        // submits proves the edge handed them to the service. Then it
+        // disconnects without draining.
+        let mut leaver = Client::connect(addr);
+        hello(&mut leaver);
+        submits(&mut leaver, 0);
+        leaver.send(&Frame::MetricsRequest);
+        loop {
+            match leaver.recv() {
+                Some(Frame::Metrics { .. }) => break,
+                Some(Frame::Response { response, .. }) => assert_eq!(response.tenant, 0),
+                other => panic!("unexpected frame to the leaver: {other:?}"),
+            }
+        }
+        drop(leaver);
+        wait_for("the leaver's close", &|| edge.stats().active == 0);
+
+        // The stayer takes the freed slot and the same request IDs.
+        let mut stayer = Client::connect(addr);
+        hello(&mut stayer);
+        submits(&mut stayer, 1);
+        let mut answered = [false; OPS as usize + 1];
+        for _ in 0..OPS {
+            match stayer.recv() {
+                Some(Frame::Response {
+                    request_id,
+                    response,
+                }) => {
+                    assert_eq!(response.tenant, 1, "a leaver's response crossed over");
+                    let slot = &mut answered[request_id as usize];
+                    assert!(!*slot, "request {request_id} answered twice");
+                    *slot = true;
+                }
+                other => panic!("unexpected frame to the stayer: {other:?}"),
+            }
+        }
+        stayer.send(&Frame::Drain);
+        assert_eq!(stayer.recv(), Some(Frame::Drained));
+        assert_eq!(stayer.recv(), None);
+    }
+
+    // Every leaver request completes in the service; each completion
+    // either reached its leaver before it closed or was dropped stale.
+    wait_for("the leavers' requests", &|| {
+        service.metrics().tenants[0].completed == ROUNDS * OPS
+    });
+    wait_for("the edge to count every completion", &|| {
+        let stats = edge.stats();
+        stats.responses + stats.stale_completions == service.metrics().completed()
+    });
+    let stats = edge.shutdown();
+    assert!(
+        stats.stale_completions >= 1,
+        "no completion outlived its connection"
+    );
+    assert_eq!(stats.accepted, 2 * ROUNDS);
+    assert_eq!(stats.drained_connections, ROUNDS);
+    assert_eq!(stats.wire_errors, 0);
+    let report = Arc::try_unwrap(service).ok().unwrap().drain();
+    assert_eq!(report.stats.bank_conflicts, 0);
 }
