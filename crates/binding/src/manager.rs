@@ -291,18 +291,32 @@ mod tests {
             .bind(region(1, 0, 1), Access::Rw, SyncMode::Blocking)
             .unwrap();
         let m2 = m.clone();
+        let main_id = binder_id();
+        let (held, holding) = std::sync::mpsc::channel();
         let t = std::thread::spawn(move || {
             let _gb = m2
                 .bind(region(2, 0, 1), Access::Rw, SyncMode::Blocking)
                 .unwrap();
-            // Wait until the main thread blocks on resource 2, then try
-            // resource 1 — the cycle-closing request.
-            std::thread::sleep(std::time::Duration::from_millis(80));
+            held.send(()).unwrap();
+            // Wait until the main thread blocks on resource 2 (it waits
+            // on us in the wait-for graph), then try resource 1 — the
+            // cycle-closing request.
+            while !m2
+                .state
+                .lock()
+                .graph
+                .would_deadlock(binder_id(), &[main_id])
+            {
+                std::thread::yield_now();
+            }
             let err = m2
                 .bind(region(1, 0, 1), Access::Rw, SyncMode::Blocking)
                 .unwrap_err();
             assert_eq!(err, BindError::Deadlock);
         });
+        // Only bind resource 2 once the spawned thread holds it: binding
+        // it first would leave that thread blocked on it while we join.
+        holding.recv().unwrap();
         // Block on resource 2 (held by the spawned thread). It will be
         // released when the thread finishes, un-blocking us.
         let _g2 = m

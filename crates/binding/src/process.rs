@@ -156,7 +156,11 @@ impl ProcGroup {
 
     /// Raise `me`'s permission level and wake waiters.
     pub fn reach(&self, me: usize, level: u64) {
+        // Raised under the graph lock the waiters check levels under, so
+        // none can miss the wake between its check and its sleep.
+        let graph = self.graph.lock();
         self.procs[me].reach(level);
+        drop(graph);
         self.cv.notify_all();
     }
 
@@ -212,6 +216,19 @@ pub fn bfork<R: Send>(n: usize, body: impl Fn(&[Proc], usize) -> R + Sync) -> Ve
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    impl ProcGroup {
+        /// Spin until `waiter` is registered as waiting on `target`.
+        fn await_waiting(&self, waiter: usize, target: usize) {
+            while !self
+                .graph
+                .lock()
+                .would_deadlock(target as u64, &[waiter as u64])
+            {
+                std::thread::yield_now();
+            }
+        }
+    }
 
     #[test]
     fn reach_is_monotonic() {
@@ -269,7 +286,7 @@ mod tests {
         let group = Arc::new(ProcGroup::new(2));
         let g2 = group.clone();
         let t = std::thread::spawn(move || g2.wait_for(0, 1, 5));
-        std::thread::sleep(std::time::Duration::from_millis(40));
+        group.await_waiting(0, 1);
         let err = group.wait_for(1, 0, 5).unwrap_err();
         assert_eq!(
             err,
@@ -299,7 +316,8 @@ mod tests {
         let t0 = std::thread::spawn(move || g.wait_for(0, 1, 9));
         let g = group.clone();
         let t1 = std::thread::spawn(move || g.wait_for(1, 2, 9));
-        std::thread::sleep(std::time::Duration::from_millis(60));
+        group.await_waiting(0, 1);
+        group.await_waiting(1, 2);
         assert!(group.wait_for(2, 0, 9).is_err());
         // Unblock the chain.
         group.reach(2, 9);

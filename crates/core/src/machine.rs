@@ -170,6 +170,7 @@ struct SlotTask {
 /// it — so the replay needs no access to the operations themselves
 /// until write data is read (after the lanes return, by which time any
 /// swap/RMW transform has been applied).
+#[derive(Debug, Clone)]
 struct WinOp {
     p: ProcId,
     offset: BlockOffset,
@@ -206,6 +207,38 @@ impl fmt::Debug for EnginePool {
             Some(pool) => write!(f, "EnginePool({} workers)", pool.workers()),
             None => write!(f, "EnginePool(unspawned)"),
         }
+    }
+}
+
+/// A reusable `Arc` through which the machine lends its execute lanes a
+/// read-only view. The value lives in the machine between handoffs and
+/// is swapped into this allocation for one, so lending allocates
+/// nothing. Cloning a machine gives the clone a cell of its own, as
+/// with [`EnginePool`].
+#[derive(Debug, Default)]
+struct Lend<T>(Arc<T>);
+
+impl<T: Default> Clone for Lend<T> {
+    fn clone(&self) -> Self {
+        Lend::default()
+    }
+}
+
+impl<T> Lend<T> {
+    /// The lent value, exclusively: every lane view has been returned.
+    fn get_mut(&mut self) -> &mut T {
+        Arc::get_mut(&mut self.0).unwrap_or_else(|| unreachable!("all lane views returned"))
+    }
+
+    /// Move `value` into the cell (and the cell's previous content
+    /// out), in both directions of a handoff.
+    fn swap(&mut self, value: &mut T) {
+        std::mem::swap(self.get_mut(), value);
+    }
+
+    /// One lane's view.
+    fn view(&self) -> Arc<T> {
+        Arc::clone(&self.0)
     }
 }
 
@@ -293,6 +326,12 @@ pub struct CfmMachine {
     scan_writer: Vec<bool>,
     /// Offsets touched by the current scan, for O(touched) reset.
     scan_touched: Vec<usize>,
+    /// Holds [`Self::banks`] while the execute lanes read it.
+    bank_view: Lend<BankArray>,
+    /// The logical→physical bank table a window's lanes read.
+    phys_view: Lend<Vec<Option<usize>>>,
+    /// A window's per-operation replay state, kept for its buffer.
+    win_traj: Vec<WinOp>,
 }
 
 /// Staged construction of a [`CfmMachine`] — the single entry point for
@@ -505,6 +544,9 @@ impl CfmMachine {
             scan_owner: vec![0; offsets],
             scan_writer: vec![false; offsets],
             scan_touched: Vec::new(),
+            bank_view: Lend::default(),
+            phys_view: Lend::default(),
+            win_traj: Vec::with_capacity(config.processors()),
             config,
         }
     }
@@ -805,16 +847,27 @@ impl CfmMachine {
         self.banks.offsets()
     }
 
-    /// Processor `p`'s in-flight slot within the chunked storage.
+    /// Processor `p`'s in-flight slot within the chunked storage. Lane 0
+    /// (every processor, with one lane) is found without a division.
     #[inline]
     fn op_ref(&self, p: ProcId) -> &Option<InFlight> {
-        &self.inflight[p / self.chunk_size][p % self.chunk_size]
+        let c = self.chunk_size;
+        if p < c {
+            &self.inflight[0][p]
+        } else {
+            &self.inflight[p / c][p % c]
+        }
     }
 
     /// Mutable form of [`Self::op_ref`].
     #[inline]
     fn op_mut(&mut self, p: ProcId) -> &mut Option<InFlight> {
-        &mut self.inflight[p / self.chunk_size][p % self.chunk_size]
+        let c = self.chunk_size;
+        if p < c {
+            &mut self.inflight[0][p]
+        } else {
+            &mut self.inflight[p / c][p % c]
+        }
     }
 
     /// A zeroed block-sized buffer, recycled from [`Self::buf_pool`] when
@@ -1446,6 +1499,10 @@ impl CfmMachine {
             let bank_map = &self.bank_map;
             let att_enabled = self.att_enabled;
             let summary = self.summary.as_ref();
+            // `bank_for(now, p)` without a division per processor: the
+            // offset `c·p` is below `b`, so one wrap suffices.
+            let first_bank = space.bank_for(now, 0);
+            let bank_cycle = self.config.bank_cycle() as usize;
             'plan: for (ci, chunk) in inflight.iter().enumerate() {
                 let plans = &mut scratch[ci].plans;
                 debug_assert!(plans.is_empty());
@@ -1455,7 +1512,11 @@ impl CfmMachine {
                         continue;
                     }
                     let p = ci * chunk_size + idx;
-                    let k = space.bank_for(now, p);
+                    let mut k = first_bank + bank_cycle * p;
+                    if k >= b {
+                        k -= b;
+                    }
+                    debug_assert_eq!(k, space.bank_for(now, p));
                     // A statically safe offset (no other processor ever
                     // writes it, per the armed summary) cannot have a
                     // foreign ATT entry — the dynamic probe is provably
@@ -1489,9 +1550,10 @@ impl CfmMachine {
             }
             return false;
         }
-        // Execute: move each lane's chunk out, share the banks and writer
-        // stamps read-only, run extra lanes on the pool and lane 0 here.
-        let banks = Arc::new(std::mem::take(&mut self.banks));
+        // Execute: move each extra lane's chunk out, lend the banks and
+        // writer stamps read-only, run extra lanes on the pool and lane 0
+        // here, in place. A single lane lends nothing.
+        let lent = chunks > 1;
         let ctx = SlotCtx {
             now,
             banks: b,
@@ -1499,8 +1561,11 @@ impl CfmMachine {
             tracing: active.is_some(),
             att_enabled: self.att_enabled,
         };
-        if chunks > 1 && self.pool.0.is_none() {
-            self.pool.0 = Some(WorkerPool::new(chunks - 1, run_lane));
+        if lent {
+            self.bank_view.swap(&mut self.banks);
+            if self.pool.0.is_none() {
+                self.pool.0 = Some(WorkerPool::new(chunks - 1, run_lane));
+            }
         }
         for ci in 1..chunks {
             let scratch = &mut self.lane_scratch[ci];
@@ -1509,7 +1574,7 @@ impl CfmMachine {
                 plans: std::mem::take(&mut scratch.plans),
                 events: std::mem::take(&mut scratch.events),
                 marks: std::mem::take(&mut scratch.marks),
-                banks: Some(Arc::clone(&banks)),
+                banks: Some(self.bank_view.view()),
                 ctx,
                 window: 1,
                 base: ci * chunk_size,
@@ -1521,44 +1586,28 @@ impl CfmMachine {
                 .expect("pool spawned above")
                 .dispatch(ci - 1, task);
         }
-        let mut local = SlotTask {
-            ops: std::mem::take(&mut self.inflight[0]),
-            plans: std::mem::take(&mut self.lane_scratch[0].plans),
-            events: std::mem::take(&mut self.lane_scratch[0].events),
-            marks: std::mem::take(&mut self.lane_scratch[0].marks),
-            banks: Some(Arc::clone(&banks)),
+        let banks: &BankArray = if lent { &self.bank_view.0 } else { &self.banks };
+        let local = &mut self.lane_scratch[0];
+        exec_lane(
+            &mut self.inflight[0],
+            &local.plans,
+            &mut local.events,
+            banks,
             ctx,
-            window: 1,
-            base: 0,
-            phys: None,
-        };
-        run_lane(&mut local);
+        );
         // Merge, part 1: take every lane back in ascending lane (= proc)
         // order, restoring its chunk and buffers and appending its events
         // — the exact emission order of the sequential loop.
-        for ci in 0..chunks {
-            let mut task = if ci == 0 {
-                std::mem::replace(
-                    &mut local,
-                    SlotTask {
-                        ops: Vec::new(),
-                        plans: Vec::new(),
-                        events: Vec::new(),
-                        marks: Vec::new(),
-                        banks: None,
-                        ctx,
-                        window: 1,
-                        base: 0,
-                        phys: None,
-                    },
-                )
-            } else {
-                self.pool
-                    .0
-                    .as_ref()
-                    .expect("pool spawned above")
-                    .collect(ci - 1)
-            };
+        if let Some(t) = active.as_mut() {
+            t.append(&mut self.lane_scratch[0].events);
+        }
+        for ci in 1..chunks {
+            let mut task = self
+                .pool
+                .0
+                .as_ref()
+                .expect("pool spawned above")
+                .collect(ci - 1);
             task.banks = None;
             self.inflight[ci] = task.ops;
             if let Some(t) = active.as_mut() {
@@ -1569,9 +1618,10 @@ impl CfmMachine {
             scratch.events = task.events;
             scratch.marks = task.marks;
         }
-        // Every lane view is back: reclaim the sole ownership.
-        self.banks =
-            Arc::try_unwrap(banks).unwrap_or_else(|_| unreachable!("all lane bank views returned"));
+        if lent {
+            // Every lane view is back: take the banks back.
+            self.bank_view.swap(&mut self.banks);
+        }
         // Merge, part 2: the deferred commits, in processor order.
         for ci in 0..chunks {
             let plans = std::mem::take(&mut self.lane_scratch[ci].plans);
@@ -1987,7 +2037,8 @@ impl CfmMachine {
         let chunks = self.inflight.len();
         let chunk_size = self.chunk_size;
         let mut active = self.trace.take();
-        let mut traj: Vec<WinOp> = Vec::with_capacity(self.config.processors());
+        let mut traj = std::mem::take(&mut self.win_traj);
+        traj.clear();
         for (p, slot) in self.inflight.iter().flatten().enumerate() {
             if let Some(op) = slot.as_ref() {
                 traj.push(WinOp {
@@ -2000,9 +2051,10 @@ impl CfmMachine {
                 });
             }
         }
-        let banks = Arc::new(std::mem::take(&mut self.banks));
-        let phys: Arc<Vec<Option<usize>>> =
-            Arc::new((0..b).map(|k| self.bank_map.phys(k)).collect());
+        self.bank_view.swap(&mut self.banks);
+        let phys = self.phys_view.get_mut();
+        phys.clear();
+        phys.extend((0..b).map(|k| self.bank_map.phys(k)));
         let ctx = SlotCtx {
             now,
             banks: b,
@@ -2020,11 +2072,11 @@ impl CfmMachine {
                 plans: std::mem::take(&mut scratch.plans),
                 events: std::mem::take(&mut scratch.events),
                 marks: std::mem::take(&mut scratch.marks),
-                banks: Some(Arc::clone(&banks)),
+                banks: Some(self.bank_view.view()),
                 ctx,
                 window: w,
                 base: ci * chunk_size,
-                phys: Some(Arc::clone(&phys)),
+                phys: Some(self.phys_view.view()),
             };
             self.pool
                 .0
@@ -2037,11 +2089,11 @@ impl CfmMachine {
             plans: std::mem::take(&mut self.lane_scratch[0].plans),
             events: std::mem::take(&mut self.lane_scratch[0].events),
             marks: std::mem::take(&mut self.lane_scratch[0].marks),
-            banks: Some(Arc::clone(&banks)),
+            banks: Some(self.bank_view.view()),
             ctx,
             window: w,
             base: 0,
-            phys: Some(Arc::clone(&phys)),
+            phys: Some(self.phys_view.view()),
         };
         run_lane(&mut local);
         for ci in 0..chunks {
@@ -2075,8 +2127,7 @@ impl CfmMachine {
             scratch.events = task.events;
             scratch.marks = task.marks;
         }
-        self.banks =
-            Arc::try_unwrap(banks).unwrap_or_else(|_| unreachable!("all lane bank views returned"));
+        self.bank_view.swap(&mut self.banks);
         // Merge: replay each slot's deferred commits in the sequential
         // engine's exact order — ATT expiry first (the prologue), then
         // per processor in ascending order: injection accounting, the
@@ -2102,7 +2153,7 @@ impl CfmMachine {
             }
             for snap in &mut traj {
                 let k = self.space.bank_for(t, snap.p);
-                let ph = phys[k];
+                let ph = self.phys_view.0[k];
                 match ph {
                     Some(ph) => {
                         if !self.banks.note_injection(ph, t) {
@@ -2168,6 +2219,7 @@ impl CfmMachine {
             scratch.events.clear();
             scratch.marks.clear();
         }
+        self.win_traj = traj;
         self.trace = active;
         self.cycle += w;
         self.stats.cycles += w;
@@ -2755,19 +2807,36 @@ impl RunReport {
 /// advance each operation's phase machine — exactly what the sequential
 /// loop does on a hazard-free slot, minus the deferred commits
 /// ([`CfmMachine::parallel_slot`]'s merge applies those). Runs on a pooled
-/// worker thread for lanes ≥ 1 and inline on the stepping thread for
-/// lane 0.
+/// worker thread for lanes ≥ 1, and on the stepping thread for a
+/// window's lane 0 (a slot's lane 0 calls [`exec_lane`] in place).
 fn run_lane(task: &mut SlotTask) {
     if task.window > 1 {
         run_window_lane(task);
         return;
     }
-    let ctx = task.ctx;
     let banks = task.banks.as_ref().expect("lane bank view");
-    for plan in &task.plans {
-        let op = task.ops[plan.idx].as_mut().expect("planned op");
+    exec_lane(
+        &mut task.ops,
+        &task.plans,
+        &mut task.events,
+        banks,
+        task.ctx,
+    );
+}
+
+/// One slot of one lane ([`run_lane`] with `window == 1`) on borrowed
+/// state, so the stepping thread runs lane 0 in place.
+fn exec_lane(
+    ops: &mut [Option<InFlight>],
+    plans: &[ProcPlan],
+    events: &mut Vec<TraceEvent>,
+    banks: &BankArray,
+    ctx: SlotCtx,
+) {
+    for plan in plans {
+        let op = ops[plan.idx].as_mut().expect("planned op");
         if ctx.tracing {
-            task.events.push(TraceEvent::Route {
+            events.push(TraceEvent::Route {
                 slot: ctx.now,
                 proc: plan.p,
                 bank: plan.k,
@@ -2780,7 +2849,7 @@ fn run_lane(task: &mut SlotTask) {
                     Some(ph) => {
                         let word = banks.read(ph, op.offset);
                         if ctx.tracing {
-                            task.events.push(TraceEvent::BankAccess {
+                            events.push(TraceEvent::BankAccess {
                                 slot: ctx.now,
                                 proc: plan.p,
                                 bank: plan.k,
@@ -2818,7 +2887,7 @@ fn run_lane(task: &mut SlotTask) {
             }
             Phase::Write => {
                 if plan.insert && ctx.tracing {
-                    task.events.push(TraceEvent::AttInsert {
+                    events.push(TraceEvent::AttInsert {
                         slot: ctx.now,
                         bank: plan.k,
                         proc: plan.p,
@@ -2827,7 +2896,7 @@ fn run_lane(task: &mut SlotTask) {
                     });
                 }
                 if plan.phys.is_some() && ctx.tracing {
-                    task.events.push(TraceEvent::BankAccess {
+                    events.push(TraceEvent::BankAccess {
                         slot: ctx.now,
                         proc: plan.p,
                         bank: plan.k,

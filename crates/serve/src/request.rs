@@ -1,6 +1,7 @@
 //! Requests, typed admission rejection, and completion tickets.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cfm_core::op::{Completion, Operation};
@@ -236,9 +237,15 @@ pub struct Response {
 /// Shared slot a ticket waits on. `closed` is set (instead of a
 /// response) when the service shuts down without completing the request,
 /// so no waiter can deadlock on an abandoned ticket.
+///
+/// `resolved` is stored, with `Release`, after the response or the close
+/// is in `slot`: a poll reads it first and takes the lock only once it is
+/// set, so a client polling an unresolved ticket never contends with the
+/// event loop for the ticket's mutex.
 pub(crate) struct TicketInner {
     pub(crate) slot: Mutex<TicketState>,
     pub(crate) ready: Condvar,
+    resolved: AtomicBool,
 }
 
 #[derive(Default)]
@@ -252,6 +259,7 @@ impl TicketInner {
         Arc::new(TicketInner {
             slot: Mutex::new(TicketState::default()),
             ready: Condvar::new(),
+            resolved: AtomicBool::new(false),
         })
     }
 
@@ -260,6 +268,7 @@ impl TicketInner {
         let mut state = self.slot.lock();
         debug_assert!(state.response.is_none() && !state.closed);
         state.response = Some(response);
+        self.resolved.store(true, Ordering::Release);
         drop(state);
         self.ready.notify_all();
     }
@@ -269,8 +278,14 @@ impl TicketInner {
     pub(crate) fn close(&self) {
         let mut state = self.slot.lock();
         state.closed = true;
+        self.resolved.store(true, Ordering::Release);
         drop(state);
         self.ready.notify_all();
+    }
+
+    /// Whether the response or the close is in `slot` (no lock taken).
+    fn resolved(&self) -> bool {
+        self.resolved.load(Ordering::Acquire)
     }
 }
 
@@ -339,11 +354,17 @@ impl Ticket {
 
     /// Take the response if it is already available, without blocking.
     pub fn try_take(&mut self) -> Option<Response> {
+        if !self.inner.resolved() {
+            return None;
+        }
         self.inner.slot.lock().response.take()
     }
 
     /// Whether the response is available (or the ticket was abandoned).
     pub fn is_ready(&self) -> bool {
+        if !self.inner.resolved() {
+            return false;
+        }
         let state = self.inner.slot.lock();
         state.response.is_some() || state.closed
     }

@@ -7,11 +7,13 @@
 //! mutex with short critical sections, plus a condvar the loop parks on
 //! when — and only when — there is neither queued nor in-flight work.
 //!
-//! Per iteration the loop: dequeues up to one operation per idle
-//! processor (deficit round-robin across tenants), issues that batch,
-//! steps the machine exactly one slot, polls completions, and fulfills
-//! their tickets. Admission-to-fulfillment wall time lands in the
-//! tenant's latency histogram.
+//! Per iteration the loop takes the state lock once. Under it, it counts
+//! the previous slot's completions and dequeues up to one operation per
+//! idle processor (deficit round-robin across tenants). After releasing
+//! it, the loop delivers those completions, issues the batch, steps the
+//! machine exactly one slot and polls the new completions. A ticket's
+//! admission-to-fulfillment wall time is in the tenant's latency
+//! histogram before the ticket resolves.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -291,6 +293,14 @@ struct LoopState {
     /// Machine cycle when the loop first saw the pending migration —
     /// start of the drain window reported in [`MigrationReport`].
     migrate_seen_at: Option<u64>,
+    /// The slot batch being admitted and issued, kept to reuse its
+    /// buffer.
+    batch: Vec<(ProcId, Pending, TenantId)>,
+    /// The last slot's completions, counted and then delivered on the
+    /// next pass (see [`run_event_loop`]).
+    fulfilled: Vec<(Reply, Response)>,
+    /// Edge queues owed a wake check by the current delivery.
+    wakes: Wakes,
     report: Option<ServiceReport>,
 }
 
@@ -376,6 +386,9 @@ impl Service {
             free: (0..processors).rev().collect(),
             inflight_count: 0,
             migrate_seen_at: None,
+            batch: Vec::with_capacity(processors),
+            fulfilled: Vec::with_capacity(processors),
+            wakes: Wakes::default(),
             report: None,
         };
 
@@ -919,6 +932,12 @@ impl Drop for Service {
 
 /// The event-loop body, run by the single pooled worker for the whole
 /// service lifetime.
+///
+/// Each iteration takes the state lock once. Under it, the loop counts
+/// the previous slot's completions in the metrics and admits the next
+/// batch. It delivers those completions after counting them — once the
+/// lock is released, or still under it when it exits — so a ticket that
+/// has resolved is always already counted.
 fn run_event_loop(state: &mut LoopState) {
     if state.report.is_some() {
         // Already ran (a dispatch after drain would be a bug).
@@ -929,11 +948,14 @@ fn run_event_loop(state: &mut LoopState) {
     // lives).
     let shared = Arc::clone(&state.shared);
     loop {
-        // ---- Admit: dequeue up to one op per idle processor. --------
-        let mut batch: Vec<(ProcId, Pending, TenantId)> = Vec::new();
+        // ---- Record the last slot, then admit one op per idle lane. --
         let mut migration: Option<MigrationCmd> = None;
+        // Set when the loop would park with answers still to deliver:
+        // it delivers them outside the lock and parks on the next pass.
+        let mut idle = false;
         {
             let mut inner = shared.state.lock();
+            state.record(&mut inner.metrics);
             // Fold budget-deferral counts into the metrics while the
             // lock is held anyway (no allocation, usually a no-op).
             state
@@ -966,13 +988,13 @@ fn run_event_loop(state: &mut LoopState) {
                     let pending = inner.queues[t].pop().expect("scheduler saw work");
                     inner.total_queued -= 1;
                     let p = state.free.pop().expect("checked non-empty");
-                    batch.push((p, pending, t));
+                    state.batch.push((p, pending, t));
                 }
                 // Budget-deferred work (queued but unschedulable this
                 // window) must keep the loop stepping so the window can
                 // roll over and refill budgets — never park on it, and
                 // never mistake it for "drained".
-                if !batch.is_empty() || state.inflight_count > 0 || inner.total_queued > 0 {
+                if !state.batch.is_empty() || state.inflight_count > 0 || inner.total_queued > 0 {
                     break;
                 }
                 if inner.draining {
@@ -981,19 +1003,27 @@ fn run_event_loop(state: &mut LoopState) {
                     finish(state, &mut inner);
                     return;
                 }
+                if !state.fulfilled.is_empty() {
+                    idle = true;
+                    break;
+                }
                 // Fully idle: park until a submit or drain wakes us.
                 shared.work.wait(&mut inner);
             }
         }
+        state.deliver();
 
         // ---- Swap boundary: source is drained, perform the move. -----
         if let Some(cmd) = migration {
             perform_migration(state, &shared, cmd);
             continue;
         }
+        if idle {
+            continue;
+        }
 
         // ---- Issue the slot batch (outside the lock). ----------------
-        for (p, pending, tenant) in batch {
+        for (p, pending, tenant) in state.batch.drain(..) {
             let queued_ns = pending.submitted.elapsed().as_nanos() as u64;
             state
                 .machine
@@ -1012,8 +1042,7 @@ fn run_event_loop(state: &mut LoopState) {
         state.machine.step();
         state.sched.on_slot();
 
-        // ---- Complete: poll lanes, deliver replies. ------------------
-        let mut fulfilled: Vec<(Reply, Response)> = Vec::new();
+        // ---- Complete: poll lanes; the next pass records and delivers.
         for p in 0..state.inflight.len() {
             while let Some(completion) = state.machine.poll(p) {
                 let req = state.inflight[p]
@@ -1022,7 +1051,7 @@ fn run_event_loop(state: &mut LoopState) {
                 state.inflight_count -= 1;
                 state.free.push(p);
                 let total_ns = req.submitted.elapsed().as_nanos() as u64;
-                fulfilled.push((
+                state.fulfilled.push((
                     req.reply,
                     Response {
                         tenant: req.tenant,
@@ -1033,21 +1062,25 @@ fn run_event_loop(state: &mut LoopState) {
                 ));
             }
         }
-        if !fulfilled.is_empty() {
-            {
-                let mut inner = shared.state.lock();
-                for (_, response) in &fulfilled {
-                    let t = &mut inner.metrics.tenants[response.tenant];
-                    t.completed += 1;
-                    t.latency.record(response.total_ns);
-                }
-            }
-            let mut wakes = Wakes::default();
-            for (reply, response) in fulfilled {
-                wakes.note(reply.deliver(Ok(response)));
-            }
-            wakes.fire();
+    }
+}
+
+impl LoopState {
+    /// Count the polled completions in `metrics`, under the state lock.
+    fn record(&self, metrics: &mut Metrics) {
+        for (_, response) in &self.fulfilled {
+            let t = &mut metrics.tenants[response.tenant];
+            t.completed += 1;
+            t.latency.record(response.total_ns);
         }
+    }
+
+    /// Deliver the counted completions, then wake their edges.
+    fn deliver(&mut self) {
+        for (reply, response) in self.fulfilled.drain(..) {
+            self.wakes.note(reply.deliver(Ok(response)));
+        }
+        self.wakes.fire();
     }
 }
 
@@ -1067,8 +1100,8 @@ impl Wakes {
         }
     }
 
-    fn fire(self) {
-        for q in self.0 {
+    fn fire(&mut self) {
+        for q in self.0.drain(..) {
             q.wake_if_parked();
         }
     }
@@ -1152,9 +1185,11 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
 }
 
 /// Graceful-drain exit: the machine is idle and every admitted request
-/// has been fulfilled; snapshot everything into the report.
+/// has been fulfilled; deliver the last (already counted) answers and
+/// snapshot everything into the report.
 fn finish(state_ref: &mut LoopState, inner: &mut Inner) {
     debug_assert!(state_ref.machine.is_idle());
+    state_ref.deliver();
     state_ref.report = Some(ServiceReport {
         metrics: inner.metrics.snapshot(),
         stats: *state_ref.machine.stats(),
@@ -1175,7 +1210,10 @@ fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
     for m in inner.migrating.iter_mut() {
         *m = false;
     }
-    let mut wakes = Wakes::default();
+    // The last slot's completions are counted already; they resolve
+    // with their responses, everything else as abandoned.
+    state_ref.deliver();
+    let wakes = &mut state_ref.wakes;
     for q in &mut inner.queues {
         while let Some(pending) = q.pop() {
             inner.total_queued -= 1;

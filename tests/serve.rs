@@ -9,7 +9,7 @@ use std::thread;
 
 use conflict_free_memory::core::config::CfmConfig;
 use conflict_free_memory::core::op::Operation;
-use conflict_free_memory::serve::{Reject, Service, ServiceConfig, TenantSpec, Ticket};
+use conflict_free_memory::serve::{Reject, Response, Service, ServiceConfig, TenantSpec, Ticket};
 use conflict_free_memory::workloads::tenants::{TenantProfile, TenantTraffic};
 
 const WORD_WIDTH: u32 = 16;
@@ -288,4 +288,80 @@ fn drain_races_dropped_tickets() {
     for ticket in kept {
         assert!(ticket.wait().is_some(), "kept tickets resolve normally");
     }
+}
+
+/// Spin on `ticket` until it resolves, the way a polling client does, so
+/// the caller sees the answer the moment the event loop delivers it.
+fn spin(mut ticket: Ticket) -> Response {
+    while !ticket.is_ready() {
+        std::hint::spin_loop();
+    }
+    ticket.try_take().expect("service alive")
+}
+
+/// A ticket that has resolved is already counted: once its waiter
+/// returns, `metrics()` reports it `completed`. The event loop counts a
+/// slot's completions under the state lock at the next admission and
+/// delivers them only after, and that order must hold on each way out
+/// of the pass: serving on, parking idle, quiescing for a migration,
+/// and the drain exit, whose report must count every delivered answer.
+#[test]
+fn resolved_tickets_are_already_counted() {
+    // c = 4 → b = 16: multi-slot operations keep a backlog in flight
+    // while the migration command lands.
+    let machine = CfmConfig::new(4, 4, WORD_WIDTH).unwrap();
+    let banks = machine.banks();
+    let config = ServiceConfig::new(machine, banks)
+        .with_tenant(TenantSpec::new("served").queue_capacity(64))
+        .with_tenant(TenantSpec::new("migrated").queue_capacity(64));
+    let service = Service::start(config).expect("valid roster");
+    let completed = |tenant: usize| service.metrics().tenants[tenant].completed;
+
+    // Park: one request at a time, so the loop goes idle after each.
+    const PARKED: u64 = 2_000;
+    for i in 0..PARKED as usize {
+        spin(service.submit(0, Operation::read(i % banks)).unwrap());
+        assert_eq!(completed(0), i as u64 + 1, "parked after request {i}");
+    }
+
+    // Serving on: a 16-deep backlog, reaped in submission order.
+    let mut tickets: Vec<Ticket> = (0..16)
+        .map(|i| service.submit(0, Operation::read(i % banks)).unwrap())
+        .collect();
+    for (k, ticket) in tickets.drain(..).enumerate() {
+        spin(ticket);
+        assert!(completed(0) > PARKED + k as u64, "busy, answer {k}");
+    }
+
+    // Migration: the backlog drains on the source while the command
+    // waits; its last answers are delivered at the swap boundary.
+    let backlog: Vec<Ticket> = (0..32)
+        .map(|i| {
+            service
+                .submit(1, Operation::write(i % banks, vec![i as u64; banks]))
+                .unwrap()
+        })
+        .collect();
+    thread::scope(|s| {
+        let migration =
+            s.spawn(|| service.migrate(&[1], CfmConfig::new(4, 4, WORD_WIDTH).unwrap()));
+        for (k, ticket) in backlog.into_iter().enumerate() {
+            spin(ticket);
+            assert!(completed(1) > k as u64, "migration, answer {k}");
+        }
+        migration
+            .join()
+            .unwrap()
+            .expect("same-shape migration succeeds");
+    });
+
+    // Drain: every answer the waiters get is in the final report.
+    let tail: Vec<Ticket> = (0..32)
+        .map(|i| service.submit(0, Operation::read(i % banks)).unwrap())
+        .collect();
+    let report = service.drain();
+    let answered = tail.into_iter().filter_map(Ticket::wait).count() as u64;
+    assert_eq!(answered, 32);
+    assert_eq!(report.metrics.tenants[0].completed, PARKED + 16 + answered);
+    assert_eq!(report.metrics.tenants[1].completed, 32);
 }
