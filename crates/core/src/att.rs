@@ -140,6 +140,12 @@ pub struct Att {
     /// window hazard scan streams it without chasing buckets. Grown on
     /// demand; [`Self::with_offsets`] pre-sizes it.
     by_offset: Vec<u32>,
+    /// No live entry expires before this slot: a lower bound on the
+    /// oldest entry's expiry (`Cycle::MAX` for an empty queue), exact
+    /// after every expiry pass. It lets [`Self::expire`] skip the queue
+    /// in the slots where nothing can shift out. Removing an entry only
+    /// delays the true expiry, so the bound stays valid.
+    expires_at: Cycle,
 }
 
 impl Att {
@@ -150,6 +156,7 @@ impl Att {
             held: Vec::new(),
             capacity: banks.saturating_sub(1),
             by_offset: Vec::new(),
+            expires_at: Cycle::MAX,
         }
     }
 
@@ -159,6 +166,15 @@ impl Att {
         let mut att = Self::new(banks);
         att.by_offset = vec![0; offsets];
         att
+    }
+
+    /// Make [`Self::expires_at`] exact after an expiry pass: the oldest
+    /// live entry expires once its age exceeds the capacity.
+    fn refresh_expiry(&mut self) {
+        self.expires_at = self
+            .entries
+            .back()
+            .map_or(Cycle::MAX, |e| e.inserted_at + self.capacity as Cycle + 1);
     }
 
     fn index_add(&mut self, offset: BlockOffset) {
@@ -176,12 +192,12 @@ impl Att {
 
     /// Whether any arbitrating entry (live or held) tracks this offset —
     /// O(1) via the offset index. The common no-contention case short-
-    /// circuits every comparison path through here.
+    /// circuits every comparison path through here. The index alone
+    /// answers, with no emptiness test of the queues first: it reads 0
+    /// for an empty table, and whether a bank's queues are empty varies
+    /// from access to access, so that branch mispredicts.
     #[inline]
     fn offset_tracked(&self, offset: BlockOffset) -> bool {
-        if self.entries.is_empty() && self.held.is_empty() {
-            return false;
-        }
         self.by_offset.get(offset).is_some_and(|&n| n > 0)
     }
 
@@ -189,6 +205,9 @@ impl Att {
     /// slot per cycle; here age is computed from cycle numbers, so expiry
     /// is the only per-cycle maintenance.
     pub fn expire(&mut self, now: Cycle) {
+        if now < self.expires_at {
+            return;
+        }
         while let Some(back) = self.entries.back() {
             if now.saturating_sub(back.inserted_at) > self.capacity as Cycle {
                 let e = *back;
@@ -198,12 +217,16 @@ impl Att {
                 break;
             }
         }
+        self.refresh_expiry();
     }
 
     /// [`Self::expire`] with every shifted-out entry recorded as a
     /// [`TraceEvent::AttExpire`] — the trace analyses use expiries to
     /// bound how long an entry could have arbitrated.
     pub fn expire_traced<S: TraceSink + ?Sized>(&mut self, now: Cycle, bank: BankId, sink: &mut S) {
+        if now < self.expires_at {
+            return;
+        }
         while let Some(back) = self.entries.back() {
             if now.saturating_sub(back.inserted_at) > self.capacity as Cycle {
                 let e = *back;
@@ -219,6 +242,7 @@ impl Att {
                 break;
             }
         }
+        self.refresh_expiry();
     }
 
     /// [`Self::insert`] with the insertion recorded as a
@@ -264,6 +288,9 @@ impl Att {
     /// Insert the entry for a write phase starting at this bank this
     /// cycle.
     pub fn insert(&mut self, entry: Entry) {
+        self.expires_at = self
+            .expires_at
+            .min(entry.inserted_at + self.capacity as Cycle + 1);
         self.entries.push_front(entry);
         self.index_add(entry.offset);
         // A bank receives at most one injection per slot, so at most one

@@ -57,19 +57,22 @@ pub struct ChaosSpec {
     pub seeds: Vec<u64>,
     /// Slot engines the soaks rotate through (engine rotates per seed
     /// index, like the shapes): the degraded-mode contract must hold
-    /// identically on the parallel plan → execute → merge pipeline.
+    /// identically on the parallel engine — the one-pass step with one
+    /// lane, the plan → execute → merge pipeline with more.
     pub engines: Vec<Engine>,
 }
 
 impl Default for ChaosSpec {
     /// Four seeded plans covering remap, pipelined banks, masking (no
     /// spare), and a two-spare pool, rotated across the sequential
-    /// engine and the parallel engine at 2 and 4 threads.
+    /// engine and the parallel engine at 1 thread (the one-pass step the
+    /// service runs), 2 and 4 threads.
     fn default() -> Self {
         ChaosSpec {
             seeds: vec![0xC0FFEE, 0xBAD_F00D, 0x5EED, 0xFEED],
             engines: vec![
                 Engine::Sequential,
+                Engine::Parallel { threads: 1 },
                 Engine::Parallel { threads: 2 },
                 Engine::Parallel { threads: 4 },
             ],
@@ -252,9 +255,10 @@ fn owned_value(p: usize, r: u64) -> Word {
 
 /// Soak one seeded plan on one machine shape and slot engine and check
 /// injectivity, race freedom, and write durability on the faulted
-/// execution. With a parallel engine the soak additionally asserts the
-/// parallel plan → execute → merge path actually ran (a fallback-only
-/// soak would make the engine rotation vacuous).
+/// execution. With a parallel engine the soak additionally asserts that
+/// proven slots actually ran — every access proven by the one-pass step
+/// with one lane, or the plan → execute → merge path with more (a
+/// fallback-only soak would make the engine rotation vacuous).
 fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<Check> {
     let cfg = CfmConfig::new(n, c, 16)
         .expect("valid soak shape")
@@ -295,9 +299,9 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
     let mut checks = Vec::new();
 
     // Engine non-vacuousness: under a parallel engine at least some
-    // slots must take the sharded path (the owned-block rounds are
-    // hazard-free); hazardous slots falling back is expected, a soak
-    // that *only* fell back proves nothing about the parallel merge.
+    // slots must be proven whole (the owned-block rounds are
+    // hazard-free); hazardous accesses falling back is expected, a soak
+    // that *only* fell back proves nothing about the proven path.
     if engine != Engine::Sequential {
         let parallel_slots = m.parallel_slots();
         checks.push(if parallel_slots > 0 {

@@ -120,7 +120,7 @@ degraded-mode contract: post-remap per-slot injectivity, zero races,
 no lost or torn writes across remap boundaries, lock correctness, and
 stuck-switch detectability. `--seeds` overrides the default plan seeds,
 `--engines` the slot engines the soaks rotate through (default
-sequential,parallel-2,parallel-4); `chaos --ci` adds self-tests that
+sequential,parallel-1,parallel-2,parallel-4); `chaos --ci` adds self-tests that
 prove each detector non-vacuous.
 
 The `analyze` subcommand runs the static program analyzer: every

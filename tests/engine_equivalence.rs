@@ -87,7 +87,7 @@ proptest! {
     fn parallel_engine_is_equivalent_to_sequential(
         n in 2usize..9,
         c in 1u32..3,
-        threads in 2usize..5,
+        threads in 1usize..5,
         script in proptest::collection::vec(0u64..u64::MAX, 1..40),
         fault_sel in 0u64..2_000,
     ) {
@@ -199,7 +199,7 @@ proptest! {
     fn summary_armed_engine_is_equivalent_to_sequential(
         n in 2usize..7,
         c in 1u32..3,
-        threads in 2usize..5,
+        threads in 1usize..5,
         rounds in 1usize..3,
         words in proptest::collection::vec(0u64..u64::MAX, 2..20),
         fault_sel in 0u64..2_000,
@@ -346,7 +346,7 @@ proptest! {
     fn dynamic_window_engine_is_equivalent_to_sequential(
         n in 2usize..9,
         c in 1u32..3,
-        threads in 2usize..5,
+        threads in 1usize..5,
         budget in 2u64..96,
         script in proptest::collection::vec(0u64..u64::MAX, 1..32),
         fault_sel in 0u64..2_000,

@@ -194,7 +194,7 @@ proptest! {
     fn armed_summary_preserves_byte_identity(
         n in 2usize..6,
         c in 1u32..3,
-        threads in 2usize..4,
+        threads in 1usize..4,
         rounds in 1usize..3,
         words in proptest::collection::vec(0u64..u64::MAX, 2..16),
     ) {
