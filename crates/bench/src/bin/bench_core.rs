@@ -15,7 +15,15 @@
 //! measure engine overhead, not speedup (see `docs/performance.md` for
 //! how to read them).
 //!
-//! `--smoke` shrinks the slot budget for CI.
+//! `--smoke` shrinks the slot budget for CI and writes
+//! `BENCH_core.smoke.json` instead, leaving the full-run results alone.
+//! A smoke run lasts a few milliseconds per row, too short for one
+//! timing to mean anything, so each smoke row repeats at least
+//! [`SMOKE_MIN_REPS`] times and until it has run for [`SMOKE_MIN_ROW_S`],
+//! the engines of one shape and variant taking turns, and reports the
+//! median: `slots_per_s` is the median rate and
+//! `speedup_vs_seq` the median of each repetition's ratio to the
+//! sequential repetition run just before it.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -65,12 +73,29 @@ const VARIANTS: [&str; 5] = [
     "dynamic-window",
 ];
 
+/// Minimum wall time, in seconds, each smoke row runs for across its
+/// repetitions.
+const SMOKE_MIN_ROW_S: f64 = 0.05;
+
+/// Repetitions every smoke row runs at least, however long each takes.
+const SMOKE_MIN_REPS: usize = 15;
+
+/// Repetitions after which a smoke row stops even short of
+/// [`SMOKE_MIN_ROW_S`].
+const MAX_REPS: usize = 500;
+
 struct Measured {
     shape: (usize, u32),
     variant: &'static str,
     engine: &'static str,
+    reps: usize,
     slots: u64,
     wall_s: f64,
+    /// Median slots per second over the repetitions.
+    rate: f64,
+    /// Median over the repetitions of the rate relative to the
+    /// sequential repetition of the same round.
+    speedup: f64,
     parallel_slots: u64,
     static_slots: u64,
     dynamic_slots: u64,
@@ -84,6 +109,50 @@ struct Counters {
     static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
+}
+
+impl Measured {
+    /// Summarise one row's repetitions against the sequential row's,
+    /// paired round by round.
+    fn from_reps(
+        shape: (usize, u32),
+        variant: &'static str,
+        engine: &'static str,
+        reps: &[Counters],
+        sequential: &[Counters],
+    ) -> Self {
+        let rate = |c: &Counters| c.slots as f64 / c.wall_s;
+        Measured {
+            shape,
+            variant,
+            engine,
+            reps: reps.len(),
+            slots: reps.iter().map(|c| c.slots).sum(),
+            wall_s: reps.iter().map(|c| c.wall_s).sum(),
+            rate: median(reps.iter().map(rate).collect()),
+            speedup: median(
+                reps.iter()
+                    .zip(sequential)
+                    .map(|(c, s)| rate(c) / rate(s))
+                    .collect(),
+            ),
+            parallel_slots: reps.iter().map(|c| c.parallel_slots).sum(),
+            static_slots: reps.iter().map(|c| c.static_slots).sum(),
+            dynamic_slots: reps.iter().map(|c| c.dynamic_slots).sum(),
+            dynamic_windows: reps.iter().map(|c| c.dynamic_windows).sum(),
+        }
+    }
 }
 
 /// Cores actually free right now: logical CPUs minus the 1-minute load
@@ -228,15 +297,9 @@ fn json_report(
     );
     out.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
-        let rate = m.slots as f64 / m.wall_s;
-        let seq_rate = measured
-            .iter()
-            .find(|s| s.shape == m.shape && s.variant == m.variant && s.engine == "sequential")
-            .map(|s| s.slots as f64 / s.wall_s)
-            .unwrap_or(rate);
         out.push_str(&format!(
             "    {{\"n\": {}, \"c\": {}, \"variant\": \"{}\", \"engine\": \"{}\", \
-             \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
+             \"reps\": {}, \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
              \"speedup_vs_seq\": {:.3}, \"parallel_slots\": {}, \"parallel_fraction\": {:.3}, \
              \"static_slots\": {}, \"static_fraction\": {:.3}, \
              \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \"dynamic_windows\": {}}}{}\n",
@@ -244,10 +307,11 @@ fn json_report(
             m.shape.1,
             m.variant,
             m.engine,
+            m.reps,
             m.slots,
             m.wall_s,
-            rate,
-            rate / seq_rate,
+            m.rate,
+            m.speedup,
             m.parallel_slots,
             m.parallel_slots as f64 / m.slots.max(1) as f64,
             m.static_slots,
@@ -279,22 +343,33 @@ fn main() {
         .unwrap_or(1);
     let host_free_cores = detect_free_cores(host_cpus);
 
+    let (min_row_s, min_reps) = if smoke {
+        (SMOKE_MIN_ROW_S, SMOKE_MIN_REPS)
+    } else {
+        (0.0, 1)
+    };
     let mut measured = Vec::new();
     for shape in SHAPES {
         for variant in VARIANTS {
-            for (name, engine) in ENGINES {
-                let c = run_one(shape, engine, variant, slot_budget);
-                measured.push(Measured {
-                    shape,
-                    variant,
-                    engine: name,
-                    slots: c.slots,
-                    wall_s: c.wall_s,
-                    parallel_slots: c.parallel_slots,
-                    static_slots: c.static_slots,
-                    dynamic_slots: c.dynamic_slots,
-                    dynamic_windows: c.dynamic_windows,
-                });
+            // One repetition of every engine per round, so a shift in
+            // host speed hits the rows of a round alike.
+            let mut reps: Vec<Vec<Counters>> = ENGINES.iter().map(|_| Vec::new()).collect();
+            loop {
+                for ((_, engine), rows) in ENGINES.iter().zip(&mut reps) {
+                    rows.push(run_one(shape, *engine, variant, slot_budget));
+                }
+                let least = reps
+                    .iter()
+                    .map(|rows| rows.iter().map(|c| c.wall_s).sum::<f64>())
+                    .fold(f64::INFINITY, f64::min);
+                let done = reps[0].len();
+                if (least >= min_row_s && done >= min_reps) || done >= MAX_REPS {
+                    break;
+                }
+            }
+            debug_assert_eq!(ENGINES[0].0, "sequential");
+            for ((name, _), rows) in ENGINES.iter().zip(&reps) {
+                measured.push(Measured::from_reps(shape, variant, name, rows, &reps[0]));
             }
         }
     }
@@ -302,18 +377,12 @@ fn main() {
     let rows: Vec<Vec<String>> = measured
         .iter()
         .map(|m| {
-            let rate = m.slots as f64 / m.wall_s;
-            let seq_rate = measured
-                .iter()
-                .find(|s| s.shape == m.shape && s.variant == m.variant && s.engine == "sequential")
-                .map(|s| s.slots as f64 / s.wall_s)
-                .unwrap_or(rate);
             vec![
                 format!("n={} c={}", m.shape.0, m.shape.1),
                 m.variant.to_string(),
                 m.engine.to_string(),
-                format!("{rate:.0}"),
-                format!("{:.3}", rate / seq_rate),
+                format!("{:.0}", m.rate),
+                format!("{:.3}", m.speedup),
                 format!("{:.3}", m.parallel_slots as f64 / m.slots.max(1) as f64),
                 format!("{:.3}", m.static_slots as f64 / m.slots.max(1) as f64),
                 format!("{:.3}", m.dynamic_slots as f64 / m.slots.max(1) as f64),
@@ -336,8 +405,13 @@ fn main() {
     );
 
     let json = json_report(&measured, host_cpus, host_free_cores, slot_budget, smoke);
-    match std::fs::File::create("BENCH_core.json").and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("wrote BENCH_core.json"),
-        Err(e) => println!("could not write BENCH_core.json: {e}"),
+    let path = if smoke {
+        "BENCH_core.smoke.json"
+    } else {
+        "BENCH_core.json"
+    };
+    match std::fs::File::create(path).and_then(|mut f| f.write_all(json.as_bytes())) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => println!("could not write {path}: {e}"),
     }
 }

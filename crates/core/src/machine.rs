@@ -51,6 +51,9 @@ const FAULT_BACKOFF_CAP: u32 = 6;
 /// bank error would.
 const CORRUPT_MASK: Word = 0xDEAD_BEEF_DEAD_BEEF;
 
+/// Fresh block buffers allocated at once when the buffer pool runs dry.
+const BUF_REFILL: usize = 32;
+
 /// Phase of an in-flight operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -295,6 +298,14 @@ pub struct CfmMachine {
     /// Processors per in-flight chunk (the last chunk may be shorter).
     chunk_size: usize,
     done: Vec<VecDeque<Completion>>,
+    /// Processors whose operation is draining ([`Phase::Drain`]), in no
+    /// particular order: the only ones the epilogue visits. Derived
+    /// state — pushed where an operation enters the drain phase, rebuilt
+    /// on restore, never serialized.
+    draining: Vec<ProcId>,
+    /// Processors the last slot delivered a completion to, ascending
+    /// (see [`CfmMachine::delivered`]).
+    delivered: Vec<ProcId>,
     /// Recycled block-sized buffers (`read_buf`, `observed_writers`,
     /// RMW `write_data`) — completions return their buffers here and
     /// issues draw from here, so the steady-state hot path performs no
@@ -558,6 +569,8 @@ impl CfmMachine {
                 .collect(),
             chunk_size,
             done: vec![VecDeque::new(); n],
+            draining: Vec::with_capacity(n),
+            delivered: Vec::with_capacity(n),
             buf_pool: Vec::new(),
             cycle: 0,
             next_op_id: 1,
@@ -911,16 +924,26 @@ impl CfmMachine {
         }
     }
 
-    /// A zeroed block-sized buffer, recycled from [`Self::buf_pool`] when
-    /// one is available.
+    /// A zeroed block-sized buffer, recycled from [`Self::buf_pool`]; an
+    /// empty pool is refilled with [`BUF_REFILL`] fresh buffers at once.
     fn take_buf(&mut self) -> Box<[u64]> {
-        match self.buf_pool.pop() {
-            Some(mut buf) => {
-                buf.fill(0);
-                buf
-            }
-            None => vec![0; self.config.banks()].into_boxed_slice(),
+        if self.buf_pool.is_empty() {
+            self.refill_bufs();
         }
+        let mut buf = self.buf_pool.pop().expect("pool refilled above");
+        buf.fill(0);
+        buf
+    }
+
+    /// Allocate a batch of fresh buffers into the empty pool. Every read
+    /// hands its buffer out in its [`Completion`], so a read-heavy caller
+    /// drains the pool steadily; allocating back to back costs about
+    /// half as much per buffer as one allocation per issue.
+    #[cold]
+    fn refill_bufs(&mut self) {
+        let b = self.config.banks();
+        self.buf_pool
+            .extend((0..BUF_REFILL).map(|_| vec![0; b].into_boxed_slice()));
     }
 
     /// Return a block-sized buffer to the pool for reuse.
@@ -1096,6 +1119,17 @@ impl CfmMachine {
         self.done[p].pop_front()
     }
 
+    /// The processors the last slot delivered a completion to, in
+    /// ascending order: after [`Self::step`], exactly those whose
+    /// [`Self::poll`] yields a completion from that slot. A caller that
+    /// polls every completion as it arrives reads this instead of polling
+    /// all `n` processors. Every slot-advancing call starts it afresh; a
+    /// drained operation whose response a fault drops is re-queued, not
+    /// delivered, and is not named.
+    pub fn delivered(&self) -> &[ProcId] {
+        &self.delivered
+    }
+
     /// Simulate one CPU cycle (one time slot).
     ///
     /// Under [`Engine::Parallel`] with one execute lane the slot runs in
@@ -1115,6 +1149,7 @@ impl CfmMachine {
         // sink while the rest of the machine stays mutably accessible;
         // `NullSink` keeps the untraced path allocation-free.
         let mut active = self.trace.take();
+        self.delivered.clear();
         self.step_prologue(now, &mut active);
         match self.config.engine() {
             Engine::Parallel { .. } if self.inflight.len() == 1 => match active.as_mut() {
@@ -1197,6 +1232,9 @@ impl CfmMachine {
                 CORRUPT_MASK
             } else {
                 self.transient_retry(&mut op, p, k, now, sink);
+                if op.phase == Phase::Drain {
+                    self.draining.push(p);
+                }
                 *self.op_mut(p) = Some(op);
                 return;
             }
@@ -1401,109 +1439,125 @@ impl CfmMachine {
             }
             Phase::Drain => unreachable!(),
         }
+        if op.phase == Phase::Drain {
+            self.draining.push(p);
+        }
         *self.op_mut(p) = Some(op);
     }
 
     /// Deliver completions whose pipeline has drained by the end of this
     /// cycle, freeing the processor for a back-to-back issue — shared by
-    /// both engines.
+    /// both engines. Only draining processors are visited, in ascending
+    /// order (the order every engine delivers in); each one delivered to
+    /// is recorded in [`Self::delivered`].
     fn step_epilogue(&mut self, now: Cycle, active: &mut Option<MemoryTrace>) {
-        let b = self.config.banks();
+        if self.draining.is_empty() {
+            return;
+        }
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match active.as_mut() {
             Some(t) => t,
             None => &mut null,
         };
-        for p in 0..self.config.processors() {
-            let ready = matches!(
-                self.op_ref(p),
-                Some(op) if op.phase == Phase::Drain && op.completes_at <= now
-            );
-            if ready {
-                // Response-path fault: the completion is not delivered —
-                // ECC detects the loss/corruption and the buffered
-                // response is retransmitted one AT-space period later
-                // (the banks are untouched, so non-idempotent RMWs are
-                // never re-executed).
-                if let Some(kind) = self.fault_state.take_response_fault(p) {
-                    match kind {
-                        FaultKind::DroppedResponse { .. } => self.stats.dropped_responses += 1,
-                        FaultKind::CorruptedResponse { .. } => self.stats.corrupted_responses += 1,
-                        _ => {}
-                    }
-                    sink.record(TraceEvent::Fault {
-                        slot: now,
-                        fault: kind,
-                    });
-                    let op = self.op_mut(p).as_mut().expect("checked above");
-                    op.completes_at = now + b as u64;
-                    op.restarts += 1;
-                    op.last_progress = now;
-                    continue;
-                }
-                let mut op = self.op_mut(p).take().expect("checked above");
-                // Defensive: no delivered operation may leave a pinned
-                // ATT entry behind (reachable only if the seeded
-                // insert-drop hook swallowed the resume re-insert).
-                if let Some((bank, at)) = op.held_entry.take() {
-                    self.atts[bank].remove_traced(op.offset, p, at, now, bank, sink);
-                }
-                let torn = if matches!(op.kind, OpKind::Read | OpKind::Swap | OpKind::Rmw)
-                    && op.outcome == Outcome::Completed
-                {
-                    // Masked-bank words carry the sentinel writer stamp:
-                    // they are lost, not torn, and must not mix into the
-                    // distinct-writers scan (allocation-free: torn iff two
-                    // non-masked stamps differ).
-                    let mut stamps = op.observed_writers.iter().filter(|w| **w != MASKED_WRITER);
-                    match stamps.next() {
-                        Some(first) => stamps.any(|w| w != first),
-                        None => false,
-                    }
-                } else {
-                    false
-                };
-                // Reads hand their buffer to the completion; every other
-                // buffer goes back to the pool for the next issue.
-                let data = match op.kind {
-                    OpKind::Read | OpKind::Swap | OpKind::Rmw => Some(op.read_buf),
-                    OpKind::Write => {
-                        self.recycle_buf(op.read_buf);
-                        None
-                    }
-                };
-                self.recycle_buf(op.observed_writers);
-                if !op.write_data.is_empty() {
-                    self.recycle_buf(op.write_data);
-                }
-                if torn {
-                    self.stats.torn_reads += 1;
-                }
-                self.stats.completed += 1;
-                sink.record(TraceEvent::Complete {
-                    slot: now,
-                    proc: p,
-                    op_id: op.op_id,
-                    kind: op.kind,
-                    offset: op.offset,
-                    issued_at: op.issued_at,
-                    restarts: op.restarts,
-                    completed: op.outcome == Outcome::Completed,
-                    torn,
-                });
-                self.done[p].push_back(Completion {
-                    proc: p,
-                    kind: op.kind,
-                    offset: op.offset,
-                    data,
-                    issued_at: op.issued_at,
-                    completed_at: op.completes_at,
-                    restarts: op.restarts,
-                    outcome: op.outcome,
-                    torn,
-                });
-            }
+        let mut draining = std::mem::take(&mut self.draining);
+        draining.sort_unstable();
+        draining.retain(|&p| !self.try_deliver(p, now, sink));
+        self.draining = draining;
+    }
+
+    /// Deliver draining processor `p`'s completion if its pipeline has
+    /// drained by the end of slot `now`; returns whether it was
+    /// delivered (a dropped or corrupted response is re-queued instead).
+    fn try_deliver(&mut self, p: ProcId, now: Cycle, sink: &mut dyn TraceSink) -> bool {
+        let b = self.config.banks();
+        let op = self.op_ref(p).as_ref().expect("draining op in flight");
+        debug_assert_eq!(op.phase, Phase::Drain);
+        if op.completes_at > now {
+            return false;
         }
+        // Response-path fault: the completion is not delivered — ECC
+        // detects the loss/corruption and the buffered response is
+        // retransmitted one AT-space period later (the banks are
+        // untouched, so non-idempotent RMWs are never re-executed).
+        if let Some(kind) = self.fault_state.take_response_fault(p) {
+            match kind {
+                FaultKind::DroppedResponse { .. } => self.stats.dropped_responses += 1,
+                FaultKind::CorruptedResponse { .. } => self.stats.corrupted_responses += 1,
+                _ => {}
+            }
+            sink.record(TraceEvent::Fault {
+                slot: now,
+                fault: kind,
+            });
+            let op = self.op_mut(p).as_mut().expect("checked above");
+            op.completes_at = now + b as u64;
+            op.restarts += 1;
+            op.last_progress = now;
+            return false;
+        }
+        let mut op = self.op_mut(p).take().expect("checked above");
+        // Defensive: no delivered operation may leave a pinned ATT entry
+        // behind (reachable only if the seeded insert-drop hook swallowed
+        // the resume re-insert).
+        if let Some((bank, at)) = op.held_entry.take() {
+            self.atts[bank].remove_traced(op.offset, p, at, now, bank, sink);
+        }
+        let torn = if matches!(op.kind, OpKind::Read | OpKind::Swap | OpKind::Rmw)
+            && op.outcome == Outcome::Completed
+        {
+            // Masked-bank words carry the sentinel writer stamp: they are
+            // lost, not torn, and must not mix into the distinct-writers
+            // scan (allocation-free: torn iff two non-masked stamps
+            // differ).
+            let mut stamps = op.observed_writers.iter().filter(|w| **w != MASKED_WRITER);
+            match stamps.next() {
+                Some(first) => stamps.any(|w| w != first),
+                None => false,
+            }
+        } else {
+            false
+        };
+        // Reads hand their buffer to the completion; every other buffer
+        // goes back to the pool for the next issue.
+        let data = match op.kind {
+            OpKind::Read | OpKind::Swap | OpKind::Rmw => Some(op.read_buf),
+            OpKind::Write => {
+                self.recycle_buf(op.read_buf);
+                None
+            }
+        };
+        self.recycle_buf(op.observed_writers);
+        if !op.write_data.is_empty() {
+            self.recycle_buf(op.write_data);
+        }
+        if torn {
+            self.stats.torn_reads += 1;
+        }
+        self.stats.completed += 1;
+        sink.record(TraceEvent::Complete {
+            slot: now,
+            proc: p,
+            op_id: op.op_id,
+            kind: op.kind,
+            offset: op.offset,
+            issued_at: op.issued_at,
+            restarts: op.restarts,
+            completed: op.outcome == Outcome::Completed,
+            torn,
+        });
+        self.done[p].push_back(Completion {
+            proc: p,
+            kind: op.kind,
+            offset: op.offset,
+            data,
+            issued_at: op.issued_at,
+            completed_at: op.completes_at,
+            restarts: op.restarts,
+            outcome: op.outcome,
+            torn,
+        });
+        self.delivered.push(p);
+        true
     }
 
     /// Slot `now` on one execute lane, in one pass in ascending processor
@@ -1589,6 +1643,9 @@ impl CfmMachine {
                 op,
                 now,
             );
+            if op.phase == Phase::Drain {
+                self.draining.push(p);
+            }
         }
         None
     }
@@ -1749,6 +1806,9 @@ impl CfmMachine {
             for a in &plans {
                 let op = self.inflight[ci][a.idx].as_ref().expect("planned op");
                 commit_access(&mut self.banks, &mut self.atts, &mut self.stats, a, op, now);
+                if op.phase == Phase::Drain {
+                    self.draining.push(a.p);
+                }
             }
             plans.clear();
             self.lane_scratch[ci].plans = plans;
@@ -2122,6 +2182,8 @@ impl CfmMachine {
     /// a pre-dispatch [`WinOp`] snapshot.
     fn step_window(&mut self, w: u64, dynamic: bool) {
         let now = self.cycle;
+        // No operation completes inside a window.
+        self.delivered.clear();
         let b = self.config.banks();
         let chunks = self.inflight.len();
         let chunk_size = self.chunk_size;
@@ -2329,6 +2391,9 @@ impl CfmMachine {
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         let mut completions = Vec::new();
         let mut used = 0u64;
+        // The first collection also takes completions queued before the
+        // call; after it only delivered processors have any.
+        let mut swept = false;
         while used < max_cycles {
             if self.is_idle() {
                 break;
@@ -2348,8 +2413,15 @@ impl CfmMachine {
             } else {
                 used += advanced;
             }
-            for p in 0..self.done.len() {
-                completions.extend(self.done[p].drain(..));
+            if swept {
+                for &p in &self.delivered {
+                    completions.extend(self.done[p].drain(..));
+                }
+            } else {
+                for q in &mut self.done {
+                    completions.extend(q.drain(..));
+                }
+                swept = true;
             }
         }
         let outcome = if self.is_idle() {
@@ -2631,16 +2703,21 @@ impl CfmMachine {
         );
         for (p, slot) in s.inflight.iter().enumerate() {
             if let Some(op) = slot {
+                let phase = match op.phase {
+                    0 => Phase::Read,
+                    1 => Phase::Write,
+                    _ => Phase::Drain,
+                };
+                // The draining list is derived state: rebuilt here.
+                if phase == Phase::Drain {
+                    m.draining.push(p);
+                }
                 *m.op_mut(p) = Some(InFlight {
                     kind: op.kind,
                     offset: op.offset,
                     write_data: op.write_data.clone().into_boxed_slice(),
                     transform: op.transform.clone(),
-                    phase: match op.phase {
-                        0 => Phase::Read,
-                        1 => Phase::Write,
-                        _ => Phase::Drain,
-                    },
+                    phase,
                     visited: op.visited,
                     bank0_updated: op.bank0_updated,
                     read_buf: op.read_buf.clone().into_boxed_slice(),
@@ -4253,5 +4330,106 @@ mod tests {
         // The original keeps working too (its pool was never shared).
         m.issue(1, Operation::read(1)).unwrap();
         assert_eq!(m.run(100).expect_idle().len(), 1);
+    }
+
+    /// Drive `engine` slot by slot through rounds of mixed traffic under
+    /// dropped and corrupted responses, checking after every step that
+    /// [`CfmMachine::delivered`] names exactly the processors whose
+    /// `poll` yields a completion, in ascending order. With `restore`,
+    /// the machine round-trips through the snapshot byte codec every
+    /// third step, so the draining list is rebuilt mid-drain. Returns
+    /// the per-step delivered record, the completions, the stats and the
+    /// number of restores taken with an operation draining.
+    fn drive_delivered(
+        engine: Engine,
+        restore: bool,
+    ) -> (Vec<Vec<ProcId>>, Vec<Completion>, Stats, u32) {
+        use crate::fault::FaultEvent;
+        let n = 4;
+        let cfg = CfmConfig::new(n, 2, 16)
+            .unwrap()
+            .with_spares(1)
+            .unwrap()
+            .with_engine(engine);
+        let b = cfg.banks();
+        let response = |at_slot, kind| FaultEvent { at_slot, kind };
+        let mut m = CfmMachine::builder(cfg)
+            .offsets(8)
+            .fault_plan(FaultPlan::new(vec![
+                response(0, FaultKind::DroppedResponse { proc: 1 }),
+                response(12, FaultKind::CorruptedResponse { proc: 2 }),
+                response(30, FaultKind::DroppedResponse { proc: 0 }),
+                response(30, FaultKind::DroppedResponse { proc: 3 }),
+            ]))
+            .build();
+        let mut log = Vec::new();
+        let mut completions = Vec::new();
+        let mut draining_restores = 0;
+        let mut steps = 0u32;
+        for round in 0..6u64 {
+            for p in 0..n {
+                let op = match (p + round as usize) % 3 {
+                    0 => Operation::read(p),
+                    1 => Operation::write(p, vec![round * 10 + p as u64; b]),
+                    _ => Operation::fetch_add(p, p % b, round + 1),
+                };
+                m.issue(p, op).unwrap();
+            }
+            while !m.is_idle() {
+                m.step();
+                steps += 1;
+                let named = m.delivered().to_vec();
+                let mut polled = Vec::new();
+                for p in 0..n {
+                    if let Some(c) = m.poll(p) {
+                        polled.push(p);
+                        completions.push(c);
+                    }
+                    assert!(m.poll(p).is_none(), "one completion per processor per slot");
+                }
+                assert_eq!(named, polled, "delivered() after step {steps}");
+                log.push(named);
+                if restore && steps % 3 == 1 {
+                    draining_restores += u32::from(!m.draining.is_empty());
+                    let bytes = m.checkpoint().to_bytes();
+                    m = crate::snapshot::MachineSnapshot::from_bytes(&bytes)
+                        .unwrap()
+                        .restore()
+                        .unwrap();
+                }
+                assert!(steps < 10_000, "machine failed to make progress");
+            }
+        }
+        (log, completions, *m.stats(), draining_restores)
+    }
+
+    #[test]
+    fn delivered_names_exactly_the_polled_processors() {
+        let (log, completions, stats, _) = drive_delivered(Engine::Sequential, false);
+        assert_eq!(completions.len(), 24);
+        assert_eq!(
+            stats.dropped_responses, 3,
+            "the plan really drops responses"
+        );
+        assert_eq!(stats.corrupted_responses, 1);
+        assert!(
+            log.iter().any(|d| d.len() > 1),
+            "some slot delivers to several processors"
+        );
+        for engine in [
+            Engine::Sequential,
+            Engine::Parallel { threads: 1 },
+            Engine::Parallel { threads: 2 },
+        ] {
+            for restore in [false, true] {
+                let run = drive_delivered(engine, restore);
+                assert_eq!(run.0, log, "{engine:?}, restore {restore}");
+                assert_eq!(run.1, completions, "{engine:?}, restore {restore}");
+                assert_eq!(run.2, stats, "{engine:?}, restore {restore}");
+                if restore {
+                    assert!(run.3 > 0, "a restore landed mid-drain ({engine:?})");
+                }
+            }
+        }
     }
 }

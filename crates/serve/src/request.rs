@@ -227,10 +227,15 @@ pub struct Response {
     /// The machine's completion record (data for reads/swaps, restart
     /// count, slot-level latency).
     pub completion: Completion,
-    /// Wall-clock nanoseconds from admission to issue (queueing delay).
+    /// Wall-clock nanoseconds from admission to the start of the event
+    /// loop pass that issued the request (queueing delay). The loop reads
+    /// the clock once per pass, after its slot, and that read starts the
+    /// next pass; a request admitted after it reads 0. Never above
+    /// [`Self::total_ns`].
     pub queued_ns: u64,
-    /// Wall-clock nanoseconds from admission to fulfillment (the latency
-    /// the tenant observes; recorded in the service histograms).
+    /// Wall-clock nanoseconds from admission to the clock read that ended
+    /// the pass whose slot completed the request (the latency the tenant
+    /// observes; recorded in the service histograms).
     pub total_ns: u64,
 }
 

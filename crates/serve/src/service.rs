@@ -301,6 +301,11 @@ struct LoopState {
     fulfilled: Vec<(Reply, Response)>,
     /// Edge queues owed a wake check by the current delivery.
     wakes: Wakes,
+    /// The loop's one clock read per pass, taken after the slot: the
+    /// fulfilment instant of that slot's completions and the issue
+    /// instant of the next pass's batch (refreshed after a park or a
+    /// migration, which start a pass late).
+    pass_at: Instant,
     report: Option<ServiceReport>,
 }
 
@@ -389,6 +394,7 @@ impl Service {
             batch: Vec::with_capacity(processors),
             fulfilled: Vec::with_capacity(processors),
             wakes: Wakes::default(),
+            pass_at: Instant::now(),
             report: None,
         };
 
@@ -1009,6 +1015,7 @@ fn run_event_loop(state: &mut LoopState) {
                 }
                 // Fully idle: park until a submit or drain wakes us.
                 shared.work.wait(&mut inner);
+                state.pass_at = Instant::now();
             }
         }
         state.deliver();
@@ -1016,6 +1023,7 @@ fn run_event_loop(state: &mut LoopState) {
         // ---- Swap boundary: source is drained, perform the move. -----
         if let Some(cmd) = migration {
             perform_migration(state, &shared, cmd);
+            state.pass_at = Instant::now();
             continue;
         }
         if idle {
@@ -1023,8 +1031,12 @@ fn run_event_loop(state: &mut LoopState) {
         }
 
         // ---- Issue the slot batch (outside the lock). ----------------
+        // Queueing ends at the start of this pass: the last clock read.
         for (p, pending, tenant) in state.batch.drain(..) {
-            let queued_ns = pending.submitted.elapsed().as_nanos() as u64;
+            let queued_ns = state
+                .pass_at
+                .saturating_duration_since(pending.submitted)
+                .as_nanos() as u64;
             state
                 .machine
                 .issue(p, pending.op)
@@ -1042,15 +1054,19 @@ fn run_event_loop(state: &mut LoopState) {
         state.machine.step();
         state.sched.on_slot();
 
-        // ---- Complete: poll lanes; the next pass records and delivers.
-        for p in 0..state.inflight.len() {
+        // ---- Complete: poll the lanes the slot delivered to; the next
+        // pass records and delivers. The pass's one clock read.
+        let now = Instant::now();
+        state.pass_at = now;
+        for i in 0..state.machine.delivered().len() {
+            let p = state.machine.delivered()[i];
             while let Some(completion) = state.machine.poll(p) {
                 let req = state.inflight[p]
                     .take()
                     .expect("completion implies an in-flight request");
                 state.inflight_count -= 1;
                 state.free.push(p);
-                let total_ns = req.submitted.elapsed().as_nanos() as u64;
+                let total_ns = now.saturating_duration_since(req.submitted).as_nanos() as u64;
                 state.fulfilled.push((
                     req.reply,
                     Response {

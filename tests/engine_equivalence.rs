@@ -370,6 +370,128 @@ proptest! {
     }
 }
 
+/// Everything [`drive_stepped`] observes about one run: completions,
+/// the processors each step delivered to, stats, and the trace digest.
+type SteppedRun = (Vec<Completion>, Vec<Vec<usize>>, Stats, u64);
+
+/// Drive one machine slot by slot through the script (issuing
+/// round-robin, stepping while the next issuer is busy), checking after
+/// every `step()` that `delivered()` names exactly the processors whose
+/// `poll` then yields a completion, in ascending order. Halfway through
+/// the script the machine round-trips through the snapshot byte codec,
+/// right after a step, so operations may be draining across the seam.
+fn drive_stepped(
+    engine: Engine,
+    n: usize,
+    c: u32,
+    offsets: usize,
+    script: &[u64],
+    fault_seed: Option<u64>,
+) -> SteppedRun {
+    let cfg = CfmConfig::new(n, c, 16)
+        .unwrap()
+        .with_spares(1)
+        .unwrap()
+        .with_engine(engine);
+    let b = cfg.banks();
+    let mut m = CfmMachine::builder(cfg)
+        .offsets(offsets)
+        .trace(true)
+        .build();
+    if let Some(seed) = fault_seed {
+        m.injector().fault_plan(FaultPlan::generate(
+            seed,
+            &PlanParams {
+                banks: b,
+                processors: n,
+                horizon: 64,
+                permanent: 1,
+                transient: 2,
+                max_repair: 4,
+                responses: 2,
+                stuck: 0,
+            },
+        ));
+    }
+    let mut completions = Vec::new();
+    let mut delivered = Vec::new();
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut step = |m: &mut CfmMachine| {
+        m.step();
+        let named = m.delivered().to_vec();
+        let mut polled = Vec::new();
+        for p in 0..n {
+            if let Some(c) = m.poll(p) {
+                polled.push(p);
+                completions.push(c);
+            }
+            assert!(m.poll(p).is_none(), "one completion per processor per slot");
+        }
+        assert_eq!(named, polled, "delivered() disagrees with poll");
+        delivered.push(named);
+        assert!(
+            delivered.len() < 1_000_000,
+            "machine failed to make progress"
+        );
+    };
+    for (i, &word) in script.iter().enumerate() {
+        let p = i % n;
+        while m.is_busy(p) {
+            step(&mut m);
+        }
+        if i == script.len() / 2 {
+            if let Some(tr) = m.drain_trace() {
+                events.extend(tr.into_events());
+            }
+            let bytes = m.checkpoint().to_bytes();
+            m = MachineSnapshot::from_bytes(&bytes)
+                .expect("snapshot decodes")
+                .restore()
+                .expect("same-shape snapshot restores");
+        }
+        let offset = (word >> 8) as usize % offsets;
+        let val = word >> 16;
+        let op = match word % 4 {
+            0 => Operation::read(offset),
+            1 => Operation::write(offset, vec![val; b]),
+            2 => Operation::swap(offset, vec![val ^ 0xA5A5; b]),
+            _ => Operation::fetch_add(offset, val as usize % b, val | 1),
+        };
+        m.issue(p, op).unwrap();
+    }
+    while !m.is_idle() {
+        step(&mut m);
+    }
+    events.extend(m.take_trace().unwrap().into_events());
+    (completions, delivered, *m.stats(), trace_digest(&events))
+}
+
+proptest! {
+    /// Random `(n, c, program, fault plan)` → slot by slot, `delivered()`
+    /// names exactly the processors with a new completion under the
+    /// sequential engine and the parallel engine with one and two lanes,
+    /// through response faults and a mid-run snapshot/restore; and all
+    /// three agree with each other step for step. `fault_sel` past the
+    /// seed range means "no fault plan".
+    #[test]
+    fn delivered_matches_poll_on_every_engine(
+        n in 2usize..9,
+        c in 1u32..3,
+        script in proptest::collection::vec(0u64..u64::MAX, 1..40),
+        fault_sel in 0u64..2_000,
+    ) {
+        let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
+        let seq = drive_stepped(Engine::Sequential, n, c, 8, &script, fault_seed);
+        for threads in [1, 2] {
+            let par = drive_stepped(Engine::Parallel { threads }, n, c, 8, &script, fault_seed);
+            prop_assert_eq!(&seq.0, &par.0, "completions diverged");
+            prop_assert_eq!(&seq.1, &par.1, "delivered records diverged");
+            prop_assert_eq!(&seq.2, &par.2, "stats diverged");
+            prop_assert_eq!(seq.3, par.3, "trace digests diverged");
+        }
+    }
+}
+
 /// FNV-1a over the debug rendering of every trace event — a stable,
 /// dependency-free byte digest of the trace stream.
 fn trace_digest(events: &[TraceEvent]) -> u64 {
