@@ -3,8 +3,8 @@
 //! Soaks a steady disjoint-block workload (every processor continuously
 //! re-issuing reads/writes of its own block — the conflict-free case the
 //! parallel engine shards) on a grid of machine shapes × engine
-//! configurations × variants (plain / traced / faulted / static-summary
-//! / dynamic-window), and records simulated slots per wall-clock second
+//! configurations × variants (plain / traced / faulted /
+//! dynamic-window), and records simulated slots per wall-clock second
 //! into `BENCH_core.json`.
 //!
 //! The report includes `host_cpus` *and* `host_free_cores` (detected
@@ -24,17 +24,21 @@
 //! median: `slots_per_s` is the median rate and
 //! `speedup_vs_seq` the median of each repetition's ratio to the
 //! sequential repetition run just before it.
+//!
+//! Every repetition first runs one untimed warm-up generation (one
+//! issue batch driven to idle), so the timed slots do not include the
+//! first-use cost of the machine's buffers; the row reports that
+//! generation's median wall time as `warmup_s`, keeping the cold cost
+//! visible.
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use cfm_bench::print_table;
 use cfm_core::config::{CfmConfig, Engine};
-use cfm_core::fault::{FaultPlan, PlanParams};
+use cfm_core::fault::{FaultEvent, FaultKind, FaultPlan, PlanParams};
 use cfm_core::machine::CfmMachine;
 use cfm_core::op::Operation;
-use cfm_core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
-use cfm_verify::analyze::summarize;
 
 const WORD_WIDTH: u32 = 16;
 const SPARES: usize = 1;
@@ -52,26 +56,12 @@ const ENGINES: [(&str, Engine); 5] = [
     ("parallel-8", Engine::Parallel { threads: 8 }),
 ];
 
-/// `static-summary` arms the statically proven [`cfm_core::spec::HazardSummary`]
-/// for the same disjoint workload, so the planner skips the per-slot
-/// dynamic hazard scan and dispatches whole proven windows — the payoff
-/// the `cfm-verify analyze` proof buys at runtime. The symbolic footprint
-/// (strided residue classes, not a 64-bit mask) proves exclusive writers
-/// at any processor count, so windows engage at the n=256 shape exactly
-/// as they do at n=16 — the old 64-processor bitmask ceiling is gone.
 /// `dynamic-window` rotates every processor's block each generation —
 /// disjoint at runtime but *not* expressible as a residue-class
-/// footprint, so no summary can arm and every window must be proven by
-/// the runtime hazard scan (`NotPeriodic` programs' path). The other
-/// variants issue a fixed per-processor block, which the scan also
-/// proves — `dynamic_fraction` shows windows engaging there too.
-const VARIANTS: [&str; 5] = [
-    "plain",
-    "traced",
-    "faulted",
-    "static-summary",
-    "dynamic-window",
-];
+/// footprint. The other variants issue a fixed per-processor block.
+/// The runtime hazard scan proves windows on both shapes —
+/// `dynamic_fraction` shows how many slots ran inside them.
+const VARIANTS: [&str; 4] = ["plain", "traced", "faulted", "dynamic-window"];
 
 /// Minimum wall time, in seconds, each smoke row runs for across its
 /// repetitions.
@@ -96,17 +86,19 @@ struct Measured {
     /// Median over the repetitions of the rate relative to the
     /// sequential repetition of the same round.
     speedup: f64,
+    /// Median wall time of the untimed warm-up generation.
+    warmup_s: f64,
     parallel_slots: u64,
-    static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
 }
 
 struct Counters {
+    /// Slots run after the warm-up generation.
     slots: u64,
     wall_s: f64,
+    warmup_s: f64,
     parallel_slots: u64,
-    static_slots: u64,
     dynamic_slots: u64,
     dynamic_windows: u64,
 }
@@ -147,8 +139,8 @@ impl Measured {
                     .map(|(c, s)| rate(c) / rate(s))
                     .collect(),
             ),
+            warmup_s: median(reps.iter().map(|c| c.warmup_s).collect()),
             parallel_slots: reps.iter().map(|c| c.parallel_slots).sum(),
-            static_slots: reps.iter().map(|c| c.static_slots).sum(),
             dynamic_slots: reps.iter().map(|c| c.dynamic_slots).sum(),
             dynamic_windows: reps.iter().map(|c| c.dynamic_windows).sum(),
         }
@@ -170,6 +162,42 @@ fn detect_free_cores(host_cpus: usize) -> usize {
     ((host_cpus as f64 - load1).floor().max(1.0)) as usize
 }
 
+/// The faulted variant's seeded plan over the first half of the timed
+/// slots: generated from slot 0, then shifted past the `from` warm-up
+/// slots so every fault strikes a timed slot.
+fn fault_plan(n: usize, b: usize, from: u64, slot_budget: u64) -> FaultPlan {
+    let plan = FaultPlan::generate(
+        42,
+        &PlanParams {
+            banks: b,
+            processors: n,
+            horizon: slot_budget.max(4) / 2,
+            permanent: 1,
+            transient: 4,
+            max_repair: 8,
+            responses: 2,
+            stuck: 0,
+        },
+    );
+    FaultPlan::new(
+        plan.events()
+            .iter()
+            .map(|e| FaultEvent {
+                at_slot: e.at_slot + from,
+                kind: match e.kind {
+                    FaultKind::TransientBankError { bank, repair_slot } => {
+                        FaultKind::TransientBankError {
+                            bank,
+                            repair_slot: repair_slot + from,
+                        }
+                    }
+                    kind => kind,
+                },
+            })
+            .collect(),
+    )
+}
+
 fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64) -> Counters {
     let cfg = CfmConfig::new(n, c, WORD_WIDTH)
         .and_then(|cfg| cfg.with_spares(SPARES))
@@ -180,50 +208,13 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         .offsets(n)
         .trace(variant == "traced")
         .build();
-    if variant == "faulted" {
-        m.injector().fault_plan(FaultPlan::generate(
-            42,
-            &PlanParams {
-                banks: b,
-                processors: n,
-                horizon: slot_budget.max(4) / 2,
-                permanent: 1,
-                transient: 4,
-                max_repair: 8,
-                responses: 2,
-                stuck: 0,
-            },
-        ));
-    }
-    if variant == "static-summary" {
-        // The same disjoint workload, declared as a program spec: each
-        // processor alternates write/read on its own block. `summarize`
-        // statically proves it conflict-free and the armed summary lets
-        // `run()` dispatch whole proven windows.
-        let spec = ProgramSpec::uniform(
-            "bench-disjoint",
-            n,
-            1,
-            vec![
-                OpSpec::new(
-                    OpPattern::Write,
-                    OffsetExpr::ProcLinear { base: 0, stride: 1 },
-                ),
-                OpSpec::new(
-                    OpPattern::Read,
-                    OffsetExpr::ProcLinear { base: 0, stride: 1 },
-                ),
-            ],
-        );
-        let summary = summarize(&spec, n, c, n).expect("disjoint bench workload is provable");
-        m.arm_summary(summary)
-            .expect("fresh idle machine accepts the summary");
-    }
     let mut write_next = vec![true; n];
     let mut round = 0usize;
-    let mut last_discard = 0u64;
-    let start = Instant::now();
-    while m.cycle() < slot_budget {
+    // One generation: every idle processor issues, then `run()` drains
+    // the batch to idle (or the budget) — window dispatch engages inside
+    // `run()`, never `step()`, falling back to per-slot stepping
+    // wherever a window cannot be proven (e.g. under active faults).
+    let mut generation = |m: &mut CfmMachine, budget: u64| {
         for (p, next) in write_next.iter_mut().enumerate() {
             if !m.is_busy(p) {
                 // Each processor hammers its own block (or, on the
@@ -247,29 +238,36 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
             }
         }
         round = round.wrapping_add(1);
-        // Window dispatch engages inside `run()`, never `step()`: drain
-        // the issued batch to idle (or the budget) in proven windows —
-        // statically proven on the static-summary variant, dynamically
-        // proven everywhere else — falling back to per-slot stepping
-        // wherever the preconditions fail (e.g. under active faults).
-        let _ = m.run(slot_budget - m.cycle());
+        let _ = m.run(budget - m.cycle());
         // Bound trace memory: the events are the cost being measured,
-        // not the analysis, so discard them periodically — keeping the
-        // buffer's capacity, so the measurement is the recording cost,
-        // not allocator/page-fault churn. Cycle deltas, not multiples:
-        // window dispatch advances the cycle in jumps.
-        if variant == "traced" && m.cycle() >= last_discard + 2048 {
+        // not the analysis. Discarding keeps the buffer's capacity, so
+        // the measurement is the recording cost, not allocator or
+        // page-fault churn.
+        if variant == "traced" {
             m.discard_trace();
-            last_discard = m.cycle();
         }
+    };
+    let warm = Instant::now();
+    generation(&mut m, slot_budget);
+    let warmup_s = warm.elapsed().as_secs_f64();
+    let warm_slots = m.cycle();
+    if variant == "faulted" {
+        m.injector()
+            .fault_plan(fault_plan(n, b, warm_slots, slot_budget));
+    }
+    let (m0, d0, w0) = (m.parallel_slots(), m.dynamic_slots(), m.dynamic_windows());
+    let budget = warm_slots + slot_budget;
+    let start = Instant::now();
+    while m.cycle() < budget {
+        generation(&mut m, budget);
     }
     Counters {
-        slots: m.cycle(),
+        slots: m.cycle() - warm_slots,
         wall_s: start.elapsed().as_secs_f64(),
-        parallel_slots: m.parallel_slots(),
-        static_slots: m.static_slots(),
-        dynamic_slots: m.dynamic_slots(),
-        dynamic_windows: m.dynamic_windows(),
+        warmup_s,
+        parallel_slots: m.parallel_slots() - m0,
+        dynamic_slots: m.dynamic_slots() - d0,
+        dynamic_windows: m.dynamic_windows() - w0,
     }
 }
 
@@ -290,19 +288,19 @@ fn json_report(
     out.push_str(
         "  \"note\": \"Honest numbers for the host recorded in host_cpus/host_free_cores \
          (logical CPUs minus 1-min load average at bench start): speedup_vs_seq > 1 requires \
-         >= threads free cores. static_fraction is the share of slots executed inside \
-         statically proven windows (armed summary); dynamic_fraction the share inside \
-         dynamically proven windows (runtime hazard scan, no summary needed — the path \
-         NotPeriodic programs get). See docs/performance.md.\",\n",
+         >= threads free cores. dynamic_fraction is the share of slots executed inside \
+         windows the runtime hazard scan proved. Each repetition times the slots after \
+         one untimed warm-up generation; warmup_s is that generation's median wall \
+         time. See docs/performance.md.\",\n",
     );
     out.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"n\": {}, \"c\": {}, \"variant\": \"{}\", \"engine\": \"{}\", \
              \"reps\": {}, \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
-             \"speedup_vs_seq\": {:.3}, \"parallel_slots\": {}, \"parallel_fraction\": {:.3}, \
-             \"static_slots\": {}, \"static_fraction\": {:.3}, \
-             \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \"dynamic_windows\": {}}}{}\n",
+             \"speedup_vs_seq\": {:.3}, \"warmup_s\": {:.6}, \"parallel_slots\": {}, \
+             \"parallel_fraction\": {:.3}, \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \
+             \"dynamic_windows\": {}}}{}\n",
             m.shape.0,
             m.shape.1,
             m.variant,
@@ -312,10 +310,9 @@ fn json_report(
             m.wall_s,
             m.rate,
             m.speedup,
+            m.warmup_s,
             m.parallel_slots,
             m.parallel_slots as f64 / m.slots.max(1) as f64,
-            m.static_slots,
-            m.static_slots as f64 / m.slots.max(1) as f64,
             m.dynamic_slots,
             m.dynamic_slots as f64 / m.slots.max(1) as f64,
             m.dynamic_windows,
@@ -384,7 +381,6 @@ fn main() {
                 format!("{:.0}", m.rate),
                 format!("{:.3}", m.speedup),
                 format!("{:.3}", m.parallel_slots as f64 / m.slots.max(1) as f64),
-                format!("{:.3}", m.static_slots as f64 / m.slots.max(1) as f64),
                 format!("{:.3}", m.dynamic_slots as f64 / m.slots.max(1) as f64),
             ]
         })
@@ -398,7 +394,6 @@ fn main() {
             "Slots/s",
             "vs seq",
             "par fraction",
-            "static fraction",
             "dyn fraction",
         ],
         &rows,

@@ -15,18 +15,8 @@
 //! bounds its share and the CFM layout keeps `bank_conflicts` at 0 —
 //! both are asserted in the report.
 //!
-//! A separate single-threaded **spec-inference phase** precedes the
-//! soak: two strided tenants and one random tenant run the same
-//! deterministic request sequence twice, once with the service's
-//! observation window enabled (the driver fits each tenant's warm-up
-//! window via `cfm_verify::analyze::infer`, checks the candidate
-//! against the observed stream, and arms the inferred footprint) and
-//! once without. The periodic tenants must arm, the random tenant must
-//! be refused as non-periodic, and the two runs' served bytes must be
-//! identical — inference is pure admission metadata.
-//!
-//! A **live-migration phase** follows: a two-tenant service runs the
-//! same read budget on an untouched "steady" tenant twice — once
+//! A **live-migration phase** precedes the soak: a two-tenant service
+//! runs the same read budget on an untouched "steady" tenant twice — once
 //! undisturbed and once while the "moving" tenant is live-migrated
 //! onto a machine with two extra spare banks (`Service::migrate`,
 //! quiesce → checkpoint → restore → replay — the reconfiguration an
@@ -169,178 +159,6 @@ fn drive_tenant(
         }
     }
     (completed, rejected)
-}
-
-/// Observation window for the inference phase: two full periods of the
-/// strided tenants' `[write o, read o] × STRIDE_COUNT` loop.
-const STRIDE_COUNT: usize = 8;
-const INFER_WINDOW: usize = 4 * STRIDE_COUNT;
-
-/// What one served request looked like, minus wall-clock cycle stamps
-/// (the only nondeterministic fields): the bytes the byte-identity
-/// assertion compares across the inference-on and inference-off runs.
-#[derive(Debug, PartialEq)]
-struct ServedBytes {
-    tenant: usize,
-    kind: cfm_core::op::OpKind,
-    offset: usize,
-    data: Option<Box<[cfm_core::Word]>>,
-    restarts: u32,
-    outcome: cfm_core::op::Outcome,
-    torn: bool,
-}
-
-struct InferenceOutcome {
-    served: Vec<ServedBytes>,
-    /// Per tenant: (summaries_inferred, summary_disarms, summary_armed).
-    tenants: Vec<(u64, u64, bool)>,
-    refused_non_periodic: u64,
-}
-
-/// Drive the inference roster single-threaded and deterministically:
-/// tenants 0/1 loop `[write, read]` over disjoint strided block ranges
-/// (exactly periodic), tenant 2 hammers one block with seeded-random
-/// kinds (honestly non-periodic). With `infer` the driver fits each
-/// filled observation window (`cfm_verify::analyze::infer`), checks the
-/// candidate replays the window, and arms the footprint; the last
-/// submit steps tenant 0 outside its claim to exercise the
-/// trust-but-verify disarm. Everything served is returned for the
-/// byte-identity comparison.
-fn inference_phase(ops_per_tenant: u64, infer: bool) -> InferenceOutcome {
-    use cfm_verify::analyze::infer::{infer_from_stream, InferError};
-
-    let cfg = CfmConfig::new(PROCESSORS, CLUSTER, WORD_WIDTH).expect("valid bench config");
-    let banks = cfg.banks();
-    let mut service_cfg = ServiceConfig::new(cfg, OFFSETS)
-        .with_tenant(TenantSpec::new("strided-a").queue_capacity(QUEUE_CAPACITY))
-        .with_tenant(TenantSpec::new("strided-b").queue_capacity(QUEUE_CAPACITY))
-        .with_tenant(TenantSpec::new("random").queue_capacity(QUEUE_CAPACITY));
-    if infer {
-        service_cfg = service_cfg.infer_after(INFER_WINDOW);
-    }
-    let service = Service::start(service_cfg).expect("valid service config");
-
-    let mut writers = [
-        TenantTraffic::new(
-            TenantProfile::Strided {
-                base: 0,
-                stride: 1,
-                count: STRIDE_COUNT,
-            },
-            OFFSETS,
-            banks,
-            42,
-        ),
-        TenantTraffic::new(
-            TenantProfile::Strided {
-                base: STRIDE_COUNT,
-                stride: 1,
-                count: STRIDE_COUNT,
-            },
-            OFFSETS,
-            banks,
-            43,
-        ),
-        // Fixed block, seeded-random read/write mix: the kind sequence
-        // never repeats exactly, so inference must refuse it.
-        TenantTraffic::new(
-            TenantProfile::HotSpot {
-                hot_offset: 4 * STRIDE_COUNT,
-                hot_fraction: 1.0,
-                write_fraction: 0.5,
-            },
-            OFFSETS,
-            banks,
-            44,
-        ),
-    ];
-    let mut served = Vec::new();
-    let mut refused = 0u64;
-    let mut fitted = [false; 3];
-    let mut submit = |service: &Service, tenant: usize, op: cfm_core::op::Operation| {
-        let ticket = service.submit(tenant, op).expect("inference phase admits");
-        let r = ticket.wait().expect("service alive");
-        served.push(ServedBytes {
-            tenant,
-            kind: r.completion.kind,
-            offset: r.completion.offset,
-            data: r.completion.data,
-            restarts: r.completion.restarts,
-            outcome: r.completion.outcome,
-            torn: r.completion.torn,
-        });
-    };
-    for _ in 0..ops_per_tenant {
-        for (tenant, traffic) in writers.iter_mut().enumerate() {
-            let op = traffic.take_ops(1).pop().expect("infinite stream");
-            let followup_read = matches!(op, cfm_core::op::Operation::Write { .. }) && tenant < 2;
-            let offset = op.offset();
-            submit(&service, tenant, op);
-            if followup_read {
-                // The strided loop interleaves a read-back, so the
-                // byte-identity comparison sees real served data.
-                submit(&service, tenant, cfm_core::op::Operation::read(offset));
-            }
-            if !infer || fitted[tenant] {
-                continue;
-            }
-            if let Some(window) = service.footprints().observation_window(tenant) {
-                match infer_from_stream(
-                    ["strided-a", "strided-b", "random"][tenant],
-                    &window,
-                    PROCESSORS,
-                    OFFSETS,
-                ) {
-                    Ok(spec) => {
-                        // Trust-but-verify's "verify": the candidate must
-                        // replay the observed window exactly before its
-                        // footprint is armed (the conflict proof against
-                        // other tenants' claims runs inside the service).
-                        let replay: Vec<(cfm_core::op::OpKind, usize)> = spec
-                            .instantiate(0, banks, OFFSETS)
-                            .iter()
-                            .map(|op| (op.kind(), op.offset()))
-                            .collect();
-                        assert_eq!(replay, window, "candidate replays the window");
-                        let fp = spec.footprint(OFFSETS).expect("constant offsets");
-                        service
-                            .footprints()
-                            .arm_inferred(tenant, fp)
-                            .expect("disjoint strided claims arm");
-                        fitted[tenant] = true;
-                    }
-                    Err(InferError::NotPeriodic { .. }) => {
-                        refused += 1;
-                        fitted[tenant] = true; // don't re-fit every op
-                    }
-                    Err(e) => panic!("unexpected inference failure: {e}"),
-                }
-            }
-        }
-    }
-    // Trust-but-verify: tenant 0 steps outside its inferred claim. The
-    // op must be served identically in both runs — with inference on it
-    // additionally disarms the claim (a metric, never a rejection).
-    submit(
-        &service,
-        0,
-        cfm_core::op::Operation::write(5 * STRIDE_COUNT, vec![0xBEEF; banks]),
-    );
-    let report = service.drain();
-    assert_eq!(
-        report.stats.bank_conflicts, 0,
-        "conflict-free under inference"
-    );
-    InferenceOutcome {
-        served,
-        tenants: report
-            .metrics
-            .tenants
-            .iter()
-            .map(|t| (t.summaries_inferred, t.summary_disarms, t.summary_armed))
-            .collect(),
-        refused_non_periodic: refused,
-    }
 }
 
 /// What the live-migration phase measured: the untouched tenant's
@@ -951,11 +769,9 @@ fn qos_phase(pings: usize) -> QosOutcome {
 fn json_report(
     runs: &[TenantRun],
     report: &cfm_serve::ServiceReport,
-    inference: &InferenceOutcome,
     migration: &MigrationOutcome,
     edge: &EdgeOutcome,
     qos: &QosOutcome,
-    byte_identical: bool,
     wall_s: f64,
     ops_target: u64,
     host_cpus: usize,
@@ -989,27 +805,6 @@ fn json_report(
         report.metrics.overall.max_ns(),
         report.metrics.overall.mean_ns(),
     ));
-    out.push_str("  },\n");
-    out.push_str("  \"inference\": {\n");
-    out.push_str(&format!(
-        "    \"byte_identical\": {byte_identical},\n    \"refused_non_periodic\": {},\n",
-        inference.refused_non_periodic
-    ));
-    out.push_str("    \"tenants\": [\n");
-    let names = ["strided-a", "strided-b", "random"];
-    for (i, (inferred, disarms, armed)) in inference.tenants.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"summaries_inferred\": {inferred}, \
-             \"summary_disarms\": {disarms}, \"summary_armed\": {armed}}}{}\n",
-            names[i],
-            if i + 1 == inference.tenants.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("    ]\n");
     out.push_str("  },\n");
     out.push_str("  \"migration\": {\n");
     out.push_str(&format!(
@@ -1060,10 +855,7 @@ fn json_report(
          client; latency is admission to fulfillment with HDR-style histograms (log2 \
          majors x 32 linear sub-buckets, <= 3.2% quantile error, exact below 32 ns). \
          hotspot drives 100% of its traffic at one block; bank_conflicts must stay 0 \
-         regardless. The inference section is a separate deterministic phase run twice \
-         (observation window on/off): periodic tenants arm inferred footprint claims, \
-         the random tenant is refused as non-periodic, and served bytes must be \
-         identical either way. The migration section runs the untouched tenant's read \
+         regardless. The migration section runs the untouched tenant's read \
          budget with and without a concurrent live migration of its neighbour onto a \
          machine with two extra spare banks (same AT-space geometry, so per-op cost is \
          comparable and the ratio isolates the migration stall); ratio is migrated \
@@ -1112,39 +904,6 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-
-    // Spec-inference phase: same deterministic sequence with the
-    // observation window on and off; inference may only add metadata.
-    let infer_ops: u64 = if smoke { 200 } else { 2_000 };
-    let inferred = inference_phase(infer_ops, true);
-    let plain = inference_phase(infer_ops, false);
-    let byte_identical = inferred.served == plain.served;
-    assert!(byte_identical, "inference changed served bytes");
-    assert!(
-        inferred.tenants[0].0 >= 1 && inferred.tenants[1].0 >= 1,
-        "both periodic tenants infer a summary: {:?}",
-        inferred.tenants
-    );
-    assert!(
-        inferred.tenants[1].2,
-        "strided-b stays armed through the whole phase"
-    );
-    assert_eq!(
-        (inferred.tenants[0].1, inferred.tenants[0].2),
-        (1, false),
-        "strided-a's out-of-claim op disarms (and only disarms) its claim"
-    );
-    assert_eq!(
-        inferred.refused_non_periodic, 1,
-        "the random tenant is refused as non-periodic"
-    );
-    println!(
-        "inference phase: {} served ops byte-identical with window on/off; \
-         tenants (inferred, disarms, armed): {:?}; non-periodic refusals: {}",
-        inferred.served.len(),
-        inferred.tenants,
-        inferred.refused_non_periodic
-    );
 
     // Live-migration phase: the untouched tenant's read budget runs
     // once undisturbed and once concurrently with a live migration of
@@ -1316,17 +1075,7 @@ fn main() {
     );
 
     let json = json_report(
-        &runs,
-        &report,
-        &inferred,
-        &migration,
-        &edge,
-        &qos,
-        byte_identical,
-        wall_s,
-        ops_target,
-        host_cpus,
-        smoke,
+        &runs, &report, &migration, &edge, &qos, wall_s, ops_target, host_cpus, smoke,
     );
     match std::fs::File::create("BENCH_serve.json").and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote BENCH_serve.json"),

@@ -57,7 +57,7 @@
 //!   standard workloads under generated plans.
 //! * [`snapshot`] — checkpoint/restore: [`machine::CfmMachine::checkpoint`]
 //!   captures a running machine (memory image, ATT entries, in-flight
-//!   operations, fault state, armed summary) into a byte-stable versioned
+//!   operations, fault state) into a byte-stable versioned
 //!   [`snapshot::MachineSnapshot`] that restores into the same shape
 //!   byte-identically, or into a *larger* shape (more banks/spares) after
 //!   a drain — the substrate of `cfm-serve` live migration and
@@ -68,8 +68,8 @@
 //!   it).
 //! * [`spec`] — declarative program specifications with symbolic
 //!   offsets, their static [`spec::Footprint`]s, and the
-//!   [`spec::HazardSummary`] artifact `cfm-verify analyze` proves and
-//!   the parallel planner / `cfm-serve` admission consume.
+//!   [`spec::HazardSummary`] artifact `cfm-verify analyze` proves; the
+//!   footprints gate `cfm-serve` admission.
 //! * [`testing`] — the [`testing::Injector`] facade over the machine's
 //!   seeded-fault hooks, used by the verifier's self-tests.
 //!

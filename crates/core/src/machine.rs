@@ -33,10 +33,9 @@ use crate::fault::{BankMap, FaultKind, FaultPlan, FaultState, RetireAction, MASK
 use crate::op::{
     BlockTransform, Completion, IssueError, OpKind, Operation, Outcome, PendingOp, StallError,
 };
-use crate::snapshot::{AttState, InFlightState, MachineSnapshot, SnapshotError, SummaryState};
-use crate::spec::{Footprint, HazardSummary, SummaryError};
+use crate::snapshot::{AttState, InFlightState, MachineSnapshot, SnapshotError};
 use crate::stats::Stats;
-use crate::trace::{DisarmReason, MemoryTrace, MergeAction, NullSink, TraceEvent, TraceSink};
+use crate::trace::{MemoryTrace, MergeAction, NullSink, TraceEvent, TraceSink};
 use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 
 /// Bounded retry budget against a transiently erroring bank; past it the
@@ -145,7 +144,6 @@ struct Hazards<'a> {
     hooks: bool,
     att_enabled: bool,
     fault_state: &'a FaultState,
-    summary: Option<&'a HazardSummary>,
 }
 
 impl Hazards<'_> {
@@ -154,19 +152,16 @@ impl Hazards<'_> {
     /// reference body ([`CfmMachine::step_proc`]) could do anything but
     /// a plain access: a seeded-fault hook armed, a transient fault on
     /// `k`, a held ATT entry of the operation's own, or *any* other
-    /// processor's entry arbitrating the same offset at `k` (not probed
-    /// for an offset the armed summary proves no other processor
-    /// writes). Without a hazard every check in the reference body is a
-    /// no-op: `read_conflict` is `None`, the write verdict is `Proceed`,
-    /// and nothing is retried, restarted, aborted, held or released.
+    /// processor's entry arbitrating the same offset at `k`. Without a
+    /// hazard every check in the reference body is a no-op:
+    /// `read_conflict` is `None`, the write verdict is `Proceed`, and
+    /// nothing is retried, restarted, aborted, held or released.
     #[inline]
     fn access(&self, atts: &[Att], op: &InFlight, p: ProcId, k: BankId, now: Cycle) -> bool {
         self.hooks
             || self.fault_state.transient_fault(now, k)
             || op.held_entry.is_some()
-            || (self.att_enabled
-                && !self.summary.is_some_and(|s| s.plan_safe(op.offset, p))
-                && atts[k].contended_by_other(op.offset, p))
+            || (self.att_enabled && atts[k].contended_by_other(op.offset, p))
     }
 }
 
@@ -187,7 +182,7 @@ struct SlotTask {
     banks: Option<Arc<BankArray>>,
     ctx: SlotCtx,
     /// Slots to execute in this handoff. `1` = the classic single-slot
-    /// plan → execute → merge; `> 1` = a statically proven window
+    /// plan → execute → merge; `> 1` = a proven window
     /// ([`CfmMachine::step_window`]): the lane advances its operations
     /// through `window` consecutive slots against the pre-window bank
     /// snapshot, recomputing each slot's routing itself.
@@ -346,21 +341,9 @@ pub struct CfmMachine {
     /// (deliberately *not* in [`Stats`]: stats must stay byte-identical
     /// across engines).
     parallel_slots: u64,
-    /// Statically proven hazard summary, armed by
-    /// [`CfmMachine::arm_summary`] — lets the parallel planner skip the
-    /// dynamic ATT probe for statically safe offsets and dispatch whole
-    /// proven windows per handoff. Disarmed by any fault plan, seeded
-    /// fault hook, or undeclared issue (trust-but-verify).
-    summary: Option<HazardSummary>,
-    /// Slots executed inside statically proven windows (kept out of
+    /// Slots executed inside proven windows — the window hazard scan
+    /// proved a whole run of slots conflict-free at runtime (kept out of
     /// [`Stats`], like [`Self::parallel_slots`]).
-    static_slots: u64,
-    /// Number of statically proven windows dispatched.
-    static_windows: u64,
-    /// Slots executed inside *dynamically* proven windows — the window
-    /// hazard scan proved a whole run of slots conflict-free at runtime,
-    /// with no armed summary (kept out of [`Stats`], like
-    /// [`Self::parallel_slots`]).
     dynamic_slots: u64,
     /// Number of dynamically proven windows dispatched.
     dynamic_windows: u64,
@@ -399,12 +382,9 @@ pub struct CfmMachine {
 /// assert!(m.trace().is_some());
 /// ```
 ///
-/// The builder subsumes the deprecated `new` / `with_options` /
-/// `set_fault_plan` / `enable_trace` constructors-and-mutators; seeded
-/// fault hooks (the old `inject_*` methods) live behind the
-/// [`crate::testing::Injector`] facade, reachable here through
-/// [`CfmMachineBuilder::inject`] and at runtime through
-/// [`CfmMachine::injector`].
+/// Seeded fault hooks live behind the [`crate::testing::Injector`]
+/// facade, reachable here through [`CfmMachineBuilder::inject`] and at
+/// runtime through [`CfmMachine::injector`].
 pub struct CfmMachineBuilder {
     config: CfmConfig,
     offsets: usize,
@@ -461,8 +441,7 @@ impl CfmMachineBuilder {
     }
 
     /// Seed test faults through the [`crate::testing::Injector`] facade
-    /// before the machine is handed back — the builder-reachable form of
-    /// the old `inject_*` footguns:
+    /// before the machine is handed back:
     ///
     /// ```
     /// use cfm_core::config::CfmConfig;
@@ -520,35 +499,7 @@ impl CfmMachine {
         }
     }
 
-    /// A machine with the given configuration and `offsets` blocks of
-    /// shared memory, address tracking enabled, in the swap-capable
-    /// earliest-wins priority mode (§4.2.1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachine::builder(config).offsets(offsets).build()`"
-    )]
-    pub fn new(config: CfmConfig, offsets: usize) -> Self {
-        Self::construct(config, offsets, true, PriorityMode::EarliestWins)
-    }
-
-    /// Full constructor. `att_enabled = false` reproduces the Fig 4.1
-    /// inconsistency; [`PriorityMode::LatestWins`] is the plain-write mode
-    /// of §4.1.2 (no swap support).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachine::builder(config).offsets(..).tracking(..).priority(..).build()`"
-    )]
-    pub fn with_options(
-        config: CfmConfig,
-        offsets: usize,
-        att_enabled: bool,
-        mode: PriorityMode,
-    ) -> Self {
-        Self::construct(config, offsets, att_enabled, mode)
-    }
-
-    /// The one true constructor behind both the builder and the
-    /// deprecated shims.
+    /// The one constructor behind the builder and restore.
     fn construct(config: CfmConfig, offsets: usize, att_enabled: bool, mode: PriorityMode) -> Self {
         let b = config.banks();
         // Banks and writer stamps are *physical* (spares included); the
@@ -586,9 +537,6 @@ impl CfmMachine {
             pool: EnginePool(None),
             lane_scratch: vec![LaneScratch::default(); chunks],
             parallel_slots: 0,
-            summary: None,
-            static_slots: 0,
-            static_windows: 0,
             dynamic_slots: 0,
             dynamic_windows: 0,
             scan_owner: vec![0; offsets],
@@ -602,22 +550,10 @@ impl CfmMachine {
     }
 
     /// Install a fault plan, replacing any previous plan and its
-    /// progress. Install before driving the machine: events whose slot
-    /// has already passed fire on the next step.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachineBuilder::fault_plan` (or \
-                `machine.injector().fault_plan(..)` at runtime)"
-    )]
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.install_fault_plan(plan);
-    }
-
-    /// Non-deprecated internal path behind the builder and the
-    /// [`crate::testing::Injector`] facade.
+    /// progress — the path behind the builder and the
+    /// [`crate::testing::Injector`] facade. Events whose slot has already
+    /// passed fire on the next step.
     pub(crate) fn install_fault_plan(&mut self, plan: FaultPlan) {
-        // Faults perturb accesses in ways no static proof covers.
-        self.disarm_with(DisarmReason::FaultPlan);
         self.fault_state = FaultState::new(plan, self.config.banks(), self.config.processors());
     }
 
@@ -627,48 +563,8 @@ impl CfmMachine {
         &self.bank_map
     }
 
-    /// Seeded-fault hook for the chaos self-tests: corrupt the bank map
-    /// by forcing `logical` onto `physical` without retiring anyone —
-    /// the "undetected bank death" the injectivity detector must refuse
-    /// to certify.
-    #[deprecated(since = "0.2.0", note = "use `machine.injector().bank_alias(..)`")]
-    pub fn inject_bank_alias(&mut self, logical: BankId, physical: usize) {
-        self.seed_bank_alias(logical, physical);
-    }
-
-    /// Seeded-fault hook for the chaos self-tests: let the next `count`
-    /// transient-faulted accesses proceed (with a corrupted word) instead
-    /// of retrying — the "missed retry" the durability detector must
-    /// catch.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `machine.injector().suppress_retries(..)`"
-    )]
-    pub fn inject_retry_suppression(&mut self, count: u64) {
-        self.seed_retry_suppression(count);
-    }
-
-    /// Seeded-fault hook for the chaos self-tests: the next remap skips
-    /// its data copy, losing every committed write on the retired bank —
-    /// the "remap losing a write" the durability detector must catch.
-    #[deprecated(since = "0.2.0", note = "use `machine.injector().skip_remap_copy()`")]
-    pub fn inject_remap_copy_skip(&mut self) {
-        self.seed_remap_copy_skip();
-    }
-
-    /// Start recording a [`MemoryTrace`] (idempotent; an active trace
-    /// keeps accumulating).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachineBuilder::trace(true)` (or `drain_trace` to \
-                restart tracing mid-run)"
-    )]
-    pub fn enable_trace(&mut self) {
-        self.start_trace();
-    }
-
-    /// Non-deprecated internal path behind the builder, wrappers, and
-    /// [`Self::drain_trace`].
+    /// Start recording a [`MemoryTrace`] (idempotent) — the path behind
+    /// the builder, wrappers, and [`Self::drain_trace`].
     pub(crate) fn start_trace(&mut self) {
         if self.trace.is_none() {
             self.trace = Some(MemoryTrace::new());
@@ -708,18 +604,6 @@ impl CfmMachine {
         }
     }
 
-    /// Fault injection for the trace self-tests: silently drop the next
-    /// `count` ATT insertions, so the corresponding write phases go
-    /// untracked and same-block races slip past the arbitration — the
-    /// race detector must catch the consequences.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `machine.injector().drop_att_inserts(..)`"
-    )]
-    pub fn inject_att_insert_drops(&mut self, count: u64) {
-        self.seed_att_insert_drops(count);
-    }
-
     /// Seeded-fault facade over the machine's test hooks — see
     /// [`crate::testing::Injector`]. Also reachable at build time through
     /// [`CfmMachineBuilder::inject`].
@@ -728,22 +612,18 @@ impl CfmMachine {
     }
 
     pub(crate) fn seed_bank_alias(&mut self, logical: BankId, physical: usize) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.bank_map.inject_alias(logical, physical);
     }
 
     pub(crate) fn seed_retry_suppression(&mut self, count: u64) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.retry_suppressions = count;
     }
 
     pub(crate) fn seed_remap_copy_skip(&mut self) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.skip_remap_copy = true;
     }
 
     pub(crate) fn seed_att_insert_drops(&mut self, count: u64) {
-        self.disarm_with(DisarmReason::SeededFault);
         self.att_insert_drops = count;
     }
 
@@ -754,21 +634,6 @@ impl CfmMachine {
         if let Some(t) = self.trace.as_mut() {
             t.record(event);
         }
-    }
-
-    /// Drop the armed summary (if any) and leave an auditable
-    /// [`TraceEvent::SummaryDisarmed`] in the trace saying why — every
-    /// disarm path funnels through here so proof-carrying disengagement
-    /// is never a silent counter change.
-    fn disarm_with(&mut self, reason: DisarmReason) -> Option<HazardSummary> {
-        let summary = self.summary.take();
-        if summary.is_some() {
-            self.record_event(TraceEvent::SummaryDisarmed {
-                slot: self.cycle,
-                reason,
-            });
-        }
-        summary
     }
 
     /// The machine's configuration.
@@ -798,95 +663,21 @@ impl CfmMachine {
         self.parallel_slots
     }
 
-    /// Arm a statically proven [`HazardSummary`] from `cfm-verify
-    /// analyze`. While armed, the parallel planner skips the dynamic ATT
-    /// hazard probe for offsets the footprint proves safe, and
-    /// [`Self::run`] dispatches whole proven windows per worker handoff
-    /// instead of one slot at a time ([`Self::static_slots`] /
-    /// [`Self::static_windows`] count both). Observable behaviour —
-    /// completions, stats, memory, traces — is byte-identical with or
-    /// without a summary.
-    ///
-    /// The machine trusts but verifies: issuing an operation the
-    /// footprint does not declare silently disarms the summary (falling
-    /// back to the dynamic scan), as does installing a fault plan or any
-    /// seeded fault hook.
-    ///
-    /// Arming requires a quiescent machine: geometry must match, no
-    /// fault plan or seeded hook may be armed, no operation in flight,
-    /// and every ATT empty — a stale foreign ATT entry from an
-    /// unanalyzed predecessor program could otherwise slip past the
-    /// skipped probe.
-    pub fn arm_summary(&mut self, summary: HazardSummary) -> Result<(), SummaryError> {
-        let machine_geo = (
-            self.config.processors(),
-            self.config.banks(),
-            self.offsets(),
-        );
-        let summary_geo = (summary.processors(), summary.banks(), summary.offsets());
-        if machine_geo != summary_geo {
-            return Err(SummaryError::GeometryMismatch {
-                summary: summary_geo,
-                machine: machine_geo,
-            });
-        }
-        if !self.fault_state.is_idle()
-            || self.att_insert_drops > 0
-            || self.retry_suppressions > 0
-            || self.skip_remap_copy
-        {
-            return Err(SummaryError::FaultsArmed);
-        }
-        let atts_quiet = self
-            .atts
-            .iter()
-            .all(|a| a.entries().next().is_none() && a.held_entries().is_empty());
-        if !self.is_idle() || !atts_quiet {
-            return Err(SummaryError::MachineBusy);
-        }
-        self.record_event(TraceEvent::SummaryArmed {
-            slot: self.cycle,
-            processors: summary.processors(),
-            offsets: summary.offsets(),
-        });
-        self.summary = Some(summary);
-        Ok(())
-    }
-
-    /// Drop the armed summary (if any), returning it. The machine falls
-    /// back to the fully dynamic hazard scan; the trace records the
-    /// explicit disarm.
-    pub fn disarm_summary(&mut self) -> Option<HazardSummary> {
-        self.disarm_with(DisarmReason::Explicit)
-    }
-
-    /// The armed hazard summary, if one survived (arming succeeded and
-    /// nothing has disarmed it since).
-    pub fn summary(&self) -> Option<&HazardSummary> {
-        self.summary.as_ref()
-    }
-
-    /// Slots executed inside statically proven windows — each such slot
-    /// skipped both the per-slot hazard probe and a worker handoff.
-    /// Kept out of [`Stats`] like [`Self::parallel_slots`] (a subset of
-    /// which these are).
+    /// Always 0: the statically proven window path is gone, and every
+    /// window is proven by the runtime hazard scan
+    /// ([`Self::dynamic_slots`]). Kept only because the benchmark's
+    /// simulator (`perfbench/src/sim.rs`) still calls it; it goes when
+    /// that call does.
     pub fn static_slots(&self) -> u64 {
-        self.static_slots
-    }
-
-    /// Number of statically proven windows dispatched (each covered
-    /// [`Self::static_slots`]` / `[`Self::static_windows`] slots on
-    /// average in one handoff).
-    pub fn static_windows(&self) -> u64 {
-        self.static_windows
+        0
     }
 
     /// Slots executed inside dynamically proven windows: the runtime
     /// window hazard scan proved a whole run of slots conflict-free —
     /// against the ATT offset indexes, the fault plan and the in-flight
-    /// set — and dispatched it in one handoff per lane, with no armed
-    /// summary required. Kept out of [`Stats`] like
-    /// [`Self::parallel_slots`] (a subset of which these are).
+    /// set — and dispatched it in one handoff per lane. Kept out of
+    /// [`Stats`] like [`Self::parallel_slots`] (a subset of which these
+    /// are).
     pub fn dynamic_slots(&self) -> u64 {
         self.dynamic_slots
     }
@@ -1057,22 +848,6 @@ impl CfmMachine {
                 (OpKind::Rmw, offset, self.take_buf(), Some(transform))
             }
         };
-        // Trust-but-verify: an issue the armed summary's footprint does
-        // not declare invalidates the static proof — disarm and fall
-        // back to the dynamic hazard scan rather than keep an unsound
-        // skip. An out-of-range typed error cannot occur here (the
-        // machine already rejected the offset above), but would disarm
-        // conservatively all the same.
-        let writes = kind != OpKind::Read;
-        if let Some(s) = self.summary.as_ref() {
-            if !s.declares(p, writes, offset).unwrap_or(false) {
-                self.disarm_with(DisarmReason::UndeclaredIssue {
-                    proc: p,
-                    offset,
-                    writes,
-                });
-            }
-        }
         let phase = match kind {
             OpKind::Write => Phase::Write,
             _ => Phase::Read,
@@ -1608,7 +1383,6 @@ impl CfmMachine {
             hooks: self.att_insert_drops > 0 || self.retry_suppressions > 0,
             att_enabled: self.att_enabled,
             fault_state: &self.fault_state,
-            summary: self.summary.as_ref(),
         };
         let ops = &mut self.inflight[0];
         for (p, slot) in ops.iter_mut().enumerate().skip(from) {
@@ -1694,7 +1468,6 @@ impl CfmMachine {
             hooks: self.att_insert_drops > 0 || self.retry_suppressions > 0,
             att_enabled: self.att_enabled,
             fault_state: &self.fault_state,
-            summary: self.summary.as_ref(),
         };
         'plan: for ci in 0..chunks {
             let mut plans = std::mem::take(&mut self.lane_scratch[ci].plans);
@@ -1974,97 +1747,28 @@ impl CfmMachine {
         })
     }
 
-    /// Step until every processor is idle (or `max_cycles` elapse),
-    /// returning all completions in delivery order. `Err` carries the
-    /// completions gathered before the cycle budget ran out.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `CfmMachine::run`, which returns a typed `RunReport`"
-    )]
-    pub fn run_until_idle(&mut self, max_cycles: u64) -> Result<Vec<Completion>, Vec<Completion>> {
-        let report = self.run(max_cycles);
-        if report.is_idle() {
-            Ok(report.completions)
-        } else {
-            Err(report.completions)
-        }
-    }
-
-    /// Attempt to run the next slots as one statically proven window
-    /// ([`Self::step_window`]), returning the number of slots executed
-    /// (0 = preconditions not met; the caller falls back to
+    /// Attempt the next slots as one proven window ([`Self::step_window`]).
+    /// One pass over the live interests (every bank's ATT entries, held
+    /// included, then the in-flight operations) proves a window of `w`
+    /// slots conflict-free at runtime. Returns the slots executed (0 =
+    /// hazard or preconditions unmet; the caller falls back to
     /// [`Self::step`]).
     ///
-    /// A window engages only when: a [`HazardSummary`] is armed, the
-    /// engine is parallel, the fault state and seeded hooks are fully
-    /// quiescent, and every in-flight operation is mid-phase — not
-    /// draining, not sleeping, not fault-stalled — on a statically safe
-    /// offset. The width stops strictly before any operation's final
+    /// A window engages only on the parallel engine, with the fault
+    /// state and seeded hooks quiescent and every in-flight operation
+    /// mid-phase — not draining, not sleeping, not holding an ATT
+    /// entry. The width stops strictly before any operation's final
     /// access, so no completion, ATT verdict, restart, or
-    /// phase-to-drain transition can occur inside the window — which is
-    /// what makes batched execution observably identical to per-slot
-    /// stepping. Traced runs take the window path too: the lanes
-    /// buffer their events per slot and the merge interleaves them in
-    /// the sequential engine's exact order (byte-pinned).
-    fn try_step_window(&mut self, budget: u64) -> u64 {
-        if budget < 2 || !matches!(self.config.engine(), Engine::Parallel { .. }) {
-            return 0;
-        }
-        let Some(summary) = self.summary.as_ref() else {
-            return 0;
-        };
-        if self.att_insert_drops > 0 || self.retry_suppressions > 0 || !self.fault_state.is_idle() {
-            return 0;
-        }
-        let b = self.config.banks();
-        let now = self.cycle;
-        let mut min_remaining = u64::MAX;
-        let mut actives = 0usize;
-        for (p, slot) in self.inflight.iter().flatten().enumerate() {
-            let Some(op) = slot.as_ref() else { continue };
-            if op.phase == Phase::Drain
-                || now < op.sleep_until
-                || op.held_entry.is_some()
-                || !summary.plan_safe(op.offset, p)
-            {
-                return 0;
-            }
-            // Accesses remaining until the one that enters Drain; the
-            // window must stop strictly before it.
-            let until_final = match (op.kind, op.phase) {
-                (OpKind::Swap | OpKind::Rmw, Phase::Read) => (2 * b - op.visited) as u64,
-                _ => (b - op.visited) as u64,
-            };
-            min_remaining = min_remaining.min(until_final);
-            actives += 1;
-        }
-        if actives == 0 {
-            return 0;
-        }
-        let w = (min_remaining - 1).min(budget);
-        if w < 2 {
-            // A 1-slot window saves nothing over the ordinary step.
-            return 0;
-        }
-        self.step_window(w, false);
-        w
-    }
-
-    /// Attempt the next slots as one *dynamically* proven window —
-    /// no armed [`HazardSummary`] required. One pass over the live
-    /// interests (every bank's ATT entries, held included, then the
-    /// in-flight operations) proves a window of `w` slots
-    /// conflict-free at runtime, giving unanalyzable (`NotPeriodic`)
-    /// programs the same one-handoff-per-window economics the static
-    /// summary unlocks. Returns the slots executed (0 = hazard or
-    /// preconditions unmet; the caller falls back to [`Self::step`]).
+    /// phase-to-drain transition can occur inside the window. Traced
+    /// runs take the window path too: the lanes buffer their events per
+    /// slot and the merge interleaves them in the sequential engine's
+    /// exact order (byte-pinned).
     ///
-    /// Soundness: with every in-flight operation mid-phase (not
-    /// draining, sleeping, or holding an ATT entry), the fault state
-    /// and seeded hooks quiescent, and the width stopping strictly
-    /// before any final access, the only remaining hazards are offset
-    /// collisions — a foreign ATT entry (in *any* bank: an operation
-    /// sweeps all `b` ATTs across a window) or two in-flight
+    /// Soundness: under those preconditions the AT-space schedule
+    /// already keeps every bank to one processor per slot, so the only
+    /// remaining hazards are offset collisions — a foreign ATT entry
+    /// (in *any* bank: an operation sweeps all `b` ATTs across a
+    /// window) or two in-flight
     /// operations interested in the same offset with a writer among
     /// them. Those interests are **time-invariant inside the window**:
     /// entries only expire, and the only inserts are the in-flight
@@ -2162,16 +1866,15 @@ impl CfmMachine {
         if hazard {
             return 0;
         }
-        self.step_window(w, true);
+        self.step_window(w);
         w
     }
 
-    /// Execute `w` consecutive slots as **one** handoff per lane — the
-    /// whole-window dispatch an armed [`HazardSummary`] unlocks
-    /// (amortising the per-slot handoff cost ROADMAP item 2 measures).
+    /// Execute `w` consecutive slots as **one** handoff per lane,
+    /// amortising the per-slot handoff cost.
     ///
-    /// [`Self::try_step_window`] proved the window inert: no operation
-    /// completes, restarts, sleeps, or meets any ATT verdict other than
+    /// [`Self::try_step_dynamic_window`] proved the window inert: no
+    /// operation completes, restarts, sleeps, or meets any ATT verdict other than
     /// an implicit `Proceed` inside it, and no offset is both written
     /// and observed by different processors. Each lane therefore
     /// advances its chunk through all `w` slots against the shared
@@ -2180,7 +1883,7 @@ impl CfmMachine {
     /// injection accounting — slot by slot in the sequential engine's
     /// exact order, recomputing each operation's per-slot position from
     /// a pre-dispatch [`WinOp`] snapshot.
-    fn step_window(&mut self, w: u64, dynamic: bool) {
+    fn step_window(&mut self, w: u64) {
         let now = self.cycle;
         // No operation completes inside a window.
         self.delivered.clear();
@@ -2375,13 +2078,8 @@ impl CfmMachine {
         self.cycle += w;
         self.stats.cycles += w;
         self.parallel_slots += w;
-        if dynamic {
-            self.dynamic_slots += w;
-            self.dynamic_windows += 1;
-        } else {
-            self.static_slots += w;
-            self.static_windows += 1;
-        }
+        self.dynamic_slots += w;
+        self.dynamic_windows += 1;
     }
 
     /// Step until every processor is idle (or `max_cycles` elapse).
@@ -2398,15 +2096,11 @@ impl CfmMachine {
             if self.is_idle() {
                 break;
             }
-            // With the parallel engine, run whole proven windows per
-            // worker handoff — statically proven when a summary is
-            // armed, otherwise dynamically proven by the runtime hazard
-            // scan; any slot neither window's preconditions cover falls
-            // back to the ordinary per-slot step.
-            let mut advanced = self.try_step_window(max_cycles - used);
-            if advanced == 0 {
-                advanced = self.try_step_dynamic_window(max_cycles - used);
-            }
+            // With the parallel engine, run whole windows the runtime
+            // hazard scan proves per worker handoff; any slot the
+            // window's preconditions do not cover falls back to the
+            // ordinary per-slot step.
+            let advanced = self.try_step_dynamic_window(max_cycles - used);
             if advanced == 0 {
                 self.step();
                 used += 1;
@@ -2477,9 +2171,9 @@ impl CfmMachine {
     /// Capture the complete machine state into a [`MachineSnapshot`]:
     /// the committed memory image and writer stamps (physical banks,
     /// spares included), every ATT entry (held ones too), in-flight
-    /// operations, undelivered completions, statistics, the live fault
-    /// state, and any armed summary. Checkpointing happens at a step
-    /// boundary and does not perturb the machine — `checkpoint` then
+    /// operations, undelivered completions, statistics and the live
+    /// fault state. Checkpointing happens at a step boundary and does
+    /// not perturb the machine — `checkpoint` then
     /// [`MachineSnapshot::restore`] continues byte-identically to the
     /// uninterrupted run.
     ///
@@ -2532,26 +2226,6 @@ impl CfmMachine {
                 })
             })
             .collect();
-        let summary = self.summary.as_ref().map(|s| {
-            let s_offsets = s.offsets();
-            let fp = s.footprint();
-            let classes_of = |set: Result<&crate::spec::ProcSet, _>| {
-                set.map(|ps| ps.classes().to_vec()).unwrap_or_default()
-            };
-            SummaryState {
-                processors: s.processors(),
-                banks: s.banks(),
-                att_bound: s.att_bound,
-                per_bank_accesses: s.per_bank_accesses.clone(),
-                offsets: s_offsets,
-                readers: (0..s_offsets)
-                    .map(|o| classes_of(fp.readers_at(o)))
-                    .collect(),
-                writers: (0..s_offsets)
-                    .map(|o| classes_of(fp.writers_at(o)))
-                    .collect(),
-            }
-        });
         MachineSnapshot {
             processors: n,
             bank_cycle: self.config.bank_cycle(),
@@ -2566,8 +2240,6 @@ impl CfmMachine {
             next_op_id: self.next_op_id,
             stats: self.stats,
             parallel_slots: self.parallel_slots,
-            static_slots: self.static_slots,
-            static_windows: self.static_windows,
             dynamic_slots: self.dynamic_slots,
             dynamic_windows: self.dynamic_windows,
             att_insert_drops: self.att_insert_drops,
@@ -2596,7 +2268,6 @@ impl CfmMachine {
                 .iter()
                 .map(|q| q.iter().cloned().collect())
                 .collect(),
-            summary,
         }
     }
 
@@ -2738,10 +2409,6 @@ impl CfmMachine {
             q.extend(src.iter().cloned());
         }
         Self::restore_counters(&mut m, s);
-        // Rebuilt directly: the arming gate requires an idle machine,
-        // which a mid-run snapshot is not — the summary was provably
-        // armed on the source, and the shape is identical.
-        m.summary = s.summary.as_ref().map(Self::rebuild_summary);
         if s.tracing {
             m.start_trace();
         }
@@ -2856,7 +2523,6 @@ impl CfmMachine {
             m.done[p].extend(q.iter().cloned());
         }
         Self::restore_counters(&mut m, s);
-        // The armed summary is geometry-bound — dropped, not carried.
         if s.tracing {
             m.start_trace();
         }
@@ -2869,35 +2535,11 @@ impl CfmMachine {
         m.next_op_id = s.next_op_id;
         m.stats = s.stats;
         m.parallel_slots = s.parallel_slots;
-        m.static_slots = s.static_slots;
-        m.static_windows = s.static_windows;
         m.dynamic_slots = s.dynamic_slots;
         m.dynamic_windows = s.dynamic_windows;
         m.att_insert_drops = s.att_insert_drops;
         m.retry_suppressions = s.retry_suppressions;
         m.skip_remap_copy = s.skip_remap_copy;
-    }
-
-    /// Rebuild an armed [`HazardSummary`] from its serialised residue
-    /// classes: replaying `record_class` reproduces the footprint (and
-    /// its exclusive-writer cache) semantically, then the analyzer-
-    /// filled bounds are copied over.
-    fn rebuild_summary(ss: &SummaryState) -> HazardSummary {
-        let mut fp = Footprint::new(ss.offsets);
-        for (o, classes) in ss.readers.iter().enumerate() {
-            for c in classes {
-                fp.record_class(*c, false, o);
-            }
-        }
-        for (o, classes) in ss.writers.iter().enumerate() {
-            for c in classes {
-                fp.record_class(*c, true, o);
-            }
-        }
-        let mut summary = HazardSummary::new(ss.processors, ss.banks, fp);
-        summary.att_bound = ss.att_bound;
-        summary.per_bank_accesses = ss.per_bank_accesses.clone();
-        summary
     }
 }
 
@@ -3145,8 +2787,7 @@ fn commit_access(
 }
 
 /// The execute phase of one lane over a proven window
-/// (`task.window > 1`), statically proven ([`CfmMachine::try_step_window`])
-/// or dynamically proven ([`CfmMachine::try_step_dynamic_window`]):
+/// (`task.window > 1`, proven by [`CfmMachine::try_step_dynamic_window`]):
 /// every in-flight operation in the chunk is mid-phase, so the lane
 /// advances each through `window` consecutive slots against the
 /// pre-window bank snapshot, recomputing the AT-space routing itself.
@@ -3649,13 +3290,6 @@ mod tests {
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].0, 0);
         assert_eq!(pending[0].1.offset, 0);
-        // The deprecated shim maps the same run onto the old Result shape.
-        #[allow(deprecated)]
-        {
-            let mut m2 = machine(4, 2, 8);
-            m2.issue(0, Operation::read(0)).unwrap();
-            assert!(m2.run_until_idle(3).is_err());
-        }
     }
 
     #[test]
@@ -4062,71 +3696,11 @@ mod tests {
     }
 
     #[test]
-    fn summary_window_dispatch_is_byte_identical_and_counted() {
-        use crate::spec::{Footprint, HazardSummary};
-        let n = 4;
-        let offsets = 8;
-        // Disjoint per-processor footprint: processor p reads, writes
-        // and swaps only block p — every offset statically safe.
-        let mut fp = Footprint::new(offsets);
-        for p in 0..n {
-            fp.record(p, true, p);
-            fp.record(p, false, p);
-        }
-        let run = |engine: Engine, summary: Option<HazardSummary>| {
-            let cfg = CfmConfig::new(n, 1, 16).unwrap().with_engine(engine);
-            let b = cfg.banks();
-            let mut m = CfmMachine::builder(cfg).offsets(offsets).build();
-            if let Some(s) = summary {
-                m.arm_summary(s).unwrap();
-            }
-            let mut completions = Vec::new();
-            for round in 1..4u64 {
-                for p in 0..n {
-                    m.issue(p, Operation::write(p, vec![round; b])).unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-                for p in 0..n {
-                    // Swaps cover the in-window read→write transition.
-                    m.issue(p, Operation::swap(p, vec![round ^ 0xFF; b]))
-                        .unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-                for p in 0..n {
-                    m.issue(p, Operation::read(p)).unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-            }
-            let memory: Vec<_> = (0..offsets).map(|o| m.peek_block(o)).collect();
-            (
-                completions,
-                *m.stats(),
-                memory,
-                m.static_slots(),
-                m.static_windows(),
-            )
-        };
-        let seq = run(Engine::Sequential, None);
-        let par = run(Engine::Parallel { threads: 2 }, None);
-        let stat = run(
-            Engine::Parallel { threads: 2 },
-            Some(HazardSummary::new(n, n, fp)),
-        );
-        assert_eq!(seq.0, par.0, "completions (plain parallel)");
-        assert_eq!(seq.0, stat.0, "completions (summary)");
-        assert_eq!(seq.1, stat.1, "stats");
-        assert_eq!(seq.2, stat.2, "memory");
-        assert_eq!(par.3, 0, "no windows without a summary");
-        assert!(stat.3 > 0, "summary run executed window slots");
-        assert!(stat.4 > 0, "summary run dispatched whole windows");
-    }
-
-    #[test]
     fn dynamic_window_dispatch_is_byte_identical_and_counted() {
         // Rotating per-round offsets — disjoint within every round but
-        // not expressible as a static residue-class footprint, so no
-        // summary can arm: exactly the shape the runtime hazard scan
-        // exists for. The parallel run must produce byte-identical
+        // not expressible as a static residue-class footprint: exactly
+        // the shape the runtime hazard scan exists for. The parallel
+        // run must produce byte-identical
         // completions, stats and memory while executing most slots as
         // dynamically proven windows.
         let n = 4;
@@ -4160,7 +3734,6 @@ mod tests {
                 memory,
                 m.dynamic_slots(),
                 m.dynamic_windows(),
-                m.static_windows(),
             )
         };
         let seq = run(Engine::Sequential);
@@ -4171,7 +3744,6 @@ mod tests {
         assert_eq!(seq.3, 0, "sequential engine takes no windows");
         assert!(par.3 > 0, "dynamic windows executed slots");
         assert!(par.4 > 0, "dynamic windows dispatched");
-        assert_eq!(par.5, 0, "no static windows without a summary");
     }
 
     #[test]
@@ -4200,118 +3772,6 @@ mod tests {
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "memory");
-    }
-
-    #[test]
-    fn undeclared_issue_disarms_summary() {
-        use crate::spec::{Footprint, HazardSummary};
-        let cfg = CfmConfig::new(4, 1, 16)
-            .unwrap()
-            .with_engine(Engine::Parallel { threads: 2 });
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).build();
-        let mut fp = Footprint::new(8);
-        fp.record(0, true, 0);
-        m.arm_summary(HazardSummary::new(4, b, fp)).unwrap();
-        m.issue(0, Operation::write(0, vec![1; b])).unwrap();
-        assert!(m.summary().is_some(), "declared issue keeps the summary");
-        m.issue(1, Operation::write(1, vec![2; b])).unwrap();
-        assert!(m.summary().is_none(), "undeclared issue disarms it");
-        m.run(1_000).expect_idle();
-    }
-
-    #[test]
-    fn summary_lifecycle_is_traced_with_reasons() {
-        use crate::spec::{Footprint, HazardSummary};
-        use crate::trace::{DisarmReason, TraceEvent};
-        let cfg = CfmConfig::new(4, 1, 16).unwrap();
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).trace(true).build();
-        let mut fp = Footprint::new(8);
-        fp.record(0, true, 0);
-        let summary = HazardSummary::new(4, b, fp);
-        m.arm_summary(summary.clone()).unwrap();
-        // Explicit disarm.
-        m.disarm_summary().unwrap();
-        m.arm_summary(summary.clone()).unwrap();
-        // An undeclared issue disarms, naming the offending op.
-        m.issue(1, Operation::write(1, vec![2; b])).unwrap();
-        m.run(1_000).expect_idle();
-        for _ in 0..2 * b {
-            m.step(); // let the write's ATT entry expire
-        }
-        m.arm_summary(summary).unwrap();
-        // A fault plan voids the proof.
-        m.injector().fault_plan(FaultPlan::empty());
-        let events = m.take_trace().unwrap().into_events();
-        let armed = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::SummaryArmed {
-                        processors: 4,
-                        offsets: 8,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(armed, 3, "every arm is audited");
-        let reasons: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SummaryDisarmed { reason, .. } => Some(reason),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(reasons.len(), 3, "every disarm is audited");
-        assert!(matches!(reasons[0], DisarmReason::Explicit));
-        assert!(matches!(
-            reasons[1],
-            DisarmReason::UndeclaredIssue {
-                proc: 1,
-                offset: 1,
-                writes: true
-            }
-        ));
-        assert!(matches!(reasons[2], DisarmReason::FaultPlan));
-        assert!(events.iter().all(|e| !e.is_summary_lifecycle()
-            || matches!(
-                e,
-                TraceEvent::SummaryArmed { .. } | TraceEvent::SummaryDisarmed { .. }
-            )));
-    }
-
-    #[test]
-    fn summary_arming_gates_and_fault_disarm() {
-        use crate::spec::{Footprint, HazardSummary, SummaryError};
-        let cfg = CfmConfig::new(4, 1, 16).unwrap();
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).build();
-        let bad = HazardSummary::new(2, b, Footprint::new(8));
-        assert!(matches!(
-            m.arm_summary(bad),
-            Err(SummaryError::GeometryMismatch { .. })
-        ));
-        let good = HazardSummary::new(4, b, Footprint::new(8));
-        // In-flight operation blocks arming.
-        m.issue(0, Operation::write(3, vec![1; b])).unwrap();
-        assert_eq!(m.arm_summary(good.clone()), Err(SummaryError::MachineBusy));
-        m.run(1_000).expect_idle();
-        // The write's ATT entry is still live right after completion.
-        assert_eq!(m.arm_summary(good.clone()), Err(SummaryError::MachineBusy));
-        for _ in 0..2 * b {
-            m.step();
-        }
-        m.arm_summary(good.clone()).unwrap();
-        // A fault plan disarms; seeded hooks refuse re-arming.
-        m.injector().fault_plan(FaultPlan::empty());
-        assert!(m.summary().is_none());
-        m.arm_summary(good.clone()).unwrap();
-        m.injector().suppress_retries(1);
-        assert!(m.summary().is_none(), "seeded hook disarms");
-        assert_eq!(m.arm_summary(good), Err(SummaryError::FaultsArmed));
     }
 
     #[test]

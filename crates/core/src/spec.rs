@@ -17,20 +17,12 @@
 //!   `cfm-serve` admission check compares tenants' footprints
 //!   ([`Footprint::conflicts_with`]) and rejects statically conflicting
 //!   programs before a single operation is queued.
-//! * [`HazardSummary`] — a proven-safe footprint plus ATT occupancy and
-//!   per-bank access bounds, armed on a [`crate::machine::CfmMachine`]
-//!   ([`crate::machine::CfmMachine::arm_summary`]) so the parallel
-//!   engine's planner can skip the dynamic per-slot hazard probe for
-//!   statically safe offsets and dispatch whole proven windows per
-//!   worker handoff.
+//! * [`HazardSummary`] — the analyzer's output: a proven footprint plus
+//!   the ATT occupancy bound and per-bank access counts.
 //!
-//! The safety notion is deliberately conservative (see
-//! `docs/static-analysis.md`): an `(offset, proc)` pair is *statically
-//! safe* when no **other** processor ever writes that offset — then no
-//! foreign ATT entry for the offset can exist, so every dynamic probe
-//! the planner would run is provably a no-op. Offsets with
-//! data-dependent expressions are never safe; they fall back to the
-//! dynamic scan.
+//! Static proofs act at admission only (see `docs/static-analysis.md`);
+//! at runtime the machine proves every window with its own hazard scan.
+//! Offsets with data-dependent expressions are never summarized.
 
 use crate::op::{OpKind, Operation};
 use crate::{BlockOffset, ProcId};
@@ -56,8 +48,7 @@ pub enum OffsetExpr {
     /// An offset computed from run-time data — *not* statically
     /// analyzable. `eval` derives a deterministic pseudo-random offset
     /// from the seed so the spec still instantiates and runs; the
-    /// analyzer refuses to summarize it and the machine keeps its
-    /// dynamic hazard scan.
+    /// analyzer refuses to summarize it.
     DataDependent {
         /// Seed of the deterministic surrogate offset.
         seed: u64,
@@ -334,26 +325,25 @@ impl ProcSet {
         &self.classes
     }
 
-    /// Insert one processor. Returns `true` if the set changed.
-    /// Consecutive singletons coalesce into a run, so the common
-    /// "record every processor in a loop" construction stays one class.
-    fn insert(&mut self, p: ProcId) -> bool {
+    /// Insert one processor. Consecutive singletons coalesce into a
+    /// run, so the common "record every processor in a loop"
+    /// construction stays one class.
+    fn insert(&mut self, p: ProcId) {
         if self.contains(p) {
-            return false;
+            return;
         }
         for c in &mut self.classes {
             if p == c.first + c.count * c.step {
                 c.count += 1;
-                return true;
+                return;
             }
             if c.first >= c.step && p == c.first - c.step {
                 c.first = p;
                 c.count += 1;
-                return true;
+                return;
             }
         }
         self.classes.push(ProcClass::singleton(p));
-        true
     }
 
     /// Insert a whole class (deduplicating fully-covered inserts).
@@ -398,19 +388,6 @@ impl PartialEq for ProcSet {
 
 impl Eq for ProcSet {}
 
-/// Cached exclusive-writer verdict for one offset — the O(1) hot-path
-/// answer [`Footprint::plan_safe`] gives the parallel planner, updated
-/// incrementally as writers are recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriterState {
-    /// Nobody writes the offset.
-    Unwritten,
-    /// Exactly one processor writes it.
-    One(ProcId),
-    /// Two or more distinct processors write it.
-    Shared,
-}
-
 /// A typed out-of-range error from a footprint query: the offset is not
 /// covered by the domain the footprint was built over. Callers must
 /// surface this (admission rejects, the analyzer reports) instead of
@@ -442,9 +419,8 @@ impl std::error::Error for FootprintError {}
 /// Per-offset reader/writer processor sets — the static access shape of
 /// a program (or a tenant's declared traffic). Sets are symbolic unions
 /// of strided residue classes ([`ProcClass`]), exact at any processor
-/// count; `plan_safe` answers from a cached per-offset exclusive-writer
-/// state in O(1).
-#[derive(Debug, Clone)]
+/// count.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footprint {
     offsets: usize,
     /// `readers[o]` = processors that read block `o`.
@@ -452,22 +428,7 @@ pub struct Footprint {
     /// `writers[o]` = processors that run a write phase
     /// (write/swap/RMW) on block `o`.
     writers: Vec<ProcSet>,
-    /// Cached exclusive-writer verdict per offset.
-    exclusive: Vec<WriterState>,
 }
-
-impl PartialEq for Footprint {
-    /// Semantic equality: same reader/writer membership per offset
-    /// (`exclusive` is a pure function of `writers`, so it needs no
-    /// comparison of its own).
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets
-            && self.readers == other.readers
-            && self.writers == other.writers
-    }
-}
-
-impl Eq for Footprint {}
 
 /// A statically detected conflict between two footprints: the shared
 /// offset and which side writes it.
@@ -488,25 +449,12 @@ impl Footprint {
             offsets,
             readers: vec![ProcSet::default(); offsets],
             writers: vec![ProcSet::default(); offsets],
-            exclusive: vec![WriterState::Unwritten; offsets],
         }
     }
 
     /// Number of blocks the footprint is defined over.
     pub fn offsets(&self) -> usize {
         self.offsets
-    }
-
-    /// Keep the cached exclusive-writer verdict for `offset` current
-    /// after adding a writer class.
-    fn note_writers(&mut self, offset: BlockOffset, class: &ProcClass) {
-        self.exclusive[offset] = match (self.exclusive[offset], class.count) {
-            (WriterState::Unwritten, 1) => WriterState::One(class.first),
-            (WriterState::One(q), 1) if q == class.first => WriterState::One(q),
-            // A class with ≥ 2 members names ≥ 2 distinct writers
-            // (step ≥ 1), and any second distinct writer is shared.
-            _ => WriterState::Shared,
-        };
     }
 
     /// Record one access: processor `p` reads (or, with `writes`, runs a
@@ -518,9 +466,7 @@ impl Footprint {
             return;
         }
         if writes {
-            if self.writers[offset].insert(p) {
-                self.note_writers(offset, &ProcClass::singleton(p));
-            }
+            self.writers[offset].insert(p);
         } else {
             self.readers[offset].insert(p);
         }
@@ -535,7 +481,6 @@ impl Footprint {
         }
         if writes {
             self.writers[offset].insert_class(class);
-            self.note_writers(offset, &class);
         } else {
             self.readers[offset].insert_class(class);
         }
@@ -592,51 +537,6 @@ impl Footprint {
         self.record(p, op.kind() != OpKind::Read, op.offset());
     }
 
-    /// Whether `(offset, p)` is *statically safe*: no other processor
-    /// ever writes `offset`, so no foreign ATT entry for it can exist
-    /// and every dynamic hazard probe is provably negative. O(1) from
-    /// the cached exclusive-writer state; out-of-range offsets are
-    /// conservatively unsafe (the planner falls back to the dynamic
-    /// scan, which is always sound).
-    pub fn plan_safe(&self, offset: BlockOffset, p: ProcId) -> bool {
-        if offset >= self.offsets {
-            return false;
-        }
-        match self.exclusive[offset] {
-            WriterState::Unwritten => true,
-            WriterState::One(q) => q == p,
-            WriterState::Shared => false,
-        }
-    }
-
-    /// Whether the footprint declares this access — the machine's
-    /// trust-but-verify gate: an undeclared access disarms the armed
-    /// summary instead of silently keeping a now-unsound proof.
-    ///
-    /// Out-of-range offsets are a typed [`FootprintError`], not a
-    /// silent `false`: the caller decides whether that means "reject",
-    /// "disarm" or "report", and nothing can misread it as "declared
-    /// nowhere, no conflict".
-    pub fn declares(
-        &self,
-        p: ProcId,
-        writes: bool,
-        offset: BlockOffset,
-    ) -> Result<bool, FootprintError> {
-        if offset >= self.offsets {
-            return Err(FootprintError::OffsetOutOfRange {
-                offset,
-                offsets: self.offsets,
-            });
-        }
-        Ok(if writes {
-            self.writers[offset].contains(p)
-        } else {
-            // A declared writer may also read (swap/RMW read phases).
-            self.readers[offset].contains(p) || self.writers[offset].contains(p)
-        })
-    }
-
     /// First offset where the two footprints statically conflict: both
     /// touch it and at least one side writes. `None` = provably
     /// non-interfering.
@@ -684,14 +584,15 @@ impl Footprint {
     }
 
     /// Whether any processor touches `offset` at all. Out-of-range is a
-    /// typed error (see [`Footprint::declares`]).
+    /// typed [`FootprintError`], never a silent `false` that could be
+    /// misread as "no conflict".
     pub fn touches(&self, offset: BlockOffset) -> Result<bool, FootprintError> {
         self.check(offset)?;
         Ok(!self.readers[offset].is_empty() || !self.writers[offset].is_empty())
     }
 
     /// Whether any processor runs a write phase on `offset`.
-    /// Out-of-range is a typed error (see [`Footprint::declares`]).
+    /// Out-of-range is a typed [`FootprintError`].
     pub fn written(&self, offset: BlockOffset) -> Result<bool, FootprintError> {
         self.check(offset)?;
         Ok(!self.writers[offset].is_empty())
@@ -705,60 +606,9 @@ impl Footprint {
     }
 }
 
-/// Why [`crate::machine::CfmMachine::arm_summary`] refused a summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SummaryError {
-    /// The summary was computed for a different machine shape.
-    GeometryMismatch {
-        /// `(processors, banks, offsets)` the summary was proven for.
-        summary: (usize, usize, usize),
-        /// `(processors, banks, offsets)` of the machine.
-        machine: (usize, usize, usize),
-    },
-    /// A fault plan or seeded fault hook is armed — faults perturb
-    /// accesses in ways no static proof covers, so the summary is
-    /// refused (and an armed summary is dropped when a plan is
-    /// installed later).
-    FaultsArmed,
-    /// Operations are in flight or ATT entries are still live. The
-    /// summary's footprint covers the program *about to run*; arming
-    /// over residue from an unanalyzed predecessor could let a stale
-    /// foreign ATT entry slip past the skipped hazard probe.
-    MachineBusy,
-}
-
-impl std::fmt::Display for SummaryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SummaryError::GeometryMismatch { summary, machine } => write!(
-                f,
-                "summary proven for (n={}, b={}, offsets={}) but machine is \
-                 (n={}, b={}, offsets={})",
-                summary.0, summary.1, summary.2, machine.0, machine.1, machine.2
-            ),
-            SummaryError::FaultsArmed => {
-                write!(f, "a fault plan or seeded fault hook is armed")
-            }
-            SummaryError::MachineBusy => {
-                write!(f, "operations in flight or ATT entries still live")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SummaryError {}
-
-/// The artifact a static analysis hands to its consumers: a footprint
-/// proven for a specific machine geometry, plus the analyzer's ATT
-/// occupancy bound and per-bank access counts.
-///
-/// Armed on a machine ([`crate::machine::CfmMachine::arm_summary`]), it
-/// lets the parallel planner skip the per-op ATT hazard probe for
-/// statically safe offsets and batch whole proven windows into one
-/// worker handoff. The machine keeps itself sound against drivers that
-/// diverge from the summary: any issued operation the footprint does
-/// not declare disarms it, and installing a fault plan (or any seeded
-/// fault hook) disarms it too.
+/// The artifact a static analysis produces: a footprint proven for a
+/// specific machine geometry, plus the analyzer's ATT occupancy bound
+/// and per-bank access counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HazardSummary {
     processors: usize,
@@ -806,23 +656,6 @@ impl HazardSummary {
     pub fn footprint(&self) -> &Footprint {
         &self.footprint
     }
-
-    /// See [`Footprint::plan_safe`].
-    #[inline]
-    pub fn plan_safe(&self, offset: BlockOffset, p: ProcId) -> bool {
-        self.footprint.plan_safe(offset, p)
-    }
-
-    /// See [`Footprint::declares`].
-    #[inline]
-    pub fn declares(
-        &self,
-        p: ProcId,
-        writes: bool,
-        offset: BlockOffset,
-    ) -> Result<bool, FootprintError> {
-        self.footprint.declares(p, writes, offset)
-    }
 }
 
 #[cfg(test)]
@@ -840,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_spec_footprint_is_fully_safe() {
+    fn disjoint_spec_footprint_has_exclusive_writers() {
         let spec = ProgramSpec::uniform(
             "disjoint",
             4,
@@ -858,25 +691,22 @@ mod tests {
         );
         let fp = spec.footprint(8).expect("analyzable");
         for p in 0..4 {
-            assert!(fp.plan_safe(p, p), "own block is safe");
+            assert_eq!(fp.writers_at(p).unwrap().members_sorted(), vec![p]);
+            assert_eq!(fp.readers_at(p).unwrap().members_sorted(), vec![p]);
         }
-        assert!(!fp.plan_safe(1, 0), "someone else's written block is not");
-        assert!(fp.declares(2, true, 2).unwrap());
-        assert!(!fp.declares(2, true, 3).unwrap());
+        assert!(!fp.touches(4).unwrap(), "blocks past the last processor");
     }
 
     #[test]
-    fn shared_reads_are_safe_shared_writes_are_not() {
+    fn shared_reads_and_shared_writes_are_recorded_apart() {
         let mut fp = Footprint::new(4);
         fp.record(0, false, 0);
         fp.record(1, false, 0);
         fp.record(0, true, 1);
         fp.record(1, true, 1);
-        assert!(
-            fp.plan_safe(0, 0) && fp.plan_safe(0, 1),
-            "read-only sharing"
-        );
-        assert!(!fp.plan_safe(1, 0) && !fp.plan_safe(1, 1), "write sharing");
+        assert!(!fp.written(0).unwrap(), "read-only sharing");
+        assert_eq!(fp.readers_at(0).unwrap().members_sorted(), vec![0, 1]);
+        assert_eq!(fp.writers_at(1).unwrap().members_sorted(), vec![0, 1]);
     }
 
     #[test]
@@ -937,12 +767,11 @@ mod tests {
         // "anyone" bucket; the symbolic domain stays exact.
         let mut fp = Footprint::new(2);
         fp.record(100, false, 0);
-        assert!(fp.plan_safe(0, 0), "a lone reader at p = 100 blocks nobody");
-        assert!(fp.declares(100, false, 0).unwrap());
-        assert!(!fp.declares(100, true, 0).unwrap(), "p = 100 only reads");
+        assert!(fp.readers_at(0).unwrap().contains(100));
+        assert!(!fp.readers_at(0).unwrap().contains(99));
+        assert!(!fp.written(0).unwrap(), "p = 100 only reads");
         fp.record(777, true, 1);
-        assert!(fp.plan_safe(1, 777), "the exclusive writer keeps its block");
-        assert!(!fp.plan_safe(1, 100));
+        assert_eq!(fp.writers_at(1).unwrap().members_sorted(), vec![777]);
     }
 
     #[test]
@@ -952,7 +781,7 @@ mod tests {
             offset: 4,
             offsets: 4,
         };
-        assert_eq!(fp.declares(0, true, 4), Err(err));
+        assert_eq!(fp.writers_at(4).err(), Some(err));
         assert_eq!(fp.written(4), Err(err));
         assert_eq!(
             fp.touches(9),
@@ -962,10 +791,6 @@ mod tests {
             })
         );
         assert!(err.to_string().contains("outside the footprint domain"));
-        assert!(
-            !fp.plan_safe(4, 0),
-            "plan_safe stays conservatively boolean"
-        );
     }
 
     #[test]
@@ -982,9 +807,9 @@ mod tests {
         );
         let fp = spec.footprint(n).unwrap();
         for p in 0..n {
-            assert!(fp.plan_safe(p, p), "own block safe at p = {p}");
-            assert!(!fp.plan_safe(p, (p + 1) % n));
-            assert!(fp.declares(p, true, p).unwrap());
+            let writers = fp.writers_at(p).unwrap();
+            assert!(writers.contains(p), "own block written at p = {p}");
+            assert!(!writers.contains((p + 1) % n));
         }
         // One residue class per offset — not n singletons.
         for o in 0..n {

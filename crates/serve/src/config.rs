@@ -123,14 +123,6 @@ pub struct ServiceConfig {
     /// load-shedding backstop. Defaults to 4× the machine's processor
     /// count per tenant once tenants are added, until set explicitly.
     pub max_queued: Option<usize>,
-    /// Spec-inference warm-up window: when set, the service records the
-    /// first `n` admitted `(kind, offset)` pairs per tenant and exposes
-    /// them through [`crate::Footprints::observation_window`] so a
-    /// driver can fit a candidate [`cfm_core::spec::ProgramSpec`] (via
-    /// `cfm_verify::analyze::infer`), prove it, and arm the result with
-    /// [`crate::Footprints::arm_inferred`]. `None` (the default)
-    /// disables observation.
-    pub infer_window: Option<usize>,
     /// Slots per bank-budget accounting window (see
     /// [`TenantSpec::bank_budget`]). Issue counts reset every
     /// `budget_window` machine slots. Defaults to
@@ -147,17 +139,8 @@ impl ServiceConfig {
             offsets,
             tenants: Vec::new(),
             max_queued: None,
-            infer_window: None,
             budget_window: DEFAULT_BUDGET_WINDOW,
         }
-    }
-
-    /// Enable spec inference: observe each tenant's first `ops` admitted
-    /// operations as its warm-up window (see
-    /// [`ServiceConfig::infer_window`]).
-    pub fn infer_after(mut self, ops: usize) -> Self {
-        self.infer_window = Some(ops);
-        self
     }
 
     /// Add a tenant from a typed [`TenantSpec`]. The tenant's ID is its
@@ -165,20 +148,6 @@ impl ServiceConfig {
     pub fn with_tenant(mut self, spec: TenantSpec) -> Self {
         self.tenants.push(spec);
         self
-    }
-
-    /// Add a tenant with the given DRR `weight` and queue bound.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `with_tenant(TenantSpec::new(name).weight(w).queue_capacity(c))` — \
-                the typed builder also carries criticality and bank budgets"
-    )]
-    pub fn tenant(self, name: &str, weight: u32, queue_capacity: usize) -> Self {
-        self.with_tenant(
-            TenantSpec::new(name)
-                .weight(weight)
-                .queue_capacity(queue_capacity),
-        )
     }
 
     /// Set the global queued-operation bound (load-shedding threshold).
@@ -200,30 +169,5 @@ impl ServiceConfig {
     pub fn effective_max_queued(&self) -> usize {
         self.max_queued
             .unwrap_or_else(|| self.tenants.iter().map(|t| t.queue_capacity).sum())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The deprecated positional `tenant()` is a pure shim over the
-    /// typed builder: same name/weight/capacity, default class, no
-    /// budget.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_tenant_is_equivalent_to_builder_defaults() {
-        let machine = CfmConfig::new(4, 1, 16).unwrap();
-        let legacy = ServiceConfig::new(machine, 8).tenant("a", 3, 17);
-        let modern = ServiceConfig::new(machine, 8)
-            .with_tenant(TenantSpec::new("a").weight(3).queue_capacity(17));
-        let (l, m) = (&legacy.tenants[0], &modern.tenants[0]);
-        assert_eq!(l.name, m.name);
-        assert_eq!(l.weight, m.weight);
-        assert_eq!(l.queue_capacity, m.queue_capacity);
-        assert_eq!(l.criticality, m.criticality);
-        assert_eq!(l.bank_budget, m.bank_budget);
-        assert_eq!(l.criticality, Criticality::BestEffort);
-        assert_eq!(l.bank_budget, None);
     }
 }

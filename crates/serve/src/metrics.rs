@@ -175,9 +175,6 @@ pub(crate) struct TenantCounters {
     pub(crate) rejected_shutdown: u64,
     pub(crate) rejected_static: u64,
     pub(crate) rejected_migrating: u64,
-    pub(crate) summaries_inferred: u64,
-    pub(crate) summary_disarms: u64,
-    pub(crate) summary_armed: bool,
     pub(crate) budget_deferrals: u64,
     pub(crate) latency: Histogram,
 }
@@ -218,9 +215,6 @@ impl Metrics {
                     rejected_shutdown: c.rejected_shutdown,
                     rejected_static: c.rejected_static,
                     rejected_migrating: c.rejected_migrating,
-                    summaries_inferred: c.summaries_inferred,
-                    summary_disarms: c.summary_disarms,
-                    summary_armed: c.summary_armed,
                     budget_deferrals: c.budget_deferrals,
                     latency: c.latency.clone(),
                 })
@@ -253,16 +247,6 @@ pub struct TenantMetrics {
     /// Submits shed while this tenant's queue was quiesced across a
     /// live migration ([`crate::Reject::Migrating`]).
     pub rejected_migrating: u64,
-    /// Inferred footprint claims armed over the tenant's lifetime (see
-    /// [`crate::Service::arm_inferred_footprint`]).
-    pub summaries_inferred: u64,
-    /// Times an inferred claim was dropped — the tenant (or a
-    /// conflicting admission) stepped outside it and the service fell
-    /// back to fully dynamic admission. Trust-but-verify: a disarm is
-    /// never a rejection.
-    pub summary_disarms: u64,
-    /// Whether an inferred claim is armed right now.
-    pub summary_armed: bool,
     /// Times the scheduler skipped this tenant because its per-bank
     /// bandwidth budget ([`crate::TenantSpec::bank_budget`]) was
     /// exhausted for the current window. A deferral delays the
@@ -338,15 +322,6 @@ impl MetricsSnapshot {
                 "      \"rejected_migrating\": {},\n",
                 t.rejected_migrating
             ));
-            out.push_str(&format!(
-                "      \"summaries_inferred\": {},\n",
-                t.summaries_inferred
-            ));
-            out.push_str(&format!(
-                "      \"summary_disarms\": {},\n",
-                t.summary_disarms
-            ));
-            out.push_str(&format!("      \"summary_armed\": {},\n", t.summary_armed));
             out.push_str(&format!(
                 "      \"budget_deferrals\": {},\n",
                 t.budget_deferrals

@@ -183,17 +183,6 @@ struct MigrationCmd {
     done: Arc<MigrationDone>,
 }
 
-/// One tenant's admitted block claim, with its provenance. Declared
-/// claims (via [`Footprints::admit`]) reject conflicting
-/// admissions; inferred claims (via
-/// [`Footprints::arm_inferred`]) run trust-but-verify — any
-/// conflicting or uncovered admission *disarms* the claim instead of
-/// rejecting, so inference can never change what the service admits.
-struct Claim {
-    footprint: Footprint,
-    inferred: bool,
-}
-
 /// Client-facing state: queues and counters, guarded by one mutex.
 struct Inner {
     queues: Vec<TenantQueue>,
@@ -215,12 +204,7 @@ struct Inner {
     /// Statically admitted per-tenant footprints (see
     /// [`Footprints::admit`]): `footprints[t]` is the block
     /// claim tenant `t` holds, `None` = no claim registered.
-    footprints: Vec<Option<Claim>>,
-    /// Spec-inference warm-up window size ([`ServiceConfig::infer_window`]).
-    infer_window: Option<usize>,
-    /// Per-tenant observed `(kind, offset)` streams, collected while the
-    /// warm-up window is open.
-    observed: Vec<Vec<(OpKind, usize)>>,
+    footprints: Vec<Option<Footprint>>,
 }
 
 impl Inner {
@@ -241,18 +225,6 @@ impl Inner {
     /// [`Inner::migration_window_slots`], minus the swap overhead.
     fn drain_window_slots(&self, waiting: usize) -> u64 {
         (waiting as u64).div_ceil(self.processors as u64) + u64::from(self.bank_cycle) + 1
-    }
-
-    /// Drop tenant `t`'s claim *if it is inferred* — the
-    /// trust-but-verify exit. Counts the disarm, reopens the tenant's
-    /// observation window, and leaves declared claims untouched.
-    fn disarm_inferred(&mut self, t: TenantId) {
-        if self.footprints[t].as_ref().is_some_and(|c| c.inferred) {
-            self.footprints[t] = None;
-            self.metrics.tenants[t].summary_disarms += 1;
-            self.metrics.tenants[t].summary_armed = false;
-            self.observed[t].clear();
-        }
     }
 }
 
@@ -366,8 +338,6 @@ impl Service {
                 migrating: vec![false; config.tenants.len()],
                 migration: None,
                 footprints: (0..config.tenants.len()).map(|_| None).collect(),
-                infer_window: config.infer_window,
-                observed: vec![Vec::new(); config.tenants.len()],
             }),
             work: Condvar::new(),
         });
@@ -413,7 +383,7 @@ impl Service {
         self.offsets
     }
 
-    /// Processor lanes of the underlying machine — the `n` an inferred
+    /// Processor lanes of the underlying machine — the `n` a tenant's
     /// [`cfm_core::spec::ProgramSpec`] must be proven for. May change
     /// across a [`Service::migrate`].
     pub fn processors(&self) -> usize {
@@ -555,44 +525,24 @@ impl Service {
         // whole programs, checked here per operation. Out-of-range
         // footprint queries surface as typed `Reject::FootprintRange`
         // (unreachable while every claim passes the geometry gate, but
-        // never a silent "no conflict"). Only *declared* claims reject;
-        // a conflicting *inferred* claim is collected for disarm — the
-        // trust-but-verify contract that keeps inference byte-invisible.
+        // never a silent "no conflict").
         let writes = op.kind() != OpKind::Read;
-        let mut disarm: Vec<TenantId> = Vec::new();
         for (holder, claim) in inner.footprints.iter().enumerate() {
             if holder == tenant {
                 continue;
             }
             let Some(claim) = claim else { continue };
-            let held_writes = claim.footprint.written(offset)?;
-            if (claim.footprint.touches(offset)? && writes) || held_writes {
-                if claim.inferred {
-                    disarm.push(holder);
-                } else {
-                    inner.metrics.tenants[tenant].rejected_static += 1;
-                    return Err(Reject::StaticConflict {
-                        tenant: holder,
-                        offset,
-                        held_writes,
-                        requested_writes: writes,
-                    });
-                }
+            let held_writes = claim.written(offset)?;
+            if (claim.touches(offset)? && writes) || held_writes {
+                inner.metrics.tenants[tenant].rejected_static += 1;
+                return Err(Reject::StaticConflict {
+                    tenant: holder,
+                    offset,
+                    held_writes,
+                    requested_writes: writes,
+                });
             }
         }
-        // The tenant's own inferred claim must cover its op; an access
-        // outside the inferred spec voids the inference (disarm, never
-        // reject — the op itself proceeds under dynamic admission).
-        let own_outside = match &inner.footprints[tenant] {
-            Some(c) if c.inferred => {
-                !if writes {
-                    c.footprint.written(offset)?
-                } else {
-                    c.footprint.touches(offset)?
-                }
-            }
-            _ => false,
-        };
         if inner.draining || inner.shutdown {
             inner.metrics.tenants[tenant].rejected_shutdown += 1;
             return Err(Reject::ShuttingDown);
@@ -618,21 +568,6 @@ impl Service {
             });
         }
 
-        // The op is admitted: apply deferred inferred-claim disarms (a
-        // rejected op never runs, so claims it merely collided with
-        // would have stayed sound) and record the observation.
-        for holder in disarm {
-            inner.disarm_inferred(holder);
-        }
-        if own_outside {
-            inner.disarm_inferred(tenant);
-        }
-        if let Some(window) = inner.infer_window {
-            if inner.observed[tenant].len() < window && inner.footprints[tenant].is_none() {
-                inner.observed[tenant].push((op.kind(), offset));
-            }
-        }
-
         let (reply, handle) = reply();
         inner.queues[tenant].push(Pending {
             op,
@@ -644,45 +579,10 @@ impl Service {
         Ok(handle)
     }
 
-    /// The footprint-admission surface: declared claims, inferred
-    /// (trust-but-verify) claims, observation windows, and withdrawal,
+    /// The footprint-admission surface: claims and their withdrawal,
     /// gathered behind one handle. See [`Footprints`].
     pub fn footprints(&self) -> Footprints<'_> {
         Footprints { service: self }
-    }
-
-    /// Register `tenant`'s statically analyzed block footprint.
-    #[deprecated(since = "0.10.0", note = "use `footprints().admit(tenant, footprint)`")]
-    pub fn admit_footprint(&self, tenant: TenantId, footprint: Footprint) -> Result<(), Reject> {
-        self.footprints().admit(tenant, footprint)
-    }
-
-    /// Arm an *inferred* footprint claim for `tenant`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `footprints().arm_inferred(tenant, footprint)`"
-    )]
-    pub fn arm_inferred_footprint(
-        &self,
-        tenant: TenantId,
-        footprint: Footprint,
-    ) -> Result<(), Reject> {
-        self.footprints().arm_inferred(tenant, footprint)
-    }
-
-    /// The tenant's completed spec-inference warm-up window.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `footprints().observation_window(tenant)`"
-    )]
-    pub fn observation_window(&self, tenant: TenantId) -> Option<Vec<(OpKind, usize)>> {
-        self.footprints().observation_window(tenant)
-    }
-
-    /// Withdraw `tenant`'s admitted footprint (if any).
-    #[deprecated(since = "0.10.0", note = "use `footprints().withdraw(tenant)`")]
-    pub fn withdraw_footprint(&self, tenant: TenantId) -> Option<Footprint> {
-        self.footprints().withdraw(tenant)
     }
 
     /// Current counters and latency quantiles (cheap clone under the
@@ -774,10 +674,8 @@ impl Service {
 }
 
 /// The service's footprint-admission surface, obtained from
-/// [`Service::footprints`]: one coherent handle over declared claims
-/// ([`Footprints::admit`]), inferred trust-but-verify claims
-/// ([`Footprints::arm_inferred`] fed by
-/// [`Footprints::observation_window`]), and claim release
+/// [`Service::footprints`]: one handle over claims
+/// ([`Footprints::admit`]) and claim release
 /// ([`Footprints::withdraw`]). The handle borrows the service; it holds
 /// no state of its own.
 pub struct Footprints<'a> {
@@ -810,78 +708,13 @@ impl Footprints<'_> {
         if inner.draining || inner.shutdown {
             return Err(Reject::ShuttingDown);
         }
-        let mut disarm: Vec<TenantId> = Vec::new();
         for (holder, held) in inner.footprints.iter().enumerate() {
             if holder == tenant {
                 continue;
             }
             let Some(held) = held else { continue };
-            if let Some(w) = held.footprint.conflicts_with(&footprint) {
-                if held.inferred {
-                    // Declared claims outrank inferred ones: the
-                    // inferred holder falls back to dynamic admission.
-                    disarm.push(holder);
-                } else {
-                    inner.metrics.tenants[tenant].rejected_static += 1;
-                    return Err(Reject::StaticConflict {
-                        tenant: holder,
-                        offset: w.offset,
-                        held_writes: w.left_writes,
-                        requested_writes: w.right_writes,
-                    });
-                }
-            }
-        }
-        for holder in disarm {
-            inner.disarm_inferred(holder);
-        }
-        // Replacing the tenant's own inferred claim with a declared one
-        // counts as a disarm of the inference.
-        inner.disarm_inferred(tenant);
-        inner.footprints[tenant] = Some(Claim {
-            footprint,
-            inferred: false,
-        });
-        Ok(())
-    }
-
-    /// Arm an *inferred* footprint claim for `tenant` — the
-    /// trust-but-verify counterpart of [`Footprints::admit`].
-    /// The caller is expected to have fitted a candidate
-    /// [`cfm_core::spec::ProgramSpec`] from the tenant's observed
-    /// warm-up window ([`Footprints::observation_window`]) and *proven*
-    /// it through the analyzer before arming the resulting footprint
-    /// here.
-    ///
-    /// Unlike a declared claim, an inferred claim never causes a
-    /// rejection: any later submit or declared admission that conflicts
-    /// with it — including the tenant's own traffic stepping outside the
-    /// inferred spec — silently disarms the claim and the service falls
-    /// back to fully dynamic admission for the tenant. Byte-identity of
-    /// served results is therefore preserved by construction. Arming
-    /// fails (typed) if the claim would conflict with any existing
-    /// claim; the observed stream evidently interferes and no proof can
-    /// make it safe.
-    pub fn arm_inferred(&self, tenant: TenantId, footprint: Footprint) -> Result<(), Reject> {
-        if footprint.offsets() != self.service.offsets {
-            return Err(Reject::FootprintGeometry {
-                got: footprint.offsets(),
-                want: self.service.offsets,
-            });
-        }
-        let mut inner = self.service.shared.state.lock();
-        if tenant >= inner.queues.len() {
-            return Err(Reject::UnknownTenant { tenant });
-        }
-        if inner.draining || inner.shutdown {
-            return Err(Reject::ShuttingDown);
-        }
-        for (holder, held) in inner.footprints.iter().enumerate() {
-            if holder == tenant {
-                continue;
-            }
-            let Some(held) = held else { continue };
-            if let Some(w) = held.footprint.conflicts_with(&footprint) {
+            if let Some(w) = held.conflicts_with(&footprint) {
+                inner.metrics.tenants[tenant].rejected_static += 1;
                 return Err(Reject::StaticConflict {
                     tenant: holder,
                     offset: w.offset,
@@ -890,36 +723,15 @@ impl Footprints<'_> {
                 });
             }
         }
-        inner.footprints[tenant] = Some(Claim {
-            footprint,
-            inferred: true,
-        });
-        inner.metrics.tenants[tenant].summaries_inferred += 1;
-        inner.metrics.tenants[tenant].summary_armed = true;
+        inner.footprints[tenant] = Some(footprint);
         Ok(())
-    }
-
-    /// The tenant's completed spec-inference warm-up window: the first
-    /// `infer_window` admitted `(kind, offset)` pairs, in admission
-    /// order. `None` until the window fills, when observation is
-    /// disabled, or while the tenant already holds a claim. A disarm
-    /// reopens the window, so the driver can observe and re-infer.
-    pub fn observation_window(&self, tenant: TenantId) -> Option<Vec<(OpKind, usize)>> {
-        let inner = self.service.shared.state.lock();
-        let window = inner.infer_window?;
-        let stream = inner.observed.get(tenant)?;
-        (stream.len() >= window && inner.footprints[tenant].is_none()).then(|| stream.clone())
     }
 
     /// Withdraw `tenant`'s admitted footprint (if any), releasing its
     /// block claim for other tenants.
     pub fn withdraw(&self, tenant: TenantId) -> Option<Footprint> {
         let mut inner = self.service.shared.state.lock();
-        let claim = inner.footprints.get_mut(tenant)?.take()?;
-        if claim.inferred {
-            inner.metrics.tenants[tenant].summary_armed = false;
-        }
-        Some(claim.footprint)
+        inner.footprints.get_mut(tenant)?.take()
     }
 }
 
@@ -1602,30 +1414,5 @@ mod tests {
         assert_eq!(report.metrics.tenants[0].completed, 8);
         assert_eq!(report.metrics.tenants[1].completed, 8);
         assert_eq!(report.stats.bank_conflicts, 0);
-    }
-
-    /// The legacy positional `tenant(name, weight, capacity)` and the
-    /// typed builder must configure *identical* services: pinned as
-    /// byte-identical metrics JSON (zero traffic, so every counter and
-    /// histogram is in its deterministic initial state).
-    #[test]
-    fn legacy_and_builder_metrics_json_are_byte_identical() {
-        let cfg = CfmConfig::new(4, 1, 16).unwrap();
-        #[allow(deprecated)]
-        let legacy = Service::start(
-            ServiceConfig::new(cfg, 32)
-                .tenant("a", 2, 16)
-                .tenant("b", 1, 8),
-        )
-        .unwrap();
-        let builder = Service::start(
-            ServiceConfig::new(cfg, 32)
-                .with_tenant(TenantSpec::new("a").weight(2).queue_capacity(16))
-                .with_tenant(TenantSpec::new("b").queue_capacity(8)),
-        )
-        .unwrap();
-        assert_eq!(legacy.metrics().to_json(), builder.metrics().to_json());
-        legacy.drain();
-        builder.drain();
     }
 }

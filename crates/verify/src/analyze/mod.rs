@@ -19,15 +19,13 @@
 //! * **per-bank access-count footprints** (the static bandwidth
 //!   shape).
 //!
-//! The proof is packaged as a [`HazardSummary`] and handed to its two
-//! consumers, both exercised here end to end: the parallel engine's
-//! planner ([`cfm_core::machine::CfmMachine::arm_summary`]) skips the
-//! dynamic per-slot hazard probe for statically safe offsets and
-//! dispatches whole proven windows per worker handoff, byte-identical
-//! to the sequential engine; and `cfm-serve` admission
+//! The proof is packaged as a [`HazardSummary`]. Its footprint acts at
+//! admission, exercised here end to end: `cfm-serve`
 //! ([`cfm_serve::service::Footprints::admit`]) rejects tenant programs
 //! whose static [`Footprint`] conflicts with an admitted tenant's,
-//! with a typed [`cfm_serve::Reject::StaticConflict`] witness.
+//! with a typed [`cfm_serve::Reject::StaticConflict`] witness. At
+//! runtime the machine needs no summary: its own window hazard scan
+//! proves each window it dispatches.
 //!
 //! The race verdict is deliberately one-sided (sound, not complete):
 //! *race-free statically ⇒ race-free dynamically*. The differential
@@ -35,11 +33,9 @@
 //! machine and demands the happens-before detector agree; programs the
 //! analyzer flags may still execute cleanly (the ATT arbitrates them),
 //! which is exactly the "strictly more conservative" contract.
-//! Data-dependent offsets are never summarized — those programs fall
-//! back to the machine's dynamic hazard scan (see
+//! Data-dependent offsets are never summarized (see
 //! `docs/static-analysis.md`).
 
-pub mod infer;
 pub mod interp;
 mod selftest;
 
@@ -47,13 +43,11 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 
-use cfm_core::config::{CfmConfig, Engine};
+use cfm_core::config::CfmConfig;
 use cfm_core::machine::CfmMachine;
-use cfm_core::op::Completion;
 use cfm_core::spec::{Footprint, HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use cfm_core::stats::Stats;
 use cfm_core::trace::TraceEvent;
-use cfm_core::Word;
 use resource_binding::lockorder::LockOrderGraph;
 
 use crate::report::Check;
@@ -86,10 +80,10 @@ impl Default for AnalyzeSpec {
 }
 
 /// The standard program suite every configuration is analyzed with.
-/// `disjoint-sweep` is the summary-carrying program (fully statically
-/// safe); `hotspot-writers` is the deliberately conflicting shape the
-/// race verdict must flag; `data-dependent` exercises the dynamic
-/// fallback boundary.
+/// `disjoint-sweep` is the summary-carrying program (every block has
+/// one exclusive accessor); `hotspot-writers` is the deliberately
+/// conflicting shape the race verdict must flag; `data-dependent`
+/// exercises the analyzer's refusal boundary.
 pub fn standard_programs(n: usize) -> Vec<ProgramSpec> {
     let own = OffsetExpr::ProcLinear { base: 0, stride: 1 };
     let next = OffsetExpr::ProcLinear { base: 1, stride: 1 };
@@ -260,7 +254,7 @@ pub fn summarize(
 ) -> Result<HazardSummary, String> {
     let footprint = spec
         .footprint(offsets)
-        .ok_or_else(|| format!("{}: data-dependent offsets, dynamic scan only", spec.name))?;
+        .ok_or_else(|| format!("{}: data-dependent offsets, not analyzable", spec.name))?;
     let geom = Geometry::valid(n, c);
     let timeline = interp::interpret(spec, &geom);
     if let Some(w) = timeline.conflict {
@@ -277,62 +271,6 @@ pub fn summarize(
     summary.att_bound = timeline.att_peak;
     summary.per_bank_accesses = timeline.per_bank_accesses;
     Ok(summary)
-}
-
-/// One dynamic execution's observable state, for byte-identity
-/// comparison across engines.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct DynRun {
-    pub completions: Vec<Completion>,
-    pub stats: Stats,
-    pub memory: Vec<Vec<Word>>,
-    pub cycles: u64,
-}
-
-/// Drive `spec` to completion on a real machine (issue each round
-/// while idle, run to idle, repeat) and snapshot everything
-/// observable. `summary` is armed before the first issue.
-pub(crate) fn run_spec(
-    spec: &ProgramSpec,
-    n: usize,
-    c: u32,
-    offsets: usize,
-    engine: Engine,
-    summary: Option<HazardSummary>,
-) -> Result<(DynRun, u64, u64), String> {
-    let cfg = CfmConfig::new(n, c, 16)
-        .map_err(|e| format!("config: {e:?}"))?
-        .with_engine(engine);
-    let banks = cfg.banks();
-    let mut m = CfmMachine::builder(cfg).offsets(offsets).build();
-    if let Some(s) = summary {
-        m.arm_summary(s).map_err(|e| format!("arm: {e}"))?;
-    }
-    let mut scripts: Vec<VecDeque<_>> = (0..n)
-        .map(|p| spec.instantiate(p, banks, offsets).into())
-        .collect();
-    let mut completions = Vec::new();
-    while scripts.iter().any(|s| !s.is_empty()) {
-        for (p, script) in scripts.iter_mut().enumerate() {
-            if !m.is_busy(p) {
-                if let Some(op) = script.pop_front() {
-                    m.issue(p, op).map_err(|e| format!("issue: {e:?}"))?;
-                }
-            }
-        }
-        completions.extend(m.run(100_000).expect_idle());
-    }
-    let memory = (0..offsets).map(|o| m.peek_block(o)).collect();
-    Ok((
-        DynRun {
-            completions,
-            stats: *m.stats(),
-            memory,
-            cycles: m.cycle(),
-        },
-        m.static_slots(),
-        m.static_windows(),
-    ))
 }
 
 /// Run `spec` on a traced sequential machine and return the event log
@@ -379,7 +317,7 @@ pub fn verify_config(n: usize, c: u32, offsets: usize) -> Vec<Check> {
     let programs = standard_programs(n);
 
     // Per-program bank-conflict proof on the valid geometry, plus the
-    // dynamic-fallback boundary for the data-dependent program.
+    // refusal boundary for the data-dependent program.
     for spec in &programs {
         let timeline = interp::interpret(spec, &Geometry::valid(n, c));
         let subj_p = format!("{subj} prog={}", spec.name);
@@ -407,7 +345,7 @@ pub fn verify_config(n: usize, c: u32, offsets: usize) -> Vec<Check> {
                 Err(reason) => Check::pass(
                     "analyze/dynamic-fallback",
                     &subj_p,
-                    format!("no summary emitted, machine keeps its dynamic scan: {reason}"),
+                    format!("no summary emitted: {reason}"),
                 ),
                 Ok(_) => Check::fail(
                     "analyze/dynamic-fallback",
@@ -555,9 +493,6 @@ pub fn verify_config(n: usize, c: u32, offsets: usize) -> Vec<Check> {
         });
     }
 
-    checks.push(static_fraction_check(n, c, offsets));
-    checks.push(spec_inference_check(n, c, offsets));
-
     checks
 }
 
@@ -593,131 +528,9 @@ fn lock_order_check(offsets: usize) -> Check {
     .with_metric("edges", g.edge_count() as u64)
 }
 
-/// Arm the proven summary on a parallel machine and demand byte
-/// identity with the sequential engine — while the planner provably
-/// skips work (static windows dispatched).
-fn summary_engine_check(n: usize, c: u32, offsets: usize) -> Check {
-    let subj = format!("{} prog=disjoint-sweep", subject(n, c));
-    let spec = &standard_programs(n)[0];
-    let summary = match summarize(spec, n, c, offsets) {
-        Ok(s) => s,
-        Err(e) => {
-            return Check::fail(
-                "analyze/summary-engine",
-                &subj,
-                "the summary program failed to summarize",
-                vec![e],
-            )
-        }
-    };
-    let runs = [
-        run_spec(spec, n, c, offsets, Engine::Sequential, None),
-        run_spec(spec, n, c, offsets, Engine::Parallel { threads: 2 }, None),
-        run_spec(
-            spec,
-            n,
-            c,
-            offsets,
-            Engine::Parallel { threads: 2 },
-            Some(summary),
-        ),
-    ];
-    let mut results = Vec::new();
-    for r in runs {
-        match r {
-            Ok(v) => results.push(v),
-            Err(e) => return Check::fail("analyze/summary-engine", &subj, "a run failed", vec![e]),
-        }
-    }
-    let (seq, _, _) = &results[0];
-    let (par, _, _) = &results[1];
-    let (sum, static_slots, static_windows) = &results[2];
-    if seq != par || seq != sum {
-        return Check::fail(
-            "analyze/summary-engine",
-            &subj,
-            "engines diverged (stats, completions or memory differ)",
-            vec![
-                format!("sequential stats: {:?}", seq.stats),
-                format!("summary-armed stats: {:?}", sum.stats),
-            ],
-        );
-    }
-    if *static_slots == 0 || *static_windows == 0 {
-        return Check::fail(
-            "analyze/summary-engine",
-            &subj,
-            "no statically-proven window was dispatched — the summary is vacuous",
-            vec![format!(
-                "static_slots={static_slots} static_windows={static_windows}"
-            )],
-        );
-    }
-    Check::pass(
-        "analyze/summary-engine",
-        &subj,
-        format!(
-            "byte-identical to sequential; {static_slots} slots in {static_windows} \
-             statically-proven windows skipped the dynamic hazard scan"
-        ),
-    )
-    .with_metric("static_slots", *static_slots)
-    .with_metric("static_windows", *static_windows)
-    .with_metric("cycles", seq.cycles)
-}
-
-/// Predicted static dispatch fraction for one `(n, c)` configuration:
-/// of every op instance the standard suite issues, how many would the
-/// armed planner dispatch without a dynamic hazard probe
-/// (`plan_safe`)? Reported in milli (0‥1000) per program and overall —
-/// the CI-visible forecast of how much scanning the proofs remove.
-fn static_fraction_check(n: usize, c: u32, offsets: usize) -> Check {
-    let subj = subject(n, c);
-    let mut total = 0u64;
-    let mut safe = 0u64;
-    let mut lines = Vec::new();
-    let mut check = Check::pass("analyze/static-fraction", &subj, String::new());
-    for spec in standard_programs(n) {
-        let mut prog_total = 0u64;
-        let mut prog_safe = 0u64;
-        let summary = summarize(&spec, n, c, offsets).ok();
-        for (p, list) in spec.ops.iter().enumerate() {
-            for op in list {
-                prog_total += spec.rounds as u64;
-                if let Some(s) = &summary {
-                    if s.plan_safe(op.offset.eval(p, offsets), p) {
-                        prog_safe += spec.rounds as u64;
-                    }
-                }
-            }
-        }
-        let milli = (prog_safe * 1000).checked_div(prog_total).unwrap_or(0);
-        if spec.name == "disjoint-sweep" && milli != 1000 {
-            return Check::fail(
-                "analyze/static-fraction",
-                &subj,
-                "the fully disjoint program is not fully statically dispatchable",
-                vec![format!("disjoint-sweep: {milli}/1000")],
-            );
-        }
-        check = check.with_metric(&format!("{}_milli", spec.name.replace('-', "_")), milli);
-        lines.push(format!("{} {milli}", spec.name));
-        total += prog_total;
-        safe += prog_safe;
-    }
-    let overall = (safe * 1000).checked_div(total).unwrap_or(0);
-    check.detail = format!(
-        "predicted static dispatch: {overall}/1000 of {total} op instances ({})",
-        lines.join(", ")
-    );
-    check
-        .with_metric("static_fraction_milli", overall)
-        .with_metric("op_instances", total)
-}
-
 /// Out-of-range footprint queries must surface as the typed
-/// [`cfm_core::spec::FootprintError`] — never silently read as "not
-/// declared" / "no conflict" (the failure mode this report line
+/// [`cfm_core::spec::FootprintError`] — never silently read as "no
+/// accessor" / "no conflict" (the failure mode this report line
 /// guards: a wrong geometry looking like an absence of hazards).
 fn footprint_range_check(offsets: usize) -> Check {
     let name = "analyze/footprint-range";
@@ -733,10 +546,10 @@ fn footprint_range_check(offsets: usize) -> Check {
             )
         }
     };
-    let declares = fp.declares(0, true, offsets);
+    let writers = fp.writers_at(offsets).map(|_| ());
     let written = fp.written(offsets);
     let touches = fp.touches(offsets + 7);
-    let all_typed = [declares.err(), written.err(), touches.err()]
+    let all_typed = [writers.err(), written.err(), touches.err()]
         .iter()
         .all(|e| {
             matches!(
@@ -745,7 +558,7 @@ fn footprint_range_check(offsets: usize) -> Check {
             )
         });
     if all_typed {
-        let e = declares.unwrap_err();
+        let e = writers.unwrap_err();
         Check::pass(
             name,
             &subj,
@@ -757,87 +570,12 @@ fn footprint_range_check(offsets: usize) -> Check {
             &subj,
             "an out-of-range query returned an untyped verdict",
             vec![
-                format!("declares({offsets}): {declares:?}"),
+                format!("writers_at({offsets}): {writers:?}"),
                 format!("written({offsets}): {written:?}"),
                 format!("touches({}): {touches:?}", offsets + 7),
             ],
         )
     }
-}
-
-/// Spec inference round-trip on one `(n, c)` configuration: observe
-/// the disjoint-sweep program's concrete op streams, fit a candidate
-/// spec ([`infer::infer_spec`]), re-prove it with the ordinary prover,
-/// and demand the inferred footprint equal the declared one — plus the
-/// negative: a non-repeating stream must be refused, not guessed at.
-fn spec_inference_check(n: usize, c: u32, offsets: usize) -> Check {
-    let name = "analyze/spec-inference";
-    let subj = format!("{} prog=disjoint-sweep", subject(n, c));
-    let spec = &standard_programs(n)[0];
-    let banks = n * c as usize;
-    let streams: Vec<Vec<infer::ObservedOp>> = (0..n)
-        .map(|p| {
-            spec.instantiate(p, banks, offsets)
-                .iter()
-                .map(|op| (op.kind(), op.offset()))
-                .collect()
-        })
-        .collect();
-    let inferred = match infer::infer_spec("inferred-disjoint-sweep", &streams, offsets) {
-        Ok(s) => s,
-        Err(e) => {
-            return Check::fail(
-                name,
-                &subj,
-                "a periodic observed window failed to fit",
-                vec![e.to_string()],
-            )
-        }
-    };
-    if let Err(e) = summarize(&inferred, n, c, offsets) {
-        return Check::fail(
-            name,
-            &subj,
-            "the inferred candidate did not re-prove",
-            vec![e],
-        );
-    }
-    if inferred.footprint(offsets) != spec.footprint(offsets) {
-        return Check::fail(
-            name,
-            &subj,
-            "inferred footprint differs from the declared program's",
-            vec![format!("inferred spec: {inferred:?}")],
-        );
-    }
-    // The fit must refuse to extrapolate from a non-repeating stream.
-    let ramp: Vec<infer::ObservedOp> = (0..offsets.min(6))
-        .map(|o| (cfm_core::op::OpKind::Write, o))
-        .collect();
-    match infer::infer_spec("ramp", &[ramp], offsets) {
-        Err(infer::InferError::NotPeriodic { .. }) => {}
-        other => {
-            return Check::fail(
-                name,
-                &subj,
-                "a non-periodic stream was fitted — inference overclaims",
-                vec![format!("got: {other:?}")],
-            )
-        }
-    }
-    Check::pass(
-        name,
-        &subj,
-        format!(
-            "observed {} ops/proc, fitted {} rounds × {} ops, re-proven, footprint \
-             identical; non-periodic stream refused",
-            streams[0].len(),
-            inferred.rounds,
-            inferred.ops[0].len()
-        ),
-    )
-    .with_metric("observed_ops", (streams[0].len() * n) as u64)
-    .with_metric("inferred_rounds", inferred.rounds as u64)
 }
 
 /// The differential gate: every statically race-free program must run
@@ -1007,14 +745,6 @@ pub fn verify(spec: &AnalyzeSpec, self_test: bool) -> Vec<Check> {
     }
     checks.push(lock_order_check(spec.offsets));
     checks.push(footprint_range_check(spec.offsets));
-    for (n, c) in [(4usize, 1u32), (4, 2)] {
-        checks.push(summary_engine_check(n, c, spec.offsets));
-    }
-    // Past the old 64-processor bitmask ceiling: the symbolic footprint
-    // domain must still prove, arm, and window-dispatch at n = 256
-    // (offsets scaled with n so the disjoint program stays disjoint).
-    checks.push(summary_engine_check(256, 1, 256));
-    checks.push(static_fraction_check(256, 1, 256));
     checks.push(differential_check(4, 1, spec.offsets));
     checks.push(serve_admission_check(spec.offsets));
     if self_test {
@@ -1067,7 +797,8 @@ mod tests {
         let s = summarize(&programs[0], 4, 1, 16).expect("disjoint-sweep is provable");
         assert!(s.att_bound <= 3);
         assert_eq!(s.per_bank_accesses.len(), 4);
-        assert!(s.plan_safe(0, 0) && !s.plan_safe(0, 1));
+        let writers = s.footprint().writers_at(0).unwrap();
+        assert!(writers.contains(0) && !writers.contains(1));
         assert!(
             summarize(&programs[4], 4, 1, 16).is_err(),
             "data-dependent refuses"

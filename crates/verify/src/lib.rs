@@ -51,9 +51,8 @@
 //!   zero bank conflicts (with a concrete two-op witness on the
 //!   misconfigured `b ∓ 1` neighbours), an ATT occupancy bound,
 //!   program-level lock-order acyclicity, and per-bank access
-//!   footprints; the resulting [`cfm_core::spec::HazardSummary`] is
-//!   proven byte-identical when armed on the parallel engine and
-//!   enforced by `cfm-serve` footprint admission — with seeded-defect
+//!   footprints; the resulting [`cfm_core::spec::HazardSummary`]'s
+//!   footprint is enforced by `cfm-serve` admission — with seeded-defect
 //!   self-tests and a differential gate against the dynamic race
 //!   detector (`cfm-verify analyze --ci`).
 //! * [`restore`] — checkpoint/restore soaks: machines running under
@@ -128,12 +127,10 @@ standard program spec is abstractly interpreted on each swept `(n, c)`
 configuration (default n=2..=8 c=1..=2, --offsets blocks, default 16),
 proving zero bank conflicts, the ATT occupancy bound, lock-order
 acyclicity, and per-bank footprints — and refuting the `b ∓ 1`
-neighbours with concrete witnesses. The emitted hazard summaries are
-then consumed for real: the parallel engine must stay byte-identical
-to sequential while dispatching statically-proven windows, every
-static race verdict is differentially checked against the dynamic
-happens-before detector, and cfm-serve must reject a conflicting
-tenant footprint with the typed witness. `analyze --ci` adds the
+neighbours with concrete witnesses. Every static race verdict is
+then differentially checked against the dynamic happens-before
+detector, and cfm-serve must reject a conflicting tenant footprint
+with the typed witness. `analyze --ci` adds the
 seeded-defect self-tests (conflicting program, ATT overflow, lock
 cycle).
 

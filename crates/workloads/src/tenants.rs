@@ -46,20 +46,6 @@ pub enum TenantProfile {
         /// Fraction of operations that are writes.
         write_fraction: f64,
     },
-    /// Deterministic strided write loop: the tenant cycles over the
-    /// `count` blocks `{base, base + stride, …}` (mod `blocks`),
-    /// writing every one — an exactly periodic stream, the shape the
-    /// service's spec-inference warm-up window
-    /// (`cfm_serve::ServiceConfig::infer_after`) can fit, prove, and
-    /// arm as an inferred footprint.
-    Strided {
-        /// First block of the loop.
-        base: usize,
-        /// Offset advance per operation (≥ 1).
-        stride: usize,
-        /// Blocks per loop iteration (≥ 1).
-        count: usize,
-    },
     /// On/off source: `burst` consecutive offering ticks (uniform
     /// offsets), then `idle` silent ticks, repeating.
     Bursty {
@@ -117,15 +103,6 @@ impl TenantTraffic {
                 assert!(*stride >= 1, "scan stride must be >= 1");
                 assert!((0.0..=1.0).contains(write_fraction));
             }
-            TenantProfile::Strided {
-                base,
-                stride,
-                count,
-            } => {
-                assert!(*base < blocks, "strided base out of range");
-                assert!(*stride >= 1, "strided stride must be >= 1");
-                assert!(*count >= 1, "strided count must be >= 1");
-            }
             TenantProfile::Bursty {
                 burst,
                 write_fraction,
@@ -172,15 +149,6 @@ impl TenantTraffic {
                 let offset = self.cursor;
                 self.cursor = (self.cursor + stride) % self.blocks;
                 (offset, write_fraction)
-            }
-            TenantProfile::Strided {
-                base,
-                stride,
-                count,
-            } => {
-                let offset = (base + stride * self.cursor) % self.blocks;
-                self.cursor = (self.cursor + 1) % count;
-                (offset, 1.0)
             }
             TenantProfile::Bursty {
                 burst,
@@ -336,26 +304,6 @@ mod tests {
             0,
         );
         assert_eq!(offsets(&t.take_ops(6)), vec![0, 3, 6, 1, 4, 7]);
-    }
-
-    #[test]
-    fn strided_is_exactly_periodic_and_pure_writes() {
-        let mut t = TenantTraffic::new(
-            TenantProfile::Strided {
-                base: 2,
-                stride: 3,
-                count: 4,
-            },
-            16,
-            4,
-            9,
-        );
-        let ops = t.take_ops(12);
-        assert_eq!(offsets(&ops), vec![2, 5, 8, 11, 2, 5, 8, 11, 2, 5, 8, 11]);
-        assert!(
-            ops.iter().all(|op| matches!(op, Operation::Write { .. })),
-            "strided tenants write every block they claim"
-        );
     }
 
     #[test]

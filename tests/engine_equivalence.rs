@@ -6,13 +6,12 @@
 //! trace so silent drift in either engine (or in the event shapes the
 //! analyses depend on) fails loudly.
 
-use cfm_verify::analyze::summarize;
 use conflict_free_memory::core::config::{CfmConfig, Engine};
 use conflict_free_memory::core::fault::{FaultPlan, PlanParams};
 use conflict_free_memory::core::machine::CfmMachine;
 use conflict_free_memory::core::op::{Completion, Operation};
 use conflict_free_memory::core::snapshot::MachineSnapshot;
-use conflict_free_memory::core::spec::{HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
+use conflict_free_memory::core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use conflict_free_memory::core::stats::Stats;
 use conflict_free_memory::core::trace::TraceEvent;
 use proptest::prelude::*;
@@ -126,18 +125,22 @@ fn decode_program(n: usize, rounds: usize, words: &[u64], offsets: usize) -> Pro
     spec
 }
 
-/// Drive one machine through an instantiated program spec, arming
-/// `summary` on the fresh machine first and installing the fault plan
-/// (which disarms any summary — faults void static proofs) after.
+/// Everything [`drive_spec`] observes about one run: completions, stats,
+/// the trace, and the dynamic-window slot counter.
+type SpecRun = (Vec<Completion>, Stats, Vec<TraceEvent>, u64);
+
+/// Drive one machine through an instantiated program spec — issuing
+/// each processor's next operation whenever it is idle, then `run()`
+/// to idle so window dispatch can engage — optionally under a
+/// generated fault plan.
 fn drive_spec(
     engine: Engine,
     n: usize,
     c: u32,
     offsets: usize,
     spec: &ProgramSpec,
-    summary: Option<HazardSummary>,
     fault_seed: Option<u64>,
-) -> (Vec<Completion>, Stats, Vec<TraceEvent>) {
+) -> SpecRun {
     let cfg = CfmConfig::new(n, c, 16)
         .unwrap()
         .with_spares(1)
@@ -148,10 +151,6 @@ fn drive_spec(
         .offsets(offsets)
         .trace(true)
         .build();
-    if let Some(s) = summary {
-        m.arm_summary(s)
-            .expect("fresh idle machine accepts the summary");
-    }
     if let Some(seed) = fault_seed {
         m.injector().fault_plan(FaultPlan::generate(
             seed,
@@ -185,18 +184,18 @@ fn drive_spec(
         completions,
         *m.stats(),
         m.take_trace().unwrap().into_events(),
+        m.dynamic_slots(),
     )
 }
 
 proptest! {
-    /// A statically proven hazard summary armed on the parallel engine
-    /// must not change a single observable byte relative to the
-    /// sequential engine — and when a fault plan is installed, the
-    /// machine silently voids the summary and the identity must still
-    /// hold through the dynamic fallback. `fault_sel` past the seed
-    /// range means "no fault plan".
+    /// Every decoded program spec, driven through `run()` on the
+    /// parallel engine, must not change a single observable byte
+    /// relative to the sequential engine — completions, stats and the
+    /// full trace — with or without a fault plan. `fault_sel` past the
+    /// seed range means "no fault plan".
     #[test]
-    fn summary_armed_engine_is_equivalent_to_sequential(
+    fn spec_driven_run_is_equivalent_to_sequential(
         n in 2usize..7,
         c in 1u32..3,
         threads in 1usize..5,
@@ -205,38 +204,38 @@ proptest! {
         fault_sel in 0u64..2_000,
     ) {
         let spec = decode_program(n, rounds, &words, 8);
-        let summary = match summarize(&spec, n, c, 8) {
-            Ok(s) => s,
-            // Unsummarizable programs are the existing property's domain.
-            Err(_) => return Ok(()),
-        };
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
-        let seq = drive_spec(Engine::Sequential, n, c, 8, &spec, None, fault_seed);
-        let par = drive_spec(
-            Engine::Parallel { threads },
-            n,
-            c,
-            8,
-            &spec,
-            Some(summary),
-            fault_seed,
-        );
+        let seq = drive_spec(Engine::Sequential, n, c, 8, &spec, fault_seed);
+        let par = drive_spec(Engine::Parallel { threads }, n, c, 8, &spec, fault_seed);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
-        // SummaryArmed/SummaryDisarmed audit the proof machinery and by
-        // design appear only on the armed run — the *execution* events
-        // (every issue, route, access, completion) must still match
-        // byte-for-byte, so compare the traces with the summary
-        // lifecycle filtered out.
-        let strip = |events: &[TraceEvent]| {
-            events
-                .iter()
-                .filter(|e| !e.is_summary_lifecycle())
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(strip(&seq.2), strip(&par.2), "traces diverged");
+        prop_assert_eq!(&seq.2, &par.2, "traces diverged");
+        prop_assert_eq!(seq.3, 0, "sequential engine takes no windows");
     }
+}
+
+/// The fixed anchor of the spec-driven property: the disjoint
+/// `ProcLinear { stride: 1 }` write/read program must run through the
+/// window path (`dynamic_slots() > 0`) and stay byte-identical to the
+/// sequential engine.
+#[test]
+fn disjoint_spec_engages_the_window_path() {
+    let own = OffsetExpr::ProcLinear { base: 0, stride: 1 };
+    let spec = ProgramSpec::uniform(
+        "disjoint",
+        4,
+        3,
+        vec![
+            OpSpec::new(OpPattern::Write, own),
+            OpSpec::new(OpPattern::Read, own),
+        ],
+    );
+    let seq = drive_spec(Engine::Sequential, 4, 1, 8, &spec, None);
+    let par = drive_spec(Engine::Parallel { threads: 2 }, 4, 1, 8, &spec, None);
+    assert_eq!(seq.0, par.0, "completions diverged");
+    assert_eq!(seq.1, par.1, "stats diverged");
+    assert_eq!(seq.2, par.2, "traces diverged");
+    assert!(par.3 > 0, "no window dispatched — the property is vacuous");
 }
 
 /// Everything [`drive_windowed`] observes about one run: completions,
@@ -336,8 +335,8 @@ fn drive_windowed(
 
 proptest! {
     /// Random `(n, c, threads, window-size cap, program, fault plan)` →
-    /// the dynamic-window path (no summary armed: every window is
-    /// proven by the runtime hazard scan) must be byte-identical to the
+    /// the window path (every window proven by the runtime hazard scan)
+    /// must be byte-identical to the
     /// sequential engine — completions, stats, the full memory image
     /// and the trace digest — through a mid-run snapshot/restore
     /// round-trip. `fault_sel` past the seed range means "no fault

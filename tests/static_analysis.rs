@@ -7,8 +7,6 @@
 //! * A refutation witness must be *concrete*: replaying exactly the two
 //!   operations it names on a real machine reproduces the collision as
 //!   an address-table merge on the witnessed block.
-//! * A program the analyzer can summarize must run byte-identically on
-//!   the summary-armed parallel engine.
 //!
 //! Programs are decoded from sampled words (the same idiom as
 //! `engine_equivalence.rs`): each word packs one op spec — two bits of
@@ -20,7 +18,7 @@ use cfm_verify::trace::hb;
 use conflict_free_memory::core::config::{CfmConfig, Engine};
 use conflict_free_memory::core::machine::CfmMachine;
 use conflict_free_memory::core::op::Completion;
-use conflict_free_memory::core::spec::{HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
+use conflict_free_memory::core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use conflict_free_memory::core::stats::Stats;
 use conflict_free_memory::core::trace::TraceEvent;
 use conflict_free_memory::core::Word;
@@ -58,15 +56,14 @@ fn decode_program(n: usize, rounds: usize, words: &[u64]) -> ProgramSpec {
     spec
 }
 
-/// Drive `spec` to completion on a machine with the given engine,
-/// arming `summary` first when provided. Uses `run()` (not `step()`)
-/// so the planner's window dispatch can engage.
+/// Drive `spec` to completion on a machine with the given engine.
+/// Uses `run()` (not `step()`) so window dispatch can engage; returns
+/// the dynamic-window slot count last.
 fn execute(
     spec: &ProgramSpec,
     n: usize,
     c: u32,
     engine: Engine,
-    summary: Option<HazardSummary>,
     trace: bool,
 ) -> (Vec<Completion>, Stats, Vec<Vec<Word>>, Vec<TraceEvent>, u64) {
     let cfg = CfmConfig::new(n, c, 16).unwrap().with_engine(engine);
@@ -75,10 +72,6 @@ fn execute(
         .offsets(OFFSETS)
         .trace(trace)
         .build();
-    if let Some(s) = summary {
-        m.arm_summary(s)
-            .expect("fresh idle machine accepts the summary");
-    }
     let mut scripts: Vec<std::collections::VecDeque<_>> = (0..n)
         .map(|p| spec.instantiate(p, banks, OFFSETS).into())
         .collect();
@@ -94,13 +87,13 @@ fn execute(
         completions.extend(m.run(200_000).expect_idle());
     }
     let memory = (0..OFFSETS).map(|o| m.peek_block(o)).collect();
-    let static_slots = m.static_slots();
+    let window_slots = m.dynamic_slots();
     let events = if trace {
         m.take_trace().unwrap().into_events()
     } else {
         Vec::new()
     };
-    (completions, *m.stats(), memory, events, static_slots)
+    (completions, *m.stats(), memory, events, window_slots)
 }
 
 proptest! {
@@ -120,7 +113,7 @@ proptest! {
         prop_assert!(spec.analyzable());
         let statically_racy = program_conflict(&spec, OFFSETS).is_some();
         let (_, stats, _, events, _) =
-            execute(&spec, n, c, Engine::Sequential, None, true);
+            execute(&spec, n, c, Engine::Sequential, true);
         prop_assert_eq!(stats.bank_conflicts, 0, "valid geometry must never conflict");
         let races = hb::find_races(&hb::analyze(&events));
         if !statically_racy {
@@ -187,34 +180,6 @@ proptest! {
         );
     }
 
-    /// Summarizable ⇒ the summary-armed parallel engine is
-    /// byte-identical to the sequential engine (completions, stats,
-    /// memory).
-    #[test]
-    fn armed_summary_preserves_byte_identity(
-        n in 2usize..6,
-        c in 1u32..3,
-        threads in 1usize..4,
-        rounds in 1usize..3,
-        words in proptest::collection::vec(0u64..u64::MAX, 2..16),
-    ) {
-        let spec = decode_program(n, rounds, &words);
-        let Ok(summary) = summarize(&spec, n, c, OFFSETS) else {
-            return Ok(());
-        };
-        let seq = execute(&spec, n, c, Engine::Sequential, None, false);
-        let armed = execute(
-            &spec,
-            n,
-            c,
-            Engine::Parallel { threads },
-            Some(summary),
-            false,
-        );
-        prop_assert_eq!(&seq.0, &armed.0, "completions diverged");
-        prop_assert_eq!(&seq.1, &armed.1, "stats diverged");
-        prop_assert_eq!(&seq.2, &armed.2, "memory diverged");
-    }
 }
 
 /// The legacy `u64`-bitmask footprint semantics, reimplemented locally
@@ -250,17 +215,12 @@ impl MaskFootprint {
         }
     }
 
-    fn declares(&self, p: usize, writes: bool, offset: usize) -> bool {
-        let bit = 1u64 << p;
-        if writes {
-            self.writers[offset] & bit != 0
-        } else {
-            (self.readers[offset] | self.writers[offset]) & bit != 0
-        }
+    fn reads(&self, p: usize, offset: usize) -> bool {
+        self.readers[offset] & (1u64 << p) != 0
     }
 
-    fn plan_safe(&self, offset: usize, p: usize) -> bool {
-        self.writers[offset] & !(1u64 << p) == 0
+    fn writes(&self, p: usize, offset: usize) -> bool {
+        self.writers[offset] & (1u64 << p) != 0
     }
 
     fn written(&self, offset: usize) -> bool {
@@ -276,8 +236,8 @@ proptest! {
     /// Differential: over the bitmask's whole domain (n ≤ 64), the
     /// symbolic footprint — built through the compact `record_expr`
     /// residue-class path via `ProgramSpec::footprint` — agrees with
-    /// the bitmask oracle on every declares / plan_safe / written /
-    /// touches query, including processors the program never uses.
+    /// the bitmask oracle on every reader / writer membership, written
+    /// and touches query, including processors the program never uses.
     #[test]
     fn symbolic_footprint_matches_bitmask_oracle(
         n in 1usize..65,
@@ -299,99 +259,37 @@ proptest! {
             // and the domains must agree on that too.
             for p in 0..(n + 2).min(64) {
                 prop_assert_eq!(
-                    sym.declares(p, true, o).unwrap(),
-                    mask.declares(p, true, o),
-                    "declares(write) diverged at p={} o={}", p, o
+                    sym.writers_at(o).unwrap().contains(p),
+                    mask.writes(p, o),
+                    "writer membership diverged at p={} o={}", p, o
                 );
                 prop_assert_eq!(
-                    sym.declares(p, false, o).unwrap(),
-                    mask.declares(p, false, o),
-                    "declares(read) diverged at p={} o={}", p, o
-                );
-                prop_assert_eq!(
-                    sym.plan_safe(o, p),
-                    mask.plan_safe(o, p),
-                    "plan_safe diverged at p={} o={}", p, o
+                    sym.readers_at(o).unwrap().contains(p),
+                    mask.reads(p, o),
+                    "reader membership diverged at p={} o={}", p, o
                 );
             }
         }
     }
 
-    /// Inference round-trip: run a generated program, observe its
-    /// concrete op streams, fit a candidate spec, and the candidate's
-    /// footprint must equal the original's exactly; when the original
-    /// proves, the candidate re-proves with the identical summary
-    /// (same ATT bound, same per-bank counts, same footprint).
-    #[test]
-    fn inferred_spec_round_trips_to_the_same_proof(
-        n in 2usize..6,
-        c in 1u32..3,
-        rounds in 2usize..4,
-        words in proptest::collection::vec(0u64..u64::MAX, 2..16),
-    ) {
-        use cfm_verify::analyze::infer::infer_spec;
-        let spec = decode_program(n, rounds, &words);
-        let banks = n * c as usize;
-        let streams: Vec<Vec<(conflict_free_memory::core::op::OpKind, usize)>> = (0..n)
-            .map(|p| {
-                spec.instantiate(p, banks, OFFSETS)
-                    .iter()
-                    .map(|op| (op.kind(), op.offset()))
-                    .collect()
-            })
-            .collect();
-        let inferred = infer_spec("round-trip", &streams, OFFSETS)
-            .expect("rounds >= 2 makes every stream periodic");
-        // The candidate replays the observed window verbatim.
-        for (p, s) in streams.iter().enumerate() {
-            let replay: Vec<_> = inferred
-                .instantiate(p, banks, OFFSETS)
-                .iter()
-                .map(|op| (op.kind(), op.offset()))
-                .collect();
-            prop_assert_eq!(&replay, s, "proc {} replay diverged", p);
-        }
-        prop_assert_eq!(
-            inferred.footprint(OFFSETS),
-            spec.footprint(OFFSETS),
-            "footprints diverged"
-        );
-        match (summarize(&spec, n, c, OFFSETS), summarize(&inferred, n, c, OFFSETS)) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.att_bound, b.att_bound);
-                prop_assert_eq!(a.per_bank_accesses, b.per_bank_accesses);
-                prop_assert_eq!(a.footprint(), b.footprint());
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(
-                false,
-                "provability diverged: declared {:?}, inferred {:?}",
-                a.map(|_| "proves"), b.map(|_| "proves")
-            ),
-        }
-    }
 }
 
-/// The disjoint sweep at (4, 1) must actually engage window dispatch:
-/// the non-vacuousness anchor for every property above.
+/// The disjoint sweep at (4, 1) — the program the analyzer proves —
+/// must actually engage window dispatch on the parallel engine: the
+/// runtime hazard scan proves at run time what the analyzer proves
+/// ahead of it.
 #[test]
 fn proven_window_dispatch_is_not_vacuous() {
     let spec = standard_programs(4)
         .into_iter()
         .find(|s| s.name == "disjoint-sweep")
         .unwrap();
-    let summary = summarize(&spec, 4, 1, OFFSETS).expect("disjoint sweep is provable");
-    let (_, stats, _, _, static_slots) = execute(
-        &spec,
-        4,
-        1,
-        Engine::Parallel { threads: 2 },
-        Some(summary),
-        false,
-    );
+    summarize(&spec, 4, 1, OFFSETS).expect("disjoint sweep is provable");
+    let (_, stats, _, _, window_slots) =
+        execute(&spec, 4, 1, Engine::Parallel { threads: 2 }, false);
     assert_eq!(stats.bank_conflicts, 0);
     assert!(
-        static_slots > 0,
-        "no statically-proven slots dispatched — the planner integration is dead"
+        window_slots > 0,
+        "no proven window dispatched — the window path is dead"
     );
 }
