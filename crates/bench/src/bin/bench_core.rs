@@ -1,4 +1,4 @@
-//! Core-engine throughput: sequential vs parallel slot engine.
+//! Core-engine throughput: sequential vs parallel engine.
 //!
 //! Soaks a steady disjoint-block workload (every processor continuously
 //! re-issuing reads/writes of its own block — the conflict-free case the
@@ -17,13 +17,13 @@
 //!
 //! `--smoke` shrinks the slot budget for CI and writes
 //! `BENCH_core.smoke.json` instead, leaving the full-run results alone.
-//! A smoke run lasts a few milliseconds per row, too short for one
-//! timing to mean anything, so each smoke row repeats at least
-//! [`SMOKE_MIN_REPS`] times and until it has run for [`SMOKE_MIN_ROW_S`],
-//! the engines of one shape and variant taking turns, and reports the
-//! median: `slots_per_s` is the median rate and
-//! `speedup_vs_seq` the median of each repetition's ratio to the
-//! sequential repetition run just before it.
+//! One repetition lasts milliseconds, too short for one timing to mean
+//! anything, so every row — full run or smoke — repeats at least
+//! [`MIN_REPS`] times and until it has run for [`MIN_ROW_S`], the
+//! engines of one shape and variant taking turns, and reports the
+//! median: `slots_per_s` is the median rate and `speedup_vs_seq` the
+//! median of each repetition's ratio to the sequential repetition run
+//! just before it.
 //!
 //! Every repetition first runs one untimed warm-up generation (one
 //! issue batch driven to idle), so the timed slots do not include the
@@ -47,7 +47,7 @@ const SPARES: usize = 1;
 const SHAPES: [(usize, u32); 3] = [(16, 1), (64, 1), (256, 1)];
 
 /// Engine grid: the sequential reference plus the parallel engine at
-/// 1/2/4/8 threads (1 thread = the pipeline without worker handoffs).
+/// 1/2/4/8 threads (1 thread = windows without worker handoffs).
 const ENGINES: [(&str, Engine); 5] = [
     ("sequential", Engine::Sequential),
     ("parallel-1", Engine::Parallel { threads: 1 }),
@@ -63,15 +63,14 @@ const ENGINES: [(&str, Engine); 5] = [
 /// `dynamic_fraction` shows how many slots ran inside them.
 const VARIANTS: [&str; 4] = ["plain", "traced", "faulted", "dynamic-window"];
 
-/// Minimum wall time, in seconds, each smoke row runs for across its
+/// Minimum wall time, in seconds, each row runs for across its
 /// repetitions.
-const SMOKE_MIN_ROW_S: f64 = 0.05;
+const MIN_ROW_S: f64 = 0.05;
 
-/// Repetitions every smoke row runs at least, however long each takes.
-const SMOKE_MIN_REPS: usize = 15;
+/// Repetitions every row runs at least, however long each takes.
+const MIN_REPS: usize = 15;
 
-/// Repetitions after which a smoke row stops even short of
-/// [`SMOKE_MIN_ROW_S`].
+/// Repetitions after which a row stops even short of [`MIN_ROW_S`].
 const MAX_REPS: usize = 500;
 
 struct Measured {
@@ -340,11 +339,6 @@ fn main() {
         .unwrap_or(1);
     let host_free_cores = detect_free_cores(host_cpus);
 
-    let (min_row_s, min_reps) = if smoke {
-        (SMOKE_MIN_ROW_S, SMOKE_MIN_REPS)
-    } else {
-        (0.0, 1)
-    };
     let mut measured = Vec::new();
     for shape in SHAPES {
         for variant in VARIANTS {
@@ -360,7 +354,7 @@ fn main() {
                     .map(|rows| rows.iter().map(|c| c.wall_s).sum::<f64>())
                     .fold(f64::INFINITY, f64::min);
                 let done = reps[0].len();
-                if (least >= min_row_s && done >= min_reps) || done >= MAX_REPS {
+                if (least >= MIN_ROW_S && done >= MIN_REPS) || done >= MAX_REPS {
                     break;
                 }
             }

@@ -68,23 +68,27 @@ impl std::error::Error for ConfigError {}
 
 /// Which slot engine [`crate::machine::CfmMachine::step`] runs.
 ///
-/// The paper's conflict-freedom theorem (§3.1.4) makes the simulator's own
-/// hot loop parallel *by construction*: at any slot the active accesses
-/// touch pairwise-disjoint banks, so their per-slot work is independent.
-/// The parallel engine exploits this with a plan → execute → merge
-/// pipeline that shards processors across worker threads while committing
-/// results in deterministic processor order — traces, stats and
-/// [`crate::op::Completion`] streams stay byte-identical to the sequential
-/// engine (see `docs/performance.md` for the safety argument).
+/// The paper's conflict-freedom theorem (§3.1.4) makes every slot's
+/// hazards a property of single accesses: at any slot the active accesses
+/// touch pairwise-disjoint banks, so only same-offset ATT arbitration, a
+/// fault on the access's bank or a held entry can make one of them more
+/// than a plain word access. The parallel engine exploits this twice: its
+/// per-slot step tests each access and runs the proven ones without the
+/// reference checks, and runs of slots proven free of hazards ahead of
+/// time (windows) are sharded across worker threads with results
+/// committed in deterministic processor order. Traces, stats and
+/// [`crate::op::Completion`] streams stay byte-identical to the
+/// sequential engine (see `docs/performance.md` for the safety argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Walk processors in order on the calling thread (the default).
     #[default]
     Sequential,
-    /// Plan → execute → merge pipeline sharding the per-slot processor
-    /// work across `threads` execution lanes (the calling thread plus
-    /// `threads − 1` pooled workers). `threads: 1` runs the full pipeline
-    /// inline — useful for testing the pipeline without thread scheduling.
+    /// Step each slot in one pass, proving one access at a time (the
+    /// same step for every `threads`), and shard proven windows across
+    /// `threads` execution lanes (the calling thread plus `threads − 1`
+    /// pooled workers, spawned by the first window). `threads: 1` runs
+    /// windows inline, with no worker threads at all.
     Parallel {
         /// Total execution lanes (clamped to at least 1).
         threads: usize,

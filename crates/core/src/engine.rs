@@ -1,21 +1,21 @@
-//! Worker-thread pool for the parallel slot engine.
+//! Worker-thread pool for the parallel engine's proven windows.
 //!
-//! [`crate::machine::CfmMachine::step`] with
-//! [`crate::config::Engine::Parallel`] shards each slot's per-processor
-//! work across execution lanes (see `docs/performance.md` for the
-//! plan → execute → merge pipeline and its byte-identity argument). This
-//! module provides the generic lane mechanism: a small pool of **persistent
-//! parked workers**, one per extra lane, each with a single-task mailbox.
+//! [`crate::machine::CfmMachine::run`] with
+//! [`crate::config::Engine::Parallel`] shards each proven window — a run
+//! of slots the runtime hazard scan proved free of hazards — across
+//! execution lanes, one handoff per lane per window (see
+//! `docs/performance.md` for the window and its byte-identity argument).
+//! This module provides the generic lane mechanism: a small pool of
+//! **persistent parked workers**, one per extra lane, each with a
+//! single-task mailbox.
 //!
-//! Why persistent threads instead of a per-slot `std::thread::scope`:
-//! spawning a thread costs tens of microseconds, which dwarfs a slot's
-//! work (a slot on a large machine is on the order of one hundred
-//! microseconds, on a small one far less), so per-slot spawning would
-//! erase the parallel win. Workers instead block on a condvar between
-//! slots; a dispatch costs one lock + wake. Workers never spin: on a
-//! machine with fewer free cores than lanes, spinning workers would fight
-//! the main thread for its own timeslice and degrade every handoff to a
-//! scheduler quantum.
+//! Why persistent threads instead of a per-window `std::thread::scope`:
+//! spawning a thread costs tens of microseconds, which dwarfs a short
+//! window's work, so per-window spawning would erase the parallel win.
+//! Workers instead block on a condvar between windows; a dispatch costs
+//! one lock + wake. Workers never spin: on a machine with fewer free
+//! cores than lanes, spinning workers would fight the main thread for its
+//! own timeslice and degrade every handoff to a scheduler quantum.
 //!
 //! The pool is deliberately oblivious to what a task *is* (the machine
 //! keeps its in-flight operation layout private): it moves opaque `T`s to

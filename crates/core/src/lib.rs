@@ -28,11 +28,12 @@
 //! * [`machine`] — [`machine::CfmMachine`], the slot-stepped simulator that
 //!   ties processors, the synchronous interconnect, banks and ATTs
 //!   together and checks the conflict-freedom invariant every cycle. Its
-//!   hot loop can shard each slot across worker threads
-//!   ([`config::Engine::Parallel`]) — conflict freedom makes the per-slot
-//!   work disjoint by construction, and the plan → execute → merge
-//!   pipeline keeps the observable behaviour byte-identical to the
-//!   sequential engine (see `docs/performance.md`).
+//!   parallel engine ([`config::Engine::Parallel`]) steps each slot in one
+//!   pass that proves one access at a time, and shards runs of slots
+//!   proven hazard-free (windows) across worker threads — conflict
+//!   freedom makes the per-slot work disjoint by construction, and both
+//!   keep the observable behaviour byte-identical to the sequential
+//!   engine (see `docs/performance.md`).
 //! * [`program`] — a small "processor program" abstraction for driving the
 //!   machine with reactive per-processor logic, used by the lock
 //!   implementations and the examples.
@@ -63,7 +64,7 @@
 //!   a drain — the substrate of `cfm-serve` live migration and
 //!   `cfm-verify restore`.
 //! * [`engine`] — the persistent [`engine::WorkerPool`] behind the
-//!   parallel slot engine, reusable by anything that needs long-lived
+//!   parallel engine's proven windows, reusable by anything that needs long-lived
 //!   condvar-parked worker threads (the `cfm-serve` event loop runs on
 //!   it).
 //! * [`spec`] — declarative program specifications with symbolic

@@ -104,31 +104,34 @@ struct InFlight {
     last_progress: Cycle,
 }
 
-/// One planned word access of the parallel engine: everything the plan
-/// phase proved and precomputed about an active processor's slot, consumed
-/// by the execute phase (on a worker) and the merge phase (deferred
-/// bank/ATT commits, in processor order).
+/// One proven word access of the one-pass step: what the hazard test
+/// proved and precomputed about an active processor's slot, consumed by
+/// [`exec_access`] (the in-place access) and [`commit_access`] (its
+/// bank/ATT commits).
 #[derive(Debug, Clone, Copy)]
 struct ProcPlan {
     /// The processor.
     p: ProcId,
-    /// Index of the processor within its lane's in-flight chunk.
-    idx: usize,
     /// Logical bank the AT-space schedule routes `p` to this slot.
     k: BankId,
     /// Physical bank serving `k` (`None` = masked, spare-less degraded).
     phys: Option<usize>,
-    /// Whether the op is in its write phase (plan-time snapshot).
+    /// Whether the op is in its write phase (before the access).
     write: bool,
     /// Whether this access inserts the write phase's ATT entry
     /// (`visited == 0`, tracking enabled).
     insert: bool,
 }
 
-/// Slot-wide constants shipped to the execute lanes.
+/// Window-wide constants shipped to the execute lanes.
 #[derive(Debug, Clone, Copy)]
-struct SlotCtx {
+struct WindowCtx {
+    /// The window's first slot.
     now: Cycle,
+    /// Slots in the window: each lane advances its operations through
+    /// them against the pre-window bank snapshot, recomputing each
+    /// slot's routing itself.
+    slots: u64,
     banks: usize,
     bank_cycle: u64,
     tracing: bool,
@@ -165,34 +168,26 @@ impl Hazards<'_> {
     }
 }
 
-/// The unit of work handed to one execute lane: the lane's in-flight
-/// chunk (owned, moved in and out — no copying), its plan entries,
-/// a reusable event buffer, and shared read-only views of the banks and
-/// writer stamps. The views are `Arc`s because a pooled worker cannot
-/// borrow from the machine; they are reclaimed uncloned after every lane
-/// returns (the machine is the only holder again by merge time).
-struct SlotTask {
+/// The unit of work handed to one execute lane of a proven window
+/// ([`CfmMachine::step_window`]): the lane's in-flight chunk (owned,
+/// moved in and out — no copying), a reusable event buffer, and shared
+/// read-only views of the banks, writer stamps and bank map. The views
+/// are `Arc`s because a pooled worker cannot borrow from the machine;
+/// they are dropped when the machine takes the task back, so it is the
+/// only holder again by merge time.
+struct WindowTask {
     ops: Vec<Option<InFlight>>,
-    plans: Vec<ProcPlan>,
     events: Vec<TraceEvent>,
     /// Cumulative event count at the end of each window slot — the merge
-    /// uses these to interleave per-lane buffers in slot order (empty for
-    /// single-slot tasks, whose events are appended wholesale).
+    /// uses these to interleave per-lane buffers in slot order.
     marks: Vec<usize>,
-    banks: Option<Arc<BankArray>>,
-    ctx: SlotCtx,
-    /// Slots to execute in this handoff. `1` = the classic single-slot
-    /// plan → execute → merge; `> 1` = a proven window
-    /// ([`CfmMachine::step_window`]): the lane advances its operations
-    /// through `window` consecutive slots against the pre-window bank
-    /// snapshot, recomputing each slot's routing itself.
-    window: u64,
-    /// First processor id of this lane's chunk (`lane · chunk_size`) —
-    /// the window path derives `p` from it, having no per-slot plans.
+    banks: Arc<BankArray>,
+    ctx: WindowCtx,
+    /// First processor id of this lane's chunk (`lane · chunk_size`).
     base: usize,
-    /// Logical→physical bank snapshot for the window path (the bank map
-    /// cannot change inside a window: the fault state is idle).
-    phys: Option<Arc<Vec<Option<usize>>>>,
+    /// Logical→physical bank snapshot (the bank map cannot change inside
+    /// a window: the fault state is idle).
+    phys: Arc<Vec<Option<usize>>>,
 }
 
 /// Per-operation trajectory state for the window merge replay: the
@@ -212,20 +207,22 @@ struct WinOp {
     visited: usize,
 }
 
-/// Reusable per-lane buffers (plan entries, trace events) kept across
-/// slots so the parallel path allocates nothing in steady state.
+/// Reusable per-lane window buffers (trace events and their per-slot
+/// marks) kept across windows so a traced window allocates nothing in
+/// steady state.
 #[derive(Debug, Clone, Default)]
 struct LaneScratch {
-    plans: Vec<ProcPlan>,
     events: Vec<TraceEvent>,
     marks: Vec<usize>,
 }
 
-/// The lazily spawned worker pool. Cloning a machine clones its *state*,
-/// not its threads: the clone starts with no pool and spawns its own on
-/// first use. Debug shows only the pool size (a thread pool has no
-/// meaningful state to print).
-struct EnginePool(Option<WorkerPool<SlotTask>>);
+/// The lazily spawned worker pool, one worker per execute lane beyond
+/// the stepping thread's, spawned by the first proven window with two or
+/// more lanes. Cloning a machine clones its *state*, not its threads: the
+/// clone starts with no pool and spawns its own on first use. Debug
+/// shows only the pool size (a thread pool has no meaningful state to
+/// print).
+struct EnginePool(Option<WorkerPool<WindowTask>>);
 
 impl Clone for EnginePool {
     fn clone(&self) -> Self {
@@ -286,9 +283,9 @@ pub struct CfmMachine {
     atts: Vec<Att>,
     /// In-flight operations, chunked by execute lane (processor `p` lives
     /// at `inflight[p / chunk_size][p % chunk_size]`). The chunking lets
-    /// the parallel engine move a whole lane's operations to a worker as
-    /// one `Vec` (three pointer-sized moves) instead of per-processor
-    /// moves; with the sequential engine there is exactly one chunk.
+    /// a proven window move a whole lane's operations to a worker as one
+    /// `Vec` (three pointer-sized moves) instead of per-processor moves;
+    /// with the sequential engine there is exactly one chunk.
     inflight: Vec<Vec<Option<InFlight>>>,
     /// Processors per in-flight chunk (the last chunk may be shorter).
     chunk_size: usize,
@@ -330,16 +327,15 @@ pub struct CfmMachine {
     /// Seeded-fault hook: skip the data copy of the next remap, losing
     /// every committed write on the retired bank.
     skip_remap_copy: bool,
-    /// Worker threads of the parallel engine (never spawned under
-    /// [`Engine::Sequential`] or `Parallel { threads: 1 }`).
+    /// Worker threads of the proven windows (spawned only by a window
+    /// with two or more lanes, so never under [`Engine::Sequential`] or
+    /// `Parallel { threads: 1 }`).
     pool: EnginePool,
-    /// Per-lane reusable plan/event buffers for the parallel engine.
+    /// Per-lane reusable window event buffers.
     lane_scratch: Vec<LaneScratch>,
-    /// Proven slots: with one lane, slots whose every access the
-    /// one-pass step proved; with more, slots executed by the plan →
-    /// execute → merge pipeline; windows count every slot they cover
-    /// (deliberately *not* in [`Stats`]: stats must stay byte-identical
-    /// across engines).
+    /// Proven slots: slots whose every access the one-pass step proved,
+    /// plus every slot a proven window covers (deliberately *not* in
+    /// [`Stats`]: stats must stay byte-identical across engines).
     parallel_slots: u64,
     /// Slots executed inside proven windows — the window hazard scan
     /// proved a whole run of slots conflict-free at runtime (kept out of
@@ -652,13 +648,11 @@ impl CfmMachine {
     }
 
     /// Slots the parallel engine proved hazard-free (always 0 under
-    /// [`Engine::Sequential`]). With one execute lane these are the
-    /// slots with at least one access in which the one-pass step proved
-    /// every access, so none ran the sequential body; with two or more
-    /// lanes, the slots the plan → execute → merge pipeline ran (slots
-    /// the plan hands back to the sequential fallback are not counted).
-    /// Proven windows count every slot they cover. Kept out of [`Stats`]
-    /// so stats stay byte-identical across engines.
+    /// [`Engine::Sequential`]): the slots with at least one access in
+    /// which the one-pass step proved every access, so none ran the
+    /// sequential body, whatever the lane count. Proven windows count
+    /// every slot they cover. Kept out of [`Stats`] so stats stay
+    /// byte-identical across engines.
     pub fn parallel_slots(&self) -> u64 {
         self.parallel_slots
     }
@@ -907,17 +901,14 @@ impl CfmMachine {
 
     /// Simulate one CPU cycle (one time slot).
     ///
-    /// Under [`Engine::Parallel`] with one execute lane the slot runs in
+    /// [`Engine::Sequential`] runs the reference loop. Under
+    /// [`Engine::Parallel`], whatever the lane count, the slot runs in
     /// one pass in ascending processor order: each access proven free of
     /// hazards on the current state runs in place with its commits made
-    /// at once, and any other access runs the sequential body. With two
-    /// or more lanes the slot runs as a *plan → execute → merge*
-    /// pipeline: the plan phase proves the whole slot hazard-free and,
-    /// if it succeeds, the per-processor word accesses run sharded
-    /// across execute lanes with their bank and ATT commits merged back
-    /// in processor order; a slot the plan cannot prove falls back to
-    /// the sequential path, unchanged. Either way traces, stats and
-    /// completions are byte-identical (see `docs/performance.md`).
+    /// at once, and any other access runs the sequential body. Traces,
+    /// stats and completions are byte-identical either way (see
+    /// `docs/performance.md`). Lanes only matter to the proven windows
+    /// [`Self::run`] takes between steps.
     pub fn step(&mut self) {
         let now = self.cycle;
         // Move the trace out of `self` so the hooks can borrow it as a
@@ -927,12 +918,11 @@ impl CfmMachine {
         self.delivered.clear();
         self.step_prologue(now, &mut active);
         match self.config.engine() {
-            Engine::Parallel { .. } if self.inflight.len() == 1 => match active.as_mut() {
+            Engine::Sequential => self.step_procs(now, &mut active),
+            Engine::Parallel { .. } => match active.as_mut() {
                 Some(t) => self.step_one_pass(now, t),
                 None => self.step_one_pass(now, &mut NullSink),
             },
-            Engine::Parallel { .. } if self.parallel_slot(now, &mut active) => {}
-            _ => self.step_procs(now, &mut active),
         }
         self.step_epilogue(now, &mut active);
         self.trace = active;
@@ -970,9 +960,7 @@ impl CfmMachine {
         }
     }
 
-    /// The sequential per-processor slot loop — the reference engine, and
-    /// the fallback for every slot the parallel plan cannot prove
-    /// hazard-free.
+    /// The sequential per-processor slot loop — the reference engine.
     fn step_procs(&mut self, now: Cycle, active: &mut Option<MemoryTrace>) {
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match active.as_mut() {
@@ -1335,13 +1323,13 @@ impl CfmMachine {
         true
     }
 
-    /// Slot `now` on one execute lane, in one pass in ascending processor
-    /// order — the reference loop's order. Each active access is tested
-    /// with [`Hazards::access`] on the current state, which is exactly
-    /// the state the reference loop's `p`-th iteration sees. A proven
-    /// access runs in place ([`exec_access`]) with its commits made at
-    /// once ([`commit_access`]), emitting its trace events in the
-    /// reference order; any other access runs the reference body
+    /// Slot `now` in one pass in ascending processor order — the
+    /// reference loop's order. Each active access is tested with
+    /// [`Hazards::access`] on the current state, which is exactly the
+    /// state the reference loop's `p`-th iteration sees. A proven access
+    /// runs in place ([`exec_access`]) with its commits made at once
+    /// ([`commit_access`]), emitting its trace events in the reference
+    /// order; any other access runs the reference body
     /// ([`Self::step_proc`]). The slot is therefore byte-identical to
     /// [`Engine::Sequential`] by construction. A slot with at least one
     /// access, every one of them proven, counts in
@@ -1363,9 +1351,10 @@ impl CfmMachine {
     /// Run the one-pass step's accesses of processors `from..` in place
     /// while each is proven, counting them in `actives`; return the first
     /// processor whose access is not proven, unrun, or `None` at the end
-    /// of the slot. Only [`Self::step_proc`] can change what the hazard
-    /// test reads of the machine besides the ATTs, so the [`Hazards`]
-    /// taken here hold for the whole run.
+    /// of the slot. The lane chunks of [`Self::inflight`] are walked in
+    /// order, which is processor order. Only [`Self::step_proc`] can
+    /// change what the hazard test reads of the machine besides the
+    /// ATTs, so the [`Hazards`] taken here hold for the whole run.
     #[inline]
     fn proven_run<S: TraceSink>(
         &mut self,
@@ -1376,218 +1365,55 @@ impl CfmMachine {
     ) -> Option<ProcId> {
         let b = self.config.banks();
         let bank_cycle = self.config.bank_cycle() as usize;
-        // `bank_for(now, p)` without a division per processor: the
-        // offset `c·p` is below `b`, so one wrap suffices.
-        let first_bank = self.space.bank_for(now, 0);
-        let hazards = Hazards {
-            hooks: self.att_insert_drops > 0 || self.retry_suppressions > 0,
-            att_enabled: self.att_enabled,
-            fault_state: &self.fault_state,
-        };
-        let ops = &mut self.inflight[0];
-        for (p, slot) in ops.iter_mut().enumerate().skip(from) {
-            let Some(op) = slot.as_mut() else { continue };
-            if op.phase == Phase::Drain || now < op.sleep_until {
-                continue;
-            }
-            *actives += 1;
-            let mut k = first_bank + bank_cycle * p;
-            if k >= b {
-                k -= b;
-            }
-            debug_assert_eq!(k, self.space.bank_for(now, p));
-            if hazards.access(&self.atts, op, p, k, now) {
-                return Some(p);
-            }
-            let write = op.phase == Phase::Write;
-            let a = ProcPlan {
-                p,
-                idx: p,
-                k,
-                phys: self.bank_map.phys(k),
-                write,
-                insert: write && op.visited == 0 && hazards.att_enabled,
-            };
-            exec_access(op, &a, &self.banks, now, b, bank_cycle as u64, sink);
-            commit_access(
-                &mut self.banks,
-                &mut self.atts,
-                &mut self.stats,
-                &a,
-                op,
-                now,
-            );
-            if op.phase == Phase::Drain {
-                self.draining.push(p);
-            }
-        }
-        None
-    }
-
-    /// Attempt slot `now` as a plan → execute → merge pipeline over two
-    /// or more execute lanes. Returns `false` (having mutated nothing)
-    /// when the slot is not provably hazard-free, or when no processor
-    /// injects this slot.
-    ///
-    /// **Plan** (pure): for every processor injecting this slot, snapshot
-    /// `(bank, phase, physical bank, ATT-insert?)` and check
-    /// [`Hazards::access`] on the pre-slot state. A hazard-free slot
-    /// statically guarantees what the sequential loop would discover
-    /// dynamically: every read's `read_conflict` is `None`, every write
-    /// verdict is `Proceed`, no restart/abort/hold mutates another
-    /// lane's state.
-    ///
-    /// **Execute**: each lane walks its plan entries against shared
-    /// *read-only* bank/writer views, mutating only its own in-flight
-    /// chunk and appending trace events to its own buffer. Per-slot bank
-    /// disjointness (the paper's invariant) plus deferred writes make the
-    /// lanes non-interfering: a same-slot write can never be observed by
-    /// a same-slot read even in the sequential engine, because the two
-    /// would have to touch the same bank in the same slot.
-    ///
-    /// **Merge** (sequential, ascending processor order — the order the
-    /// sequential loop commits in): append each lane's events, then apply
-    /// the deferred ATT inserts, bank writes, writer stamps and stats.
-    /// Ordering the commits cannot change any value: banks written this
-    /// slot were not read this slot (disjointness), same-slot ATT entries
-    /// are invisible to every verdict filter (`now > inserted_at`), and
-    /// the stat increments are commutative sums.
-    fn parallel_slot(&mut self, now: Cycle, active: &mut Option<MemoryTrace>) -> bool {
-        let b = self.config.banks();
         let chunk_size = self.chunk_size;
-        let chunks = self.inflight.len();
-        debug_assert!(chunks > 1, "one lane steps in one pass");
-        // Plan: pure reads only, so bailing out costs nothing.
-        let mut actives = 0usize;
-        let mut hazard = false;
         // `bank_for(now, p)` without a division per processor: the
         // offset `c·p` is below `b`, so one wrap suffices.
         let first_bank = self.space.bank_for(now, 0);
-        let bank_cycle = self.config.bank_cycle() as usize;
         let hazards = Hazards {
             hooks: self.att_insert_drops > 0 || self.retry_suppressions > 0,
             att_enabled: self.att_enabled,
             fault_state: &self.fault_state,
         };
-        'plan: for ci in 0..chunks {
-            let mut plans = std::mem::take(&mut self.lane_scratch[ci].plans);
-            debug_assert!(plans.is_empty());
-            for (idx, slot) in self.inflight[ci].iter().enumerate() {
-                let Some(op) = slot.as_ref() else { continue };
+        for (ci, ops) in self.inflight.iter_mut().enumerate().skip(from / chunk_size) {
+            let base = ci * chunk_size;
+            for (idx, slot) in ops.iter_mut().enumerate().skip(from.saturating_sub(base)) {
+                let Some(op) = slot.as_mut() else { continue };
                 if op.phase == Phase::Drain || now < op.sleep_until {
                     continue;
                 }
-                let p = ci * chunk_size + idx;
+                *actives += 1;
+                let p = base + idx;
                 let mut k = first_bank + bank_cycle * p;
                 if k >= b {
                     k -= b;
                 }
                 debug_assert_eq!(k, self.space.bank_for(now, p));
                 if hazards.access(&self.atts, op, p, k, now) {
-                    hazard = true;
-                    self.lane_scratch[ci].plans = plans;
-                    break 'plan;
+                    return Some(p);
                 }
                 let write = op.phase == Phase::Write;
-                plans.push(ProcPlan {
+                let a = ProcPlan {
                     p,
-                    idx,
                     k,
                     phys: self.bank_map.phys(k),
                     write,
                     insert: write && op.visited == 0 && hazards.att_enabled,
-                });
-                actives += 1;
-            }
-            self.lane_scratch[ci].plans = plans;
-        }
-        if hazard || actives == 0 {
-            for s in &mut self.lane_scratch {
-                s.plans.clear();
-            }
-            return false;
-        }
-        // Execute: move each extra lane's chunk out, lend the banks and
-        // writer stamps read-only, run extra lanes on the pool and lane 0
-        // here, on the machine's own chunk and plan.
-        let ctx = SlotCtx {
-            now,
-            banks: b,
-            bank_cycle: self.config.bank_cycle() as u64,
-            tracing: active.is_some(),
-            att_enabled: self.att_enabled,
-        };
-        self.bank_view.swap(&mut self.banks);
-        if self.pool.0.is_none() {
-            self.pool.0 = Some(WorkerPool::new(chunks - 1, run_lane));
-        }
-        for ci in 1..chunks {
-            let scratch = &mut self.lane_scratch[ci];
-            let task = SlotTask {
-                ops: std::mem::take(&mut self.inflight[ci]),
-                plans: std::mem::take(&mut scratch.plans),
-                events: std::mem::take(&mut scratch.events),
-                marks: std::mem::take(&mut scratch.marks),
-                banks: Some(self.bank_view.view()),
-                ctx,
-                window: 1,
-                base: ci * chunk_size,
-                phys: None,
-            };
-            self.pool
-                .0
-                .as_ref()
-                .expect("pool spawned above")
-                .dispatch(ci - 1, task);
-        }
-        let local = &mut self.lane_scratch[0];
-        exec_lane(
-            &mut self.inflight[0],
-            &local.plans,
-            &mut local.events,
-            &self.bank_view.0,
-            ctx,
-        );
-        // Merge, part 1: take every lane back in ascending lane (= proc)
-        // order, restoring its chunk and buffers and appending its events
-        // — the exact emission order of the sequential loop.
-        if let Some(t) = active.as_mut() {
-            t.append(&mut self.lane_scratch[0].events);
-        }
-        for ci in 1..chunks {
-            let mut task = self
-                .pool
-                .0
-                .as_ref()
-                .expect("pool spawned above")
-                .collect(ci - 1);
-            task.banks = None;
-            self.inflight[ci] = task.ops;
-            if let Some(t) = active.as_mut() {
-                t.append(&mut task.events);
-            }
-            let scratch = &mut self.lane_scratch[ci];
-            scratch.plans = task.plans;
-            scratch.events = task.events;
-            scratch.marks = task.marks;
-        }
-        // Every lane view is back: take the banks back.
-        self.bank_view.swap(&mut self.banks);
-        // Merge, part 2: the deferred commits, in processor order.
-        for ci in 0..chunks {
-            let mut plans = std::mem::take(&mut self.lane_scratch[ci].plans);
-            for a in &plans {
-                let op = self.inflight[ci][a.idx].as_ref().expect("planned op");
-                commit_access(&mut self.banks, &mut self.atts, &mut self.stats, a, op, now);
+                };
+                exec_access(op, &a, &self.banks, now, b, bank_cycle as u64, sink);
+                commit_access(
+                    &mut self.banks,
+                    &mut self.atts,
+                    &mut self.stats,
+                    &a,
+                    op,
+                    now,
+                );
                 if op.phase == Phase::Drain {
-                    self.draining.push(a.p);
+                    self.draining.push(p);
                 }
             }
-            plans.clear();
-            self.lane_scratch[ci].plans = plans;
         }
-        self.parallel_slots += 1;
-        true
+        None
     }
 
     /// Online graceful degradation for a permanent bank failure: remap
@@ -1870,8 +1696,8 @@ impl CfmMachine {
         w
     }
 
-    /// Execute `w` consecutive slots as **one** handoff per lane,
-    /// amortising the per-slot handoff cost.
+    /// Execute `w` consecutive slots as **one** handoff per lane — the
+    /// only place the execute lanes work.
     ///
     /// [`Self::try_step_dynamic_window`] proved the window inert: no
     /// operation completes, restarts, sleeps, or meets any ATT verdict other than
@@ -1909,77 +1735,36 @@ impl CfmMachine {
         let phys = self.phys_view.get_mut();
         phys.clear();
         phys.extend((0..b).map(|k| self.bank_map.phys(k)));
-        let ctx = SlotCtx {
+        let ctx = WindowCtx {
             now,
+            slots: w,
             banks: b,
             bank_cycle: self.config.bank_cycle() as u64,
             tracing: active.is_some(),
             att_enabled: self.att_enabled,
         };
         if chunks > 1 && self.pool.0.is_none() {
-            self.pool.0 = Some(WorkerPool::new(chunks - 1, run_lane));
+            self.pool.0 = Some(WorkerPool::new(chunks - 1, run_window_lane));
         }
         for ci in 1..chunks {
-            let scratch = &mut self.lane_scratch[ci];
-            let task = SlotTask {
-                ops: std::mem::take(&mut self.inflight[ci]),
-                plans: std::mem::take(&mut scratch.plans),
-                events: std::mem::take(&mut scratch.events),
-                marks: std::mem::take(&mut scratch.marks),
-                banks: Some(self.bank_view.view()),
-                ctx,
-                window: w,
-                base: ci * chunk_size,
-                phys: Some(self.phys_view.view()),
-            };
+            let task = self.lane_task(ci, ctx);
             self.pool
                 .0
                 .as_ref()
                 .expect("pool spawned above")
                 .dispatch(ci - 1, task);
         }
-        let mut local = SlotTask {
-            ops: std::mem::take(&mut self.inflight[0]),
-            plans: std::mem::take(&mut self.lane_scratch[0].plans),
-            events: std::mem::take(&mut self.lane_scratch[0].events),
-            marks: std::mem::take(&mut self.lane_scratch[0].marks),
-            banks: Some(self.bank_view.view()),
-            ctx,
-            window: w,
-            base: 0,
-            phys: Some(self.phys_view.view()),
-        };
-        run_lane(&mut local);
-        for ci in 0..chunks {
-            let mut task = if ci == 0 {
-                std::mem::replace(
-                    &mut local,
-                    SlotTask {
-                        ops: Vec::new(),
-                        plans: Vec::new(),
-                        events: Vec::new(),
-                        marks: Vec::new(),
-                        banks: None,
-                        ctx,
-                        window: 1,
-                        base: 0,
-                        phys: None,
-                    },
-                )
-            } else {
-                self.pool
-                    .0
-                    .as_ref()
-                    .expect("pool spawned above")
-                    .collect(ci - 1)
-            };
-            task.banks = None;
-            task.phys = None;
-            self.inflight[ci] = task.ops;
-            let scratch = &mut self.lane_scratch[ci];
-            scratch.plans = task.plans;
-            scratch.events = task.events;
-            scratch.marks = task.marks;
+        let mut local = self.lane_task(0, ctx);
+        run_window_lane(&mut local);
+        self.reclaim_lane(0, local);
+        for ci in 1..chunks {
+            let task = self
+                .pool
+                .0
+                .as_ref()
+                .expect("pool spawned above")
+                .collect(ci - 1);
+            self.reclaim_lane(ci, task);
         }
         self.bank_view.swap(&mut self.banks);
         // Merge: replay each slot's deferred commits in the sequential
@@ -2080,6 +1865,32 @@ impl CfmMachine {
         self.parallel_slots += w;
         self.dynamic_slots += w;
         self.dynamic_windows += 1;
+    }
+
+    /// Lane `ci`'s share of a window: its in-flight chunk and event
+    /// buffers moved out, with views of the lent banks and bank map.
+    fn lane_task(&mut self, ci: usize, ctx: WindowCtx) -> WindowTask {
+        let scratch = &mut self.lane_scratch[ci];
+        WindowTask {
+            ops: std::mem::take(&mut self.inflight[ci]),
+            events: std::mem::take(&mut scratch.events),
+            marks: std::mem::take(&mut scratch.marks),
+            banks: self.bank_view.view(),
+            ctx,
+            base: ci * self.chunk_size,
+            phys: self.phys_view.view(),
+        }
+    }
+
+    /// Take lane `ci`'s task back: restore its chunk and buffers and
+    /// drop its views.
+    fn reclaim_lane(&mut self, ci: usize, task: WindowTask) {
+        let WindowTask {
+            ops, events, marks, ..
+        } = task;
+        self.inflight[ci] = ops;
+        self.lane_scratch[ci].events = events;
+        self.lane_scratch[ci].marks = marks;
     }
 
     /// Step until every processor is idle (or `max_cycles` elapse).
@@ -2610,57 +2421,14 @@ impl RunReport {
     }
 }
 
-/// The execute phase of one lane: walk the lane's plan entries, perform
-/// the word accesses against the shared read-only bank/writer views, and
-/// advance each operation's phase machine — exactly what the sequential
-/// loop does on a hazard-free slot, minus the deferred commits
-/// ([`CfmMachine::parallel_slot`]'s merge applies those). Runs on a pooled
-/// worker thread for lanes ≥ 1, and on the stepping thread for a
-/// window's lane 0 (a slot's lane 0 calls [`exec_lane`] in place).
-fn run_lane(task: &mut SlotTask) {
-    if task.window > 1 {
-        run_window_lane(task);
-        return;
-    }
-    let banks = task.banks.as_ref().expect("lane bank view");
-    exec_lane(
-        &mut task.ops,
-        &task.plans,
-        &mut task.events,
-        banks,
-        task.ctx,
-    );
-}
-
-/// One slot of one lane ([`run_lane`] with `window == 1`) on borrowed
-/// state, so the stepping thread runs lane 0 in place.
-fn exec_lane(
-    ops: &mut [Option<InFlight>],
-    plans: &[ProcPlan],
-    events: &mut Vec<TraceEvent>,
-    banks: &BankArray,
-    ctx: SlotCtx,
-) {
-    let b = ctx.banks;
-    for a in plans {
-        let op = ops[a.idx].as_mut().expect("planned op");
-        if ctx.tracing {
-            exec_access(op, a, banks, ctx.now, b, ctx.bank_cycle, events);
-        } else {
-            exec_access(op, a, banks, ctx.now, b, ctx.bank_cycle, &mut NullSink);
-        }
-    }
-}
-
-/// The in-lane part of one proven word access at slot `now`: the route
+/// The operation's part of one proven word access at slot `now`: the route
 /// event, the bank read into the operation's own buffers (or, for a
 /// write, its ATT-insert and bank-access events), and the phase
 /// advance, including a swap/RMW's transform at the read → write
 /// boundary and the drain timestamp after the final access. It emits
 /// the reference body's events in the reference order and touches no
 /// shared state: the bank write, writer stamp, ATT insert and injection
-/// accounting are [`commit_access`]'s. Shared by the one-pass step and
-/// the slot lanes.
+/// accounting are [`commit_access`]'s.
 #[inline]
 fn exec_access<S: TraceSink + ?Sized>(
     op: &mut InFlight,
@@ -2743,9 +2511,8 @@ fn exec_access<S: TraceSink + ?Sized>(
 /// The shared-state commits of one proven access `a` of `op` at slot
 /// `now`: injection accounting, and for a write-phase access the
 /// first-access ATT insert, the bank write and the writer stamp —
-/// exactly the reference body's effects on a hazard-free access. The
-/// one-pass step commits each access at once; the slot merge replays
-/// them in processor order.
+/// exactly the reference body's effects on a hazard-free access,
+/// committed by the one-pass step right after the access.
 #[inline]
 fn commit_access(
     banks: &mut BankArray,
@@ -2786,10 +2553,11 @@ fn commit_access(
     }
 }
 
-/// The execute phase of one lane over a proven window
-/// (`task.window > 1`, proven by [`CfmMachine::try_step_dynamic_window`]):
+/// The execute phase of one lane over a proven window (proven by
+/// [`CfmMachine::try_step_dynamic_window`]), the pool's body for lanes
+/// ≥ 1 and run in place for lane 0:
 /// every in-flight operation in the chunk is mid-phase, so the lane
-/// advances each through `window` consecutive slots against the
+/// advances each through the window's consecutive slots against the
 /// pre-window bank snapshot, recomputing the AT-space routing itself.
 /// Sound because inside a proven window no offset is both written and
 /// observed by different processors and no operation reaches its final
@@ -2797,18 +2565,18 @@ fn commit_access(
 /// replayed by the merge. A traced lane appends its events to its own
 /// buffer, recording a cumulative mark per slot so the merge can
 /// splice the per-slot segments in processor order.
-fn run_window_lane(task: &mut SlotTask) {
+fn run_window_lane(task: &mut WindowTask) {
     let ctx = task.ctx;
-    let banks = task.banks.as_ref().expect("lane bank view");
-    let phys = task.phys.as_ref().expect("window phys view");
+    let banks = &*task.banks;
+    let phys = &*task.phys;
     let b = ctx.banks as u64;
     if ctx.tracing {
         // Pre-size: at most two events (route + access) per op per slot.
         let ops = task.ops.iter().flatten().count();
-        task.events.reserve(task.window as usize * ops * 2);
-        task.marks.reserve(task.window as usize);
+        task.events.reserve(ctx.slots as usize * ops * 2);
+        task.marks.reserve(ctx.slots as usize);
     }
-    for s in 0..task.window {
+    for s in 0..ctx.slots {
         let t = ctx.now + s;
         for (idx, slot) in task.ops.iter_mut().enumerate() {
             let Some(op) = slot.as_mut() else { continue };
@@ -3500,8 +3268,8 @@ mod tests {
     }
 
     /// Same-block contention (every processor swaps block 0) forces ATT
-    /// arbitration — hazard slots the parallel plan must hand back to the
-    /// sequential path without observable difference.
+    /// arbitration — hazardous accesses the one-pass step must hand to
+    /// the reference body without observable difference.
     fn drive_contended(engine: Engine) -> (Vec<Completion>, Stats, Vec<Word>, MemoryTrace) {
         let cfg = CfmConfig::new(4, 1, 16).unwrap().with_engine(engine);
         let b = cfg.banks();
@@ -3636,11 +3404,12 @@ mod tests {
     /// One access of a slot meets a foreign ATT entry while the other
     /// processors' accesses are proven: a read of an offset another
     /// processor is writing, and a second writer deferring under
-    /// `EarliestWins`. The one-lane step sends only that access through
-    /// the reference body, stays byte-identical to `Sequential`, and
-    /// counts exactly the slots with no hazardous access.
+    /// `EarliestWins`. The one-pass step, on one lane or two, sends only
+    /// that access through the reference body, stays byte-identical to
+    /// `Sequential`, and counts exactly the slots with no hazardous
+    /// access.
     #[test]
-    fn one_lane_step_falls_back_per_access() {
+    fn one_pass_step_falls_back_per_access() {
         // (the second processor's operation on the written block 5,
         // whether it meets the entry as a reader)
         let cases = [
@@ -3679,11 +3448,6 @@ mod tests {
                 )
             };
             let seq = run(Engine::Sequential);
-            let par = run(Engine::Parallel { threads: 1 });
-            assert_eq!(seq.0, par.0, "completions");
-            assert_eq!(seq.1, par.1, "stats");
-            assert_eq!(seq.2, par.2, "memory");
-            assert_eq!(seq.3, par.3, "trace");
             if reads {
                 assert!(seq.1.read_restarts > 0, "the read meets the writer's entry");
             } else {
@@ -3691,8 +3455,79 @@ mod tests {
             }
             let proven = slots_without_foreign_entries(&seq.3, seq.2[0].len());
             assert!(proven > 0 && proven < seq.1.cycles, "slots of both kinds");
-            assert_eq!(par.4, proven, "proven slots counted exactly");
+            for threads in [1, 2] {
+                let par = run(Engine::Parallel { threads });
+                assert_eq!(seq.0, par.0, "completions, {threads} threads");
+                assert_eq!(seq.1, par.1, "stats, {threads} threads");
+                assert_eq!(seq.2, par.2, "memory, {threads} threads");
+                assert_eq!(seq.3, par.3, "trace, {threads} threads");
+                assert_eq!(par.4, proven, "proven slots counted exactly");
+            }
         }
+    }
+
+    /// A run that takes no window — a fault plan keeps the fault state
+    /// busy throughout — steps every slot in one pass whatever the lane
+    /// count: four lanes stay byte-identical to `Sequential` and never
+    /// spawn the worker pool.
+    #[test]
+    fn windowless_multi_lane_run_steps_in_one_pass_without_a_pool() {
+        use crate::fault::FaultEvent;
+        let run = |engine: Engine| {
+            let cfg = CfmConfig::new(8, 1, 16)
+                .unwrap()
+                .with_spares(1)
+                .unwrap()
+                .with_engine(engine);
+            let b = cfg.banks();
+            // A transient error every 24 slots, each lasting 2, on
+            // rotating banks: the fault state never idles.
+            let plan = (0..40u64)
+                .map(|i| FaultEvent {
+                    at_slot: i * 24,
+                    kind: FaultKind::TransientBankError {
+                        bank: (i as usize * 5) % b,
+                        repair_slot: i * 24 + 2,
+                    },
+                })
+                .collect();
+            let mut m = CfmMachine::builder(cfg)
+                .offsets(16)
+                .fault_plan(FaultPlan::new(plan))
+                .trace(true)
+                .build();
+            let mut completions = Vec::new();
+            for round in 0..6u64 {
+                for p in 0..8usize {
+                    let o = (p + round as usize) % 16;
+                    let op = match (p + round as usize) % 3 {
+                        0 => Operation::read(o),
+                        1 => Operation::write(o, vec![round * 10 + p as u64; b]),
+                        _ => Operation::fetch_add(o, p % b, round + 1),
+                    };
+                    m.issue(p, op).unwrap();
+                }
+                completions.extend(m.run(10_000).expect_idle());
+            }
+            assert_eq!(m.dynamic_windows(), 0, "no window taken");
+            let memory: Vec<_> = (0..16).map(|o| m.peek_block(o)).collect();
+            let spawned = m.pool.0.is_some();
+            let slots = m.parallel_slots();
+            (
+                (completions, *m.stats(), memory, m.take_trace().unwrap()),
+                spawned,
+                slots,
+            )
+        };
+        let (seq, _, _) = run(Engine::Sequential);
+        let (par, spawned, slots) = run(Engine::Parallel { threads: 4 });
+        assert!(seq.1.fault_retries > 0, "the plan really strikes");
+        assert_eq!(seq.0, par.0, "completions");
+        assert_eq!(seq.1, par.1, "stats");
+        assert_eq!(seq.2, par.2, "memory");
+        assert_eq!(seq.3, par.3, "trace");
+        assert!(slots > 0, "the one-pass step proved slots");
+        assert!(!spawned, "no window, no pool");
     }
 
     #[test]
@@ -3783,10 +3618,16 @@ mod tests {
         let mut m = CfmMachine::builder(cfg).offsets(8).build();
         m.issue(0, Operation::write(1, vec![9; b])).unwrap();
         m.run(100).expect_idle();
+        assert!(
+            m.dynamic_windows() > 0 && m.pool.0.is_some(),
+            "a window spawned the pool"
+        );
         let mut clone = m.clone();
+        assert!(clone.pool.0.is_none(), "the clone shares no threads");
         clone.issue(2, Operation::read(1)).unwrap();
         let done = clone.run(100).expect_idle();
         assert_eq!(done[0].data.as_deref(), Some(&vec![9; b][..]));
+        assert!(clone.pool.0.is_some(), "the clone spawned its own pool");
         // The original keeps working too (its pool was never shared).
         m.issue(1, Operation::read(1)).unwrap();
         assert_eq!(m.run(100).expect_idle().len(), 1);

@@ -597,13 +597,6 @@ impl Footprint {
         self.check(offset)?;
         Ok(!self.writers[offset].is_empty())
     }
-
-    /// Number of offsets touched at all.
-    pub fn touched(&self) -> usize {
-        (0..self.offsets)
-            .filter(|&o| !self.readers[o].is_empty() || !self.writers[o].is_empty())
-            .count()
-    }
 }
 
 /// The artifact a static analysis produces: a footprint proven for a

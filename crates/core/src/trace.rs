@@ -312,13 +312,6 @@ impl MemoryTrace {
         self.events.is_empty()
     }
 
-    /// Move `events` to the end of the log — the parallel slot engine's
-    /// merge phase concatenating per-lane event buffers in processor
-    /// order.
-    pub(crate) fn append(&mut self, events: &mut Vec<TraceEvent>) {
-        self.events.append(events);
-    }
-
     /// Copy a per-lane buffer segment to the end of the log — the window
     /// merge splicing one lane's events for one slot (the lane keeps its
     /// buffer, and its capacity, for the next window).
@@ -352,9 +345,8 @@ impl TraceSink for MemoryTrace {
     }
 }
 
-/// A bare event vector is a sink — the parallel slot engine's workers
-/// record into plain per-lane buffers that the merge phase concatenates
-/// in processor order.
+/// A bare event vector is a sink — a plain per-lane buffer, such as a
+/// window lane's, that a merge splices into a log.
 impl TraceSink for Vec<TraceEvent> {
     #[inline]
     fn record(&mut self, event: TraceEvent) {

@@ -23,7 +23,7 @@
 //!   every batch by construction.
 //! * **Event loop** — one thread hosted on a
 //!   [`cfm_core::engine::WorkerPool`] (the same persistent parked-worker
-//!   primitive the parallel slot engine uses; no tokio, the build is
+//!   primitive the parallel engine's proven windows use; no tokio, the build is
 //!   offline). The loop parks on a condvar when fully idle and is woken
 //!   by submits and drain; it never blocks while operations are in
 //!   flight.

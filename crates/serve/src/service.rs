@@ -87,8 +87,10 @@ pub struct ServiceReport {
     pub stats: Stats,
     /// Slots the machine simulated.
     pub cycles: u64,
-    /// Slots executed by the parallel plan → execute → merge pipeline
-    /// (0 under [`Engine::Sequential`]).
+    /// Slots the parallel engine proved hazard-free — one-pass steps
+    /// whose every access was proven, plus every slot of a proven window
+    /// (0 under [`Engine::Sequential`]; see
+    /// [`cfm_core::machine::CfmMachine::parallel_slots`]).
     pub parallel_slots: u64,
     /// Engine the machine ran.
     pub engine: Engine,

@@ -57,8 +57,8 @@ pub struct ChaosSpec {
     pub seeds: Vec<u64>,
     /// Slot engines the soaks rotate through (engine rotates per seed
     /// index, like the shapes): the degraded-mode contract must hold
-    /// identically on the parallel engine — the one-pass step with one
-    /// lane, the plan → execute → merge pipeline with more.
+    /// identically on the parallel engine, whose one-pass step is the
+    /// same for every lane count (lanes matter only to proven windows).
     pub engines: Vec<Engine>,
 }
 
@@ -256,9 +256,9 @@ fn owned_value(p: usize, r: u64) -> Word {
 /// Soak one seeded plan on one machine shape and slot engine and check
 /// injectivity, race freedom, and write durability on the faulted
 /// execution. With a parallel engine the soak additionally asserts that
-/// proven slots actually ran — every access proven by the one-pass step
-/// with one lane, or the plan → execute → merge path with more (a
-/// fallback-only soak would make the engine rotation vacuous).
+/// proven slots actually ran — slots whose every access the one-pass
+/// step proved (a fallback-only soak would make the engine rotation
+/// vacuous).
 fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<Check> {
     let cfg = CfmConfig::new(n, c, 16)
         .expect("valid soak shape")

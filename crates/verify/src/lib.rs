@@ -110,7 +110,7 @@ schedule conformance of every observed bank injection, slot-sharing
 FIFO accounting, and static lock-order cycles. `trace --ci` adds the
 seeded-fault self-tests. `--engine sequential|parallel-N` selects the
 slot engine the core workloads execute on, so the same analyses gate
-the parallel plan → execute → merge pipeline.
+the parallel engine's one-pass step and its proven windows.
 
 The `chaos` subcommand soaks standard workloads under seeded
 fault-injection plans (permanent bank death, transient bank errors,
