@@ -2,18 +2,14 @@
 //!
 //! Soaks a steady disjoint-block workload (every processor continuously
 //! re-issuing reads/writes of its own block — the conflict-free case the
-//! parallel engine shards) on a grid of machine shapes × engine
-//! configurations × variants (plain / traced / faulted /
-//! dynamic-window), and records simulated slots per wall-clock second
-//! into `BENCH_core.json`.
+//! parallel engine's one-pass step proves access by access) on a grid of
+//! machine shapes × engines × variants (plain / traced / faulted), and
+//! records simulated slots per wall-clock second into `BENCH_core.json`.
 //!
 //! The report includes `host_cpus` *and* `host_free_cores` (detected
-//! from the 1-minute load average) because the numbers are only
-//! meaningful relative to the cores actually available: on a saturated
-//! host every extra lane adds scheduler handoffs and the parallel
-//! engine *cannot* beat the sequential one — the recorded numbers then
-//! measure engine overhead, not speedup (see `docs/performance.md` for
-//! how to read them).
+//! from the 1-minute load average) because the absolute rates are only
+//! comparable between hosts with the same cores free (see
+//! `docs/performance.md` for how to read them).
 //!
 //! `--smoke` shrinks the slot budget for CI and writes
 //! `BENCH_core.smoke.json` instead, leaving the full-run results alone.
@@ -46,22 +42,16 @@ const SPARES: usize = 1;
 /// Machine shapes exercised: small / medium / large (single-cluster).
 const SHAPES: [(usize, u32); 3] = [(16, 1), (64, 1), (256, 1)];
 
-/// Engine grid: the sequential reference plus the parallel engine at
-/// 1/2/4/8 threads (1 thread = windows without worker handoffs).
-const ENGINES: [(&str, Engine); 5] = [
+/// Engine grid: the sequential reference and the parallel engine (its
+/// one-pass step).
+const ENGINES: [(&str, Engine); 2] = [
     ("sequential", Engine::Sequential),
     ("parallel-1", Engine::Parallel { threads: 1 }),
-    ("parallel-2", Engine::Parallel { threads: 2 }),
-    ("parallel-4", Engine::Parallel { threads: 4 }),
-    ("parallel-8", Engine::Parallel { threads: 8 }),
 ];
 
-/// `dynamic-window` rotates every processor's block each generation —
-/// disjoint at runtime but *not* expressible as a residue-class
-/// footprint. The other variants issue a fixed per-processor block.
-/// The runtime hazard scan proves windows on both shapes —
-/// `dynamic_fraction` shows how many slots ran inside them.
-const VARIANTS: [&str; 4] = ["plain", "traced", "faulted", "dynamic-window"];
+/// Every variant issues a fixed per-processor block; `traced` records
+/// the event trace and `faulted` runs under a seeded fault plan.
+const VARIANTS: [&str; 3] = ["plain", "traced", "faulted"];
 
 /// Minimum wall time, in seconds, each row runs for across its
 /// repetitions.
@@ -88,8 +78,6 @@ struct Measured {
     /// Median wall time of the untimed warm-up generation.
     warmup_s: f64,
     parallel_slots: u64,
-    dynamic_slots: u64,
-    dynamic_windows: u64,
 }
 
 struct Counters {
@@ -98,8 +86,6 @@ struct Counters {
     wall_s: f64,
     warmup_s: f64,
     parallel_slots: u64,
-    dynamic_slots: u64,
-    dynamic_windows: u64,
 }
 
 /// The median of `values` (the mean of the middle two for an even count).
@@ -140,8 +126,6 @@ impl Measured {
             ),
             warmup_s: median(reps.iter().map(|c| c.warmup_s).collect()),
             parallel_slots: reps.iter().map(|c| c.parallel_slots).sum(),
-            dynamic_slots: reps.iter().map(|c| c.dynamic_slots).sum(),
-            dynamic_windows: reps.iter().map(|c| c.dynamic_windows).sum(),
         }
     }
 }
@@ -208,35 +192,24 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         .trace(variant == "traced")
         .build();
     let mut write_next = vec![true; n];
-    let mut round = 0usize;
     // One generation: every idle processor issues, then `run()` drains
-    // the batch to idle (or the budget) — window dispatch engages inside
-    // `run()`, never `step()`, falling back to per-slot stepping
-    // wherever a window cannot be proven (e.g. under active faults).
+    // the batch to idle (or the budget).
     let mut generation = |m: &mut CfmMachine, budget: u64| {
         for (p, next) in write_next.iter_mut().enumerate() {
             if !m.is_busy(p) {
-                // Each processor hammers its own block (or, on the
-                // dynamic-window variant, a block rotating every
-                // generation): disjoint offsets, so the windows stay
-                // hazard-free and the engine's batched path engages —
+                // Each processor hammers its own block: disjoint
+                // offsets, so the one-pass step proves every access —
                 // the engine's best case, which is the point of the
                 // comparison.
-                let offset = if variant == "dynamic-window" {
-                    (p + round) % n
-                } else {
-                    p
-                };
                 let op = if *next {
-                    Operation::write(offset, vec![m.cycle() + p as u64; b])
+                    Operation::write(p, vec![m.cycle() + p as u64; b])
                 } else {
-                    Operation::read(offset)
+                    Operation::read(p)
                 };
                 *next = !*next;
                 let _ = m.issue(p, op);
             }
         }
-        round = round.wrapping_add(1);
         let _ = m.run(budget - m.cycle());
         // Bound trace memory: the events are the cost being measured,
         // not the analysis. Discarding keeps the buffer's capacity, so
@@ -254,7 +227,7 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         m.injector()
             .fault_plan(fault_plan(n, b, warm_slots, slot_budget));
     }
-    let (m0, d0, w0) = (m.parallel_slots(), m.dynamic_slots(), m.dynamic_windows());
+    let m0 = m.parallel_slots();
     let budget = warm_slots + slot_budget;
     let start = Instant::now();
     while m.cycle() < budget {
@@ -265,8 +238,6 @@ fn run_one((n, c): (usize, u32), engine: Engine, variant: &str, slot_budget: u64
         wall_s: start.elapsed().as_secs_f64(),
         warmup_s,
         parallel_slots: m.parallel_slots() - m0,
-        dynamic_slots: m.dynamic_slots() - d0,
-        dynamic_windows: m.dynamic_windows() - w0,
     }
 }
 
@@ -286,11 +257,10 @@ fn json_report(
     out.push_str(&format!("  \"slot_budget\": {slot_budget},\n"));
     out.push_str(
         "  \"note\": \"Honest numbers for the host recorded in host_cpus/host_free_cores \
-         (logical CPUs minus 1-min load average at bench start): speedup_vs_seq > 1 requires \
-         >= threads free cores. dynamic_fraction is the share of slots executed inside \
-         windows the runtime hazard scan proved. Each repetition times the slots after \
-         one untimed warm-up generation; warmup_s is that generation's median wall \
-         time. See docs/performance.md.\",\n",
+         (logical CPUs minus 1-min load average at bench start). parallel_fraction is the \
+         share of slots whose every access the one-pass step proved. Each repetition times \
+         the slots after one untimed warm-up generation; warmup_s is that generation's \
+         median wall time. See docs/performance.md.\",\n",
     );
     out.push_str("  \"runs\": [\n");
     for (i, m) in measured.iter().enumerate() {
@@ -298,8 +268,7 @@ fn json_report(
             "    {{\"n\": {}, \"c\": {}, \"variant\": \"{}\", \"engine\": \"{}\", \
              \"reps\": {}, \"slots\": {}, \"wall_time_s\": {:.4}, \"slots_per_s\": {:.0}, \
              \"speedup_vs_seq\": {:.3}, \"warmup_s\": {:.6}, \"parallel_slots\": {}, \
-             \"parallel_fraction\": {:.3}, \"dynamic_slots\": {}, \"dynamic_fraction\": {:.3}, \
-             \"dynamic_windows\": {}}}{}\n",
+             \"parallel_fraction\": {:.3}}}{}\n",
             m.shape.0,
             m.shape.1,
             m.variant,
@@ -312,9 +281,6 @@ fn json_report(
             m.warmup_s,
             m.parallel_slots,
             m.parallel_slots as f64 / m.slots.max(1) as f64,
-            m.dynamic_slots,
-            m.dynamic_slots as f64 / m.slots.max(1) as f64,
-            m.dynamic_windows,
             if i + 1 == measured.len() { "" } else { "," }
         ));
     }
@@ -375,7 +341,6 @@ fn main() {
                 format!("{:.0}", m.rate),
                 format!("{:.3}", m.speedup),
                 format!("{:.3}", m.parallel_slots as f64 / m.slots.max(1) as f64),
-                format!("{:.3}", m.dynamic_slots as f64 / m.slots.max(1) as f64),
             ]
         })
         .collect();
@@ -388,7 +353,6 @@ fn main() {
             "Slots/s",
             "vs seq",
             "par fraction",
-            "dyn fraction",
         ],
         &rows,
     );

@@ -136,9 +136,8 @@ pub struct Att {
     /// [`Self::contended_by_other`]) consult it first so the common case —
     /// no live entry for the accessed offset — is O(1) instead of a
     /// full-queue scan. A dense array indexed by offset (not a hash map):
-    /// probes are a single bounds-checked load, and the parallel engine's
-    /// window hazard scan streams it without chasing buckets. Grown on
-    /// demand; [`Self::with_offsets`] pre-sizes it.
+    /// probes are a single bounds-checked load. Grown on demand;
+    /// [`Self::with_offsets`] pre-sizes it.
     by_offset: Vec<u32>,
     /// No live entry expires before this slot: a lower bound on the
     /// oldest entry's expiry (`Cycle::MAX` for an empty queue), exact
@@ -375,8 +374,8 @@ impl Att {
     /// Whether an arbitrating entry for `offset` from a processor other
     /// than `me` exists, at any age (including a same-slot insertion).
     ///
-    /// This is the parallel engine's *hazard probe*: a slot may only run a
-    /// processor's access on a worker thread if the target bank's ATT is
+    /// This is the parallel engine's *hazard probe*: the one-pass step may
+    /// only run a processor's access in place if the target bank's ATT is
     /// provably indifferent to it — no same-offset entry from anyone else,
     /// so every comparison ([`Self::read_conflict`],
     /// [`Self::write_verdict`]) is statically `None`/`Proceed` and no

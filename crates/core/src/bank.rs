@@ -18,11 +18,10 @@ use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 /// Struct-of-arrays bank storage: every physical bank's words (and
 /// writer-id stamps, for the tear checker) in two contiguous
 /// allocations, **offset-major** — `words[offset * banks + bank]` — so
-/// one logical *block* is one contiguous slice. The parallel engine's
-/// lanes and the window execution path stream these arrays directly
-/// instead of chasing one heap allocation per bank; the per-bank
-/// injection bookkeeping ([`Bank::note_injection`]'s counterpart) is a
-/// third dense array.
+/// one logical *block* is one contiguous slice. Both engines stream
+/// these arrays directly instead of chasing one heap allocation per
+/// bank; the per-bank injection bookkeeping
+/// ([`Bank::note_injection`]'s counterpart) is a third dense array.
 #[derive(Debug, Clone, Default)]
 pub struct BankArray {
     words: Vec<Word>,

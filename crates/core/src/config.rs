@@ -72,38 +72,23 @@ impl std::error::Error for ConfigError {}
 /// hazards a property of single accesses: at any slot the active accesses
 /// touch pairwise-disjoint banks, so only same-offset ATT arbitration, a
 /// fault on the access's bank or a held entry can make one of them more
-/// than a plain word access. The parallel engine exploits this twice: its
+/// than a plain word access. The parallel engine exploits this: its
 /// per-slot step tests each access and runs the proven ones without the
-/// reference checks, and runs of slots proven free of hazards ahead of
-/// time (windows) are sharded across worker threads with results
-/// committed in deterministic processor order. Traces, stats and
-/// [`crate::op::Completion`] streams stay byte-identical to the
-/// sequential engine (see `docs/performance.md` for the safety argument).
+/// reference checks. Traces, stats and [`crate::op::Completion`] streams
+/// stay byte-identical to the sequential engine (see
+/// `docs/performance.md` for the safety argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// Walk processors in order on the calling thread (the default).
     #[default]
     Sequential,
-    /// Step each slot in one pass, proving one access at a time (the
-    /// same step for every `threads`), and shard proven windows across
-    /// `threads` execution lanes (the calling thread plus `threads − 1`
-    /// pooled workers, spawned by the first window). `threads: 1` runs
-    /// windows inline, with no worker threads at all.
+    /// Step each slot in one pass on the calling thread, proving one
+    /// access at a time.
     Parallel {
-        /// Total execution lanes (clamped to at least 1).
+        /// Unused: [`CfmConfig::with_engine`] sets it to 1. Kept because
+        /// existing callers spell the variant with it.
         threads: usize,
     },
-}
-
-impl Engine {
-    /// Execution lanes this engine uses (1 for the sequential engine).
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        match self {
-            Engine::Sequential => 1,
-            Engine::Parallel { threads } => (*threads).max(1),
-        }
-    }
 }
 
 /// A fully conflict-free CFM configuration.
@@ -156,15 +141,14 @@ impl CfmConfig {
     }
 
     /// Select the slot engine [`crate::machine::CfmMachine::step`] runs.
-    /// The default is [`Engine::Sequential`]; [`Engine::Parallel`] shards
-    /// each slot's processor work across worker threads while keeping the
-    /// observable behaviour (completions, stats, traces) byte-identical.
-    /// Thread counts are clamped to at least 1; this cannot fail.
+    /// The default is [`Engine::Sequential`]; [`Engine::Parallel`] runs
+    /// the one-pass step while keeping the observable behaviour
+    /// (completions, stats, traces) byte-identical. The parallel
+    /// engine's `threads` field is set to 1 whatever the caller passed;
+    /// this cannot fail.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = match engine {
-            Engine::Parallel { threads } => Engine::Parallel {
-                threads: threads.max(1),
-            },
+            Engine::Parallel { .. } => Engine::Parallel { threads: 1 },
             Engine::Sequential => Engine::Sequential,
         };
         self
@@ -419,14 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_selection_defaults_sequential_and_clamps_threads() {
+    fn engine_selection_defaults_sequential_and_normalises_threads() {
         let cfg = CfmConfig::new(4, 1, 8).unwrap();
         assert_eq!(cfg.engine(), Engine::Sequential);
-        assert_eq!(cfg.engine().lanes(), 1);
+        // Any thread count, zero included, selects the same engine.
         let par = cfg.with_engine(Engine::Parallel { threads: 4 });
-        assert_eq!(par.engine(), Engine::Parallel { threads: 4 });
-        assert_eq!(par.engine().lanes(), 4);
-        // A zero thread count is clamped, never a panic.
+        assert_eq!(par.engine(), Engine::Parallel { threads: 1 });
         let one = cfg.with_engine(Engine::Parallel { threads: 0 });
         assert_eq!(one.engine(), Engine::Parallel { threads: 1 });
         // The engine is a performance knob, not a shape parameter: timing

@@ -399,18 +399,6 @@ impl FaultState {
             pending_responses,
         }
     }
-
-    /// Whether the fault state is fully quiescent: no un-activated plan
-    /// events remain, no transient error is latched, and no response
-    /// fault is pending. Conservative — a transient whose repair slot
-    /// has passed still counts as non-idle until the latch is observed
-    /// — which is the safe direction for its only caller, the window
-    /// hazard scan's precondition.
-    pub fn is_idle(&self) -> bool {
-        self.next >= self.plan.events.len()
-            && self.transient_until.iter().all(Option::is_none)
-            && self.pending_responses.iter().all(VecDeque::is_empty)
-    }
 }
 
 /// What [`BankMap::retire`] did with a failed bank.

@@ -29,11 +29,10 @@
 //!   ties processors, the synchronous interconnect, banks and ATTs
 //!   together and checks the conflict-freedom invariant every cycle. Its
 //!   parallel engine ([`config::Engine::Parallel`]) steps each slot in one
-//!   pass that proves one access at a time, and shards runs of slots
-//!   proven hazard-free (windows) across worker threads — conflict
-//!   freedom makes the per-slot work disjoint by construction, and both
-//!   keep the observable behaviour byte-identical to the sequential
-//!   engine (see `docs/performance.md`).
+//!   pass that proves one access at a time — conflict freedom leaves
+//!   only per-access hazards — and keeps the observable behaviour
+//!   byte-identical to the sequential engine (see
+//!   `docs/performance.md`).
 //! * [`program`] — a small "processor program" abstraction for driving the
 //!   machine with reactive per-processor logic, used by the lock
 //!   implementations and the examples.
@@ -63,10 +62,6 @@
 //!   byte-identically, or into a *larger* shape (more banks/spares) after
 //!   a drain — the substrate of `cfm-serve` live migration and
 //!   `cfm-verify restore`.
-//! * [`engine`] — the persistent [`engine::WorkerPool`] behind the
-//!   parallel engine's proven windows, reusable by anything that needs long-lived
-//!   condvar-parked worker threads (the `cfm-serve` event loop runs on
-//!   it).
 //! * [`spec`] — declarative program specifications with symbolic
 //!   offsets, their static [`spec::Footprint`]s, and the
 //!   [`spec::HazardSummary`] artifact `cfm-verify analyze` proves; the
@@ -100,7 +95,6 @@ pub mod bank;
 pub mod building_block;
 pub mod cluster;
 pub mod config;
-pub mod engine;
 pub mod fault;
 pub mod lock;
 pub mod machine;

@@ -21,14 +21,11 @@
 //! tracking is disabled (the Fig 4.1 ablation).
 
 use std::collections::VecDeque;
-use std::fmt;
-use std::sync::Arc;
 
 use crate::atspace::AtSpace;
 use crate::att::{Att, Entry, PriorityMode, TrackKind, WriteVerdict};
 use crate::bank::BankArray;
 use crate::config::{CfmConfig, Engine};
-use crate::engine::WorkerPool;
 use crate::fault::{BankMap, FaultKind, FaultPlan, FaultState, RetireAction, MASKED_WRITER};
 use crate::op::{
     BlockTransform, Completion, IssueError, OpKind, Operation, Outcome, PendingOp, StallError,
@@ -123,21 +120,6 @@ struct ProcPlan {
     insert: bool,
 }
 
-/// Window-wide constants shipped to the execute lanes.
-#[derive(Debug, Clone, Copy)]
-struct WindowCtx {
-    /// The window's first slot.
-    now: Cycle,
-    /// Slots in the window: each lane advances its operations through
-    /// them against the pre-window bank snapshot, recomputing each
-    /// slot's routing itself.
-    slots: u64,
-    banks: usize,
-    bank_cycle: u64,
-    tracing: bool,
-    att_enabled: bool,
-}
-
 /// What a hazard test reads of the machine besides the ATTs, borrowed
 /// field by field so the proven path can borrow the rest mutably.
 #[derive(Clone, Copy)]
@@ -168,109 +150,6 @@ impl Hazards<'_> {
     }
 }
 
-/// The unit of work handed to one execute lane of a proven window
-/// ([`CfmMachine::step_window`]): the lane's in-flight chunk (owned,
-/// moved in and out — no copying), a reusable event buffer, and shared
-/// read-only views of the banks, writer stamps and bank map. The views
-/// are `Arc`s because a pooled worker cannot borrow from the machine;
-/// they are dropped when the machine takes the task back, so it is the
-/// only holder again by merge time.
-struct WindowTask {
-    ops: Vec<Option<InFlight>>,
-    events: Vec<TraceEvent>,
-    /// Cumulative event count at the end of each window slot — the merge
-    /// uses these to interleave per-lane buffers in slot order.
-    marks: Vec<usize>,
-    banks: Arc<BankArray>,
-    ctx: WindowCtx,
-    /// First processor id of this lane's chunk (`lane · chunk_size`).
-    base: usize,
-    /// Logical→physical bank snapshot (the bank map cannot change inside
-    /// a window: the fault state is idle).
-    phys: Arc<Vec<Option<usize>>>,
-}
-
-/// Per-operation trajectory state for the window merge replay: the
-/// pre-window snapshot [`CfmMachine::step_window`] advances slot by slot
-/// to recompute each deferred commit. Phase evolution inside a proven
-/// window is deterministic — no verdict, restart, or fault can deflect
-/// it — so the replay needs no access to the operations themselves
-/// until write data is read (after the lanes return, by which time any
-/// swap/RMW transform has been applied).
-#[derive(Debug, Clone)]
-struct WinOp {
-    p: ProcId,
-    offset: BlockOffset,
-    op_id: u64,
-    kind: OpKind,
-    phase: Phase,
-    visited: usize,
-}
-
-/// Reusable per-lane window buffers (trace events and their per-slot
-/// marks) kept across windows so a traced window allocates nothing in
-/// steady state.
-#[derive(Debug, Clone, Default)]
-struct LaneScratch {
-    events: Vec<TraceEvent>,
-    marks: Vec<usize>,
-}
-
-/// The lazily spawned worker pool, one worker per execute lane beyond
-/// the stepping thread's, spawned by the first proven window with two or
-/// more lanes. Cloning a machine clones its *state*, not its threads: the
-/// clone starts with no pool and spawns its own on first use. Debug
-/// shows only the pool size (a thread pool has no meaningful state to
-/// print).
-struct EnginePool(Option<WorkerPool<WindowTask>>);
-
-impl Clone for EnginePool {
-    fn clone(&self) -> Self {
-        EnginePool(None)
-    }
-}
-
-impl fmt::Debug for EnginePool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(pool) => write!(f, "EnginePool({} workers)", pool.workers()),
-            None => write!(f, "EnginePool(unspawned)"),
-        }
-    }
-}
-
-/// A reusable `Arc` through which the machine lends its execute lanes a
-/// read-only view. The value lives in the machine between handoffs and
-/// is swapped into this allocation for one, so lending allocates
-/// nothing. Cloning a machine gives the clone a cell of its own, as
-/// with [`EnginePool`].
-#[derive(Debug, Default)]
-struct Lend<T>(Arc<T>);
-
-impl<T: Default> Clone for Lend<T> {
-    fn clone(&self) -> Self {
-        Lend::default()
-    }
-}
-
-impl<T> Lend<T> {
-    /// The lent value, exclusively: every lane view has been returned.
-    fn get_mut(&mut self) -> &mut T {
-        Arc::get_mut(&mut self.0).unwrap_or_else(|| unreachable!("all lane views returned"))
-    }
-
-    /// Move `value` into the cell (and the cell's previous content
-    /// out), in both directions of a handoff.
-    fn swap(&mut self, value: &mut T) {
-        std::mem::swap(self.get_mut(), value);
-    }
-
-    /// One lane's view.
-    fn view(&self) -> Arc<T> {
-        Arc::clone(&self.0)
-    }
-}
-
 /// The cycle-accurate conflict-free memory machine.
 #[derive(Debug, Clone)]
 pub struct CfmMachine {
@@ -281,14 +160,8 @@ pub struct CfmMachine {
     /// arrays — see [`BankArray`].
     banks: BankArray,
     atts: Vec<Att>,
-    /// In-flight operations, chunked by execute lane (processor `p` lives
-    /// at `inflight[p / chunk_size][p % chunk_size]`). The chunking lets
-    /// a proven window move a whole lane's operations to a worker as one
-    /// `Vec` (three pointer-sized moves) instead of per-processor moves;
-    /// with the sequential engine there is exactly one chunk.
-    inflight: Vec<Vec<Option<InFlight>>>,
-    /// Processors per in-flight chunk (the last chunk may be shorter).
-    chunk_size: usize,
+    /// In-flight operations, indexed by processor.
+    inflight: Vec<Option<InFlight>>,
     done: Vec<VecDeque<Completion>>,
     /// Processors whose operation is draining ([`Phase::Drain`]), in no
     /// particular order: the only ones the epilogue visits. Derived
@@ -327,38 +200,10 @@ pub struct CfmMachine {
     /// Seeded-fault hook: skip the data copy of the next remap, losing
     /// every committed write on the retired bank.
     skip_remap_copy: bool,
-    /// Worker threads of the proven windows (spawned only by a window
-    /// with two or more lanes, so never under [`Engine::Sequential`] or
-    /// `Parallel { threads: 1 }`).
-    pool: EnginePool,
-    /// Per-lane reusable window event buffers.
-    lane_scratch: Vec<LaneScratch>,
-    /// Proven slots: slots whose every access the one-pass step proved,
-    /// plus every slot a proven window covers (deliberately *not* in
-    /// [`Stats`]: stats must stay byte-identical across engines).
+    /// Proven slots: slots with at least one access, every one of which
+    /// the one-pass step proved (deliberately *not* in [`Stats`]: stats
+    /// must stay byte-identical across engines).
     parallel_slots: u64,
-    /// Slots executed inside proven windows — the window hazard scan
-    /// proved a whole run of slots conflict-free at runtime (kept out of
-    /// [`Stats`], like [`Self::parallel_slots`]).
-    dynamic_slots: u64,
-    /// Number of dynamically proven windows dispatched.
-    dynamic_windows: u64,
-    /// Scratch for the dynamic window hazard scan: interest owner per
-    /// block offset (`0` = none, `p + 1` = single processor, `MANY` =
-    /// several). Dense, reused across windows, reset via
-    /// `scan_touched`.
-    scan_owner: Vec<u32>,
-    /// Whether any interest at the offset writes (ATT entries and
-    /// non-read operations do).
-    scan_writer: Vec<bool>,
-    /// Offsets touched by the current scan, for O(touched) reset.
-    scan_touched: Vec<usize>,
-    /// Holds [`Self::banks`] while the execute lanes read it.
-    bank_view: Lend<BankArray>,
-    /// The logical→physical bank table a window's lanes read.
-    phys_view: Lend<Vec<Option<usize>>>,
-    /// A window's per-operation replay state, kept for its buffer.
-    win_traj: Vec<WinOp>,
 }
 
 /// Staged construction of a [`CfmMachine`] — the single entry point for
@@ -502,19 +347,11 @@ impl CfmMachine {
         // schedule, the ATTs and every trace event stay *logical*.
         let physical = config.total_banks();
         let n = config.processors();
-        // One in-flight chunk per execute lane; the sequential engine is
-        // a single lane (one chunk holding every processor).
-        let lanes = config.engine().lanes().min(n).max(1);
-        let chunk_size = n.div_ceil(lanes);
-        let chunks = n.div_ceil(chunk_size);
         CfmMachine {
             space: AtSpace::new(&config),
             banks: BankArray::new(physical, offsets),
             atts: (0..b).map(|_| Att::with_offsets(b, offsets)).collect(),
-            inflight: (0..chunks)
-                .map(|i| vec![None; chunk_size.min(n - i * chunk_size)])
-                .collect(),
-            chunk_size,
+            inflight: vec![None; n],
             done: vec![VecDeque::new(); n],
             draining: Vec::with_capacity(n),
             delivered: Vec::with_capacity(n),
@@ -530,17 +367,7 @@ impl CfmMachine {
             bank_map: BankMap::new(b, config.spares()),
             retry_suppressions: 0,
             skip_remap_copy: false,
-            pool: EnginePool(None),
-            lane_scratch: vec![LaneScratch::default(); chunks],
             parallel_slots: 0,
-            dynamic_slots: 0,
-            dynamic_windows: 0,
-            scan_owner: vec![0; offsets],
-            scan_writer: vec![false; offsets],
-            scan_touched: Vec::new(),
-            bank_view: Lend::default(),
-            phys_view: Lend::default(),
-            win_traj: Vec::with_capacity(config.processors()),
             config,
         }
     }
@@ -650,63 +477,33 @@ impl CfmMachine {
     /// Slots the parallel engine proved hazard-free (always 0 under
     /// [`Engine::Sequential`]): the slots with at least one access in
     /// which the one-pass step proved every access, so none ran the
-    /// sequential body, whatever the lane count. Proven windows count
-    /// every slot they cover. Kept out of [`Stats`] so stats stay
+    /// sequential body. Kept out of [`Stats`] so stats stay
     /// byte-identical across engines.
     pub fn parallel_slots(&self) -> u64 {
         self.parallel_slots
     }
 
-    /// Always 0: the statically proven window path is gone, and every
-    /// window is proven by the runtime hazard scan
-    /// ([`Self::dynamic_slots`]). Kept only because the benchmark's
-    /// simulator (`perfbench/src/sim.rs`) still calls it; it goes when
-    /// that call does.
+    /// Always 0: the machine steps one slot at a time and proves no
+    /// windows. Kept only because the benchmark's simulator
+    /// (`perfbench/src/sim.rs`) still calls it; it goes when that call
+    /// does.
     pub fn static_slots(&self) -> u64 {
         0
     }
 
-    /// Slots executed inside dynamically proven windows: the runtime
-    /// window hazard scan proved a whole run of slots conflict-free —
-    /// against the ATT offset indexes, the fault plan and the in-flight
-    /// set — and dispatched it in one handoff per lane. Kept out of
-    /// [`Stats`] like [`Self::parallel_slots`] (a subset of which these
-    /// are).
+    /// Always 0, like [`Self::static_slots`] and for the same reason.
     pub fn dynamic_slots(&self) -> u64 {
-        self.dynamic_slots
+        0
     }
 
-    /// Number of dynamically proven windows dispatched.
+    /// Always 0, like [`Self::static_slots`] and for the same reason.
     pub fn dynamic_windows(&self) -> u64 {
-        self.dynamic_windows
+        0
     }
 
     /// Number of block offsets per bank.
     pub fn offsets(&self) -> usize {
         self.banks.offsets()
-    }
-
-    /// Processor `p`'s in-flight slot within the chunked storage. Lane 0
-    /// (every processor, with one lane) is found without a division.
-    #[inline]
-    fn op_ref(&self, p: ProcId) -> &Option<InFlight> {
-        let c = self.chunk_size;
-        if p < c {
-            &self.inflight[0][p]
-        } else {
-            &self.inflight[p / c][p % c]
-        }
-    }
-
-    /// Mutable form of [`Self::op_ref`].
-    #[inline]
-    fn op_mut(&mut self, p: ProcId) -> &mut Option<InFlight> {
-        let c = self.chunk_size;
-        if p < c {
-            &mut self.inflight[0][p]
-        } else {
-            &mut self.inflight[p / c][p % c]
-        }
     }
 
     /// A zeroed block-sized buffer, recycled from [`Self::buf_pool`]; an
@@ -740,12 +537,12 @@ impl CfmMachine {
 
     /// Whether processor `p` has an operation in flight.
     pub fn is_busy(&self, p: ProcId) -> bool {
-        self.op_ref(p).is_some()
+        self.inflight[p].is_some()
     }
 
     /// Whether every processor is idle.
     pub fn is_idle(&self) -> bool {
-        self.inflight.iter().flatten().all(|s| s.is_none())
+        self.inflight.iter().all(Option::is_none)
     }
 
     /// Read a block directly (debug/test access, not a timed operation).
@@ -777,7 +574,6 @@ impl CfmMachine {
     pub fn pending_ops(&self) -> Vec<(ProcId, PendingOp)> {
         self.inflight
             .iter()
-            .flatten()
             .enumerate()
             .filter_map(|(p, slot)| {
                 slot.as_ref().map(|op| {
@@ -850,7 +646,7 @@ impl CfmMachine {
         self.next_op_id += 1;
         let read_buf = self.take_buf();
         let observed_writers = self.take_buf();
-        *self.op_mut(p) = Some(InFlight {
+        self.inflight[p] = Some(InFlight {
             kind,
             offset,
             write_data,
@@ -902,13 +698,12 @@ impl CfmMachine {
     /// Simulate one CPU cycle (one time slot).
     ///
     /// [`Engine::Sequential`] runs the reference loop. Under
-    /// [`Engine::Parallel`], whatever the lane count, the slot runs in
-    /// one pass in ascending processor order: each access proven free of
-    /// hazards on the current state runs in place with its commits made
-    /// at once, and any other access runs the sequential body. Traces,
-    /// stats and completions are byte-identical either way (see
-    /// `docs/performance.md`). Lanes only matter to the proven windows
-    /// [`Self::run`] takes between steps.
+    /// [`Engine::Parallel`] the slot runs in one pass in ascending
+    /// processor order: each access proven free of hazards on the
+    /// current state runs in place with its commits made at once, and
+    /// any other access runs the sequential body. Traces, stats and
+    /// completions are byte-identical either way (see
+    /// `docs/performance.md`).
     pub fn step(&mut self) {
         let now = self.cycle;
         // Move the trace out of `self` so the hooks can borrow it as a
@@ -978,11 +773,11 @@ impl CfmMachine {
     /// one-pass step runs it for every access it cannot prove.
     fn step_proc(&mut self, p: ProcId, now: Cycle, sink: &mut dyn TraceSink) {
         let b = self.config.banks();
-        let Some(mut op) = self.op_mut(p).take() else {
+        let Some(mut op) = self.inflight[p].take() else {
             return;
         };
         if op.phase == Phase::Drain || now < op.sleep_until {
-            *self.op_mut(p) = Some(op);
+            self.inflight[p] = Some(op);
             return;
         }
         let k = self.space.route_traced(now, p, sink);
@@ -998,7 +793,7 @@ impl CfmMachine {
                 if op.phase == Phase::Drain {
                     self.draining.push(p);
                 }
-                *self.op_mut(p) = Some(op);
+                self.inflight[p] = Some(op);
                 return;
             }
         } else {
@@ -1205,7 +1000,7 @@ impl CfmMachine {
         if op.phase == Phase::Drain {
             self.draining.push(p);
         }
-        *self.op_mut(p) = Some(op);
+        self.inflight[p] = Some(op);
     }
 
     /// Deliver completions whose pipeline has drained by the end of this
@@ -1233,7 +1028,7 @@ impl CfmMachine {
     /// delivered (a dropped or corrupted response is re-queued instead).
     fn try_deliver(&mut self, p: ProcId, now: Cycle, sink: &mut dyn TraceSink) -> bool {
         let b = self.config.banks();
-        let op = self.op_ref(p).as_ref().expect("draining op in flight");
+        let op = self.inflight[p].as_ref().expect("draining op in flight");
         debug_assert_eq!(op.phase, Phase::Drain);
         if op.completes_at > now {
             return false;
@@ -1252,13 +1047,13 @@ impl CfmMachine {
                 slot: now,
                 fault: kind,
             });
-            let op = self.op_mut(p).as_mut().expect("checked above");
+            let op = self.inflight[p].as_mut().expect("checked above");
             op.completes_at = now + b as u64;
             op.restarts += 1;
             op.last_progress = now;
             return false;
         }
-        let mut op = self.op_mut(p).take().expect("checked above");
+        let mut op = self.inflight[p].take().expect("checked above");
         // Defensive: no delivered operation may leave a pinned ATT entry
         // behind (reachable only if the seeded insert-drop hook swallowed
         // the resume re-insert).
@@ -1351,10 +1146,9 @@ impl CfmMachine {
     /// Run the one-pass step's accesses of processors `from..` in place
     /// while each is proven, counting them in `actives`; return the first
     /// processor whose access is not proven, unrun, or `None` at the end
-    /// of the slot. The lane chunks of [`Self::inflight`] are walked in
-    /// order, which is processor order. Only [`Self::step_proc`] can
-    /// change what the hazard test reads of the machine besides the
-    /// ATTs, so the [`Hazards`] taken here hold for the whole run.
+    /// of the slot. Only [`Self::step_proc`] can change what the hazard
+    /// test reads of the machine besides the ATTs, so the [`Hazards`]
+    /// taken here hold for the whole run.
     #[inline]
     fn proven_run<S: TraceSink>(
         &mut self,
@@ -1365,7 +1159,6 @@ impl CfmMachine {
     ) -> Option<ProcId> {
         let b = self.config.banks();
         let bank_cycle = self.config.bank_cycle() as usize;
-        let chunk_size = self.chunk_size;
         // `bank_for(now, p)` without a division per processor: the
         // offset `c·p` is below `b`, so one wrap suffices.
         let first_bank = self.space.bank_for(now, 0);
@@ -1374,43 +1167,39 @@ impl CfmMachine {
             att_enabled: self.att_enabled,
             fault_state: &self.fault_state,
         };
-        for (ci, ops) in self.inflight.iter_mut().enumerate().skip(from / chunk_size) {
-            let base = ci * chunk_size;
-            for (idx, slot) in ops.iter_mut().enumerate().skip(from.saturating_sub(base)) {
-                let Some(op) = slot.as_mut() else { continue };
-                if op.phase == Phase::Drain || now < op.sleep_until {
-                    continue;
-                }
-                *actives += 1;
-                let p = base + idx;
-                let mut k = first_bank + bank_cycle * p;
-                if k >= b {
-                    k -= b;
-                }
-                debug_assert_eq!(k, self.space.bank_for(now, p));
-                if hazards.access(&self.atts, op, p, k, now) {
-                    return Some(p);
-                }
-                let write = op.phase == Phase::Write;
-                let a = ProcPlan {
-                    p,
-                    k,
-                    phys: self.bank_map.phys(k),
-                    write,
-                    insert: write && op.visited == 0 && hazards.att_enabled,
-                };
-                exec_access(op, &a, &self.banks, now, b, bank_cycle as u64, sink);
-                commit_access(
-                    &mut self.banks,
-                    &mut self.atts,
-                    &mut self.stats,
-                    &a,
-                    op,
-                    now,
-                );
-                if op.phase == Phase::Drain {
-                    self.draining.push(p);
-                }
+        for (p, slot) in self.inflight.iter_mut().enumerate().skip(from) {
+            let Some(op) = slot.as_mut() else { continue };
+            if op.phase == Phase::Drain || now < op.sleep_until {
+                continue;
+            }
+            *actives += 1;
+            let mut k = first_bank + bank_cycle * p;
+            if k >= b {
+                k -= b;
+            }
+            debug_assert_eq!(k, self.space.bank_for(now, p));
+            if hazards.access(&self.atts, op, p, k, now) {
+                return Some(p);
+            }
+            let write = op.phase == Phase::Write;
+            let a = ProcPlan {
+                p,
+                k,
+                phys: self.bank_map.phys(k),
+                write,
+                insert: write && op.visited == 0 && hazards.att_enabled,
+            };
+            exec_access(op, &a, &self.banks, now, b, bank_cycle as u64, sink);
+            commit_access(
+                &mut self.banks,
+                &mut self.atts,
+                &mut self.stats,
+                &a,
+                op,
+                now,
+            );
+            if op.phase == Phase::Drain {
+                self.draining.push(p);
             }
         }
         None
@@ -1545,8 +1334,7 @@ impl CfmMachine {
         // Stalled. Reconstruct the operation for the diagnostic from its
         // in-flight state (present by construction: a delivered completion
         // would have been polled above) — the completing path never clones.
-        let f = self
-            .op_ref(p)
+        let f = self.inflight[p]
             .as_ref()
             .expect("stalled operation is still in flight");
         let last_progress = f.last_progress;
@@ -1573,351 +1361,20 @@ impl CfmMachine {
         })
     }
 
-    /// Attempt the next slots as one proven window ([`Self::step_window`]).
-    /// One pass over the live interests (every bank's ATT entries, held
-    /// included, then the in-flight operations) proves a window of `w`
-    /// slots conflict-free at runtime. Returns the slots executed (0 =
-    /// hazard or preconditions unmet; the caller falls back to
-    /// [`Self::step`]).
-    ///
-    /// A window engages only on the parallel engine, with the fault
-    /// state and seeded hooks quiescent and every in-flight operation
-    /// mid-phase — not draining, not sleeping, not holding an ATT
-    /// entry. The width stops strictly before any operation's final
-    /// access, so no completion, ATT verdict, restart, or
-    /// phase-to-drain transition can occur inside the window. Traced
-    /// runs take the window path too: the lanes buffer their events per
-    /// slot and the merge interleaves them in the sequential engine's
-    /// exact order (byte-pinned).
-    ///
-    /// Soundness: under those preconditions the AT-space schedule
-    /// already keeps every bank to one processor per slot, so the only
-    /// remaining hazards are offset collisions — a foreign ATT entry
-    /// (in *any* bank: an operation sweeps all `b` ATTs across a
-    /// window) or two in-flight
-    /// operations interested in the same offset with a writer among
-    /// them. Those interests are **time-invariant inside the window**:
-    /// entries only expire, and the only inserts are the in-flight
-    /// writers' own, each on an offset the scan just proved exclusive
-    /// to its processor. A hazard-free scan therefore guarantees what
-    /// the sequential loop would discover slot by slot — every
-    /// `read_conflict` is `None`, every write verdict is `Proceed` —
-    /// so the whole window commits without a single per-access check.
-    fn try_step_dynamic_window(&mut self, budget: u64) -> u64 {
-        if budget < 2 || !matches!(self.config.engine(), Engine::Parallel { .. }) {
-            return 0;
-        }
-        if self.att_insert_drops > 0 || self.retry_suppressions > 0 || !self.fault_state.is_idle() {
-            return 0;
-        }
-        let b = self.config.banks();
-        let now = self.cycle;
-        let mut min_remaining = u64::MAX;
-        let mut actives = 0usize;
-        for slot in self.inflight.iter().flatten() {
-            let Some(op) = slot.as_ref() else { continue };
-            if op.phase == Phase::Drain || now < op.sleep_until || op.held_entry.is_some() {
-                return 0;
-            }
-            let until_final = match (op.kind, op.phase) {
-                (OpKind::Swap | OpKind::Rmw, Phase::Read) => (2 * b - op.visited) as u64,
-                _ => (b - op.visited) as u64,
-            };
-            min_remaining = min_remaining.min(until_final);
-            actives += 1;
-        }
-        if actives == 0 {
-            return 0;
-        }
-        let w = (min_remaining - 1).min(budget);
-        if w < 2 {
-            // A 1-slot window saves nothing over the ordinary step.
-            return 0;
-        }
-        // The hazard scan. `MANY` marks an offset claimed by two or
-        // more distinct processors; an offset is hazardous iff several
-        // processors are interested *and* one of them writes. ATT
-        // entries always count as writers — a lingering foreign entry
-        // forces sequential restarts a window must not skip — and an
-        // in-flight operation writes unless it is a pure read.
-        const MANY: u32 = u32::MAX;
-        let scan_owner = &mut self.scan_owner;
-        let scan_writer = &mut self.scan_writer;
-        let touched = &mut self.scan_touched;
-        debug_assert!(touched.is_empty());
-        let mut hazard = false;
-        let mut mark = |offset: BlockOffset, p: u32, writes: bool| -> bool {
-            if offset >= scan_owner.len() {
-                scan_owner.resize(offset + 1, 0);
-                scan_writer.resize(offset + 1, false);
-            }
-            let owner = &mut scan_owner[offset];
-            if *owner == 0 {
-                touched.push(offset);
-                *owner = p + 1;
-            } else if *owner != p + 1 {
-                *owner = MANY;
-            }
-            scan_writer[offset] |= writes;
-            *owner == MANY && scan_writer[offset]
-        };
-        'scan: {
-            for att in &self.atts {
-                for e in att.entries() {
-                    if mark(e.offset, e.proc as u32, true) {
-                        hazard = true;
-                        break 'scan;
-                    }
-                }
-                for e in att.held_entries() {
-                    if mark(e.offset, e.proc as u32, true) {
-                        hazard = true;
-                        break 'scan;
-                    }
-                }
-            }
-            for (p, slot) in self.inflight.iter().flatten().enumerate() {
-                let Some(op) = slot.as_ref() else { continue };
-                if mark(op.offset, p as u32, op.kind != OpKind::Read) {
-                    hazard = true;
-                    break 'scan;
-                }
-            }
-        }
-        for &o in touched.iter() {
-            scan_owner[o] = 0;
-            scan_writer[o] = false;
-        }
-        touched.clear();
-        if hazard {
-            return 0;
-        }
-        self.step_window(w);
-        w
-    }
-
-    /// Execute `w` consecutive slots as **one** handoff per lane — the
-    /// only place the execute lanes work.
-    ///
-    /// [`Self::try_step_dynamic_window`] proved the window inert: no
-    /// operation completes, restarts, sleeps, or meets any ATT verdict other than
-    /// an implicit `Proceed` inside it, and no offset is both written
-    /// and observed by different processors. Each lane therefore
-    /// advances its chunk through all `w` slots against the shared
-    /// pre-window bank snapshot; the merge then replays the deferred
-    /// commits — ATT expiries and inserts, bank writes, writer stamps,
-    /// injection accounting — slot by slot in the sequential engine's
-    /// exact order, recomputing each operation's per-slot position from
-    /// a pre-dispatch [`WinOp`] snapshot.
-    fn step_window(&mut self, w: u64) {
-        let now = self.cycle;
-        // No operation completes inside a window.
-        self.delivered.clear();
-        let b = self.config.banks();
-        let chunks = self.inflight.len();
-        let chunk_size = self.chunk_size;
-        let mut active = self.trace.take();
-        let mut traj = std::mem::take(&mut self.win_traj);
-        traj.clear();
-        for (p, slot) in self.inflight.iter().flatten().enumerate() {
-            if let Some(op) = slot.as_ref() {
-                traj.push(WinOp {
-                    p,
-                    offset: op.offset,
-                    op_id: op.op_id,
-                    kind: op.kind,
-                    phase: op.phase,
-                    visited: op.visited,
-                });
-            }
-        }
-        self.bank_view.swap(&mut self.banks);
-        let phys = self.phys_view.get_mut();
-        phys.clear();
-        phys.extend((0..b).map(|k| self.bank_map.phys(k)));
-        let ctx = WindowCtx {
-            now,
-            slots: w,
-            banks: b,
-            bank_cycle: self.config.bank_cycle() as u64,
-            tracing: active.is_some(),
-            att_enabled: self.att_enabled,
-        };
-        if chunks > 1 && self.pool.0.is_none() {
-            self.pool.0 = Some(WorkerPool::new(chunks - 1, run_window_lane));
-        }
-        for ci in 1..chunks {
-            let task = self.lane_task(ci, ctx);
-            self.pool
-                .0
-                .as_ref()
-                .expect("pool spawned above")
-                .dispatch(ci - 1, task);
-        }
-        let mut local = self.lane_task(0, ctx);
-        run_window_lane(&mut local);
-        self.reclaim_lane(0, local);
-        for ci in 1..chunks {
-            let task = self
-                .pool
-                .0
-                .as_ref()
-                .expect("pool spawned above")
-                .collect(ci - 1);
-            self.reclaim_lane(ci, task);
-        }
-        self.bank_view.swap(&mut self.banks);
-        // Merge: replay each slot's deferred commits in the sequential
-        // engine's exact order — ATT expiry first (the prologue), then
-        // per processor in ascending order: injection accounting, the
-        // ATT insert at a write phase's first access, bank write and
-        // writer stamp. A traced run additionally splices each lane's
-        // buffered events for the slot (delimited by the per-slot
-        // marks) after the expiries, in ascending lane order — lane
-        // order *is* processor order, so the merged stream is
-        // byte-identical to the sequential engine's.
-        for s in 0..w {
-            let t = now + s;
-            match active.as_mut() {
-                Some(tr) => {
-                    for (k, att) in self.atts.iter_mut().enumerate() {
-                        att.expire_traced(t, k, tr);
-                    }
-                }
-                None => {
-                    for att in &mut self.atts {
-                        att.expire(t);
-                    }
-                }
-            }
-            for snap in &mut traj {
-                let k = self.space.bank_for(t, snap.p);
-                let ph = self.phys_view.0[k];
-                match ph {
-                    Some(ph) => {
-                        if !self.banks.note_injection(ph, t) {
-                            // Impossible under the AT-space schedule;
-                            // recorded, not fatal.
-                            self.stats.bank_conflicts += 1;
-                        }
-                        self.stats.word_accesses += 1;
-                    }
-                    None => self.stats.masked_accesses += 1,
-                }
-                match snap.phase {
-                    Phase::Read => {
-                        snap.visited += 1;
-                        if snap.visited == b {
-                            debug_assert!(matches!(snap.kind, OpKind::Swap | OpKind::Rmw));
-                            snap.phase = Phase::Write;
-                            snap.visited = 0;
-                        }
-                    }
-                    Phase::Write => {
-                        if snap.visited == 0 && self.att_enabled {
-                            self.atts[k].insert(Entry {
-                                offset: snap.offset,
-                                kind: if matches!(snap.kind, OpKind::Swap | OpKind::Rmw) {
-                                    TrackKind::SwapWrite
-                                } else {
-                                    TrackKind::Write
-                                },
-                                proc: snap.p,
-                                inserted_at: t,
-                            });
-                        }
-                        if let Some(ph) = ph {
-                            let word = self.inflight[snap.p / chunk_size][snap.p % chunk_size]
-                                .as_ref()
-                                .expect("windowed op still in flight")
-                                .write_data[k];
-                            self.banks.write(ph, snap.offset, word);
-                            self.banks.stamp(ph, snap.offset, snap.op_id);
-                        }
-                        snap.visited += 1;
-                    }
-                    Phase::Drain => unreachable!("drain ops preclude a window"),
-                }
-            }
-            if let Some(tr) = active.as_mut() {
-                let si = s as usize;
-                for scratch in &self.lane_scratch {
-                    if scratch.marks.is_empty() {
-                        continue;
-                    }
-                    let hi = scratch.marks[si];
-                    let lo = if si == 0 { 0 } else { scratch.marks[si - 1] };
-                    tr.extend_from_slice(&scratch.events[lo..hi]);
-                }
-            }
-        }
-        // The spliced buffers are consumed; keep their capacity for the
-        // next window (the "pre-sized per-lane buffer" half of the
-        // traced-overhead fix).
-        for scratch in &mut self.lane_scratch {
-            scratch.events.clear();
-            scratch.marks.clear();
-        }
-        self.win_traj = traj;
-        self.trace = active;
-        self.cycle += w;
-        self.stats.cycles += w;
-        self.parallel_slots += w;
-        self.dynamic_slots += w;
-        self.dynamic_windows += 1;
-    }
-
-    /// Lane `ci`'s share of a window: its in-flight chunk and event
-    /// buffers moved out, with views of the lent banks and bank map.
-    fn lane_task(&mut self, ci: usize, ctx: WindowCtx) -> WindowTask {
-        let scratch = &mut self.lane_scratch[ci];
-        WindowTask {
-            ops: std::mem::take(&mut self.inflight[ci]),
-            events: std::mem::take(&mut scratch.events),
-            marks: std::mem::take(&mut scratch.marks),
-            banks: self.bank_view.view(),
-            ctx,
-            base: ci * self.chunk_size,
-            phys: self.phys_view.view(),
-        }
-    }
-
-    /// Take lane `ci`'s task back: restore its chunk and buffers and
-    /// drop its views.
-    fn reclaim_lane(&mut self, ci: usize, task: WindowTask) {
-        let WindowTask {
-            ops, events, marks, ..
-        } = task;
-        self.inflight[ci] = ops;
-        self.lane_scratch[ci].events = events;
-        self.lane_scratch[ci].marks = marks;
-    }
-
     /// Step until every processor is idle (or `max_cycles` elapse).
     /// Completions arrive in delivery order; [`RunReport::outcome`] says
     /// whether the machine went idle or the budget ran out with
     /// operations still in flight.
     pub fn run(&mut self, max_cycles: u64) -> RunReport {
         let mut completions = Vec::new();
-        let mut used = 0u64;
         // The first collection also takes completions queued before the
         // call; after it only delivered processors have any.
         let mut swept = false;
-        while used < max_cycles {
+        for _ in 0..max_cycles {
             if self.is_idle() {
                 break;
             }
-            // With the parallel engine, run whole windows the runtime
-            // hazard scan proves per worker handoff; any slot the
-            // window's preconditions do not cover falls back to the
-            // ordinary per-slot step.
-            let advanced = self.try_step_dynamic_window(max_cycles - used);
-            if advanced == 0 {
-                self.step();
-                used += 1;
-            } else {
-                used += advanced;
-            }
+            self.step();
             if swept {
                 for &p in &self.delivered {
                     completions.extend(self.done[p].drain(..));
@@ -1956,7 +1413,7 @@ impl CfmMachine {
     /// still carry live arbitration state. Undelivered completions do
     /// not block quiescence (they are at rest and restore verbatim).
     pub fn is_quiescent(&self) -> bool {
-        (0..self.config.processors()).all(|p| self.op_ref(p).is_none())
+        self.is_idle()
             && self
                 .atts
                 .iter()
@@ -2009,9 +1466,11 @@ impl CfmMachine {
                 }
             })
             .collect();
-        let inflight = (0..n)
-            .map(|p| {
-                self.op_ref(p).as_ref().map(|op| InFlightState {
+        let inflight = self
+            .inflight
+            .iter()
+            .map(|slot| {
+                slot.as_ref().map(|op| InFlightState {
                     kind: op.kind,
                     offset: op.offset,
                     write_data: op.write_data.to_vec(),
@@ -2051,8 +1510,6 @@ impl CfmMachine {
             next_op_id: self.next_op_id,
             stats: self.stats,
             parallel_slots: self.parallel_slots,
-            dynamic_slots: self.dynamic_slots,
-            dynamic_windows: self.dynamic_windows,
             att_insert_drops: self.att_insert_drops,
             retry_suppressions: self.retry_suppressions,
             skip_remap_copy: self.skip_remap_copy,
@@ -2143,8 +1600,7 @@ impl CfmMachine {
     }
 
     /// Same shape (processors, bank cycle, spares): verbatim restore.
-    /// The engine and lane layout may differ — in-flight operations are
-    /// re-chunked for the target's lanes.
+    /// The engine may differ.
     fn restore_same_shape(
         s: &MachineSnapshot,
         target: CfmConfig,
@@ -2194,7 +1650,7 @@ impl CfmMachine {
                 if phase == Phase::Drain {
                     m.draining.push(p);
                 }
-                *m.op_mut(p) = Some(InFlight {
+                m.inflight[p] = Some(InFlight {
                     kind: op.kind,
                     offset: op.offset,
                     write_data: op.write_data.clone().into_boxed_slice(),
@@ -2346,8 +1802,6 @@ impl CfmMachine {
         m.next_op_id = s.next_op_id;
         m.stats = s.stats;
         m.parallel_slots = s.parallel_slots;
-        m.dynamic_slots = s.dynamic_slots;
-        m.dynamic_windows = s.dynamic_windows;
         m.att_insert_drops = s.att_insert_drops;
         m.retry_suppressions = s.retry_suppressions;
         m.skip_remap_copy = s.skip_remap_copy;
@@ -2512,8 +1966,10 @@ fn exec_access<S: TraceSink + ?Sized>(
 /// `now`: injection accounting, and for a write-phase access the
 /// first-access ATT insert, the bank write and the writer stamp —
 /// exactly the reference body's effects on a hazard-free access,
-/// committed by the one-pass step right after the access.
-#[inline]
+/// committed by the one-pass step right after the access. Always
+/// inlined: left to the optimizer it was outlined, which cost the
+/// one-pass step ~10% per slot.
+#[inline(always)]
 fn commit_access(
     banks: &mut BankArray,
     atts: &mut [Att],
@@ -2549,121 +2005,6 @@ fn commit_access(
         if let Some(ph) = a.phys {
             banks.write(ph, op.offset, op.write_data[a.k]);
             banks.stamp(ph, op.offset, op.op_id);
-        }
-    }
-}
-
-/// The execute phase of one lane over a proven window (proven by
-/// [`CfmMachine::try_step_dynamic_window`]), the pool's body for lanes
-/// ≥ 1 and run in place for lane 0:
-/// every in-flight operation in the chunk is mid-phase, so the lane
-/// advances each through the window's consecutive slots against the
-/// pre-window bank snapshot, recomputing the AT-space routing itself.
-/// Sound because inside a proven window no offset is both written and
-/// observed by different processors and no operation reaches its final
-/// access; bank writes, ATT inserts, writer stamps and stats are
-/// replayed by the merge. A traced lane appends its events to its own
-/// buffer, recording a cumulative mark per slot so the merge can
-/// splice the per-slot segments in processor order.
-fn run_window_lane(task: &mut WindowTask) {
-    let ctx = task.ctx;
-    let banks = &*task.banks;
-    let phys = &*task.phys;
-    let b = ctx.banks as u64;
-    if ctx.tracing {
-        // Pre-size: at most two events (route + access) per op per slot.
-        let ops = task.ops.iter().flatten().count();
-        task.events.reserve(ctx.slots as usize * ops * 2);
-        task.marks.reserve(ctx.slots as usize);
-    }
-    for s in 0..ctx.slots {
-        let t = ctx.now + s;
-        for (idx, slot) in task.ops.iter_mut().enumerate() {
-            let Some(op) = slot.as_mut() else { continue };
-            let p = task.base + idx;
-            // The AT-space schedule: bank(t, p) = (t + c·p) mod b.
-            let k = ((t + ctx.bank_cycle * p as u64) % b) as usize;
-            if ctx.tracing {
-                task.events.push(TraceEvent::Route {
-                    slot: t,
-                    proc: p,
-                    bank: k,
-                });
-            }
-            op.last_progress = t;
-            match op.phase {
-                Phase::Read => {
-                    match phys[k] {
-                        Some(ph) => {
-                            let word = banks.read(ph, op.offset);
-                            if ctx.tracing {
-                                task.events.push(TraceEvent::BankAccess {
-                                    slot: t,
-                                    proc: p,
-                                    bank: k,
-                                    offset: op.offset,
-                                    op_id: op.op_id,
-                                    write: false,
-                                    word,
-                                });
-                            }
-                            op.read_buf[k] = word;
-                            op.observed_writers[k] = banks.writer(ph, op.offset);
-                        }
-                        None => {
-                            op.read_buf[k] = 0;
-                            op.observed_writers[k] = MASKED_WRITER;
-                        }
-                    }
-                    op.visited += 1;
-                    if op.visited == ctx.banks {
-                        // Only a swap/RMW can exhaust its read phase
-                        // inside a window — the width stops a plain
-                        // read strictly before its final access.
-                        debug_assert!(matches!(op.kind, OpKind::Swap | OpKind::Rmw));
-                        if let Some(tr) = &op.transform {
-                            tr.apply_into(&op.read_buf, &mut op.write_data);
-                        }
-                        op.phase = Phase::Write;
-                        op.visited = 0;
-                        op.bank0_updated = false;
-                    }
-                }
-                Phase::Write => {
-                    if ctx.tracing {
-                        if op.visited == 0 && ctx.att_enabled {
-                            task.events.push(TraceEvent::AttInsert {
-                                slot: t,
-                                bank: k,
-                                proc: p,
-                                offset: op.offset,
-                                op_id: op.op_id,
-                            });
-                        }
-                        if phys[k].is_some() {
-                            task.events.push(TraceEvent::BankAccess {
-                                slot: t,
-                                proc: p,
-                                bank: k,
-                                offset: op.offset,
-                                op_id: op.op_id,
-                                write: true,
-                                word: op.write_data[k],
-                            });
-                        }
-                    }
-                    op.bank0_updated |= k == 0;
-                    op.visited += 1;
-                    debug_assert!(
-                        op.visited < ctx.banks,
-                        "window stops before the final access"
-                    );
-                }
-                Phase::Drain => unreachable!("drain ops preclude a window"),
-            }
-        }
-        if ctx.tracing {
-            task.marks.push(task.events.len());
         }
     }
 }
@@ -3258,13 +2599,11 @@ mod tests {
     #[test]
     fn parallel_engine_is_byte_identical_on_disjoint_workload() {
         let seq = drive_disjoint(Engine::Sequential);
-        for threads in [1, 2, 4] {
-            let par = drive_disjoint(Engine::Parallel { threads });
-            assert_eq!(seq.0, par.0, "completions, {threads} threads");
-            assert_eq!(seq.1, par.1, "stats, {threads} threads");
-            assert_eq!(seq.2, par.2, "memory, {threads} threads");
-            assert_eq!(seq.3, par.3, "trace, {threads} threads");
-        }
+        let par = drive_disjoint(Engine::Parallel { threads: 1 });
+        assert_eq!(seq.0, par.0, "completions");
+        assert_eq!(seq.1, par.1, "stats");
+        assert_eq!(seq.2, par.2, "memory");
+        assert_eq!(seq.3, par.3, "trace");
     }
 
     /// Same-block contention (every processor swaps block 0) forces ATT
@@ -3294,13 +2633,11 @@ mod tests {
     #[test]
     fn parallel_engine_matches_sequential_under_contention() {
         let seq = drive_contended(Engine::Sequential);
-        for threads in [1, 2] {
-            let par = drive_contended(Engine::Parallel { threads });
-            assert_eq!(seq.0, par.0, "completions, {threads} threads");
-            assert_eq!(seq.1, par.1, "stats, {threads} threads");
-            assert_eq!(seq.2, par.2, "memory, {threads} threads");
-            assert_eq!(seq.3, par.3, "trace, {threads} threads");
-        }
+        let par = drive_contended(Engine::Parallel { threads: 1 });
+        assert_eq!(seq.0, par.0, "completions");
+        assert_eq!(seq.1, par.1, "stats");
+        assert_eq!(seq.2, par.2, "memory");
+        assert_eq!(seq.3, par.3, "trace");
         assert!(seq.1.swap_restarts > 0, "workload really contends");
     }
 
@@ -3343,12 +2680,10 @@ mod tests {
             (completions, *m.stats(), m.take_trace().unwrap())
         };
         let seq = run(Engine::Sequential);
-        for threads in [1, 2] {
-            let par = run(Engine::Parallel { threads });
-            assert_eq!(seq.0, par.0, "completions, {threads} threads");
-            assert_eq!(seq.1, par.1, "stats, {threads} threads");
-            assert_eq!(seq.2, par.2, "trace, {threads} threads");
-        }
+        let par = run(Engine::Parallel { threads: 1 });
+        assert_eq!(seq.0, par.0, "completions");
+        assert_eq!(seq.1, par.1, "stats");
+        assert_eq!(seq.2, par.2, "trace");
         assert!(seq.1.faults_injected > 0, "plan really injects");
     }
 
@@ -3404,8 +2739,8 @@ mod tests {
     /// One access of a slot meets a foreign ATT entry while the other
     /// processors' accesses are proven: a read of an offset another
     /// processor is writing, and a second writer deferring under
-    /// `EarliestWins`. The one-pass step, on one lane or two, sends only
-    /// that access through the reference body, stays byte-identical to
+    /// `EarliestWins`. The one-pass step sends only that access through
+    /// the reference body, stays byte-identical to
     /// `Sequential`, and counts exactly the slots with no hazardous
     /// access.
     #[test]
@@ -3455,89 +2790,21 @@ mod tests {
             }
             let proven = slots_without_foreign_entries(&seq.3, seq.2[0].len());
             assert!(proven > 0 && proven < seq.1.cycles, "slots of both kinds");
-            for threads in [1, 2] {
-                let par = run(Engine::Parallel { threads });
-                assert_eq!(seq.0, par.0, "completions, {threads} threads");
-                assert_eq!(seq.1, par.1, "stats, {threads} threads");
-                assert_eq!(seq.2, par.2, "memory, {threads} threads");
-                assert_eq!(seq.3, par.3, "trace, {threads} threads");
-                assert_eq!(par.4, proven, "proven slots counted exactly");
-            }
+            let par = run(Engine::Parallel { threads: 1 });
+            assert_eq!(seq.0, par.0, "completions");
+            assert_eq!(seq.1, par.1, "stats");
+            assert_eq!(seq.2, par.2, "memory");
+            assert_eq!(seq.3, par.3, "trace");
+            assert_eq!(par.4, proven, "proven slots counted exactly");
         }
     }
 
-    /// A run that takes no window — a fault plan keeps the fault state
-    /// busy throughout — steps every slot in one pass whatever the lane
-    /// count: four lanes stay byte-identical to `Sequential` and never
-    /// spawn the worker pool.
     #[test]
-    fn windowless_multi_lane_run_steps_in_one_pass_without_a_pool() {
-        use crate::fault::FaultEvent;
-        let run = |engine: Engine| {
-            let cfg = CfmConfig::new(8, 1, 16)
-                .unwrap()
-                .with_spares(1)
-                .unwrap()
-                .with_engine(engine);
-            let b = cfg.banks();
-            // A transient error every 24 slots, each lasting 2, on
-            // rotating banks: the fault state never idles.
-            let plan = (0..40u64)
-                .map(|i| FaultEvent {
-                    at_slot: i * 24,
-                    kind: FaultKind::TransientBankError {
-                        bank: (i as usize * 5) % b,
-                        repair_slot: i * 24 + 2,
-                    },
-                })
-                .collect();
-            let mut m = CfmMachine::builder(cfg)
-                .offsets(16)
-                .fault_plan(FaultPlan::new(plan))
-                .trace(true)
-                .build();
-            let mut completions = Vec::new();
-            for round in 0..6u64 {
-                for p in 0..8usize {
-                    let o = (p + round as usize) % 16;
-                    let op = match (p + round as usize) % 3 {
-                        0 => Operation::read(o),
-                        1 => Operation::write(o, vec![round * 10 + p as u64; b]),
-                        _ => Operation::fetch_add(o, p % b, round + 1),
-                    };
-                    m.issue(p, op).unwrap();
-                }
-                completions.extend(m.run(10_000).expect_idle());
-            }
-            assert_eq!(m.dynamic_windows(), 0, "no window taken");
-            let memory: Vec<_> = (0..16).map(|o| m.peek_block(o)).collect();
-            let spawned = m.pool.0.is_some();
-            let slots = m.parallel_slots();
-            (
-                (completions, *m.stats(), memory, m.take_trace().unwrap()),
-                spawned,
-                slots,
-            )
-        };
-        let (seq, _, _) = run(Engine::Sequential);
-        let (par, spawned, slots) = run(Engine::Parallel { threads: 4 });
-        assert!(seq.1.fault_retries > 0, "the plan really strikes");
-        assert_eq!(seq.0, par.0, "completions");
-        assert_eq!(seq.1, par.1, "stats");
-        assert_eq!(seq.2, par.2, "memory");
-        assert_eq!(seq.3, par.3, "trace");
-        assert!(slots > 0, "the one-pass step proved slots");
-        assert!(!spawned, "no window, no pool");
-    }
-
-    #[test]
-    fn dynamic_window_dispatch_is_byte_identical_and_counted() {
+    fn rotating_disjoint_offsets_are_byte_identical() {
         // Rotating per-round offsets — disjoint within every round but
-        // not expressible as a static residue-class footprint: exactly
-        // the shape the runtime hazard scan exists for. The parallel
-        // run must produce byte-identical
-        // completions, stats and memory while executing most slots as
-        // dynamically proven windows.
+        // not expressible as a static residue-class footprint. The
+        // parallel run must produce byte-identical completions, stats
+        // and memory while proving most slots whole.
         let n = 4;
         let offsets = 8;
         let run = |engine: Engine| {
@@ -3552,7 +2819,7 @@ mod tests {
                 }
                 completions.extend(m.run(10_000).expect_idle());
                 for p in 0..n {
-                    // Swaps cover the in-window read→write transition.
+                    // Swaps cover the proven read→write transition.
                     m.issue(p, Operation::swap(at(p), vec![round ^ 0xFF; b]))
                         .unwrap();
                 }
@@ -3563,29 +2830,22 @@ mod tests {
                 completions.extend(m.run(10_000).expect_idle());
             }
             let memory: Vec<_> = (0..offsets).map(|o| m.peek_block(o)).collect();
-            (
-                completions,
-                *m.stats(),
-                memory,
-                m.dynamic_slots(),
-                m.dynamic_windows(),
-            )
+            (completions, *m.stats(), memory, m.parallel_slots())
         };
         let seq = run(Engine::Sequential);
-        let par = run(Engine::Parallel { threads: 2 });
+        let par = run(Engine::Parallel { threads: 1 });
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "memory");
-        assert_eq!(seq.3, 0, "sequential engine takes no windows");
-        assert!(par.3 > 0, "dynamic windows executed slots");
-        assert!(par.4 > 0, "dynamic windows dispatched");
+        assert_eq!(seq.3, 0, "the sequential engine proves no slot");
+        assert!(2 * par.3 > seq.1.cycles, "most slots proven whole");
     }
 
     #[test]
-    fn contended_offsets_fall_back_from_dynamic_windows() {
-        // Every processor hammers the same offset: the hazard scan must
-        // refuse the multi-writer window and the per-slot path must
-        // keep the run byte-identical to sequential.
+    fn contended_offset_writes_are_byte_identical() {
+        // Every processor hammers the same offset: the hazard test must
+        // send the contended accesses to the reference body and keep the
+        // run byte-identical to sequential.
         let n = 4;
         let run = |engine: Engine| {
             let cfg = CfmConfig::new(n, 1, 16).unwrap().with_engine(engine);
@@ -3603,34 +2863,10 @@ mod tests {
             (completions, *m.stats(), memory)
         };
         let seq = run(Engine::Sequential);
-        let par = run(Engine::Parallel { threads: 2 });
+        let par = run(Engine::Parallel { threads: 1 });
         assert_eq!(seq.0, par.0, "completions");
         assert_eq!(seq.1, par.1, "stats");
         assert_eq!(seq.2, par.2, "memory");
-    }
-
-    #[test]
-    fn cloned_parallel_machine_respawns_its_own_pool() {
-        let cfg = CfmConfig::new(4, 1, 16)
-            .unwrap()
-            .with_engine(Engine::Parallel { threads: 2 });
-        let b = cfg.banks();
-        let mut m = CfmMachine::builder(cfg).offsets(8).build();
-        m.issue(0, Operation::write(1, vec![9; b])).unwrap();
-        m.run(100).expect_idle();
-        assert!(
-            m.dynamic_windows() > 0 && m.pool.0.is_some(),
-            "a window spawned the pool"
-        );
-        let mut clone = m.clone();
-        assert!(clone.pool.0.is_none(), "the clone shares no threads");
-        clone.issue(2, Operation::read(1)).unwrap();
-        let done = clone.run(100).expect_idle();
-        assert_eq!(done[0].data.as_deref(), Some(&vec![9; b][..]));
-        assert!(clone.pool.0.is_some(), "the clone spawned its own pool");
-        // The original keeps working too (its pool was never shared).
-        m.issue(1, Operation::read(1)).unwrap();
-        assert_eq!(m.run(100).expect_idle().len(), 1);
     }
 
     /// Drive `engine` slot by slot through rounds of mixed traffic under
@@ -3717,11 +2953,7 @@ mod tests {
             log.iter().any(|d| d.len() > 1),
             "some slot delivers to several processors"
         );
-        for engine in [
-            Engine::Sequential,
-            Engine::Parallel { threads: 1 },
-            Engine::Parallel { threads: 2 },
-        ] {
+        for engine in [Engine::Sequential, Engine::Parallel { threads: 1 }] {
             for restore in [false, true] {
                 let run = drive_delivered(engine, restore);
                 assert_eq!(run.0, log, "{engine:?}, restore {restore}");

@@ -10,7 +10,7 @@
 //! ([`MachineSnapshot::to_bytes`]): same machine state, same bytes, on any
 //! host. Restoring ([`MachineSnapshot::restore_into`]) rebuilds a machine
 //! either with the **same shape** (bank count, processors, spares — the
-//! engine and lane count may differ freely), which continues
+//! engine may differ freely), which continues
 //! byte-identically to the uninterrupted run, or with a **larger shape**
 //! (more banks, more spares), which requires a quiescent snapshot and
 //! materialises the logical memory image onto fresh healthy hardware.
@@ -36,8 +36,10 @@ use crate::{BankId, BlockOffset, Cycle, ProcId, Word};
 /// Version history: 1 = initial format; 2 = appends the dynamic-window
 /// counters (`dynamic_slots`, `dynamic_windows`) after `static_windows`;
 /// 3 = drops the static-window counters (`static_slots`,
-/// `static_windows`) and the trailing armed-summary block.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// `static_windows`) and the trailing armed-summary block; 4 = drops the
+/// dynamic-window counters and the parallel engine's thread count (the
+/// engine is a one-byte tag).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Leading magic of every serialised snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CFMSNAP\0";
@@ -220,8 +222,6 @@ pub struct MachineSnapshot {
     pub(crate) next_op_id: u64,
     pub(crate) stats: Stats,
     pub(crate) parallel_slots: u64,
-    pub(crate) dynamic_slots: u64,
-    pub(crate) dynamic_windows: u64,
     // Seeded-fault hooks.
     pub(crate) att_insert_drops: u64,
     pub(crate) retry_suppressions: u64,
@@ -311,8 +311,8 @@ impl MachineSnapshot {
 
     /// Restore into a machine configured by `target`.
     ///
-    /// *Same shape* (equal processors, bank cycle and spares; the engine,
-    /// lane count and word width are free): everything is restored
+    /// *Same shape* (equal processors, bank cycle and spares; the engine
+    /// and word width are free): everything is restored
     /// verbatim — in-flight operations, ATT entries (held ones
     /// included), the degraded bank map, pending fault retries — and
     /// the machine continues byte-identically.
@@ -344,13 +344,10 @@ impl MachineSnapshot {
         e.u32(self.bank_cycle);
         e.u32(self.word_width);
         e.usize(self.spares);
-        match self.engine {
-            Engine::Sequential => e.u8(0),
-            Engine::Parallel { threads } => {
-                e.u8(1);
-                e.usize(threads);
-            }
-        }
+        e.u8(match self.engine {
+            Engine::Sequential => 0,
+            Engine::Parallel { .. } => 1,
+        });
         e.usize(self.offsets);
         e.bool(self.att_enabled);
         e.u8(match self.mode {
@@ -362,8 +359,6 @@ impl MachineSnapshot {
         e.u64(self.next_op_id);
         enc_stats(&mut e, &self.stats);
         e.u64(self.parallel_slots);
-        e.u64(self.dynamic_slots);
-        e.u64(self.dynamic_windows);
         e.u64(self.att_insert_drops);
         e.u64(self.retry_suppressions);
         e.bool(self.skip_remap_copy);
@@ -460,9 +455,7 @@ impl MachineSnapshot {
         let spares = d.usize()?;
         let engine = match d.u8()? {
             0 => Engine::Sequential,
-            1 => Engine::Parallel {
-                threads: d.usize()?,
-            },
+            1 => Engine::Parallel { threads: 1 },
             _ => return Err(SnapshotError::Malformed { what: "engine tag" }),
         };
         let offsets = d.usize()?;
@@ -481,8 +474,6 @@ impl MachineSnapshot {
         let next_op_id = d.u64()?;
         let stats = dec_stats(&mut d)?;
         let parallel_slots = d.u64()?;
-        let dynamic_slots = d.u64()?;
-        let dynamic_windows = d.u64()?;
         let att_insert_drops = d.u64()?;
         let retry_suppressions = d.u64()?;
         let skip_remap_copy = d.bool()?;
@@ -595,8 +586,6 @@ impl MachineSnapshot {
             next_op_id,
             stats,
             parallel_slots,
-            dynamic_slots,
-            dynamic_windows,
             att_insert_drops,
             retry_suppressions,
             skip_remap_copy,
@@ -1230,26 +1219,30 @@ mod tests {
     }
 
     #[test]
-    fn version_two_images_are_refused_typed() {
-        // Version 3 dropped the static-window counters and the armed
-        // summary block, so a version-2 image no longer decodes: it is
-        // refused by the version gate before any field is read.
-        let mut m = CfmMachine::builder(cfg(4, 1)).offsets(8).build();
+    fn version_three_images_are_refused_typed() {
+        // Version 4 dropped the dynamic-window counters and the engine's
+        // thread count (version 3 the static-window counters and the
+        // armed summary block), so older images no longer decode: they
+        // are refused by the version gate before any field is read.
+        let parallel = cfg(4, 1).with_engine(Engine::Parallel { threads: 1 });
+        let mut m = CfmMachine::builder(parallel).offsets(8).build();
         seed_ops(&mut m);
         m.step();
         let bytes = m.checkpoint().to_bytes();
-        assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "this build writes v3");
+        assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "this build writes v4");
         let decoded = MachineSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(decoded.to_bytes(), bytes, "byte-stable codec");
-        let mut v2 = bytes.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(
-            MachineSnapshot::from_bytes(&v2),
-            Err(SnapshotError::VersionMismatch {
-                found: 2,
-                supported: 3
-            })
-        );
+        for old in [2u32, 3] {
+            let mut stale = bytes.clone();
+            stale[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                MachineSnapshot::from_bytes(&stale),
+                Err(SnapshotError::VersionMismatch {
+                    found: old,
+                    supported: 4
+                })
+            );
+        }
     }
 
     #[test]
@@ -1378,7 +1371,7 @@ mod tests {
         seed_ops(&mut m);
         m.step();
         let snap = m.checkpoint();
-        let parallel = cfg(4, 1).with_engine(Engine::Parallel { threads: 2 });
+        let parallel = cfg(4, 1).with_engine(Engine::Parallel { threads: 1 });
         let mut restored = snap.restore_into(parallel).unwrap();
         let tail_restored = drain(&mut restored, 10_000);
         let tail_ref = drain(&mut m, 10_000);

@@ -21,7 +21,7 @@
 //!   the ATT occupancy bound and per-bank access counts.
 //!
 //! Static proofs act at admission only (see `docs/static-analysis.md`);
-//! at runtime the machine proves every window with its own hazard scan.
+//! at runtime the machine proves every access with its own hazard test.
 //! Offsets with data-dependent expressions are never summarized.
 
 use crate::op::{OpKind, Operation};

@@ -312,13 +312,6 @@ impl MemoryTrace {
         self.events.is_empty()
     }
 
-    /// Copy a per-lane buffer segment to the end of the log — the window
-    /// merge splicing one lane's events for one slot (the lane keeps its
-    /// buffer, and its capacity, for the next window).
-    pub(crate) fn extend_from_slice(&mut self, events: &[TraceEvent]) {
-        self.events.extend_from_slice(events);
-    }
-
     /// Drop every recorded event, keeping the allocation for reuse
     /// ([`crate::machine::CfmMachine::discard_trace`]).
     pub(crate) fn clear(&mut self) {
@@ -342,15 +335,6 @@ impl TraceSink for MemoryTrace {
     #[inline]
     fn record(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-}
-
-/// A bare event vector is a sink — a plain per-lane buffer, such as a
-/// window lane's, that a merge splices into a log.
-impl TraceSink for Vec<TraceEvent> {
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        self.push(event);
     }
 }
 
@@ -511,15 +495,6 @@ mod tests {
         assert_eq!(log.borrow().len(), 5);
         let slots: Vec<Cycle> = log.borrow().iter().map(TraceEvent::slot).collect();
         assert_eq!(slots, (0..5).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn vec_sink_records_in_order() {
-        let mut buf: Vec<TraceEvent> = Vec::new();
-        buf.record(route(1));
-        buf.record(route(2));
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf[1].slot(), 2);
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //!   batch, and steps the machine exactly one slot; the machine's
 //!   conflict-freedom invariant (zero same-slot bank conflicts) holds for
 //!   every batch by construction.
-//! * **Event loop** — one thread hosted on a
-//!   [`cfm_core::engine::WorkerPool`] (the same persistent parked-worker
-//!   primitive the parallel engine's proven windows use; no tokio, the build is
-//!   offline). The loop parks on a condvar when fully idle and is woken
-//!   by submits and drain; it never blocks while operations are in
-//!   flight.
+//! * **Event loop** — one `std::thread`, joined at drain or drop (no
+//!   tokio, the build is offline). The loop parks on a condvar when
+//!   fully idle and is woken by submits and drain; it never blocks while
+//!   operations are in flight.
 //! * **Drain** ([`Service::drain`]) — stop admitting, finish everything
 //!   already admitted (queued *and* in flight), and return a
 //!   [`ServiceReport`] with the machine's own statistics. Dropping a

@@ -1,10 +1,10 @@
 //! The service itself: admission, the slot-batching event loop, drain.
 //!
-//! One thread, hosted on a [`cfm_core::engine::WorkerPool`] with a single
-//! worker, owns the [`CfmMachine`] outright — clients never touch the
-//! machine, so the machine runs lock-free. Clients and the loop meet at
-//! a small shared state (tenant queues + counters) guarded by one
-//! mutex with short critical sections, plus a condvar the loop parks on
+//! One thread, spawned at start and joined at drain or drop, owns the
+//! [`CfmMachine`] outright — clients never touch the machine, so the
+//! machine runs lock-free. Clients and the loop meet at a small shared
+//! state (tenant queues + counters) guarded by one mutex with short
+//! critical sections, plus a condvar the loop parks on
 //! when — and only when — there is neither queued nor in-flight work.
 //!
 //! Per iteration the loop takes the state lock once. Under it, it counts
@@ -16,10 +16,10 @@
 //! histogram before the ticket resolves.
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cfm_core::config::{CfmConfig, Engine};
-use cfm_core::engine::WorkerPool;
 use cfm_core::machine::CfmMachine;
 use cfm_core::op::{OpKind, Operation};
 use cfm_core::snapshot::{MachineSnapshot, SnapshotError};
@@ -88,8 +88,7 @@ pub struct ServiceReport {
     /// Slots the machine simulated.
     pub cycles: u64,
     /// Slots the parallel engine proved hazard-free — one-pass steps
-    /// whose every access was proven, plus every slot of a proven window
-    /// (0 under [`Engine::Sequential`]; see
+    /// whose every access was proven (0 under [`Engine::Sequential`]; see
     /// [`cfm_core::machine::CfmMachine::parallel_slots`]).
     pub parallel_slots: u64,
     /// Engine the machine ran.
@@ -254,8 +253,8 @@ struct InFlightReq {
     queued_ns: u64,
 }
 
-/// Everything the event-loop thread owns. Moved into the worker pool at
-/// start and taken back (with `report` filled) at drain.
+/// Everything the event-loop thread owns. Moved into the thread at start
+/// and returned by it (with `report` filled) at drain.
 struct LoopState {
     machine: CfmMachine,
     shared: Arc<Shared>,
@@ -291,7 +290,8 @@ struct LoopState {
 /// tickets closed (waiters get `None` rather than a deadlock).
 pub struct Service {
     shared: Arc<Shared>,
-    pool: WorkerPool<LoopState>,
+    /// The event-loop thread; `None` once [`Service::drain`] joined it.
+    event_loop: Option<JoinHandle<LoopState>>,
     offsets: usize,
 }
 
@@ -370,12 +370,18 @@ impl Service {
             report: None,
         };
 
-        let pool = WorkerPool::new(1, run_event_loop);
-        pool.dispatch(0, state);
+        let event_loop = std::thread::Builder::new()
+            .name("cfm-serve-loop".into())
+            .spawn(move || {
+                let mut state = state;
+                run_event_loop(&mut state);
+                state
+            })
+            .expect("spawn the service event loop");
 
         Ok(Service {
             shared,
-            pool,
+            event_loop: Some(event_loop),
             offsets,
         })
     }
@@ -659,19 +665,25 @@ impl Service {
     /// Stop admitting, complete every already-admitted request (queued
     /// and in flight), shut the event loop down, and return the final
     /// report. Blocks until the machine is idle.
-    pub fn drain(self) -> ServiceReport {
+    ///
+    /// # Panics
+    /// Re-raises a panic of the event loop.
+    pub fn drain(mut self) -> ServiceReport {
         {
             let mut inner = self.shared.state.lock();
             inner.draining = true;
         }
         self.shared.work.notify_one();
-        let mut state = self.pool.collect(0);
+        let handle = self.event_loop.take().expect("joined only here or in drop");
+        let mut state = handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         state
             .report
             .take()
             .expect("event loop fills the report before exiting")
         // `self` drops here: the shutdown flag it sets is a no-op for an
-        // already-exited loop, and the pool joins its parked worker.
+        // already-exited loop.
     }
 }
 
@@ -740,18 +752,23 @@ impl Footprints<'_> {
 impl Drop for Service {
     fn drop(&mut self) {
         // Fast shutdown for the non-drain path: tell the loop to abandon
-        // outstanding work (closing tickets) so the pool's join in its
-        // own Drop cannot block on a parked-forever loop.
+        // outstanding work (closing tickets) so the join below cannot
+        // block on a parked-forever loop.
         {
             let mut inner = self.shared.state.lock();
             inner.shutdown = true;
         }
         self.shared.work.notify_one();
+        if let Some(handle) = self.event_loop.take() {
+            // A loop that panicked already unwound; dropping must not
+            // panic over it.
+            let _ = handle.join();
+        }
     }
 }
 
-/// The event-loop body, run by the single pooled worker for the whole
-/// service lifetime.
+/// The event-loop body, run by the service's loop thread for its whole
+/// lifetime.
 ///
 /// Each iteration takes the state lock once. Under it, the loop counts
 /// the previous slot's completions in the metrics and admits the next
@@ -759,10 +776,6 @@ impl Drop for Service {
 /// lock is released, or still under it when it exits — so a ticket that
 /// has resolved is always already counted.
 fn run_event_loop(state: &mut LoopState) {
-    if state.report.is_some() {
-        // Already ran (a dispatch after drain would be a bug).
-        return;
-    }
     // Hold the shared handle separately so locking it does not borrow
     // `state` (the exit helpers need `&mut LoopState` while the guard
     // lives).
@@ -1234,11 +1247,11 @@ mod tests {
         w.wait().unwrap();
         let target = CfmConfig::new(4, 1, 16)
             .unwrap()
-            .with_engine(Engine::Parallel { threads: 2 });
+            .with_engine(Engine::Parallel { threads: 1 });
         let report = service.migrate(&[0], target).unwrap();
         assert_eq!(report.from_banks, 4);
         assert_eq!(report.to_banks, 4);
-        assert_eq!(report.engine, Engine::Parallel { threads: 2 });
+        assert_eq!(report.engine, Engine::Parallel { threads: 1 });
         // The write survives the move and the service keeps serving.
         let r = service.submit(1, Operation::read(5)).unwrap();
         assert_eq!(

@@ -24,8 +24,8 @@
 //! ([`cfm_serve::service::Footprints::admit`]) rejects tenant programs
 //! whose static [`Footprint`] conflicts with an admitted tenant's,
 //! with a typed [`cfm_serve::Reject::StaticConflict`] witness. At
-//! runtime the machine needs no summary: its own window hazard scan
-//! proves each window it dispatches.
+//! runtime the machine needs no summary: its one-pass step proves each
+//! access with its own hazard test.
 //!
 //! The race verdict is deliberately one-sided (sound, not complete):
 //! *race-free statically ⇒ race-free dynamically*. The differential

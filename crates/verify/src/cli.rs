@@ -99,20 +99,13 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
         .map_err(|_| format!("invalid {what}: {s:?}"))
 }
 
-/// Parse an engine name: `sequential` or `parallel-N` (N ≥ 1 threads).
+/// Parse an engine name: `sequential` or `parallel`.
 fn parse_engine(s: &str) -> Result<Engine, String> {
-    if s == "sequential" {
-        return Ok(Engine::Sequential);
+    match s {
+        "sequential" => Ok(Engine::Sequential),
+        "parallel" => Ok(Engine::Parallel { threads: 1 }),
+        _ => Err(format!("unknown engine {s:?} (sequential | parallel)")),
     }
-    if let Some(t) = s.strip_prefix("parallel-") {
-        let threads = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or_else(|| format!("invalid thread count in engine {s:?}"))?;
-        return Ok(Engine::Parallel { threads });
-    }
-    Err(format!("unknown engine {s:?} (sequential | parallel-N)"))
 }
 
 /// Parse `2..=16` or a bare `4` into an inclusive range.
@@ -942,17 +935,21 @@ mod tests {
 
     #[test]
     fn engine_flags_parse() {
-        let o = parse(&args(&["trace", "--engine", "parallel-2"])).unwrap();
-        assert_eq!(o.trace.unwrap().engine, Engine::Parallel { threads: 2 });
+        let o = parse(&args(&["trace", "--engine", "parallel"])).unwrap();
+        assert_eq!(o.trace.unwrap().engine, Engine::Parallel { threads: 1 });
         let o = parse(&args(&["trace", "--engine", "sequential"])).unwrap();
         assert_eq!(o.trace.unwrap().engine, Engine::Sequential);
-        let o = parse(&args(&["chaos", "--engines", "sequential,parallel-4"])).unwrap();
+        let o = parse(&args(&["chaos", "--engines", "sequential,parallel"])).unwrap();
         assert_eq!(
             o.chaos.unwrap().engines,
-            vec![Engine::Sequential, Engine::Parallel { threads: 4 }]
+            vec![Engine::Sequential, Engine::Parallel { threads: 1 }]
         );
         assert!(parse(&args(&["trace", "--engine", "bogus"])).is_err());
-        assert!(parse(&args(&["trace", "--engine", "parallel-0"])).is_err());
+        // Lane-count spellings are usage errors.
+        for gone in ["parallel-0", "parallel-1", "parallel-2"] {
+            let err = parse(&args(&["trace", "--engine", gone])).unwrap_err();
+            assert!(err.contains("unknown engine"), "{gone}: {err}");
+        }
         assert!(parse(&args(&["chaos", "--engines", ""])).is_err());
     }
 

@@ -108,9 +108,9 @@ traces for races (vector-clock happens-before + word-order uniformity),
 linearizability (swap/RMW, the lock protocol, the cache counter),
 schedule conformance of every observed bank injection, slot-sharing
 FIFO accounting, and static lock-order cycles. `trace --ci` adds the
-seeded-fault self-tests. `--engine sequential|parallel-N` selects the
+seeded-fault self-tests. `--engine sequential|parallel` selects the
 slot engine the core workloads execute on, so the same analyses gate
-the parallel engine's one-pass step and its proven windows.
+the parallel engine's one-pass step.
 
 The `chaos` subcommand soaks standard workloads under seeded
 fault-injection plans (permanent bank death, transient bank errors,
@@ -119,7 +119,7 @@ degraded-mode contract: post-remap per-slot injectivity, zero races,
 no lost or torn writes across remap boundaries, lock correctness, and
 stuck-switch detectability. `--seeds` overrides the default plan seeds,
 `--engines` the slot engines the soaks rotate through (default
-sequential,parallel-1,parallel-2,parallel-4); `chaos --ci` adds self-tests that
+sequential,parallel); `chaos --ci` adds self-tests that
 prove each detector non-vacuous.
 
 The `analyze` subcommand runs the static program analyzer: every

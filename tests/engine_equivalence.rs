@@ -1,10 +1,10 @@
-//! Engine equivalence: the parallel plan → execute → merge pipeline must
-//! be observationally *byte-identical* to the sequential reference engine
-//! — same completions, same stats, same trace event stream — for any
-//! machine shape, workload, and fault plan. The property test samples that
-//! space; the pinned-digest test freezes one fixed workload's parallel
-//! trace so silent drift in either engine (or in the event shapes the
-//! analyses depend on) fails loudly.
+//! Engine equivalence: the parallel engine's one-pass step must be
+//! observationally *byte-identical* to the sequential reference engine —
+//! same completions, same stats, same trace event stream — for any
+//! machine shape, workload, and fault plan. The property tests sample
+//! that space; the pinned-digest test freezes one fixed workload's
+//! parallel trace so silent drift in either engine (or in the event
+//! shapes the analyses depend on) fails loudly.
 
 use conflict_free_memory::core::config::{CfmConfig, Engine};
 use conflict_free_memory::core::fault::{FaultPlan, PlanParams};
@@ -15,6 +15,9 @@ use conflict_free_memory::core::spec::{OffsetExpr, OpPattern, OpSpec, ProgramSpe
 use conflict_free_memory::core::stats::Stats;
 use conflict_free_memory::core::trace::TraceEvent;
 use proptest::prelude::*;
+
+/// The parallel engine (its `threads` field is unused).
+const PARALLEL: Engine = Engine::Parallel { threads: 1 };
 
 /// Drive one machine through the script (issuing round-robin across
 /// processors, draining whenever the next issuer is busy) and return
@@ -79,20 +82,19 @@ fn drive(
 }
 
 proptest! {
-    /// Random `(n, c, threads, program, fault plan)` → both engines
-    /// produce identical completion streams, statistics, and traces.
+    /// Random `(n, c, program, fault plan)` → both engines produce
+    /// identical completion streams, statistics, and traces.
     /// `fault_sel` past the seed range means "no fault plan".
     #[test]
     fn parallel_engine_is_equivalent_to_sequential(
         n in 2usize..9,
         c in 1u32..3,
-        threads in 1usize..5,
         script in proptest::collection::vec(0u64..u64::MAX, 1..40),
         fault_sel in 0u64..2_000,
     ) {
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
         let seq = drive(Engine::Sequential, n, c, 8, &script, fault_seed);
-        let par = drive(Engine::Parallel { threads }, n, c, 8, &script, fault_seed);
+        let par = drive(PARALLEL, n, c, 8, &script, fault_seed);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
         prop_assert_eq!(&seq.2, &par.2, "traces diverged");
@@ -126,13 +128,12 @@ fn decode_program(n: usize, rounds: usize, words: &[u64], offsets: usize) -> Pro
 }
 
 /// Everything [`drive_spec`] observes about one run: completions, stats,
-/// the trace, and the dynamic-window slot counter.
+/// the trace, and the slots the one-pass step proved whole.
 type SpecRun = (Vec<Completion>, Stats, Vec<TraceEvent>, u64);
 
 /// Drive one machine through an instantiated program spec — issuing
 /// each processor's next operation whenever it is idle, then `run()`
-/// to idle so window dispatch can engage — optionally under a
-/// generated fault plan.
+/// to idle — optionally under a generated fault plan.
 fn drive_spec(
     engine: Engine,
     n: usize,
@@ -184,7 +185,7 @@ fn drive_spec(
         completions,
         *m.stats(),
         m.take_trace().unwrap().into_events(),
-        m.dynamic_slots(),
+        m.parallel_slots(),
     )
 }
 
@@ -198,7 +199,6 @@ proptest! {
     fn spec_driven_run_is_equivalent_to_sequential(
         n in 2usize..7,
         c in 1u32..3,
-        threads in 1usize..5,
         rounds in 1usize..3,
         words in proptest::collection::vec(0u64..u64::MAX, 2..20),
         fault_sel in 0u64..2_000,
@@ -206,20 +206,20 @@ proptest! {
         let spec = decode_program(n, rounds, &words, 8);
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
         let seq = drive_spec(Engine::Sequential, n, c, 8, &spec, fault_seed);
-        let par = drive_spec(Engine::Parallel { threads }, n, c, 8, &spec, fault_seed);
+        let par = drive_spec(PARALLEL, n, c, 8, &spec, fault_seed);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
         prop_assert_eq!(&seq.2, &par.2, "traces diverged");
-        prop_assert_eq!(seq.3, 0, "sequential engine takes no windows");
+        prop_assert_eq!(seq.3, 0, "the sequential engine proves no slot");
     }
 }
 
 /// The fixed anchor of the spec-driven property: the disjoint
-/// `ProcLinear { stride: 1 }` write/read program must run through the
-/// window path (`dynamic_slots() > 0`) and stay byte-identical to the
-/// sequential engine.
+/// `ProcLinear { stride: 1 }` write/read program must have slots the
+/// one-pass step proves whole (`parallel_slots() > 0`) and stay
+/// byte-identical to the sequential engine.
 #[test]
-fn disjoint_spec_engages_the_window_path() {
+fn disjoint_spec_runs_on_the_proven_path() {
     let own = OffsetExpr::ProcLinear { base: 0, stride: 1 };
     let spec = ProgramSpec::uniform(
         "disjoint",
@@ -231,29 +231,26 @@ fn disjoint_spec_engages_the_window_path() {
         ],
     );
     let seq = drive_spec(Engine::Sequential, 4, 1, 8, &spec, None);
-    let par = drive_spec(Engine::Parallel { threads: 2 }, 4, 1, 8, &spec, None);
+    let par = drive_spec(PARALLEL, 4, 1, 8, &spec, None);
     assert_eq!(seq.0, par.0, "completions diverged");
     assert_eq!(seq.1, par.1, "stats diverged");
     assert_eq!(seq.2, par.2, "traces diverged");
-    assert!(par.3 > 0, "no window dispatched — the property is vacuous");
+    assert!(par.3 > 0, "no slot proven whole — the property is vacuous");
 }
 
-/// Everything [`drive_windowed`] observes about one run: completions,
-/// stats, the full memory image, the trace digest, and the
-/// `(dynamic_slots, dynamic_windows)` counters.
-type WindowedRun = (Vec<Completion>, Stats, Vec<Vec<u64>>, u64, (u64, u64));
+/// Everything [`drive_budgeted`] observes about one run: completions,
+/// stats, the full memory image, the trace digest, and the slots the
+/// one-pass step proved whole.
+type BudgetedRun = (Vec<Completion>, Stats, Vec<Vec<u64>>, u64, u64);
 
 /// Drive one machine through the script with a *bounded* cycle budget
-/// per `run` call — small budgets cap the dynamic window width, so the
-/// sample space covers every window size from "barely engages" to "the
-/// whole phase in one handoff". Halfway through the script the machine
+/// per `run` call, so `run` returns mid-operation at every budget from
+/// 2 slots up to whole phases. Halfway through the script the machine
 /// is round-tripped through the full snapshot byte codec (trace drained
 /// and concatenated across the seam), which lands mid-phase — in-flight
-/// operations and the window counters must survive restore and the
-/// resumed run must stay byte-identical. Returns completions, stats,
-/// the full memory image, the trace digest, and the dynamic-window
-/// counters.
-fn drive_windowed(
+/// operations and the proven-slot counter must survive restore and the
+/// resumed run must stay byte-identical.
+fn drive_budgeted(
     engine: Engine,
     n: usize,
     c: u32,
@@ -261,7 +258,7 @@ fn drive_windowed(
     script: &[u64],
     fault_seed: Option<u64>,
     budget: u64,
-) -> WindowedRun {
+) -> BudgetedRun {
     let cfg = CfmConfig::new(n, c, 16)
         .unwrap()
         .with_spares(1)
@@ -329,43 +326,33 @@ fn drive_windowed(
         *m.stats(),
         memory,
         trace_digest(&events),
-        (m.dynamic_slots(), m.dynamic_windows()),
+        m.parallel_slots(),
     )
 }
 
 proptest! {
-    /// Random `(n, c, threads, window-size cap, program, fault plan)` →
-    /// the window path (every window proven by the runtime hazard scan)
-    /// must be byte-identical to the
-    /// sequential engine — completions, stats, the full memory image
-    /// and the trace digest — through a mid-run snapshot/restore
+    /// Random `(n, c, run budget, program, fault plan)` → the parallel
+    /// engine must be byte-identical to the sequential engine —
+    /// completions, stats, the full memory image and the trace digest —
+    /// through bounded `run` calls and a mid-run snapshot/restore
     /// round-trip. `fault_sel` past the seed range means "no fault
     /// plan".
     #[test]
-    fn dynamic_window_engine_is_equivalent_to_sequential(
+    fn budgeted_run_is_equivalent_to_sequential(
         n in 2usize..9,
         c in 1u32..3,
-        threads in 1usize..5,
         budget in 2u64..96,
         script in proptest::collection::vec(0u64..u64::MAX, 1..32),
         fault_sel in 0u64..2_000,
     ) {
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
-        let seq = drive_windowed(Engine::Sequential, n, c, 8, &script, fault_seed, budget);
-        let par = drive_windowed(
-            Engine::Parallel { threads },
-            n,
-            c,
-            8,
-            &script,
-            fault_seed,
-            budget,
-        );
+        let seq = drive_budgeted(Engine::Sequential, n, c, 8, &script, fault_seed, budget);
+        let par = drive_budgeted(PARALLEL, n, c, 8, &script, fault_seed, budget);
         prop_assert_eq!(&seq.0, &par.0, "completions diverged");
         prop_assert_eq!(&seq.1, &par.1, "stats diverged");
         prop_assert_eq!(&seq.2, &par.2, "memory diverged");
         prop_assert_eq!(seq.3, par.3, "trace digests diverged");
-        prop_assert_eq!(seq.4, (0, 0), "sequential engine takes no windows");
+        prop_assert_eq!(seq.4, 0, "the sequential engine proves no slot");
     }
 }
 
@@ -467,11 +454,10 @@ fn drive_stepped(
 
 proptest! {
     /// Random `(n, c, program, fault plan)` → slot by slot, `delivered()`
-    /// names exactly the processors with a new completion under the
-    /// sequential engine and the parallel engine with one and two lanes,
-    /// through response faults and a mid-run snapshot/restore; and all
-    /// three agree with each other step for step. `fault_sel` past the
-    /// seed range means "no fault plan".
+    /// names exactly the processors with a new completion under both
+    /// engines, through response faults and a mid-run snapshot/restore;
+    /// and the two agree with each other step for step. `fault_sel` past
+    /// the seed range means "no fault plan".
     #[test]
     fn delivered_matches_poll_on_every_engine(
         n in 2usize..9,
@@ -481,13 +467,11 @@ proptest! {
     ) {
         let fault_seed = (fault_sel < 1_000).then_some(fault_sel);
         let seq = drive_stepped(Engine::Sequential, n, c, 8, &script, fault_seed);
-        for threads in [1, 2] {
-            let par = drive_stepped(Engine::Parallel { threads }, n, c, 8, &script, fault_seed);
-            prop_assert_eq!(&seq.0, &par.0, "completions diverged");
-            prop_assert_eq!(&seq.1, &par.1, "delivered records diverged");
-            prop_assert_eq!(&seq.2, &par.2, "stats diverged");
-            prop_assert_eq!(seq.3, par.3, "trace digests diverged");
-        }
+        let par = drive_stepped(PARALLEL, n, c, 8, &script, fault_seed);
+        prop_assert_eq!(&seq.0, &par.0, "completions diverged");
+        prop_assert_eq!(&seq.1, &par.1, "delivered records diverged");
+        prop_assert_eq!(&seq.2, &par.2, "stats diverged");
+        prop_assert_eq!(seq.3, par.3, "trace digests diverged");
     }
 }
 
@@ -526,14 +510,7 @@ const PINNED_DIGEST: u64 = 0x5db1_f1b3_d7b5_cfbd;
 #[test]
 fn pinned_parallel_trace_bytes() {
     let seq = drive(Engine::Sequential, 4, 1, 8, &pinned_script(), Some(7));
-    let par = drive(
-        Engine::Parallel { threads: 2 },
-        4,
-        1,
-        8,
-        &pinned_script(),
-        Some(7),
-    );
+    let par = drive(PARALLEL, 4, 1, 8, &pinned_script(), Some(7));
     assert_eq!(seq.2, par.2, "engines diverged on the pinned workload");
     let digest = trace_digest(&par.2);
     assert_eq!(

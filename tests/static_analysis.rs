@@ -56,9 +56,8 @@ fn decode_program(n: usize, rounds: usize, words: &[u64]) -> ProgramSpec {
     spec
 }
 
-/// Drive `spec` to completion on a machine with the given engine.
-/// Uses `run()` (not `step()`) so window dispatch can engage; returns
-/// the dynamic-window slot count last.
+/// Drive `spec` to completion on a machine with the given engine;
+/// returns the slots the one-pass step proved whole last.
 fn execute(
     spec: &ProgramSpec,
     n: usize,
@@ -87,13 +86,13 @@ fn execute(
         completions.extend(m.run(200_000).expect_idle());
     }
     let memory = (0..OFFSETS).map(|o| m.peek_block(o)).collect();
-    let window_slots = m.dynamic_slots();
+    let proven_slots = m.parallel_slots();
     let events = if trace {
         m.take_trace().unwrap().into_events()
     } else {
         Vec::new()
     };
-    (completions, *m.stats(), memory, events, window_slots)
+    (completions, *m.stats(), memory, events, proven_slots)
 }
 
 proptest! {
@@ -275,21 +274,21 @@ proptest! {
 }
 
 /// The disjoint sweep at (4, 1) — the program the analyzer proves —
-/// must actually engage window dispatch on the parallel engine: the
-/// runtime hazard scan proves at run time what the analyzer proves
+/// must have slots the parallel engine proves whole: the one-pass
+/// step's hazard test proves at run time what the analyzer proves
 /// ahead of it.
 #[test]
-fn proven_window_dispatch_is_not_vacuous() {
+fn proven_program_steps_proven_slots() {
     let spec = standard_programs(4)
         .into_iter()
         .find(|s| s.name == "disjoint-sweep")
         .unwrap();
     summarize(&spec, 4, 1, OFFSETS).expect("disjoint sweep is provable");
-    let (_, stats, _, _, window_slots) =
-        execute(&spec, 4, 1, Engine::Parallel { threads: 2 }, false);
+    let (_, stats, _, _, proven_slots) =
+        execute(&spec, 4, 1, Engine::Parallel { threads: 1 }, false);
     assert_eq!(stats.bank_conflicts, 0);
     assert!(
-        window_slots > 0,
-        "no proven window dispatched — the window path is dead"
+        proven_slots > 0,
+        "no slot proven whole — the proven path is dead"
     );
 }
