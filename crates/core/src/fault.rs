@@ -476,19 +476,9 @@ impl BankMap {
         }
     }
 
-    /// Number of logical banks (the schedule's `b`).
-    pub fn logical_banks(&self) -> usize {
-        self.map.len()
-    }
-
     /// Total physical banks, spares included.
     pub fn physical_banks(&self) -> usize {
         self.physical
-    }
-
-    /// Spare physical banks still unused.
-    pub fn spares_free(&self) -> usize {
-        self.free_spares.len()
     }
 
     /// The physical bank serving `logical`, or `None` once masked.

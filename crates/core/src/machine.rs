@@ -1860,12 +1860,6 @@ impl RunReport {
         }
     }
 
-    /// The completions regardless of outcome — for callers that only
-    /// want whatever finished within the budget.
-    pub fn into_completions(self) -> Vec<Completion> {
-        self.completions
-    }
-
     /// The pending owners if the budget ran out, empty when idle.
     pub fn pending(&self) -> &[(ProcId, PendingOp)] {
         match &self.outcome {

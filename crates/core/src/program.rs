@@ -1,5 +1,5 @@
 //! Reactive per-processor programs and a runner that drives a
-//! [`CfmMachine`] with them.
+//! [`CfmMachine`] with them, plus a driver for fixed operation scripts.
 //!
 //! The machine itself is a passive state machine; anything that must
 //! *react* to completions — spin locks, workload loops, coherence
@@ -7,6 +7,20 @@
 //! processor. The [`Runner`] steps the machine, delivers completions, and
 //! asks idle processors for their next operation, all at exact cycle
 //! granularity.
+//!
+//! A workload that needs no reaction is a list of operations per
+//! processor. The [`ScriptDriver`] runs such scripts with the same slot
+//! discipline as [`Runner::tick`]: each pass polls processor 0, issues
+//! its next operation if it is idle, then does the same for processor 1
+//! and so on, and the machine steps between passes. Two machines driven
+//! with equal scripts therefore see equal completion streams, which is
+//! what the checkpoint/restore, fault-injection and trace checks
+//! compare. [`ScriptDriver::pass`] runs one pass, for a caller that
+//! stops mid-flight (to checkpoint, say); [`ScriptDriver::drain`]
+//! alternates passes and steps until the scripts are spent and the
+//! machine idles, within a step budget.
+
+use std::collections::VecDeque;
 
 use crate::machine::CfmMachine;
 use crate::op::{Completion, Operation, PendingOp, StallError};
@@ -151,6 +165,64 @@ impl Runner {
     }
 }
 
+/// One operation a [`ScriptDriver`] completed: the issuing processor,
+/// the call, and its completion.
+pub type Scripted = (ProcId, Operation, Completion);
+
+/// Drives a machine with one fixed operation script per processor (see
+/// the module docs for the pass order).
+#[derive(Debug, Clone)]
+pub struct ScriptDriver {
+    scripts: Vec<VecDeque<Operation>>,
+    /// Calls issued and not yet completed, per processor, oldest first.
+    calls: Vec<VecDeque<Operation>>,
+}
+
+impl ScriptDriver {
+    /// A driver for `scripts[p]`, the operations processor `p` issues
+    /// in order.
+    pub fn new(scripts: Vec<VecDeque<Operation>>) -> Self {
+        let calls = vec![VecDeque::new(); scripts.len()];
+        ScriptDriver { scripts, calls }
+    }
+
+    /// One pass in processor order: append each processor's completions
+    /// to `done`, then issue its next scripted operation if it is idle.
+    pub fn pass(&mut self, machine: &mut CfmMachine, done: &mut Vec<Scripted>) {
+        for (p, script) in self.scripts.iter_mut().enumerate() {
+            while let Some(completion) = machine.poll(p) {
+                let call = self.calls[p]
+                    .pop_front()
+                    .expect("completion matches a call");
+                done.push((p, call, completion));
+            }
+            if !machine.is_busy(p) {
+                if let Some(op) = script.pop_front() {
+                    self.calls[p].push_back(op.clone());
+                    machine.issue(p, op).expect("idle processor accepts");
+                }
+            }
+        }
+    }
+
+    /// Alternate passes and steps until every script is spent and the
+    /// machine idles, returning the completed operations in delivery
+    /// order. `None` if `budget` steps do not suffice.
+    pub fn drain(&mut self, machine: &mut CfmMachine, budget: u64) -> Option<Vec<Scripted>> {
+        let mut done = Vec::new();
+        for steps in 0..=budget {
+            self.pass(machine, &mut done);
+            if machine.is_idle() && self.scripts.iter().all(VecDeque::is_empty) {
+                return Some(done);
+            }
+            if steps < budget {
+                machine.step();
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +289,44 @@ mod tests {
             }
         }
         assert_eq!(r.machine().stats().bank_conflicts, 0);
+    }
+
+    #[test]
+    fn script_driver_pairs_calls_and_stops_mid_flight_or_on_budget() {
+        let cfg = CfmConfig::new(4, 1, 16).unwrap();
+        let machine = CfmMachine::builder(cfg).offsets(16).build();
+        let scripts: Vec<VecDeque<Operation>> = (0..4)
+            .map(|p| VecDeque::from([Operation::write(p, vec![p as u64; 4]), Operation::read(p)]))
+            .collect();
+
+        let (mut m, mut driver) = (machine.clone(), ScriptDriver::new(scripts.clone()));
+        let done = driver
+            .drain(&mut m, 1000)
+            .expect("drains within the budget");
+        assert_eq!(done.len(), 8);
+        for (p, call, completion) in &done {
+            assert_eq!(call.offset(), *p);
+            assert_eq!(call.kind(), completion.kind);
+        }
+        assert!(done
+            .iter()
+            .any(|(_, _, c)| c.data.as_deref() == Some(&[3; 4][..])));
+
+        // Stopping after a few passes and draining the rest yields the
+        // same stream as one drain.
+        let (mut m2, mut driver2) = (machine.clone(), ScriptDriver::new(scripts.clone()));
+        let mut prefix = Vec::new();
+        for _ in 0..3 {
+            driver2.pass(&mut m2, &mut prefix);
+            m2.step();
+        }
+        prefix.extend(driver2.drain(&mut m2, 1000).unwrap());
+        assert_eq!(prefix, done);
+        assert_eq!(m2.cycle(), m.cycle());
+
+        let mut m3 = machine;
+        assert_eq!(ScriptDriver::new(scripts).drain(&mut m3, 2), None);
+        assert_eq!(m3.cycle(), 2);
     }
 
     #[test]

@@ -35,8 +35,8 @@ use cfm_core::config::{CfmConfig, Engine};
 use cfm_core::fault::{FaultKind, FaultPlan, PlanParams};
 use cfm_core::lock::{CriticalLedger, SpinLockProgram};
 use cfm_core::machine::CfmMachine;
-use cfm_core::op::{Completion, OpKind, Operation};
-use cfm_core::program::{RunOutcome, Runner};
+use cfm_core::op::{OpKind, Operation};
+use cfm_core::program::{RunOutcome, Runner, ScriptDriver};
 use cfm_core::Word;
 use cfm_net::sync_omega::SyncOmega;
 
@@ -83,14 +83,17 @@ pub(crate) fn engine_label(engine: Engine) -> &'static str {
     }
 }
 
-/// `(n, c, spares)` machine shapes the soak rotates through.
+/// `(n, c, spares)` machine shapes the chaos and restore soaks rotate
+/// through: remaps, pipelined banks, masking (no spare), and a
+/// two-spare pool.
 const SHAPES: [(usize, u32, usize); 4] = [(4, 1, 1), (4, 2, 1), (8, 1, 0), (4, 1, 2)];
 
 /// The slot horizon faults are generated within (workloads run past it
 /// so late faults still fire).
 const HORIZON: u64 = 160;
 
-fn shape_for(index: usize) -> (usize, u32, usize) {
+/// The soak shape for seed number `index`.
+pub(crate) fn shape_for(index: usize) -> (usize, u32, usize) {
     SHAPES[index % SHAPES.len()]
 }
 
@@ -102,11 +105,13 @@ fn engine_for(spec: &ChaosSpec, index: usize) -> Engine {
     }
 }
 
-fn plan_params(n: usize, c: u32) -> PlanParams {
+/// Fault-plan parameters for an `(n, c)` soak whose faults fall within
+/// `horizon` slots.
+pub(crate) fn plan_params(n: usize, c: u32, horizon: u64) -> PlanParams {
     PlanParams {
         banks: n * c as usize,
         processors: n,
-        horizon: HORIZON,
+        horizon,
         permanent: 1,
         transient: 2,
         // Short repair windows guarantee the bounded exponential retry
@@ -149,7 +154,7 @@ fn coverage_check(spec: &ChaosSpec) -> Check {
     let mut events = 0usize;
     for (i, &seed) in spec.seeds.iter().enumerate() {
         let (n, c, _) = shape_for(i);
-        let plan = FaultPlan::generate(seed, &plan_params(n, c));
+        let plan = FaultPlan::generate(seed, &plan_params(n, c, HORIZON));
         events += plan.events().len();
         for (k, label) in KINDS.iter().enumerate() {
             totals[k] += plan.count_kind(label);
@@ -185,66 +190,27 @@ fn coverage_check(spec: &ChaosSpec) -> Check {
     check.with_metric("plans", spec.seeds.len() as u64)
 }
 
-/// One completed operation of the soak history.
-struct Done {
-    proc: usize,
-    op: Operation,
-    completion: Completion,
-}
-
-/// Drive `machine` with per-processor scripts to completion, then step
-/// past the fault horizon so late-scheduled faults still fire.
-fn drive(machine: &mut CfmMachine, scripts: &mut [VecDeque<Operation>]) -> Vec<Done> {
-    let n = scripts.len();
-    let mut pending: Vec<VecDeque<Operation>> = vec![VecDeque::new(); n];
-    let mut history = Vec::new();
-    for _ in 0..BUDGET {
-        for (p, script) in scripts.iter_mut().enumerate() {
-            while let Some(c) = machine.poll(p) {
-                let op = pending[p].pop_front().expect("completion matches a call");
-                history.push(Done {
-                    proc: p,
-                    op,
-                    completion: c,
-                });
-            }
-            if !machine.is_busy(p) {
-                if let Some(op) = script.pop_front() {
-                    pending[p].push_back(op.clone());
-                    machine.issue(p, op).expect("idle processor accepts");
-                }
-            }
-        }
-        if machine.is_idle() && scripts.iter().all(|s| s.is_empty()) {
-            break;
-        }
-        machine.step();
-    }
-    for (p, q) in pending.iter_mut().enumerate() {
-        while let Some(c) = machine.poll(p) {
-            let op = q.pop_front().expect("completion matches a call");
-            history.push(Done {
-                proc: p,
-                op,
-                completion: c,
-            });
-        }
-    }
-    assert!(
-        machine.is_idle() && scripts.iter().all(|s| s.is_empty()),
-        "chaos workload did not drain within the budget"
-    );
-    // Let faults scheduled after the drain fire too (remaps on an idle
-    // machine must also preserve the durability contract).
-    while machine.cycle() < HORIZON + 40 {
-        machine.step();
-    }
-    history
-}
-
 /// The value processor `p` writes to its owned block in round `r`.
-fn owned_value(p: usize, r: u64) -> Word {
+pub(crate) fn owned_value(p: usize, r: u64) -> Word {
     (p as Word + 1) * 100 + r
+}
+
+/// The soak scripts: in each of `rounds` rounds every processor `p`
+/// writes and reads its owned block `p`, bumps the shared counter in
+/// block `n`, and reads its neighbour's block.
+pub(crate) fn soak_scripts(n: usize, banks: usize, rounds: u64) -> Vec<VecDeque<Operation>> {
+    (0..n)
+        .map(|p| {
+            let mut q = VecDeque::new();
+            for r in 0..rounds {
+                q.push_back(Operation::write(p, vec![owned_value(p, r); banks]));
+                q.push_back(Operation::read(p));
+                q.push_back(Operation::fetch_add(n, 0, 1));
+                q.push_back(Operation::read((p + 1) % n));
+            }
+            q
+        })
+        .collect()
 }
 
 /// Soak one seeded plan on one machine shape and slot engine and check
@@ -260,7 +226,7 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
         .expect("spare pool fits")
         .with_engine(engine);
     let banks = cfg.banks();
-    let plan = FaultPlan::generate(seed, &plan_params(n, c));
+    let plan = FaultPlan::generate(seed, &plan_params(n, c, HORIZON));
     let scheduled = plan.events().len() as u64;
     let subject = format!(
         "chaos: seed={seed:#x} n={n} c={c} b={banks} spares={spares} engine={}",
@@ -272,21 +238,14 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
         .trace(true)
         .fault_plan(plan)
         .build();
-    // Each processor owns block `p`; block `n` is a shared counter.
-    let shared = n;
-    let mut scripts: Vec<VecDeque<Operation>> = (0..n)
-        .map(|p| {
-            let mut q = VecDeque::new();
-            for r in 0..ROUNDS {
-                q.push_back(Operation::write(p, vec![owned_value(p, r); banks]));
-                q.push_back(Operation::read(p));
-                q.push_back(Operation::fetch_add(shared, 0, 1));
-                q.push_back(Operation::read((p + 1) % n));
-            }
-            q
-        })
-        .collect();
-    let history = drive(&mut m, &mut scripts);
+    let history = ScriptDriver::new(soak_scripts(n, banks, ROUNDS))
+        .drain(&mut m, BUDGET)
+        .expect("chaos workload did not drain within the budget");
+    // Let faults scheduled after the drain fire too (remaps on an idle
+    // machine must also preserve the durability contract).
+    while m.cycle() < HORIZON + 40 {
+        m.step();
+    }
     let events = m.take_trace().expect("tracing was enabled").into_events();
     let stats = *m.stats();
 
@@ -400,11 +359,11 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
             stats.faults_injected
         ));
     }
-    for d in &history {
-        if d.completion.kind == OpKind::Read && d.op.offset() == d.proc && d.completion.torn {
+    for (p, call, completion) in &history {
+        if completion.kind == OpKind::Read && call.offset() == *p && completion.torn {
             lost.push(format!(
                 "proc {} observed its own block {} torn at cycle {}",
-                d.proc, d.proc, d.completion.completed_at
+                p, p, completion.completed_at
             ));
         }
     }
@@ -419,7 +378,8 @@ fn soak(seed: u64, (n, c, spares): (usize, u32, usize), engine: Engine) -> Vec<C
             }
         }
     }
-    let counter = m.peek_block(shared)[0];
+    // Block `n` holds the shared counter.
+    let counter = m.peek_block(n)[0];
     if !m.bank_map().is_masked(0) && counter != n as u64 * ROUNDS {
         lost.push(format!(
             "shared counter ended at {counter}, expected {}",
@@ -537,7 +497,7 @@ fn net_stuck_check(spec: &ChaosSpec) -> Check {
     let mut detected = 0u64;
     for (i, &seed) in spec.seeds.iter().enumerate() {
         let (n, c, _) = shape_for(i);
-        let plan = FaultPlan::generate(seed, &plan_params(n, c));
+        let plan = FaultPlan::generate(seed, &plan_params(n, c, HORIZON));
         for ev in plan.events() {
             if let FaultKind::StuckSwitch {
                 column,

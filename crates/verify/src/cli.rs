@@ -4,17 +4,26 @@
 //! cfm-verify [--sweep n=A..=B c=A..=B] [--sharers LIST]
 //!            [--model procs=P blocks=B] [--variant NAME] [--max-states N]
 //!            [--self-test] [--ci] [--format text|json]
-//! cfm-verify trace [n=A..=B] [c=C..=D] [--sharers LIST]
-//!                  [--self-test | --ci] [--format text|json]
+//! cfm-verify trace|chaos|serve|analyze|restore|edge|all [OPTIONS]
 //! ```
 //!
-//! With no section flag (and with `--ci`) all three static sections run
-//! with defaults: the schedule sweep, the coherence model checker, and
-//! the seeded-fault self-test. Naming any section flag runs only the
-//! named sections. The `trace` subcommand instead runs the dynamic
-//! analyses of [`crate::trace`] over real simulator executions;
-//! `trace --ci` adds their seeded-fault self-tests. Exit code 0 = all
-//! checks passed, 1 = a check failed, 2 = usage error.
+//! One argument loop parses every command line. The first word picks
+//! the subcommand (none = the bare form); every form takes `--format`,
+//! `--ci`, `--self-test` and `--help`, plus the flags its
+//! `Command::flags` entry lists, and refuses any other flag with the
+//! subcommand named. The result is an ordered list of [`Section`]s,
+//! which [`run`] runs into one report.
+//!
+//! With no section flag (and with `--ci`) the bare form runs all three
+//! static sections with defaults: the schedule sweep, the coherence
+//! model checker, and the seeded-fault self-test. Naming any section
+//! flag runs only the named sections. Each subcommand runs its own
+//! section, and its `--ci` adds that section's seeded-fault self-tests;
+//! `all` runs every section. Exit code 0 = all checks passed, 1 = a
+//! check failed, 2 = usage error.
+
+use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 use cfm_cache::model::{ModelConfig, ProtocolVariant};
 use cfm_core::config::Engine;
@@ -40,63 +49,131 @@ pub enum Format {
     Json,
 }
 
+/// One section of a run, with its parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Section {
+    /// The AT-space schedule sweep.
+    Sweep(SweepSpec),
+    /// The coherence model check.
+    Model(CheckOptions),
+    /// The static sections' seeded-fault self-tests: the schedule
+    /// mutants, and the coherence mutants explored up to `max_states`.
+    SelfTest {
+        /// State cap for each coherence mutant.
+        max_states: usize,
+    },
+    /// The dynamic trace analyses.
+    Trace(TraceSpec),
+    /// The fault-injection soak.
+    Chaos(ChaosSpec),
+    /// The checkpoint/restore soak.
+    Restore(RestoreSpec),
+    /// The multi-tenant service soak.
+    Serve(ServeSpec),
+    /// The wire-edge soak.
+    Edge(EdgeSpec),
+    /// The static program analyzer.
+    Analyze(AnalyzeSpec),
+}
+
 /// Parsed command-line options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Options {
-    /// Schedule sweep spec (None = section not requested).
-    pub sweep: Option<SweepSpec>,
-    /// Model-checker options (None = section not requested).
-    pub model: Option<CheckOptions>,
-    /// Whether to run the seeded-fault self-test section.
+    /// The sections to run, in report order.
+    pub sections: Vec<Section>,
+    /// Whether the trace, chaos, restore, serve, edge and analyze
+    /// sections add their seeded-fault self-tests.
     pub self_test: bool,
     /// Output format.
     pub format: Format,
-    /// Trace-analysis spec (Some = the `trace` subcommand was used;
-    /// the static sections are then skipped).
-    pub trace: Option<TraceSpec>,
-    /// Chaos soak spec (Some = the `chaos` subcommand was used; the
-    /// static sections are then skipped).
-    pub chaos: Option<ChaosSpec>,
-    /// Serve soak spec (Some = the `serve` subcommand was used; the
-    /// static sections are then skipped).
-    pub serve: Option<ServeSpec>,
-    /// Static program-analysis spec (Some = the `analyze` subcommand
-    /// was used; the other sections are then skipped).
-    pub analyze: Option<AnalyzeSpec>,
-    /// Checkpoint/restore soak spec (Some = the `restore` subcommand
-    /// was used; the other sections are then skipped).
-    pub restore: Option<RestoreSpec>,
-    /// Wire-edge soak spec (Some = the `edge` subcommand was used; the
-    /// other sections are then skipped).
-    pub edge: Option<EdgeSpec>,
-    /// The `all` subcommand: run every populated section in one
-    /// aggregated report instead of treating subcommand specs as
-    /// exclusive.
-    pub all: bool,
 }
 
-impl Default for Options {
-    /// The default run: every static section with default parameters.
-    fn default() -> Self {
-        Options {
-            sweep: Some(SweepSpec::default()),
-            model: Some(CheckOptions::default()),
-            self_test: true,
-            format: Format::Text,
-            trace: None,
-            chaos: None,
-            serve: None,
-            analyze: None,
-            restore: None,
-            edge: None,
-            all: false,
+/// The bare form and the subcommands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Bare,
+    Trace,
+    Chaos,
+    Serve,
+    Analyze,
+    Restore,
+    Edge,
+    All,
+}
+
+/// Subcommand words, in synopsis order.
+const SUBCOMMANDS: [(&str, Command); 7] = [
+    ("trace", Command::Trace),
+    ("chaos", Command::Chaos),
+    ("serve", Command::Serve),
+    ("analyze", Command::Analyze),
+    ("restore", Command::Restore),
+    ("edge", Command::Edge),
+    ("all", Command::All),
+];
+
+impl Command {
+    /// The flags this form takes besides `--format`, `--ci`,
+    /// `--self-test` and `--help`. `n=` and `c=` stand for the range
+    /// tokens `n=A..=B` and `c=C..=D`.
+    fn flags(self) -> &'static [&'static str] {
+        match self {
+            Command::Bare => &[
+                "--sweep",
+                "--model",
+                "--sharers",
+                "--variant",
+                "--max-states",
+            ],
+            Command::Trace => &["n=", "c=", "--sharers", "--engine"],
+            Command::Chaos => &["--seeds", "--engines"],
+            Command::Serve | Command::Restore => &["--seeds", "--ops"],
+            Command::Analyze => &["n=", "c=", "--sweep", "--offsets"],
+            Command::Edge => &["--seeds", "--ops", "--clients"],
+            Command::All => &[],
         }
     }
+}
+
+/// Every value a command line can set; `None` keeps the section's
+/// default.
+#[derive(Default)]
+struct Flags {
+    format: Format,
+    ci: bool,
+    self_test: bool,
+    /// The bare form named `--sweep`.
+    sweep: bool,
+    model: Option<ModelConfig>,
+    variant: Option<ProtocolVariant>,
+    max_states: Option<usize>,
+    n: Option<RangeInclusive<usize>>,
+    c: Option<RangeInclusive<u32>>,
+    sharers: Option<Vec<usize>>,
+    engine: Option<Engine>,
+    engines: Option<Vec<Engine>>,
+    seeds: Option<Vec<u64>>,
+    ops: Option<u64>,
+    clients: Option<usize>,
+    offsets: Option<usize>,
 }
 
 fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
     s.parse::<usize>()
         .map_err(|_| format!("invalid {what}: {s:?}"))
+}
+
+/// Parse a count that must be at least 1.
+fn parse_positive<T: FromStr + Default + PartialEq>(s: &str, what: &str) -> Result<T, String> {
+    s.parse::<T>()
+        .ok()
+        .filter(|v| *v != T::default())
+        .ok_or_else(|| format!("invalid {what}: {s:?}"))
+}
+
+/// Parse a comma-separated list item by item.
+fn parse_list<T>(s: &str, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+    s.split(',').map(item).collect()
 }
 
 /// Parse an engine name: `sequential` or `parallel`.
@@ -126,536 +203,203 @@ fn parse_range(s: &str, what: &str) -> Result<(usize, usize), String> {
     }
 }
 
-/// Parse the `trace` subcommand's arguments (everything after the
-/// `trace` word).
-fn parse_trace(args: &[String]) -> Result<Options, String> {
-    let mut spec = TraceSpec::default();
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if let Some(r) = arg.strip_prefix("n=") {
+impl Flags {
+    /// Record an `n=A..=B` or `c=C..=D` token.
+    fn range(&mut self, token: &str) -> Result<(), String> {
+        if let Some(r) = token.strip_prefix("n=") {
             let (lo, hi) = parse_range(r, "n")?;
-            spec.n = lo..=hi;
-        } else if let Some(r) = arg.strip_prefix("c=") {
+            self.n = Some(lo..=hi);
+        } else if let Some(r) = token.strip_prefix("c=") {
             let (lo, hi) = parse_range(r, "c")?;
-            spec.c = lo as u32..=hi as u32;
-        } else {
-            match arg {
-                "--sharers" => {
-                    i += 1;
-                    let list = args
-                        .get(i)
-                        .ok_or("--sharers needs a comma-separated list")?;
-                    let parsed: Result<Vec<usize>, String> =
-                        list.split(',').map(|s| parse_usize(s, "sharers")).collect();
-                    spec.sharers = parsed?;
-                }
-                "--engine" => {
-                    i += 1;
-                    let name = args.get(i).ok_or("--engine needs a name")?;
-                    spec.engine = parse_engine(name)?;
-                }
-                "--self-test" => self_test = true,
-                // The spec already defaults to the full acceptance
-                // sweep; --ci only has to switch the self-tests on.
-                "--ci" => self_test = true,
-                "--format" => {
-                    i += 1;
-                    format = match args.get(i).map(String::as_str) {
-                        Some("text") => Format::Text,
-                        Some("json") => Format::Json,
-                        other => {
-                            let got = other.unwrap_or("<missing>");
-                            return Err(format!("unknown format {got:?} (text | json)"));
-                        }
-                    };
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown trace argument {other:?}\n{USAGE}")),
-            }
+            self.c = Some(lo as u32..=hi as u32);
         }
-        i += 1;
+        Ok(())
     }
-    Ok(Options {
-        sweep: None,
-        model: None,
-        self_test,
-        format,
-        trace: Some(spec),
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
-    })
-}
 
-/// Parse the `chaos` subcommand's arguments (everything after the
-/// `chaos` word).
-fn parse_chaos(args: &[String]) -> Result<Options, String> {
-    let mut spec = ChaosSpec::default();
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                let list = args.get(i).ok_or("--seeds needs a comma-separated list")?;
-                let parsed: Result<Vec<u64>, String> = list
-                    .split(',')
-                    .map(|s| s.parse::<u64>().map_err(|_| format!("invalid seed: {s:?}")))
-                    .collect();
-                spec.seeds = parsed?;
-                if spec.seeds.is_empty() {
-                    return Err("--seeds needs at least one seed".into());
+    /// The sections `command` runs with these flags, in report order.
+    fn into_options(self, command: Command) -> Options {
+        let self_test = self.self_test || self.ci;
+        let sections = match command {
+            Command::Bare => return self.into_bare_options(),
+            Command::Trace => {
+                let d = TraceSpec::default();
+                vec![Section::Trace(TraceSpec {
+                    n: self.n.unwrap_or(d.n),
+                    c: self.c.unwrap_or(d.c),
+                    sharers: self.sharers.unwrap_or(d.sharers),
+                    engine: self.engine.unwrap_or(d.engine),
+                })]
+            }
+            Command::Chaos => {
+                let d = ChaosSpec::default();
+                vec![Section::Chaos(ChaosSpec {
+                    seeds: self.seeds.unwrap_or(d.seeds),
+                    engines: self.engines.unwrap_or(d.engines),
+                })]
+            }
+            Command::Serve => {
+                let d = ServeSpec::default();
+                vec![Section::Serve(ServeSpec {
+                    seeds: self.seeds.unwrap_or(d.seeds),
+                    ops_per_tenant: self.ops.unwrap_or(d.ops_per_tenant),
+                })]
+            }
+            Command::Analyze => {
+                let d = AnalyzeSpec::default();
+                vec![Section::Analyze(AnalyzeSpec {
+                    n: self.n.unwrap_or(d.n),
+                    c: self.c.unwrap_or(d.c),
+                    offsets: self.offsets.unwrap_or(d.offsets),
+                })]
+            }
+            Command::Restore => {
+                let d = RestoreSpec::default();
+                vec![Section::Restore(RestoreSpec {
+                    seeds: self.seeds.unwrap_or(d.seeds),
+                    ops_per_tenant: self.ops.unwrap_or(d.ops_per_tenant),
+                })]
+            }
+            Command::Edge => {
+                let d = EdgeSpec::default();
+                vec![Section::Edge(EdgeSpec {
+                    seeds: self.seeds.unwrap_or(d.seeds),
+                    ops: self.ops.unwrap_or(d.ops),
+                    clients: self.clients.unwrap_or(d.clients),
+                })]
+            }
+            Command::All => {
+                let model = CheckOptions::default();
+                let mut sections =
+                    vec![Section::Sweep(SweepSpec::default()), Section::Model(model)];
+                if self_test {
+                    sections.push(Section::SelfTest {
+                        max_states: model.max_states,
+                    });
                 }
+                sections.extend([
+                    Section::Trace(TraceSpec::default()),
+                    Section::Chaos(ChaosSpec::default()),
+                    Section::Restore(RestoreSpec::default()),
+                    Section::Serve(ServeSpec::default()),
+                    Section::Edge(EdgeSpec::default()),
+                    Section::Analyze(AnalyzeSpec::default()),
+                ]);
+                sections
             }
-            "--engines" => {
-                i += 1;
-                let list = args
-                    .get(i)
-                    .ok_or("--engines needs a comma-separated list")?;
-                let parsed: Result<Vec<Engine>, String> =
-                    list.split(',').map(parse_engine).collect();
-                spec.engines = parsed?;
-                if spec.engines.is_empty() {
-                    return Err("--engines needs at least one engine".into());
-                }
-            }
-            "--self-test" => self_test = true,
-            // The default spec is already the full soak; --ci only has
-            // to switch the seeded-fault self-tests on.
-            "--ci" => self_test = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        let got = other.unwrap_or("<missing>");
-                        return Err(format!("unknown format {got:?} (text | json)"));
-                    }
-                };
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown chaos argument {other:?}\n{USAGE}")),
+        };
+        Options {
+            sections,
+            self_test,
+            format: self.format,
         }
-        i += 1;
     }
-    Ok(Options {
-        sweep: None,
-        model: None,
-        self_test,
-        format,
-        trace: None,
-        chaos: Some(spec),
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
-    })
-}
 
-/// Parse the `serve` subcommand's arguments (everything after the
-/// `serve` word).
-fn parse_serve(args: &[String]) -> Result<Options, String> {
-    let mut spec = ServeSpec::default();
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                let list = args.get(i).ok_or("--seeds needs a comma-separated list")?;
-                let parsed: Result<Vec<u64>, String> = list
-                    .split(',')
-                    .map(|s| s.parse::<u64>().map_err(|_| format!("invalid seed: {s:?}")))
-                    .collect();
-                spec.seeds = parsed?;
-                if spec.seeds.is_empty() {
-                    return Err("--seeds needs at least one seed".into());
-                }
-            }
-            "--ops" => {
-                i += 1;
-                let v = args.get(i).ok_or("--ops needs a number")?;
-                spec.ops_per_tenant = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid op budget: {v:?}"))?;
-            }
-            "--self-test" => self_test = true,
-            // The default spec is already the full soak; --ci only has
-            // to switch the detector self-tests on.
-            "--ci" => self_test = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        let got = other.unwrap_or("<missing>");
-                        return Err(format!("unknown format {got:?} (text | json)"));
-                    }
-                };
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown serve argument {other:?}\n{USAGE}")),
+    /// The bare form: the named static sections, or all three with
+    /// defaults when none is named or `--ci` is given. `--sharers`,
+    /// `--variant` and `--max-states` tune a section that runs and are
+    /// otherwise ignored.
+    fn into_bare_options(self) -> Options {
+        let everything = self.ci || (!self.sweep && self.model.is_none() && !self.self_test);
+        let self_test = everything || self.self_test;
+        let mut sections = Vec::new();
+        if everything || self.sweep {
+            let d = SweepSpec::default();
+            sections.push(Section::Sweep(SweepSpec {
+                n: self.n.unwrap_or(d.n),
+                c: self.c.unwrap_or(d.c),
+                sharers: self.sharers.unwrap_or(d.sharers),
+            }));
         }
-        i += 1;
-    }
-    Ok(Options {
-        sweep: None,
-        model: None,
-        self_test,
-        format,
-        trace: None,
-        chaos: None,
-        serve: Some(spec),
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
-    })
-}
-
-/// Parse the `analyze` subcommand's arguments (everything after the
-/// `analyze` word).
-fn parse_analyze(args: &[String]) -> Result<Options, String> {
-    let mut spec = AnalyzeSpec::default();
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if let Some(r) = arg.strip_prefix("n=") {
-            let (lo, hi) = parse_range(r, "n")?;
-            spec.n = lo..=hi;
-        } else if let Some(r) = arg.strip_prefix("c=") {
-            let (lo, hi) = parse_range(r, "c")?;
-            spec.c = lo as u32..=hi as u32;
-        } else {
-            match arg {
-                // `--sweep` is accepted as a readability prefix for the
-                // n=/c= pairs, mirroring the static sweep syntax.
-                "--sweep" => {}
-                "--offsets" => {
-                    i += 1;
-                    let v = args.get(i).ok_or("--offsets needs a number")?;
-                    spec.offsets = parse_usize(v, "offsets")
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("invalid block count: {v:?}"))?;
-                }
-                "--self-test" => self_test = true,
-                // The spec already defaults to the full sweep; --ci only
-                // has to switch the seeded-defect self-tests on.
-                "--ci" => self_test = true,
-                "--format" => {
-                    i += 1;
-                    format = match args.get(i).map(String::as_str) {
-                        Some("text") => Format::Text,
-                        Some("json") => Format::Json,
-                        other => {
-                            let got = other.unwrap_or("<missing>");
-                            return Err(format!("unknown format {got:?} (text | json)"));
-                        }
-                    };
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown analyze argument {other:?}\n{USAGE}")),
+        let model = (everything || self.model.is_some()).then(|| {
+            let d = CheckOptions::default();
+            CheckOptions {
+                cfg: self.model.unwrap_or(d.cfg),
+                variant: self.variant.unwrap_or(d.variant),
+                max_states: self.max_states.unwrap_or(d.max_states),
             }
+        });
+        sections.extend(model.map(Section::Model));
+        if self_test {
+            sections.push(Section::SelfTest {
+                max_states: model.map_or(2_000_000, |m| m.max_states),
+            });
         }
-        i += 1;
-    }
-    Ok(Options {
-        sweep: None,
-        model: None,
-        self_test,
-        format,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: Some(spec),
-        restore: None,
-        edge: None,
-        all: false,
-    })
-}
-
-/// Parse the `restore` subcommand's arguments (everything after the
-/// `restore` word).
-fn parse_restore(args: &[String]) -> Result<Options, String> {
-    let mut spec = RestoreSpec::default();
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                let list = args.get(i).ok_or("--seeds needs a comma-separated list")?;
-                let parsed: Result<Vec<u64>, String> = list
-                    .split(',')
-                    .map(|s| s.parse::<u64>().map_err(|_| format!("invalid seed: {s:?}")))
-                    .collect();
-                spec.seeds = parsed?;
-                if spec.seeds.is_empty() {
-                    return Err("--seeds needs at least one seed".into());
-                }
-            }
-            "--ops" => {
-                i += 1;
-                let v = args.get(i).ok_or("--ops needs a number")?;
-                spec.ops_per_tenant = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid op budget: {v:?}"))?;
-            }
-            "--self-test" => self_test = true,
-            // The default spec is already the full soak; --ci only has
-            // to switch the corruption self-tests on.
-            "--ci" => self_test = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        let got = other.unwrap_or("<missing>");
-                        return Err(format!("unknown format {got:?} (text | json)"));
-                    }
-                };
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown restore argument {other:?}\n{USAGE}")),
+        Options {
+            sections,
+            self_test,
+            format: self.format,
         }
-        i += 1;
     }
-    Ok(Options {
-        sweep: None,
-        model: None,
-        self_test,
-        format,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: Some(spec),
-        edge: None,
-        all: false,
-    })
-}
-
-/// Parse the `edge` subcommand's arguments (everything after the
-/// `edge` word).
-fn parse_edge(args: &[String]) -> Result<Options, String> {
-    let mut spec = EdgeSpec::default();
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                let list = args.get(i).ok_or("--seeds needs a comma-separated list")?;
-                let parsed: Result<Vec<u64>, String> = list
-                    .split(',')
-                    .map(|s| s.parse::<u64>().map_err(|_| format!("invalid seed: {s:?}")))
-                    .collect();
-                spec.seeds = parsed?;
-                if spec.seeds.is_empty() {
-                    return Err("--seeds needs at least one seed".into());
-                }
-            }
-            "--ops" => {
-                i += 1;
-                let v = args.get(i).ok_or("--ops needs a number")?;
-                spec.ops = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid op budget: {v:?}"))?;
-            }
-            "--clients" => {
-                i += 1;
-                let v = args.get(i).ok_or("--clients needs a number")?;
-                spec.clients = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("invalid client count: {v:?}"))?;
-            }
-            "--self-test" => self_test = true,
-            // The default spec is already the full soak; --ci only has
-            // to switch the seeded wire-fault self-tests on.
-            "--ci" => self_test = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        let got = other.unwrap_or("<missing>");
-                        return Err(format!("unknown format {got:?} (text | json)"));
-                    }
-                };
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown edge argument {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    Ok(Options {
-        sweep: None,
-        model: None,
-        self_test,
-        format,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: Some(spec),
-        all: false,
-    })
-}
-
-/// Parse the `all` subcommand: every section with defaults, one
-/// aggregated report — the single CI entry point.
-fn parse_all(args: &[String]) -> Result<Options, String> {
-    let mut self_test = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--self-test" => self_test = true,
-            "--ci" => self_test = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        let got = other.unwrap_or("<missing>");
-                        return Err(format!("unknown format {got:?} (text | json)"));
-                    }
-                };
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown all argument {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    Ok(Options {
-        sweep: Some(SweepSpec::default()),
-        model: Some(CheckOptions::default()),
-        self_test,
-        format,
-        trace: Some(TraceSpec::default()),
-        chaos: Some(ChaosSpec::default()),
-        serve: Some(ServeSpec::default()),
-        analyze: Some(AnalyzeSpec::default()),
-        restore: Some(RestoreSpec::default()),
-        edge: Some(EdgeSpec::default()),
-        all: true,
-    })
 }
 
 /// Parse the argument list (excluding the program name).
 pub fn parse(args: &[String]) -> Result<Options, String> {
-    if args.first().map(String::as_str) == Some("trace") {
-        return parse_trace(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        return parse_chaos(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return parse_serve(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        return parse_analyze(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("restore") {
-        return parse_restore(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("edge") {
-        return parse_edge(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("all") {
-        return parse_all(&args[1..]);
-    }
-    let mut sweep: Option<SweepSpec> = None;
-    let mut model: Option<CheckOptions> = None;
-    let mut self_test = false;
-    let mut ci = false;
-    let mut format = Format::Text;
-    let mut sharers: Option<Vec<usize>> = None;
-    let mut variant: Option<ProtocolVariant> = None;
-    let mut max_states: Option<usize> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sweep" => {
-                let mut spec = SweepSpec::default();
-                while i + 1 < args.len() {
-                    let next = &args[i + 1];
-                    if let Some(r) = next.strip_prefix("n=") {
-                        let (lo, hi) = parse_range(r, "n")?;
-                        spec.n = lo..=hi;
-                    } else if let Some(r) = next.strip_prefix("c=") {
-                        let (lo, hi) = parse_range(r, "c")?;
-                        spec.c = lo as u32..=hi as u32;
-                    } else {
-                        break;
+    let (word, command, args) = match SUBCOMMANDS
+        .iter()
+        .find(|(word, _)| args.first().map(String::as_str) == Some(*word))
+    {
+        Some(&(word, command)) => (word, command, &args[1..]),
+        None => ("", Command::Bare, args),
+    };
+    let mut f = Flags::default();
+    let mut args = args.iter().map(String::as_str).peekable();
+    while let Some(arg) = args.next() {
+        let is_range = |t: &&str| t.starts_with("n=") || t.starts_with("c=");
+        let flag = if is_range(&arg) { &arg[..2] } else { arg };
+        let mut value = |what: &str| args.next().ok_or(format!("{arg} needs {what}"));
+        match flag {
+            "--format" => {
+                f.format = match args.next() {
+                    Some("text") => Format::Text,
+                    Some("json") => Format::Json,
+                    other => {
+                        let got = other.unwrap_or("<missing>");
+                        return Err(format!("unknown format {got:?} (text | json)"));
                     }
-                    i += 1;
                 }
-                sweep = Some(spec);
+            }
+            "--ci" => f.ci = true,
+            "--self-test" => f.self_test = true,
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            _ if !command.flags().contains(&flag) => {
+                let named = if word.is_empty() {
+                    String::new()
+                } else {
+                    format!("{word} ")
+                };
+                return Err(format!("unknown {named}argument {arg:?}\n{USAGE}"));
+            }
+            "n=" | "c=" => f.range(arg)?,
+            "--sweep" => {
+                // The bare form's section flag (the last one wins);
+                // analyze takes it as a readability prefix.
+                if command == Command::Bare {
+                    (f.sweep, f.n, f.c) = (true, None, None);
+                }
+                while let Some(token) = args.next_if(is_range) {
+                    f.range(token)?;
+                }
             }
             "--model" => {
                 let mut cfg = ModelConfig::small();
-                while i + 1 < args.len() {
-                    let next = &args[i + 1];
-                    if let Some(v) = next.strip_prefix("procs=") {
-                        cfg.procs = parse_usize(v, "procs")?;
-                    } else if let Some(v) = next.strip_prefix("blocks=") {
-                        cfg.blocks = parse_usize(v, "blocks")?;
+                while let Some(token) =
+                    args.next_if(|t| t.starts_with("procs=") || t.starts_with("blocks="))
+                {
+                    let (key, v) = token.split_once('=').expect("a key= token");
+                    let dim = if key == "procs" {
+                        &mut cfg.procs
                     } else {
-                        break;
-                    }
-                    i += 1;
+                        &mut cfg.blocks
+                    };
+                    *dim = parse_usize(v, key)?;
                 }
                 if cfg.procs == 0 || cfg.blocks == 0 {
                     return Err("--model needs positive procs and blocks".into());
                 }
-                model = Some(CheckOptions {
-                    cfg,
-                    ..CheckOptions::default()
-                });
-            }
-            "--sharers" => {
-                i += 1;
-                let list = args
-                    .get(i)
-                    .ok_or("--sharers needs a comma-separated list")?;
-                let parsed: Result<Vec<usize>, String> =
-                    list.split(',').map(|s| parse_usize(s, "sharers")).collect();
-                sharers = Some(parsed?);
+                f.model = Some(cfg);
             }
             "--variant" => {
-                i += 1;
-                let name = args.get(i).ok_or("--variant needs a name")?;
-                variant = Some(match name.as_str() {
+                f.variant = Some(match value("a name")? {
                     "correct" => ProtocolVariant::Correct,
                     "missing-invalidate" => ProtocolVariant::MissingInvalidate,
                     "lost-write-back" => ProtocolVariant::LostWriteBack,
@@ -665,126 +409,50 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                              lost-write-back)"
                         ))
                     }
-                });
+                })
             }
-            "--max-states" => {
-                i += 1;
-                let v = args.get(i).ok_or("--max-states needs a number")?;
-                max_states = Some(parse_usize(v, "max-states")?);
+            "--max-states" => f.max_states = Some(parse_usize(value("a number")?, "max-states")?),
+            "--sharers" => {
+                let list = value("a comma-separated list")?;
+                f.sharers = Some(parse_list(list, |s| parse_usize(s, "sharers"))?);
             }
-            "--self-test" => self_test = true,
-            "--ci" => ci = true,
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        let got = other.unwrap_or("<missing>");
-                        return Err(format!("unknown format {got:?} (text | json)"));
-                    }
-                };
+            "--engine" => f.engine = Some(parse_engine(value("a name")?)?),
+            "--engines" => {
+                f.engines = Some(parse_list(value("a comma-separated list")?, parse_engine)?)
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-
-    // No section named (or --ci): run everything with defaults.
-    if ci || (sweep.is_none() && model.is_none() && !self_test) {
-        sweep.get_or_insert_with(SweepSpec::default);
-        model.get_or_insert_with(CheckOptions::default);
-        self_test = true;
-    }
-    if let (Some(spec), Some(s)) = (sweep.as_mut(), sharers) {
-        spec.sharers = s;
-    }
-    if let Some(opts) = model.as_mut() {
-        if let Some(v) = variant {
-            opts.variant = v;
-        }
-        if let Some(m) = max_states {
-            opts.max_states = m;
+            "--seeds" => {
+                let list = value("a comma-separated list")?;
+                f.seeds = Some(parse_list(list, |s| {
+                    s.parse::<u64>().map_err(|_| format!("invalid seed: {s:?}"))
+                })?);
+            }
+            "--ops" => f.ops = Some(parse_positive(value("a number")?, "op budget")?),
+            "--clients" => f.clients = Some(parse_positive(value("a number")?, "client count")?),
+            "--offsets" => f.offsets = Some(parse_positive(value("a number")?, "block count")?),
+            _ => unreachable!("every flag in Command::flags has a handler"),
         }
     }
-
-    Ok(Options {
-        sweep,
-        model,
-        self_test,
-        format,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
-    })
+    Ok(f.into_options(command))
 }
 
-/// Run the requested sections and collect the report. Subcommand specs
-/// are exclusive (first match wins) unless `all` is set, in which case
-/// every populated section contributes to one aggregated report.
+/// Run the sections in order and collect one report.
 pub fn run(opts: &Options) -> Report {
     let mut report = Report::new();
-    if !opts.all {
-        if let Some(spec) = &opts.serve {
-            report.extend(serve::verify(spec, opts.self_test));
-            return report;
-        }
-        if let Some(spec) = &opts.chaos {
-            report.extend(chaos::verify(spec, opts.self_test));
-            return report;
-        }
-        if let Some(spec) = &opts.trace {
-            report.extend(trace::verify(spec, opts.self_test));
-            return report;
-        }
-        if let Some(spec) = &opts.analyze {
-            report.extend(analyze::verify(spec, opts.self_test));
-            return report;
-        }
-        if let Some(spec) = &opts.restore {
-            report.extend(restore::verify(spec, opts.self_test));
-            return report;
-        }
-        if let Some(spec) = &opts.edge {
-            report.extend(edge::verify(spec, opts.self_test));
-            return report;
-        }
-    }
-    if let Some(spec) = &opts.sweep {
-        report.extend(schedule::sweep(spec));
-    }
-    if let Some(model_opts) = &opts.model {
-        report.push(coherence::check(model_opts));
-    }
-    if opts.self_test {
-        report.extend(schedule::self_test());
-        report.extend(coherence_self_test(
-            opts.model.map(|m| m.max_states).unwrap_or(2_000_000),
-        ));
-    }
-    if opts.all {
-        if let Some(spec) = &opts.trace {
-            report.extend(trace::verify(spec, opts.self_test));
-        }
-        if let Some(spec) = &opts.chaos {
-            report.extend(chaos::verify(spec, opts.self_test));
-        }
-        if let Some(spec) = &opts.restore {
-            report.extend(restore::verify(spec, opts.self_test));
-        }
-        if let Some(spec) = &opts.serve {
-            report.extend(serve::verify(spec, opts.self_test));
-        }
-        if let Some(spec) = &opts.edge {
-            report.extend(edge::verify(spec, opts.self_test));
-        }
-        if let Some(spec) = &opts.analyze {
-            report.extend(analyze::verify(spec, opts.self_test));
+    let self_test = opts.self_test;
+    for section in &opts.sections {
+        match section {
+            Section::Sweep(spec) => report.extend(schedule::sweep(spec)),
+            Section::Model(model_opts) => report.push(coherence::check(model_opts)),
+            Section::SelfTest { max_states } => {
+                report.extend(schedule::self_test());
+                report.extend(coherence_self_test(*max_states));
+            }
+            Section::Trace(spec) => report.extend(trace::verify(spec, self_test)),
+            Section::Chaos(spec) => report.extend(chaos::verify(spec, self_test)),
+            Section::Restore(spec) => report.extend(restore::verify(spec, self_test)),
+            Section::Serve(spec) => report.extend(serve::verify(spec, self_test)),
+            Section::Edge(spec) => report.extend(edge::verify(spec, self_test)),
+            Section::Analyze(spec) => report.extend(analyze::verify(spec, self_test)),
         }
     }
     report
@@ -843,22 +511,42 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    /// The one section a subcommand's options carry.
+    fn only(o: &Options) -> &Section {
+        assert_eq!(o.sections.len(), 1, "{o:?}");
+        &o.sections[0]
+    }
+
+    /// The bare form's default run: all three static sections.
+    fn static_sections() -> Vec<Section> {
+        vec![
+            Section::Sweep(SweepSpec::default()),
+            Section::Model(CheckOptions::default()),
+            Section::SelfTest {
+                max_states: CheckOptions::default().max_states,
+            },
+        ]
+    }
+
     #[test]
     fn acceptance_sweep_arguments_parse() {
         let o = parse(&args(&["--sweep", "n=2..=16", "c=1..=4"])).unwrap();
-        let spec = o.sweep.expect("sweep requested");
-        assert_eq!(spec.n, 2..=16);
-        assert_eq!(spec.c, 1..=4);
         // Only the named section runs.
-        assert!(o.model.is_none());
+        assert_eq!(
+            o.sections,
+            vec![Section::Sweep(SweepSpec {
+                n: 2..=16,
+                c: 1..=4,
+                ..SweepSpec::default()
+            })]
+        );
         assert!(!o.self_test);
     }
 
     #[test]
     fn no_arguments_runs_everything() {
         let o = parse(&[]).unwrap();
-        assert!(o.sweep.is_some());
-        assert!(o.model.is_some());
+        assert_eq!(o.sections, static_sections());
         assert!(o.self_test);
         assert_eq!(o.format, Format::Text);
     }
@@ -866,7 +554,8 @@ mod tests {
     #[test]
     fn ci_forces_all_sections_and_json_parses() {
         let o = parse(&args(&["--ci", "--format", "json"])).unwrap();
-        assert!(o.sweep.is_some() && o.model.is_some() && o.self_test);
+        assert_eq!(o.sections, static_sections());
+        assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
     }
 
@@ -882,11 +571,39 @@ mod tests {
             "1000",
         ]))
         .unwrap();
-        let m = o.model.unwrap();
-        assert_eq!((m.cfg.procs, m.cfg.blocks), (2, 1));
-        assert_eq!(m.variant, ProtocolVariant::MissingInvalidate);
-        assert_eq!(m.max_states, 1000);
-        assert!(o.sweep.is_none());
+        assert_eq!(
+            o.sections,
+            vec![Section::Model(CheckOptions {
+                cfg: ModelConfig {
+                    procs: 2,
+                    blocks: 1
+                },
+                variant: ProtocolVariant::MissingInvalidate,
+                max_states: 1000,
+            })]
+        );
+    }
+
+    #[test]
+    fn self_test_alone_uses_the_model_state_cap() {
+        let o = parse(&args(&["--self-test"])).unwrap();
+        assert_eq!(
+            o.sections,
+            vec![Section::SelfTest {
+                max_states: 2_000_000
+            }]
+        );
+        let o = parse(&args(&["--model", "--self-test", "--max-states", "9"])).unwrap();
+        assert_eq!(o.sections[1], Section::SelfTest { max_states: 9 });
+        // The last --sweep wins, and its own n=/c= tokens start afresh.
+        let o = parse(&args(&["--sweep", "n=3", "--sweep", "c=2"])).unwrap();
+        assert_eq!(
+            o.sections,
+            vec![Section::Sweep(SweepSpec {
+                c: 2..=2,
+                ..SweepSpec::default()
+            })]
+        );
     }
 
     #[test]
@@ -897,20 +614,21 @@ mod tests {
         assert!(parse(&args(&["--format", "yaml"])).is_err());
         assert!(parse(&args(&["trace", "--model"])).is_err());
         assert!(parse(&args(&["trace", "n=0..=4"])).is_err());
+        // Range tokens belong to --sweep in the bare form.
+        assert!(parse(&args(&["n=2..=4"])).is_err());
     }
 
     #[test]
     fn trace_subcommand_is_exclusive_and_defaults_to_the_full_sweep() {
         let o = parse(&args(&["trace"])).unwrap();
-        let spec = o.trace.expect("trace requested");
-        assert_eq!(spec, TraceSpec::default());
-        assert!(o.sweep.is_none() && o.model.is_none() && !o.self_test);
+        assert_eq!(o.sections, vec![Section::Trace(TraceSpec::default())]);
+        assert!(!o.self_test);
     }
 
     #[test]
     fn trace_ci_keeps_the_sweep_and_adds_self_tests() {
         let o = parse(&args(&["trace", "--ci", "--format", "json"])).unwrap();
-        assert_eq!(o.trace, Some(TraceSpec::default()));
+        assert_eq!(o.sections, vec![Section::Trace(TraceSpec::default())]);
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
     }
@@ -918,7 +636,9 @@ mod tests {
     #[test]
     fn trace_ranges_and_sharers_parse() {
         let o = parse(&args(&["trace", "n=2..=4", "c=1..=2", "--sharers", "2,3"])).unwrap();
-        let spec = o.trace.unwrap();
+        let Section::Trace(spec) = only(&o) else {
+            panic!("{o:?}")
+        };
         assert_eq!(spec.n, 2..=4);
         assert_eq!(spec.c, 1..=2);
         assert_eq!(spec.sharers, vec![2, 3]);
@@ -927,22 +647,27 @@ mod tests {
     #[test]
     fn chaos_subcommand_is_exclusive_and_defaults_to_the_full_soak() {
         let o = parse(&args(&["chaos"])).unwrap();
-        let spec = o.chaos.expect("chaos requested");
-        assert_eq!(spec, ChaosSpec::default());
-        assert!(o.sweep.is_none() && o.model.is_none() && o.trace.is_none());
+        assert_eq!(o.sections, vec![Section::Chaos(ChaosSpec::default())]);
         assert!(!o.self_test);
     }
 
     #[test]
     fn engine_flags_parse() {
+        let engine = |o: Options| match only(&o) {
+            Section::Trace(spec) => spec.engine,
+            other => panic!("{other:?}"),
+        };
         let o = parse(&args(&["trace", "--engine", "parallel"])).unwrap();
-        assert_eq!(o.trace.unwrap().engine, Engine::Parallel { threads: 1 });
+        assert_eq!(engine(o), Engine::Parallel { threads: 1 });
         let o = parse(&args(&["trace", "--engine", "sequential"])).unwrap();
-        assert_eq!(o.trace.unwrap().engine, Engine::Sequential);
+        assert_eq!(engine(o), Engine::Sequential);
         let o = parse(&args(&["chaos", "--engines", "sequential,parallel"])).unwrap();
         assert_eq!(
-            o.chaos.unwrap().engines,
-            vec![Engine::Sequential, Engine::Parallel { threads: 1 }]
+            o.sections,
+            vec![Section::Chaos(ChaosSpec {
+                engines: vec![Engine::Sequential, Engine::Parallel { threads: 1 }],
+                ..ChaosSpec::default()
+            })]
         );
         assert!(parse(&args(&["trace", "--engine", "bogus"])).is_err());
         // Lane-count spellings are usage errors.
@@ -959,7 +684,13 @@ mod tests {
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
         let o = parse(&args(&["chaos", "--seeds", "1,2,3"])).unwrap();
-        assert_eq!(o.chaos.unwrap().seeds, vec![1, 2, 3]);
+        assert_eq!(
+            o.sections,
+            vec![Section::Chaos(ChaosSpec {
+                seeds: vec![1, 2, 3],
+                ..ChaosSpec::default()
+            })]
+        );
         assert!(parse(&args(&["chaos", "--seeds", "nope"])).is_err());
         assert!(parse(&args(&["chaos", "--model"])).is_err());
     }
@@ -967,9 +698,7 @@ mod tests {
     #[test]
     fn serve_subcommand_is_exclusive_and_defaults_to_the_full_soak() {
         let o = parse(&args(&["serve"])).unwrap();
-        let spec = o.serve.expect("serve requested");
-        assert_eq!(spec, ServeSpec::default());
-        assert!(o.sweep.is_none() && o.model.is_none() && o.trace.is_none() && o.chaos.is_none());
+        assert_eq!(o.sections, vec![Section::Serve(ServeSpec::default())]);
         assert!(!o.self_test);
     }
 
@@ -979,9 +708,13 @@ mod tests {
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
         let o = parse(&args(&["serve", "--seeds", "3,4", "--ops", "500"])).unwrap();
-        let spec = o.serve.unwrap();
-        assert_eq!(spec.seeds, vec![3, 4]);
-        assert_eq!(spec.ops_per_tenant, 500);
+        assert_eq!(
+            o.sections,
+            vec![Section::Serve(ServeSpec {
+                seeds: vec![3, 4],
+                ops_per_tenant: 500,
+            })]
+        );
         assert!(parse(&args(&["serve", "--ops", "0"])).is_err());
         assert!(parse(&args(&["serve", "--seeds", "nope"])).is_err());
         assert!(parse(&args(&["serve", "--model"])).is_err());
@@ -990,10 +723,7 @@ mod tests {
     #[test]
     fn analyze_subcommand_is_exclusive_and_defaults_parse() {
         let o = parse(&args(&["analyze"])).unwrap();
-        let spec = o.analyze.expect("analyze requested");
-        assert_eq!(spec, AnalyzeSpec::default());
-        assert!(o.sweep.is_none() && o.model.is_none() && o.trace.is_none());
-        assert!(o.chaos.is_none() && o.serve.is_none() && !o.all);
+        assert_eq!(o.sections, vec![Section::Analyze(AnalyzeSpec::default())]);
         assert!(!o.self_test);
     }
 
@@ -1011,10 +741,22 @@ mod tests {
             "32",
         ]))
         .unwrap();
-        let spec = o.analyze.unwrap();
-        assert_eq!(spec.n, 2..=4);
-        assert_eq!(spec.c, 1..=2);
-        assert_eq!(spec.offsets, 32);
+        let want = AnalyzeSpec {
+            n: 2..=4,
+            c: 1..=2,
+            offsets: 32,
+        };
+        assert_eq!(o.sections, vec![Section::Analyze(want.clone())]);
+        // In analyze, --sweep is only a prefix: it keeps earlier ranges.
+        let o = parse(&args(&[
+            "analyze",
+            "n=2..=4",
+            "c=1..=2",
+            "--sweep",
+            "--offsets",
+            "32",
+        ]));
+        assert_eq!(o.unwrap().sections, vec![Section::Analyze(want)]);
         assert!(parse(&args(&["analyze", "n=0..=4"])).is_err());
         assert!(parse(&args(&["analyze", "--offsets", "0"])).is_err());
         assert!(parse(&args(&["analyze", "--model"])).is_err());
@@ -1023,24 +765,32 @@ mod tests {
     #[test]
     fn all_subcommand_populates_every_section() {
         let o = parse(&args(&["all", "--ci", "--format", "json"])).unwrap();
-        assert!(o.all);
-        assert!(o.sweep.is_some() && o.model.is_some());
-        assert!(o.trace.is_some() && o.chaos.is_some());
-        assert!(o.serve.is_some() && o.analyze.is_some());
-        assert!(o.restore.is_some());
+        let mut want = static_sections();
+        want.extend([
+            Section::Trace(TraceSpec::default()),
+            Section::Chaos(ChaosSpec::default()),
+            Section::Restore(RestoreSpec::default()),
+            Section::Serve(ServeSpec::default()),
+            Section::Edge(EdgeSpec::default()),
+            Section::Analyze(AnalyzeSpec::default()),
+        ]);
+        assert_eq!(o.sections, want);
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
+        // Without --ci the static self-tests stay out, as do the
+        // sections' own.
+        let o = parse(&args(&["all"])).unwrap();
+        want.remove(2);
+        assert_eq!(o.sections, want);
+        assert!(!o.self_test);
         assert!(parse(&args(&["all", "--model"])).is_err());
     }
 
     #[test]
     fn restore_subcommand_is_exclusive_and_defaults_parse() {
         let o = parse(&args(&["restore"])).unwrap();
-        let spec = o.restore.expect("restore requested");
-        assert_eq!(spec, RestoreSpec::default());
-        assert!(o.sweep.is_none() && o.model.is_none() && o.trace.is_none());
-        assert!(o.chaos.is_none() && o.serve.is_none() && o.analyze.is_none());
-        assert!(!o.self_test && !o.all);
+        assert_eq!(o.sections, vec![Section::Restore(RestoreSpec::default())]);
+        assert!(!o.self_test);
     }
 
     #[test]
@@ -1049,9 +799,13 @@ mod tests {
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
         let o = parse(&args(&["restore", "--seeds", "3,4", "--ops", "500"])).unwrap();
-        let spec = o.restore.unwrap();
-        assert_eq!(spec.seeds, vec![3, 4]);
-        assert_eq!(spec.ops_per_tenant, 500);
+        assert_eq!(
+            o.sections,
+            vec![Section::Restore(RestoreSpec {
+                seeds: vec![3, 4],
+                ops_per_tenant: 500,
+            })]
+        );
         assert!(parse(&args(&["restore", "--ops", "0"])).is_err());
         assert!(parse(&args(&["restore", "--seeds", "nope"])).is_err());
         assert!(parse(&args(&["restore", "--model"])).is_err());
@@ -1060,11 +814,8 @@ mod tests {
     #[test]
     fn edge_subcommand_is_exclusive_and_defaults_parse() {
         let o = parse(&args(&["edge"])).unwrap();
-        let spec = o.edge.expect("edge requested");
-        assert_eq!(spec, EdgeSpec::default());
-        assert!(o.sweep.is_none() && o.model.is_none() && o.trace.is_none());
-        assert!(o.chaos.is_none() && o.serve.is_none() && o.restore.is_none());
-        assert!(!o.self_test && !o.all);
+        assert_eq!(o.sections, vec![Section::Edge(EdgeSpec::default())]);
+        assert!(!o.self_test);
     }
 
     #[test]
@@ -1082,20 +833,58 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        let spec = o.edge.unwrap();
-        assert_eq!(spec.seeds, vec![3, 4]);
-        assert_eq!(spec.ops, 500);
-        assert_eq!(spec.clients, 4);
+        assert_eq!(
+            o.sections,
+            vec![Section::Edge(EdgeSpec {
+                seeds: vec![3, 4],
+                ops: 500,
+                clients: 4,
+            })]
+        );
         assert!(parse(&args(&["edge", "--ops", "0"])).is_err());
         assert!(parse(&args(&["edge", "--clients", "0"])).is_err());
         assert!(parse(&args(&["edge", "--seeds", "nope"])).is_err());
         assert!(parse(&args(&["edge", "--model"])).is_err());
     }
 
+    /// The parser's contract for the bare form and every subcommand:
+    /// `--help` answers with the usage text, an unknown flag is refused
+    /// with the subcommand named, and a flag that only another
+    /// subcommand takes stays refused.
     #[test]
-    fn all_subcommand_includes_the_edge_section() {
-        let o = parse(&args(&["all", "--ci"])).unwrap();
-        assert_eq!(o.edge, Some(EdgeSpec::default()));
+    fn every_command_answers_help_and_refuses_unknown_and_foreign_flags() {
+        let table: [(&[&str], &str, &[&str]); 8] = [
+            (&[], "unknown argument", &["--offsets", "4"]),
+            (&["trace"], "unknown trace argument", &["--seeds", "1"]),
+            (&["chaos"], "unknown chaos argument", &["--ops", "5"]),
+            (&["serve"], "unknown serve argument", &["--clients", "2"]),
+            (&["analyze"], "unknown analyze argument", &["--seeds", "1"]),
+            (
+                &["restore"],
+                "unknown restore argument",
+                &["--clients", "2"],
+            ),
+            (
+                &["edge"],
+                "unknown edge argument",
+                &["--engine", "parallel"],
+            ),
+            (&["all"], "unknown all argument", &["--seeds", "1"]),
+        ];
+        for (command, refusal, foreign) in table {
+            let with = |extra: &[&str]| args(&[command, extra].concat());
+            assert_eq!(parse(&with(&["--help"])).unwrap_err(), USAGE, "{command:?}");
+            let err = parse(&with(&["--no-such-flag"])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{refusal} \"--no-such-flag\"")),
+                "{command:?}: {err}"
+            );
+            let err = parse(&with(foreign)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{refusal} {:?}", foreign[0])),
+                "{command:?} {foreign:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use cfm_cache::protocol::{access_control, PrimKind};
 use crate::report::Check;
 
 /// Model-checking options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckOptions {
     /// Model dimensions.
     pub cfg: ModelConfig,

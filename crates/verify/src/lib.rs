@@ -65,8 +65,9 @@
 //!   taxonomy (`cfm-verify restore --ci`).
 //! * [`report`] / [`json`] — structured findings rendered as text or
 //!   byte-stable JSON (`--format json`) for the CI gate.
-//! * [`cli`] — the `cfm-verify` binary: `--sweep`, `--model`,
-//!   `--self-test`, `--ci`.
+//! * [`cli`] — the `cfm-verify` binary: one argument loop for the bare
+//!   form (`--sweep`, `--model`, `--self-test`, `--ci`) and every
+//!   subcommand, yielding the ordered list of sections to run.
 //!
 //! Exit codes: 0 = everything proved, 1 = a check failed (report names
 //! the witness or trace), 2 = usage error.
@@ -122,6 +123,16 @@ stuck-switch detectability. `--seeds` overrides the default plan seeds,
 sequential,parallel); `chaos --ci` adds self-tests that
 prove each detector non-vacuous.
 
+The `serve` subcommand soaks the cfm-serve multi-tenant request
+service: a roster with one pure hot-spot tenant must complete every
+admitted operation with zero bank conflicts, a continuously backlogged
+weight-1 tenant must meet the windowed deficit-round-robin fairness
+bound against a weight-8 hog, queue flooding must produce typed
+QueueFull backpressure with no admission deadlock, and drain must
+complete all in-flight work. `--seeds` overrides the traffic seeds,
+`--ops` the per-tenant operation budget; `serve --ci` adds detector
+self-tests.
+
 The `analyze` subcommand runs the static program analyzer: every
 standard program spec is abstractly interpreted on each swept `(n, c)`
 configuration (default n=2..=8 c=1..=2, --offsets blocks, default 16),
@@ -161,16 +172,6 @@ The `all` subcommand runs every section — the schedule sweep, the
 coherence model check, trace, chaos, restore, serve, edge, and
 analyze — in one process with one aggregated report, the single CI
 entry point.
-
-The `serve` subcommand soaks the cfm-serve multi-tenant request
-service: a roster with one pure hot-spot tenant must complete every
-admitted operation with zero bank conflicts, a continuously backlogged
-weight-1 tenant must meet the windowed deficit-round-robin fairness
-bound against a weight-8 hog, queue flooding must produce typed
-QueueFull backpressure with no admission deadlock, and drain must
-complete all in-flight work. `--seeds` overrides the traffic seeds,
-`--ops` the per-tenant operation budget; `serve --ci` adds detector
-self-tests.
 
 Sections (none selected = all, with defaults):
   --sweep n=A..=B c=C..=D   verify every AT-space schedule in the range

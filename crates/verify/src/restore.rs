@@ -35,13 +35,15 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cfm_core::config::CfmConfig;
-use cfm_core::fault::{FaultPlan, PlanParams};
+use cfm_core::fault::FaultPlan;
 use cfm_core::machine::CfmMachine;
-use cfm_core::op::{Completion, Operation};
+use cfm_core::op::Operation;
+use cfm_core::program::{ScriptDriver, Scripted};
 use cfm_core::snapshot::{MachineSnapshot, SnapshotError};
 use cfm_core::Word;
 use cfm_serve::{Reject, Service, ServiceConfig, TenantSpec, Ticket};
 
+use crate::chaos::{plan_params, shape_for, soak_scripts};
 use crate::report::Check;
 use crate::trace::hb;
 
@@ -61,17 +63,12 @@ const ROUNDS: u64 = 2;
 /// deep enough that operations are mid-sweep and retries may be pending.
 const MIDPOINT_STEPS: u64 = 12;
 
-/// `(n, c, spares)` machine shapes the soak rotates through — the same
-/// four the chaos suite soaks, so every restore runs under a fault plan
-/// already known to exercise remaps, pipelined banks, masking, and a
-/// two-spare pool.
-const SHAPES: [(usize, u32, usize); 4] = [(4, 1, 1), (4, 2, 1), (8, 1, 0), (4, 1, 2)];
-
 /// Which checkpoint/restore soaks to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestoreSpec {
-    /// Fault-plan seeds; each soaks one machine shape (shapes rotate per
-    /// seed index, covering all four with the default seed list).
+    /// Fault-plan seeds; each soaks one machine shape (the chaos suite's
+    /// shapes, rotating per seed index and covering all four with the
+    /// default seed list).
     pub seeds: Vec<u64>,
     /// Read operations the untouched tenant completes across the live
     /// migration boundary.
@@ -90,85 +87,12 @@ impl Default for RestoreSpec {
     }
 }
 
-fn shape_for(index: usize) -> (usize, u32, usize) {
-    SHAPES[index % SHAPES.len()]
-}
-
-/// Fault-plan parameters matching the chaos suite: repair windows short
-/// enough that bounded retry always recovers transparently.
-fn plan_params(n: usize, c: u32) -> PlanParams {
-    PlanParams {
-        banks: n * c as usize,
-        processors: n,
-        horizon: HORIZON,
-        permanent: 1,
-        transient: 2,
-        max_repair: 24,
-        responses: 2,
-        stuck: 1,
-    }
-}
-
-/// The value processor `p` writes to its owned block in round `r`.
-fn owned_value(p: usize, r: u64) -> Word {
-    (p as Word + 1) * 100 + r
-}
-
-/// The standard soak scripts: each processor writes/reads its owned
-/// block, bumps a shared counter, and reads its neighbour's block.
-fn seed_scripts(n: usize, banks: usize) -> Vec<VecDeque<Operation>> {
-    let shared = n;
-    (0..n)
-        .map(|p| {
-            let mut q = VecDeque::new();
-            for r in 0..ROUNDS {
-                q.push_back(Operation::write(p, vec![owned_value(p, r); banks]));
-                q.push_back(Operation::read(p));
-                q.push_back(Operation::fetch_add(shared, 0, 1));
-                q.push_back(Operation::read((p + 1) % n));
-            }
-            q
-        })
-        .collect()
-}
-
-/// Poll every processor's completions into `done` and refill idle lanes
-/// from the scripts. The per-processor order is fixed, so two machines
-/// driven by this function produce comparable completion streams.
-fn pump(m: &mut CfmMachine, scripts: &mut [VecDeque<Operation>], done: &mut Vec<Completion>) {
-    for (p, script) in scripts.iter_mut().enumerate() {
-        while let Some(c) = m.poll(p) {
-            done.push(c);
-        }
-        if !m.is_busy(p) {
-            if let Some(op) = script.pop_front() {
-                m.issue(p, op).expect("idle processor accepts");
-            }
-        }
-    }
-}
-
-/// Drive `m` until the scripts are exhausted and the machine idles,
-/// collecting every completion.
-fn drive_to_idle(m: &mut CfmMachine, scripts: &mut [VecDeque<Operation>]) -> Vec<Completion> {
-    let mut done = Vec::new();
-    for _ in 0..BUDGET {
-        pump(m, scripts, &mut done);
-        if m.is_idle() && scripts.iter().all(|s| s.is_empty()) {
-            break;
-        }
-        m.step();
-    }
-    for p in 0..scripts.len() {
-        while let Some(c) = m.poll(p) {
-            done.push(c);
-        }
-    }
-    assert!(
-        m.is_idle() && scripts.iter().all(|s| s.is_empty()),
-        "restore workload did not drain within the budget"
-    );
-    done
+/// Drive `m` with `driver` until its scripts are spent and the machine
+/// idles.
+fn drain(driver: &mut ScriptDriver, m: &mut CfmMachine) -> Vec<Scripted> {
+    driver
+        .drain(m, BUDGET)
+        .expect("restore workload did not drain within the budget")
 }
 
 /// Mid-flight checkpoint: run one machine under an active fault plan to
@@ -180,17 +104,17 @@ fn byte_identical_check(seed: u64, (n, c, spares): (usize, u32, usize)) -> Check
         .with_spares(spares)
         .expect("spare pool fits");
     let banks = cfg.banks();
-    let plan = FaultPlan::generate(seed, &plan_params(n, c));
+    let plan = FaultPlan::generate(seed, &plan_params(n, c, HORIZON));
     let subject = format!("restore: seed={seed:#x} n={n} c={c} b={banks} spares={spares}");
 
     let mut m = CfmMachine::builder(cfg)
         .offsets(OFFSETS)
         .fault_plan(plan)
         .build();
-    let mut scripts = seed_scripts(n, banks);
+    let mut driver = ScriptDriver::new(soak_scripts(n, banks, ROUNDS));
     let mut prefix = Vec::new();
     for _ in 0..MIDPOINT_STEPS {
-        pump(&mut m, &mut scripts, &mut prefix);
+        driver.pass(&mut m, &mut prefix);
         m.step();
     }
 
@@ -229,9 +153,8 @@ fn byte_identical_check(seed: u64, (n, c, spares): (usize, u32, usize)) -> Check
 
     // Continue the original and the restored twin with identical
     // remaining scripts; every observable must match.
-    let mut scripts_b = scripts.clone();
-    let done_a = drive_to_idle(&mut m, &mut scripts);
-    let done_b = drive_to_idle(&mut restored, &mut scripts_b);
+    let done_a = drain(&mut driver.clone(), &mut m);
+    let done_b = drain(&mut driver, &mut restored);
     let mut diverged = Vec::new();
     if done_a != done_b {
         diverged.push(format!(
@@ -291,7 +214,7 @@ fn cross_shape_checks(seed: u64, (n, c, spares): (usize, u32, usize)) -> Vec<Che
         .with_spares(spares)
         .expect("spare pool fits");
     let banks = cfg.banks();
-    let plan = FaultPlan::generate(seed ^ 0xC0DE, &plan_params(n, c));
+    let plan = FaultPlan::generate(seed ^ 0xC0DE, &plan_params(n, c, HORIZON));
     let subject = format!(
         "restore: seed={seed:#x} ({n},{c},{spares}) -> ({},{c},{spares})",
         2 * n
@@ -302,8 +225,10 @@ fn cross_shape_checks(seed: u64, (n, c, spares): (usize, u32, usize)) -> Vec<Che
         .trace(true)
         .fault_plan(plan)
         .build();
-    let mut scripts = seed_scripts(n, banks);
-    drive_to_idle(&mut m, &mut scripts);
+    drain(
+        &mut ScriptDriver::new(soak_scripts(n, banks, ROUNDS)),
+        &mut m,
+    );
     // Fire every late-scheduled fault before the boundary so the target
     // starts from settled degraded state.
     while m.cycle() < HORIZON + 40 {
@@ -369,19 +294,16 @@ fn cross_shape_checks(seed: u64, (n, c, spares): (usize, u32, usize)) -> Vec<Che
 
     // The grown machine must serve a fresh full-width workload; its own
     // trace (resumed across the restore) feeds the race-freedom check.
-    let mut fresh: Vec<VecDeque<Operation>> = (0..2 * n)
+    let fresh: Vec<VecDeque<Operation>> = (0..2 * n)
         .map(|p| {
-            let mut q = VecDeque::new();
-            q.push_back(Operation::write(
-                p % OFFSETS,
-                vec![7_000 + p as Word; big_banks],
-            ));
-            q.push_back(Operation::read(p % OFFSETS));
-            q
+            VecDeque::from([
+                Operation::write(p % OFFSETS, vec![7_000 + p as Word; big_banks]),
+                Operation::read(p % OFFSETS),
+            ])
         })
         .collect();
-    let done = drive_to_idle(&mut big, &mut fresh);
-    for d in &done {
+    let done = drain(&mut ScriptDriver::new(fresh), &mut big);
+    for (_, _, d) in &done {
         if d.torn {
             lost.push(format!(
                 "post-restore read of block {} torn at cycle {}",

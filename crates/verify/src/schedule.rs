@@ -40,7 +40,7 @@ use crate::report::Check;
 
 /// What to sweep: inclusive ranges of processor count `n` and bank
 /// cycle `c`, plus the slot-sharing degrees to exercise per config.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepSpec {
     /// Processor counts to sweep.
     pub n: RangeInclusive<usize>,

@@ -14,7 +14,7 @@ use cfm_core::config::{CfmConfig, Engine};
 use cfm_core::lock::{CriticalLedger, SpinLockProgram};
 use cfm_core::machine::CfmMachine;
 use cfm_core::op::Operation;
-use cfm_core::program::{RunOutcome, Runner};
+use cfm_core::program::{RunOutcome, Runner, ScriptDriver};
 use cfm_core::slotshare::SlotSharedMachine;
 use cfm_core::trace::TraceEvent;
 use cfm_core::{Cycle, ProcId, Word};
@@ -24,52 +24,23 @@ use super::linearize::HistOp;
 /// Cycle budget for every workload drive loop.
 const BUDGET: u64 = 400_000;
 
-/// Drive `machine` with per-processor operation scripts, collecting the
-/// history (calls paired with completions) until everything drains.
-/// Panics if the budget runs out — workloads are sized well below it.
-fn drive(machine: &mut CfmMachine, scripts: &mut [VecDeque<Operation>], history: &mut Vec<HistOp>) {
-    let n = scripts.len();
-    let mut pending: Vec<VecDeque<Operation>> = vec![VecDeque::new(); n];
-    for _ in 0..BUDGET {
-        for (p, script) in scripts.iter_mut().enumerate() {
-            while let Some(c) = machine.poll(p) {
-                let call = pending[p].pop_front().expect("completion matches a call");
-                history.push(HistOp {
-                    proc: p,
-                    issued_at: c.issued_at,
-                    completed_at: c.completed_at,
-                    call,
-                    response: c.data.as_ref().map(|b| b.to_vec()),
-                });
-            }
-            if !machine.is_busy(p) {
-                if let Some(op) = script.pop_front() {
-                    pending[p].push_back(op.clone());
-                    machine.issue(p, op).expect("idle processor accepts");
-                }
-            }
-        }
-        if machine.is_idle() && scripts.iter().all(|s| s.is_empty()) {
-            break;
-        }
-        machine.step();
-    }
-    for (p, q) in pending.iter_mut().enumerate() {
-        while let Some(c) = machine.poll(p) {
-            let call = q.pop_front().expect("completion matches a call");
-            history.push(HistOp {
-                proc: p,
-                issued_at: c.issued_at,
-                completed_at: c.completed_at,
-                call,
-                response: c.data.as_ref().map(|b| b.to_vec()),
-            });
-        }
-    }
-    assert!(
-        machine.is_idle() && scripts.iter().all(|s| s.is_empty()),
-        "workload did not drain within the budget"
-    );
+/// Drive `machine` with per-processor operation scripts until
+/// everything drains, and return the history (calls paired with
+/// completions). Panics if the budget runs out — workloads are sized
+/// well below it.
+fn scripted_history(machine: &mut CfmMachine, scripts: Vec<VecDeque<Operation>>) -> Vec<HistOp> {
+    let done = ScriptDriver::new(scripts)
+        .drain(machine, BUDGET)
+        .expect("workload did not drain within the budget");
+    done.into_iter()
+        .map(|(proc, call, c)| HistOp {
+            proc,
+            issued_at: c.issued_at,
+            completed_at: c.completed_at,
+            call,
+            response: c.data.as_ref().map(|b| b.to_vec()),
+        })
+        .collect()
 }
 
 /// The per-config contention workload: every processor writes a shared
@@ -83,7 +54,7 @@ pub fn core_contention(n: usize, c: u32, engine: Engine) -> (Vec<TraceEvent>, Ve
         .with_engine(engine);
     let banks = cfg.banks();
     let mut m = CfmMachine::builder(cfg).offsets(8).trace(true).build();
-    let mut scripts: Vec<VecDeque<Operation>> = (0..n)
+    let scripts: Vec<VecDeque<Operation>> = (0..n)
         .map(|p| {
             let mut q = VecDeque::new();
             q.push_back(Operation::write(p % 2, vec![(p as Word + 1) * 100; banks]));
@@ -93,8 +64,7 @@ pub fn core_contention(n: usize, c: u32, engine: Engine) -> (Vec<TraceEvent>, Ve
             q
         })
         .collect();
-    let mut history = Vec::new();
-    drive(&mut m, &mut scripts, &mut history);
+    let history = scripted_history(&mut m, scripts);
     let events = m.take_trace().expect("tracing was enabled").into_events();
     (events, history)
 }
@@ -106,7 +76,7 @@ pub fn core_swap_contest(n: usize) -> (Vec<HistOp>, usize) {
     let cfg = CfmConfig::new(n, 1, 16).expect("valid config");
     let banks = cfg.banks();
     let mut m = CfmMachine::builder(cfg).offsets(4).build();
-    let mut scripts: Vec<VecDeque<Operation>> = (0..n)
+    let scripts: Vec<VecDeque<Operation>> = (0..n)
         .map(|p| {
             let mut q = VecDeque::new();
             q.push_back(Operation::swap(0, vec![p as Word + 1; banks]));
@@ -115,8 +85,7 @@ pub fn core_swap_contest(n: usize) -> (Vec<HistOp>, usize) {
             q
         })
         .collect();
-    let mut history = Vec::new();
-    drive(&mut m, &mut scripts, &mut history);
+    let history = scripted_history(&mut m, scripts);
     (history, banks)
 }
 

@@ -3,7 +3,7 @@
 //! must pass — through the same public API the CLI uses.
 
 use cfm_cache::model::{ModelConfig, ProtocolVariant};
-use cfm_verify::cli::{self, Format, Options};
+use cfm_verify::cli::{self, Format, Options, Section};
 use cfm_verify::coherence::{self, CheckOptions};
 use cfm_verify::report::Status;
 use cfm_verify::schedule::{RawSchedule, SweepSpec};
@@ -71,38 +71,31 @@ fn sabotaged_schedule_fails_the_sweep_machinery() {
 #[test]
 fn cli_report_exits_nonzero_on_a_mutant_and_zero_on_correct() {
     let mutant = Options {
-        sweep: None,
-        model: Some(model_opts(ProtocolVariant::MissingInvalidate)),
+        sections: vec![Section::Model(model_opts(
+            ProtocolVariant::MissingInvalidate,
+        ))],
         self_test: false,
         format: Format::Text,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
     };
     let report = cli::run(&mutant);
     assert_eq!(report.exit_code(), 1);
     assert_eq!(report.failed(), 1);
 
+    let model = model_opts(ProtocolVariant::Correct);
     let correct = Options {
-        sweep: Some(SweepSpec {
-            n: 2..=4,
-            c: 1..=2,
-            sharers: vec![2],
-        }),
-        model: Some(model_opts(ProtocolVariant::Correct)),
+        sections: vec![
+            Section::Sweep(SweepSpec {
+                n: 2..=4,
+                c: 1..=2,
+                sharers: vec![2],
+            }),
+            Section::Model(model),
+            Section::SelfTest {
+                max_states: model.max_states,
+            },
+        ],
         self_test: true,
         format: Format::Json,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
     };
     let report = cli::run(&correct);
     assert_eq!(report.exit_code(), 0, "{}", report.render_text());
@@ -113,21 +106,13 @@ fn cli_report_exits_nonzero_on_a_mutant_and_zero_on_correct() {
 #[test]
 fn json_report_is_byte_stable_across_renders() {
     let opts = Options {
-        sweep: Some(SweepSpec {
+        sections: vec![Section::Sweep(SweepSpec {
             n: 2..=3,
             c: 1..=1,
             sharers: vec![],
-        }),
-        model: None,
+        })],
         self_test: false,
         format: Format::Json,
-        trace: None,
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
     };
     let a = cli::run(&opts).to_json().render();
     let b = cli::run(&opts).to_json().render();

@@ -7,7 +7,7 @@
 use cfm_core::config::Engine;
 use cfm_core::op::OpKind;
 use cfm_core::trace::{MemoryTrace, TraceEvent, TraceSink};
-use cfm_verify::cli::{self, Format, Options};
+use cfm_verify::cli::{self, Format, Options, Section};
 use cfm_verify::trace::{hb, TraceSpec};
 use resource_binding::lockorder::LockOrderGraph;
 
@@ -84,22 +84,14 @@ fn fixed_deadlocking_acquisitions_yield_the_exact_cycle() {
 #[test]
 fn trace_pipeline_passes_on_a_sampled_sweep_with_self_tests() {
     let opts = Options {
-        sweep: None,
-        model: None,
-        self_test: true,
-        format: Format::Text,
-        trace: Some(TraceSpec {
+        sections: vec![Section::Trace(TraceSpec {
             n: 2..=5,
             c: 1..=2,
             sharers: vec![2, 3],
             engine: Engine::Sequential,
-        }),
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
+        })],
+        self_test: true,
+        format: Format::Text,
     };
     let report = cli::run(&opts);
     assert_eq!(report.exit_code(), 0, "{}", report.render_text());
@@ -119,24 +111,16 @@ fn trace_pipeline_passes_on_a_sampled_sweep_with_self_tests() {
 #[test]
 fn trace_json_report_is_byte_stable_across_runs() {
     let opts = Options {
-        sweep: None,
-        model: None,
-        self_test: true,
-        format: Format::Json,
-        trace: Some(TraceSpec {
+        sections: vec![Section::Trace(TraceSpec {
             n: 2..=4,
             c: 1..=2,
             sharers: vec![2],
             // The parallel engine must be just as deterministic: two
             // runs of the same sweep render byte-identical JSON.
             engine: Engine::Parallel { threads: 1 },
-        }),
-        chaos: None,
-        serve: None,
-        analyze: None,
-        restore: None,
-        edge: None,
-        all: false,
+        })],
+        self_test: true,
+        format: Format::Json,
     };
     let a = cli::run(&opts).to_json().render();
     let b = cli::run(&opts).to_json().render();

@@ -8,7 +8,8 @@ use conflict_free_memory::core::atspace::AtSpace;
 use conflict_free_memory::core::config::CfmConfig;
 use conflict_free_memory::core::fault::{FaultKind, FaultPlan, PlanParams};
 use conflict_free_memory::core::machine::CfmMachine;
-use conflict_free_memory::core::op::{Completion, Operation};
+use conflict_free_memory::core::op::Operation;
+use conflict_free_memory::core::program::{ScriptDriver, Scripted};
 use conflict_free_memory::core::snapshot::MachineSnapshot;
 use conflict_free_memory::core::trace::TraceEvent;
 use conflict_free_memory::core::Word;
@@ -52,42 +53,12 @@ fn snapshot_scripts(n: usize, banks: usize) -> Vec<VecDeque<Operation>> {
         .collect()
 }
 
-/// Poll every processor's completions into `done` and refill idle lanes
-/// from the scripts, in a fixed order — two machines driven by this
-/// produce comparable completion streams.
-fn pump(m: &mut CfmMachine, scripts: &mut [VecDeque<Operation>], done: &mut Vec<Completion>) {
-    for (p, script) in scripts.iter_mut().enumerate() {
-        while let Some(c) = m.poll(p) {
-            done.push(c);
-        }
-        if !m.is_busy(p) {
-            if let Some(op) = script.pop_front() {
-                m.issue(p, op).expect("idle processor accepts");
-            }
-        }
-    }
-}
-
-/// Drive `m` until the scripts are exhausted and the machine idles.
-fn drive_to_idle(m: &mut CfmMachine, scripts: &mut [VecDeque<Operation>]) -> Vec<Completion> {
-    let mut done = Vec::new();
-    for _ in 0..100_000u64 {
-        pump(m, scripts, &mut done);
-        if m.is_idle() && scripts.iter().all(|s| s.is_empty()) {
-            break;
-        }
-        m.step();
-    }
-    for p in 0..scripts.len() {
-        while let Some(c) = m.poll(p) {
-            done.push(c);
-        }
-    }
-    assert!(
-        m.is_idle() && scripts.iter().all(|s| s.is_empty()),
-        "snapshot soak workload did not drain"
-    );
-    done
+/// Drive `m` with `driver` until its scripts are spent and the machine
+/// idles.
+fn drain(driver: &mut ScriptDriver, m: &mut CfmMachine) -> Vec<Scripted> {
+    driver
+        .drain(m, 100_000)
+        .expect("snapshot soak workload did not drain")
 }
 
 /// Debug-rendered trace digest, one event per line.
@@ -199,19 +170,19 @@ proptest! {
                 .trace(true)
                 .fault_plan(soak_plan(seed, banks, n, spares + 1))
                 .build();
-            (m, snapshot_scripts(n, banks))
+            (m, ScriptDriver::new(snapshot_scripts(n, banks)))
         };
-        let (mut m, mut scripts) = build();
-        let (mut reference, mut ref_scripts) = build();
+        let (mut m, mut driver) = build();
+        let (mut reference, mut ref_driver) = build();
 
         // Identical drives to the midpoint: operations mid-sweep, ATT
         // entries live, transient retries possibly pending.
         let mut prefix = Vec::new();
         let mut ref_prefix = Vec::new();
         for _ in 0..midpoint {
-            pump(&mut m, &mut scripts, &mut prefix);
+            driver.pass(&mut m, &mut prefix);
             m.step();
-            pump(&mut reference, &mut ref_scripts, &mut ref_prefix);
+            ref_driver.pass(&mut reference, &mut ref_prefix);
             reference.step();
         }
         prop_assert_eq!(&prefix, &ref_prefix, "identical drives diverged pre-boundary");
@@ -227,8 +198,8 @@ proptest! {
         let mut restored = decoded.restore().expect("same-shape restore succeeds");
         prop_assert_eq!(restored.cycle(), reference.cycle());
 
-        let done = drive_to_idle(&mut restored, &mut scripts);
-        let ref_done = drive_to_idle(&mut reference, &mut ref_scripts);
+        let done = drain(&mut driver, &mut restored);
+        let ref_done = drain(&mut ref_driver, &mut reference);
         prop_assert_eq!(done, ref_done, "continuation completion streams diverged");
         prop_assert_eq!(restored.cycle(), reference.cycle());
         prop_assert_eq!(restored.stats(), reference.stats());
@@ -262,8 +233,7 @@ proptest! {
             .offsets(8)
             .fault_plan(soak_plan(seed, banks, n, spares + 1))
             .build();
-        let mut scripts = snapshot_scripts(n, banks);
-        drive_to_idle(&mut m, &mut scripts);
+        drain(&mut ScriptDriver::new(snapshot_scripts(n, banks)), &mut m);
         while m.cycle() < HORIZON + 16 {
             m.step();
         }
@@ -316,10 +286,9 @@ proptest! {
         // conclude identically.
         let mut first = restore();
         let mut twin = restore();
-        let mut first_scripts = snapshot_scripts(big_n, big_banks);
-        let mut twin_scripts = first_scripts.clone();
-        let done = drive_to_idle(&mut first, &mut first_scripts);
-        let twin_done = drive_to_idle(&mut twin, &mut twin_scripts);
+        let mut first_driver = ScriptDriver::new(snapshot_scripts(big_n, big_banks));
+        let done = drain(&mut first_driver.clone(), &mut first);
+        let twin_done = drain(&mut first_driver, &mut twin);
         prop_assert_eq!(done, twin_done, "independent restores diverged");
         prop_assert_eq!(
             first.checkpoint().to_bytes(),
