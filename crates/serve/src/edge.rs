@@ -1,53 +1,67 @@
-//! The TCP edge: serves the [`crate::wire`] protocol on one dedicated
-//! thread that blocks on readiness — no async runtime, same discipline
-//! as the event loop itself.
+//! The TCP edge: serves the [`crate::wire`] protocol from the service's
+//! own event-loop thread — no edge thread, no async runtime.
 //!
 //! ## Architecture
 //!
 //! [`serve`] (or [`crate::Service::serve_edge`]) binds a nonblocking
-//! listener and spawns a single `cfm-edge` thread. The thread sleeps in
-//! `epoll_wait` (see the `poll` module, Linux only) on the listener,
-//! every connection, and one `eventfd`, with no timeout: an idle edge
-//! costs no wake-ups at all. Each wake it:
+//! listener, registers it and one `eventfd` with a fresh epoll instance
+//! (see the `poll` module, Linux only), and hands them to the service's
+//! event loop. The `cfm-serve-loop` thread that steps the machine runs
+//! the edge's pass itself, around each slot:
 //!
-//! 1. accepts waiting connections (shedding with a wire-level
+//! 1. when a readiness check is due (below), one `epoll_wait` with a zero
+//!    timeout accepts waiting connections (shedding with a wire-level
 //!    [`crate::Reject::Overloaded`] frame — retry hint included — when
-//!    the connection cap is reached);
-//! 2. takes the completion queue: the service's event loop pushes each
-//!    finished wire request there as `(connection, request_id,
-//!    outcome)`, and the edge encodes it into that connection's write
-//!    buffer. A completion whose connection has closed is dropped and
-//!    counted ([`EdgeStats::stale_completions`]); connection tokens carry
-//!    a generation, so a new connection that reuses a slot or a file
-//!    descriptor never receives an old connection's response;
-//! 3. reads and decodes the connections epoll reported ready, and submits
-//!    every admissible `Submit` of the pass to the service as one batch
-//!    under one lock, through the same admission checks as
+//!    the connection cap is reached) and lists the connections that are
+//!    ready;
+//! 2. it reads and decodes the listed connections, and checks each
+//!    `Submit`'s block against the machine's offsets;
+//! 3. under the state lock it already takes for the slot, it admits those
+//!    submits through the same checks as
 //!    [`crate::Service::submit_request`];
-//! 4. flushes write buffers as far as the sockets allow, carrying
-//!    partial writes across wakes.
+//! 4. it delivers the last slot's completions, encoding each wire answer
+//!    straight into its connection's write buffer, then flushes write
+//!    buffers as far as the sockets allow, carrying partial writes across
+//!    passes.
 //!
-//! Only connections that epoll reported, or that received completions,
-//! are visited.
+//! An answer whose connection has closed is dropped and counted
+//! ([`EdgeStats::stale_completions`]). Connection tokens carry a
+//! generation that is unique in the process, so a new connection that
+//! reuses a slot or a file descriptor never receives an old connection's
+//! response, even from an earlier edge of the same service.
 //!
-//! ## One wake per slot
+//! One service serves at most one edge at a time. The edge holds no
+//! `Arc<Service>`: the service can be drained as soon as the edge is shut
+//! down. A drain (or drop) of a service whose edge is still attached
+//! writes the answers already computed as far as the sockets take them,
+//! then closes the edge.
 //!
-//! The service writes the eventfd at most once per machine slot — after
-//! the whole slot's completions are queued, and only if the edge is
-//! parked in `epoll_wait` — never once per response. The edge therefore
-//! picks up a slot's responses as one burst, its clients answer with
-//! bursts of submits, and the batch path hands those to the scheduler
-//! together. Waking the edge on every response instead cost `wire-mixed`
-//! about a fifth of its throughput and raised its `slots_per_op` by about
-//! 3% (four 12 s pairs on a 2-vCPU host): the extra eventfd writes land
-//! on the event loop's thread, and the machine sees requests in smaller
-//! groups.
+//! ## One thread, and when it polls
+//!
+//! A readiness check costs a system call, so the loop does not make one
+//! every pass. While it has work it checks on each pass after one that
+//! delivered a wire answer — the answers' clients are the likeliest to
+//! have sent more — and on every [`POLL_EVERY_PASSES`]th pass otherwise.
+//! With nothing to do it polls for up to [`IDLE_SPIN`], yielding the CPU
+//! between polls, and then blocks in `epoll_wait` with no timeout: an
+//! idle edge costs no wake-ups at all. In-process submits, `drain`,
+//! `migrate`, dropping the service and [`EdgeHandle::shutdown`] wake a
+//! loop waiting there through the eventfd, which they write only while it
+//! waits. A service without an edge parks on its condvar as before.
+//!
+//! Why no edge thread: one would put four wake-ups on every wire request
+//! — client → edge (socket), edge → loop, loop → edge, edge → client
+//! (socket) — and on a 2-vCPU host those hand-offs, not the machine, set
+//! the pace of `wire-mixed` (`docs/performance.md`, the wire-path
+//! ledger).
 //!
 //! ## Backpressure and bounded memory
 //!
 //! Load shedding happens at three layers, all typed on the wire:
 //! - connection cap ([`EdgeConfig::max_connections`]): accepted, sent
-//!   one `Reject(Overloaded)` frame, closed;
+//!   one `Reject(Overloaded)` frame, closed. The listener's accept queue
+//!   is as deep as the cap (at least std's 128), so a burst of connects
+//!   up to the cap does not wait out SYN retransmits;
 //! - in-flight caps ([`EdgeConfig::max_inflight_per_conn`],
 //!   [`EdgeConfig::max_inflight_total`]): the submit is refused with
 //!   `Reject(Overloaded)` carrying a `retry_after_slots` hint computed
@@ -58,7 +72,7 @@
 //!   the same typed enum.
 //!
 //! A submit counts against both in-flight caps from the moment it is
-//! admitted until the bytes of its answer have been written to the
+//! decoded until the bytes of its answer have been written to the
 //! socket — not merely until the answer is encoded. A connection at its
 //! cap is not read (it loses `EPOLLIN` interest), and it asks for
 //! `EPOLLOUT` only while output is pending. Every other frame (shedding
@@ -79,15 +93,17 @@
 use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
+use crate::metrics::MetricsSnapshot;
 use crate::poll::{self, EventFd, Poller};
 use crate::request::{Reject, Request, Response};
-use crate::service::{Service, Target};
+use crate::service::{target, Service, Shared, Target};
 use crate::wire::{self, Decoder, Frame, PROTOCOL_VERSION};
 
 /// [`Frame::Error`] code for a frame that is well-formed but illegal in
@@ -95,13 +111,28 @@ use crate::wire::{self, Decoder, Frame, PROTOCOL_VERSION};
 /// are [`crate::WireError::code`]s.
 pub const ERR_PROTOCOL_VIOLATION: u16 = 0;
 
+/// How long a fully idle event loop with an edge attached keeps polling
+/// for readiness, yielding the CPU between polls, before it blocks in
+/// `epoll_wait`. A request that arrives within it is picked up without a
+/// wake-up: with no spin, `wire-mixed` ran ~9% slower (six 10 s rounds,
+/// 2 vCPUs).
+pub const IDLE_SPIN: Duration = Duration::from_micros(100);
+
+/// While it has work, the event loop checks readiness on every pass after
+/// one that delivered a wire answer, and on every this-many passes
+/// otherwise. The system call lengthens the pass that steps the machine:
+/// checking on every pass ran `wire-mixed` ~10% slower (six 10 s rounds,
+/// 2 vCPUs).
+pub const POLL_EVERY_PASSES: u32 = 4;
+
 /// Tuning for one edge listener.
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
     /// Address to bind, e.g. `"127.0.0.1:0"` (the default) for an
     /// ephemeral loopback port.
     pub addr: String,
-    /// Concurrent connections before accept-time shedding.
+    /// Concurrent connections before accept-time shedding; also the depth
+    /// of the listener's accept queue (at least std's 128).
     pub max_connections: usize,
     /// In-flight operations per connection before submit-time shedding.
     /// An operation is in flight from admission until its answer's bytes
@@ -123,8 +154,10 @@ impl Default for EdgeConfig {
     }
 }
 
+/// What an edge shares with its handle: the counters, written only by the
+/// event loop, and whether the loop has closed the edge.
 #[derive(Debug, Default)]
-struct StatsInner {
+pub(crate) struct Link {
     accepted: AtomicU64,
     active: AtomicU64,
     shed_connections: AtomicU64,
@@ -135,6 +168,49 @@ struct StatsInner {
     drained_connections: AtomicU64,
     stale_completions: AtomicU64,
     wbuf_high_water: AtomicU64,
+    edge_polls: AtomicU64,
+    idle_spins: AtomicU64,
+    parks: AtomicU64,
+    closed: Mutex<bool>,
+    closed_cv: Condvar,
+}
+
+/// Count one more.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+impl Link {
+    fn stats(&self) -> EdgeStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        EdgeStats {
+            accepted: get(&self.accepted),
+            active: get(&self.active),
+            shed_connections: get(&self.shed_connections),
+            shed_submits: get(&self.shed_submits),
+            responses: get(&self.responses),
+            rejects: get(&self.rejects),
+            wire_errors: get(&self.wire_errors),
+            drained_connections: get(&self.drained_connections),
+            stale_completions: get(&self.stale_completions),
+            wbuf_high_water: get(&self.wbuf_high_water),
+            edge_polls: get(&self.edge_polls),
+            idle_spins: get(&self.idle_spins),
+            parks: get(&self.parks),
+        }
+    }
+
+    /// Whether the loop has closed the edge (or never will open it).
+    pub(crate) fn is_closed(&self) -> bool {
+        *self.closed.lock()
+    }
+
+    fn wait_closed(&self) {
+        let mut closed = self.closed.lock();
+        while !*closed {
+            self.closed_cv.wait(&mut closed);
+        }
+    }
 }
 
 /// A point-in-time snapshot of the edge counters (all monotonic except
@@ -164,6 +240,42 @@ pub struct EdgeStats {
     /// Largest number of unwritten bytes any connection's write buffer
     /// held.
     pub wbuf_high_water: u64,
+    /// Readiness checks the event loop made between slots while it had
+    /// work (see [`POLL_EVERY_PASSES`]).
+    pub edge_polls: u64,
+    /// Readiness checks the event loop made while idle, before blocking
+    /// (see [`IDLE_SPIN`]).
+    pub idle_spins: u64,
+    /// Times the idle event loop blocked in `epoll_wait`.
+    pub parks: u64,
+}
+
+impl EdgeStats {
+    /// The counters as one JSON object, fields in declaration order,
+    /// indented as the value of a top-level key.
+    pub(crate) fn json_into(&self, out: &mut String) {
+        let fields = [
+            ("accepted", self.accepted),
+            ("active", self.active),
+            ("shed_connections", self.shed_connections),
+            ("shed_submits", self.shed_submits),
+            ("responses", self.responses),
+            ("rejects", self.rejects),
+            ("wire_errors", self.wire_errors),
+            ("drained_connections", self.drained_connections),
+            ("stale_completions", self.stale_completions),
+            ("wbuf_high_water", self.wbuf_high_water),
+            ("edge_polls", self.edge_polls),
+            ("idle_spins", self.idle_spins),
+            ("parks", self.parks),
+        ];
+        out.push_str("{\n");
+        for (i, (name, value)) in fields.iter().enumerate() {
+            let comma = if i + 1 == fields.len() { "" } else { "," };
+            out.push_str(&format!("    \"{name}\": {value}{comma}\n"));
+        }
+        out.push_str("  }");
+    }
 }
 
 /// Where a wire request's outcome goes: the connection's token (slot
@@ -174,72 +286,14 @@ pub(crate) struct Route {
     pub(crate) request_id: u64,
 }
 
-/// One edge's completion queue: the service's event loop pushes finished
-/// wire requests, the edge takes them in bulk. The eventfd is written
-/// only while the edge is parked in `epoll_wait`; a running edge takes the
-/// queue on its next pass anyway.
-pub(crate) struct CompletionQueue {
-    done: Mutex<Vec<(Route, Result<Response, Reject>)>>,
-    parked: AtomicBool,
-    wake: EventFd,
-}
-
-impl CompletionQueue {
-    fn new() -> io::Result<Self> {
-        Ok(CompletionQueue {
-            done: Mutex::new(Vec::new()),
-            parked: AtomicBool::new(false),
-            wake: EventFd::new()?,
-        })
-    }
-
-    /// Queue one outcome. The pusher then owes one
-    /// [`CompletionQueue::wake_if_parked`] for its whole batch.
-    pub(crate) fn push(&self, route: Route, outcome: Result<Response, Reject>) {
-        self.done.lock().push((route, outcome));
-    }
-
-    /// Wake the edge if it is parked (or about to park): after a push,
-    /// this either sees the edge's parked flag or the edge's check of the
-    /// queue sees the push — the queue's mutex orders the two.
-    pub(crate) fn wake_if_parked(&self) {
-        if self.parked.swap(false, Ordering::SeqCst) {
-            self.wake();
-        }
-    }
-
-    /// Wake the edge unconditionally. Writing a live eventfd fails only
-    /// if the counter would overflow, which `notify` already treats as
-    /// success.
-    fn wake(&self) {
-        let _ = self.wake.notify();
-    }
-
-    /// Announce that the edge is about to block. Returns `false` (and
-    /// stays unparked) if completions are already waiting.
-    fn park(&self) -> bool {
-        self.parked.store(true, Ordering::SeqCst);
-        if self.done.lock().is_empty() {
-            true
-        } else {
-            self.parked.store(false, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Move every queued outcome into the empty `into`.
-    fn take(&self, into: &mut Vec<(Route, Result<Response, Reject>)>) {
-        std::mem::swap(&mut *self.done.lock(), into);
-    }
-}
-
-/// Handle to a running edge thread: address, counters, shutdown.
+/// Handle to an edge the service's event loop serves: address, counters,
+/// shutdown. It holds the service's shared state, not the service, so
+/// the service can be drained once the edge is shut down.
 pub struct EdgeHandle {
     addr: SocketAddr,
-    stats: Arc<StatsInner>,
-    stop: Arc<AtomicBool>,
-    completions: Arc<CompletionQueue>,
-    thread: Option<thread::JoinHandle<()>>,
+    link: Arc<Link>,
+    /// `None` once the edge is shut down.
+    shared: Option<Arc<Shared>>,
 }
 
 impl std::fmt::Debug for EdgeHandle {
@@ -259,64 +313,56 @@ impl EdgeHandle {
 
     /// Snapshot the edge counters.
     pub fn stats(&self) -> EdgeStats {
-        let s = &self.stats;
-        EdgeStats {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            active: s.active.load(Ordering::Relaxed),
-            shed_connections: s.shed_connections.load(Ordering::Relaxed),
-            shed_submits: s.shed_submits.load(Ordering::Relaxed),
-            responses: s.responses.load(Ordering::Relaxed),
-            rejects: s.rejects.load(Ordering::Relaxed),
-            wire_errors: s.wire_errors.load(Ordering::Relaxed),
-            drained_connections: s.drained_connections.load(Ordering::Relaxed),
-            stale_completions: s.stale_completions.load(Ordering::Relaxed),
-            wbuf_high_water: s.wbuf_high_water.load(Ordering::Relaxed),
-        }
+        self.link.stats()
     }
 
-    /// Stop the edge thread and wait for it. The thread is blocked in
-    /// `epoll_wait`; the eventfd wakes it. Open connections are closed
-    /// without ceremony (polite clients drain first); the service itself
-    /// is untouched and can keep serving in-process work or be drained
-    /// afterwards.
+    /// Close the edge and wait until the event loop has. A loop blocked in
+    /// `epoll_wait` is woken through the eventfd. Open connections are
+    /// closed without ceremony (polite clients drain first); the service
+    /// itself is untouched and can keep serving in-process work or be
+    /// drained afterwards.
     pub fn shutdown(mut self) -> EdgeStats {
-        self.stop_thread();
+        self.close();
         self.stats()
     }
 
-    fn stop_thread(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.completions.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+    fn close(&mut self) {
+        if let Some(shared) = self.shared.take() {
+            shared.detach_edge(&self.link);
+            self.link.wait_closed();
         }
     }
 }
 
 impl Drop for EdgeHandle {
     fn drop(&mut self) {
-        self.stop_thread();
+        self.close();
     }
 }
 
-/// Serve the wire protocol for `service` per `config`. Binds, spawns
-/// the `cfm-edge` thread, and returns immediately; see the module docs
-/// for the loop. The service outlives the edge — shut the edge down
-/// (or drop the handle) before draining the service.
+/// Serve the wire protocol for `service` per `config`: bind, set up
+/// readiness, and hand the edge to the service's event loop, which
+/// serves it from then on (see the module docs). Returns immediately.
 ///
 /// Fails with a typed [`io::Error`] if binding or setting up readiness
-/// fails, and with [`io::ErrorKind::Unsupported`] off Linux.
-pub fn serve(service: Arc<Service>, config: EdgeConfig) -> io::Result<EdgeHandle> {
+/// fails, with [`io::ErrorKind::AlreadyExists`] if the service already
+/// serves an edge, and with [`io::ErrorKind::Unsupported`] off Linux.
+pub fn serve(service: &Service, config: EdgeConfig) -> io::Result<EdgeHandle> {
     let poller = Poller::new(EVENTS_PER_WAKE)?;
-    let completions = Arc::new(CompletionQueue::new()?);
+    let wake = Arc::new(EventFd::new()?);
     let listener = TcpListener::bind(&config.addr)?;
+    poll::listen(&listener, config.max_connections.max(STD_BACKLOG))?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     poller.add(&listener, poll::READABLE, LISTENER)?;
-    poller.add(&completions.wake, poll::READABLE, WAKE)?;
-    let stats = Arc::new(StatsInner::default());
-    let stop = Arc::new(AtomicBool::new(false));
-    let edge = Edge {
+    poller.add(&*wake, poll::READABLE, WAKE)?;
+    let link = Arc::new(Link::default());
+    let edge = Box::new(Edge {
+        link: Arc::clone(&link),
+        listener,
+        wake,
+        poller,
+        offsets: service.offsets(),
         processors: service.processors() as u64,
         bank_cycle: u64::from(service.bank_cycle()),
         welcome: Frame::Welcome {
@@ -325,59 +371,57 @@ pub fn serve(service: Arc<Service>, config: EdgeConfig) -> io::Result<EdgeHandle
             offsets: service.offsets() as u32,
             processors: service.processors() as u32,
         },
-        service,
         config,
-        stats: Arc::clone(&stats),
-        completions: Arc::clone(&completions),
-        poller,
         conns: Vec::new(),
         free: Vec::new(),
         live: 0,
-        generation: 0,
         inflight_total: 0,
         high_water: 0,
         listener_paused: false,
         work: Vec::new(),
         batch: Vec::new(),
         refused: Vec::new(),
-        done: Vec::new(),
         scratch: vec![0; READ_CHUNK],
-    };
-    let thread = thread::Builder::new().name("cfm-edge".to_string()).spawn({
-        let stop = Arc::clone(&stop);
-        move || edge.run(&listener, &stop)
-    })?;
+        passes: 0,
+        answered: false,
+    });
+    let shared = service.attach_edge(edge)?;
     Ok(EdgeHandle {
         addr,
-        stats,
-        stop,
-        completions,
-        thread: Some(thread),
+        link,
+        shared: Some(shared),
     })
 }
 
 impl Service {
     /// Serve the wire protocol over TCP for this service. Equivalent to
-    /// [`edge::serve`](serve); the `Arc` receiver is what lets the edge
-    /// thread share the service with in-process submitters.
-    pub fn serve_edge(self: &Arc<Self>, config: EdgeConfig) -> io::Result<EdgeHandle> {
-        serve(Arc::clone(self), config)
+    /// [`edge::serve`](serve).
+    pub fn serve_edge(&self, config: EdgeConfig) -> io::Result<EdgeHandle> {
+        serve(self, config)
     }
 }
 
 /// Epoll token of the listener.
 const LISTENER: u64 = u64::MAX;
-/// Epoll token of the completion queue's eventfd.
+/// Epoll token of the eventfd that wakes the event loop.
 const WAKE: u64 = u64::MAX - 1;
 /// Readiness events taken per `epoll_wait`.
 const EVENTS_PER_WAKE: usize = 256;
-/// Bytes read from one connection per wake. Level-triggered epoll
+/// Bytes read from one connection per pass. Level-triggered epoll
 /// reports the connection again if more is waiting, so this bounds the
 /// decoder without losing input.
 const READ_CHUNK: usize = 16 * 1024;
 /// After a failed `accept` (say, out of file descriptors) the listener
 /// is disarmed, and rearmed after at most this many milliseconds.
 const ACCEPT_RETRY_MS: u32 = 10;
+/// The accept queue std's `TcpListener::bind` asks for; the edge never
+/// listens with a shallower one.
+const STD_BACKLOG: usize = 128;
+
+/// Connection generations, unique in the process: a token never names a
+/// connection of another edge, so an answer routed to a closed edge's
+/// connection cannot reach a later edge's.
+static GENERATION: AtomicU64 = AtomicU64::new(0);
 
 /// Retry hint in machine slots for a backlog of `waiting` operations:
 /// drained at one dequeue per lane per slot, plus one bank cycle of
@@ -411,9 +455,9 @@ struct Conn {
     owed_ends: VecDeque<usize>,
     /// The epoll interest currently registered.
     interest: u32,
-    /// Readiness epoll reported this wake.
+    /// Readiness epoll reported since the last read.
     ready: u32,
-    /// Already on this wake's work list.
+    /// Already on the work list.
     listed: bool,
     draining: bool,
     sent_drained: bool,
@@ -462,31 +506,46 @@ impl Conn {
     }
 }
 
-/// Everything the `cfm-edge` thread owns.
-struct Edge {
-    service: Arc<Service>,
-    config: EdgeConfig,
-    stats: Arc<StatsInner>,
-    completions: Arc<CompletionQueue>,
+/// Everything the event loop owns of one edge: listener, readiness,
+/// connections. Boxed, so the loop's own state grows by one pointer.
+/// Dropping it closes every socket and tells the handle.
+pub(crate) struct Edge {
+    link: Arc<Link>,
+    listener: TcpListener,
+    wake: Arc<EventFd>,
     poller: Poller,
+    config: EdgeConfig,
     welcome: Frame,
+    offsets: usize,
     processors: u64,
     bank_cycle: u64,
     /// Connection slots; a token's low 32 bits index this.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
-    generation: u64,
     /// Owed answers across all connections.
     inflight_total: usize,
     high_water: usize,
     listener_paused: bool,
-    /// Slots to visit this wake.
+    /// Connections to visit: read on the next pass, flushed on this one.
     work: Vec<usize>,
+    /// Decoded submits waiting for admission under the state lock.
     batch: Vec<(Route, Request, Target)>,
+    /// Submits refused, waiting to be answered.
     refused: Vec<(Route, Reject)>,
-    done: Vec<(Route, Result<Response, Reject>)>,
     scratch: Vec<u8>,
+    /// Loop passes since the edge was attached, for the polling cadence.
+    passes: u32,
+    /// The last pass delivered a wire answer.
+    answered: bool,
+}
+
+impl Drop for Edge {
+    fn drop(&mut self) {
+        self.link.active.store(0, Ordering::Relaxed);
+        *self.link.closed.lock() = true;
+        self.link.closed_cv.notify_all();
+    }
 }
 
 /// `conns[slot_of(token)]` if it still holds the connection `token`
@@ -514,56 +573,87 @@ fn list(work: &mut Vec<usize>, c: &mut Conn) {
 }
 
 impl Edge {
-    fn run(mut self, listener: &TcpListener, stop: &AtomicBool) {
-        loop {
-            let timeout = if !self.completions.park() {
-                Some(0)
-            } else if self.listener_paused {
-                Some(ACCEPT_RETRY_MS)
-            } else {
-                None
-            };
-            // A failing epoll_wait means the epoll descriptor itself is
-            // broken; there is nothing left to serve with.
-            let waited = self.poller.wait(timeout);
-            self.completions.parked.store(false, Ordering::Relaxed);
-            let Ok(n) = waited else {
-                return;
-            };
-            let mut accept = self.listener_paused;
-            for i in 0..n {
-                let event = self.poller.event(i);
-                match event.token() {
-                    LISTENER => accept = true,
-                    WAKE => {
-                        let _ = self.completions.wake.reset();
-                    }
-                    token => {
-                        if let Some(c) = lookup(&mut self.conns, token) {
-                            c.ready |= event.readiness();
-                            list(&mut self.work, c);
-                        }
+    /// The eventfd that wakes the loop out of this edge's `epoll_wait`.
+    pub(crate) fn wake(&self) -> Arc<EventFd> {
+        Arc::clone(&self.wake)
+    }
+
+    /// Whether a connection is listed for a visit: the loop must not
+    /// block while one is.
+    pub(crate) fn busy(&self) -> bool {
+        !self.work.is_empty()
+    }
+
+    /// The loop's input step: check readiness if due (see
+    /// [`POLL_EVERY_PASSES`]), then read and decode every listed
+    /// connection. `metrics` snapshots the service for a
+    /// `MetricsRequest`. Fails only if epoll itself fails, which leaves
+    /// nothing to serve the edge with.
+    pub(crate) fn input(&mut self, metrics: &dyn Fn() -> MetricsSnapshot) -> io::Result<()> {
+        self.passes = self.passes.wrapping_add(1);
+        if std::mem::take(&mut self.answered) || self.passes.is_multiple_of(POLL_EVERY_PASSES) {
+            bump(&self.link.edge_polls);
+            self.poll(Some(0))?;
+        }
+        for i in 0..self.work.len() {
+            let slot = self.work[i];
+            self.read(slot);
+            self.dispatch(slot, metrics);
+        }
+        Ok(())
+    }
+
+    /// With the loop fully idle: poll for up to [`IDLE_SPIN`], yielding
+    /// between polls, then block until something is ready. Fails only if
+    /// epoll itself fails.
+    pub(crate) fn idle_wait(&mut self) -> io::Result<()> {
+        let start = Instant::now();
+        while start.elapsed() < IDLE_SPIN {
+            bump(&self.link.idle_spins);
+            if self.poll(Some(0))? > 0 {
+                return Ok(());
+            }
+            thread::yield_now();
+        }
+        bump(&self.link.parks);
+        let timeout = self.listener_paused.then_some(ACCEPT_RETRY_MS);
+        self.poll(timeout)?;
+        Ok(())
+    }
+
+    /// One `epoll_wait`: accept if the listener is ready (or waits to be
+    /// rearmed), reset the eventfd, list the ready connections. Returns
+    /// the number of events.
+    fn poll(&mut self, timeout_ms: Option<u32>) -> io::Result<usize> {
+        let n = self.poller.wait(timeout_ms)?;
+        let mut accept = self.listener_paused;
+        for i in 0..n {
+            let event = self.poller.event(i);
+            match event.token() {
+                LISTENER => accept = true,
+                WAKE => {
+                    let _ = self.wake.reset();
+                }
+                token => {
+                    if let Some(c) = lookup(&mut self.conns, token) {
+                        c.ready |= event.readiness();
+                        list(&mut self.work, c);
                     }
                 }
             }
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            if accept {
-                self.accept(listener);
-            }
-            self.deliver_completions();
-            self.serve_listed();
-            self.stats.active.store(self.live as u64, Ordering::Relaxed);
         }
+        if accept {
+            self.accept();
+        }
+        Ok(n)
     }
 
     /// Accept every waiting connection, shedding past the cap.
-    fn accept(&mut self, listener: &TcpListener) {
+    fn accept(&mut self) {
         if self.listener_paused {
             if self
                 .poller
-                .modify(listener, poll::READABLE, LISTENER)
+                .modify(&self.listener, poll::READABLE, LISTENER)
                 .is_err()
             {
                 return;
@@ -571,12 +661,12 @@ impl Edge {
             self.listener_paused = false;
         }
         loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
-                    self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.link.accepted);
                     if self.live >= self.config.max_connections {
-                        self.stats.shed_connections.fetch_add(1, Ordering::Relaxed);
-                        self.stats.rejects.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.link.shed_connections);
+                        bump(&self.link.rejects);
                         let hint =
                             retry_hint(self.inflight_total, self.processors, self.bank_cycle);
                         shed_connection(stream, self.live, self.config.max_connections, hint);
@@ -590,14 +680,15 @@ impl Edge {
                         self.conns.push(None);
                         self.conns.len() - 1
                     });
-                    self.generation = self.generation.wrapping_add(1);
-                    let token = ((self.generation & 0xFFFF_FFFF) << 32) | slot as u64;
+                    let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
+                    let token = ((generation & 0xFFFF_FFFF) << 32) | slot as u64;
                     if self.poller.add(&stream, poll::READABLE, token).is_err() {
                         self.free.push(slot);
                         continue;
                     }
                     self.conns[slot] = Some(Conn::new(stream, token));
                     self.live += 1;
+                    self.link.active.store(self.live as u64, Ordering::Relaxed);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e)
@@ -612,7 +703,7 @@ impl Edge {
                 // readable and spin the loop, so disarm it and retry
                 // after a short timeout.
                 Err(_) => {
-                    if self.poller.modify(listener, 0, LISTENER).is_ok() {
+                    if self.poller.modify(&self.listener, 0, LISTENER).is_ok() {
                         self.listener_paused = true;
                     }
                     break;
@@ -621,57 +712,8 @@ impl Edge {
         }
     }
 
-    /// Encode every queued completion into its connection, dropping (and
-    /// counting) those whose connection is gone.
-    fn deliver_completions(&mut self) {
-        self.completions.take(&mut self.done);
-        for (route, outcome) in self.done.drain(..) {
-            let Some(c) = lookup(&mut self.conns, route.conn) else {
-                self.stats.stale_completions.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let request_id = route.request_id;
-            match outcome {
-                Ok(response) => {
-                    self.stats.responses.fetch_add(1, Ordering::Relaxed);
-                    c.queue_answer(&Frame::Response {
-                        request_id,
-                        response,
-                    });
-                }
-                // The service abandoned the request (dropped underneath
-                // the edge) — surface it typed.
-                Err(reject) => {
-                    self.stats.rejects.fetch_add(1, Ordering::Relaxed);
-                    c.queue_answer(&Frame::Reject { request_id, reject });
-                }
-            }
-            list(&mut self.work, c);
-        }
-    }
-
-    /// Visit the listed connections in rounds: read and dispatch, submit
-    /// the round's batch under one lock, flush. A connection goes round
-    /// again only while a held-back frame can move after its flush.
-    fn serve_listed(&mut self) {
-        let mut round = std::mem::take(&mut self.work);
-        while !round.is_empty() {
-            for &slot in &round {
-                self.input(slot);
-            }
-            self.submit_batch();
-            for slot in round.drain(..) {
-                if self.output(slot) {
-                    self.work.push(slot);
-                }
-            }
-            std::mem::swap(&mut round, &mut self.work);
-        }
-        self.work = round;
-    }
-
-    /// Read what epoll reported (one chunk) and dispatch decoded frames.
-    fn input(&mut self, slot: usize) {
+    /// Read one chunk from the connection if epoll reported it readable.
+    fn read(&mut self, slot: usize) {
         let Some(c) = self.conns[slot].as_mut() else {
             return;
         };
@@ -695,16 +737,15 @@ impl Edge {
                 Err(_) => c.dead = true,
             }
         }
-        self.dispatch(slot);
     }
 
     /// Dispatch decoded frames until the decoder runs dry or a frame must
     /// wait (a frame whose answer the connection cannot take yet).
-    fn dispatch(&mut self, slot: usize) {
+    fn dispatch(&mut self, slot: usize, metrics: &dyn Fn() -> MetricsSnapshot) {
         let Some(c) = self.conns[slot].as_mut() else {
             return;
         };
-        let stats = &self.stats;
+        let link = &self.link;
         let config = &self.config;
         while c.open() {
             let frame = match c.stalled.take() {
@@ -713,7 +754,7 @@ impl Edge {
                     Ok(None) => break,
                     Ok(Some(frame)) => frame,
                     Err(e) => {
-                        stats.wire_errors.fetch_add(1, Ordering::Relaxed);
+                        bump(&link.wire_errors);
                         c.queue(&Frame::Error {
                             code: e.code(),
                             message: e.to_string(),
@@ -734,7 +775,7 @@ impl Edge {
                         conn: c.token,
                         request_id,
                     };
-                    match self.service.target(&request.op) {
+                    match target(&request.op, self.offsets) {
                         Ok(target) => self.batch.push((route, request, target)),
                         Err(reject) => self.refused.push((route, reject)),
                     }
@@ -746,15 +787,15 @@ impl Edge {
                     break;
                 }
                 Frame::Submit { request_id, .. } if c.draining => {
-                    stats.rejects.fetch_add(1, Ordering::Relaxed);
+                    bump(&link.rejects);
                     c.queue(&Frame::Reject {
                         request_id,
                         reject: Reject::ShuttingDown,
                     });
                 }
                 Frame::Submit { request_id, .. } => {
-                    stats.shed_submits.fetch_add(1, Ordering::Relaxed);
-                    stats.rejects.fetch_add(1, Ordering::Relaxed);
+                    bump(&link.shed_submits);
+                    bump(&link.rejects);
                     let queued = self.inflight_total;
                     c.queue(&Frame::Reject {
                         request_id,
@@ -767,7 +808,7 @@ impl Edge {
                 }
                 Frame::Hello { .. } => c.queue(&self.welcome),
                 Frame::MetricsRequest => c.queue(&Frame::Metrics {
-                    json: self.service.metrics().to_json(),
+                    json: metrics().to_json_with_edge(&link.stats()),
                 }),
                 Frame::Welcome { .. }
                 | Frame::Response { .. }
@@ -785,27 +826,76 @@ impl Edge {
         }
     }
 
-    /// Hand this round's admissible submits to the service under one
-    /// lock; encode its refusals, and those [`Service::target`] made
-    /// while decoding, as the answers they are.
-    fn submit_batch(&mut self) {
-        self.service
-            .submit_routed(&self.completions, &mut self.batch, &mut self.refused);
-        for (route, reject) in self.refused.drain(..) {
-            if let Some(c) = lookup(&mut self.conns, route.conn) {
-                self.stats.rejects.fetch_add(1, Ordering::Relaxed);
-                c.queue_answer(&Frame::Reject {
-                    request_id: route.request_id,
-                    reject,
-                });
+    /// Hand every decoded submit to `admit` (the service's admission,
+    /// under its state lock); the refused ones are answered by the next
+    /// [`Edge::output`].
+    pub(crate) fn admit(
+        &mut self,
+        mut admit: impl FnMut(Route, Request, Target) -> Result<(), Reject>,
+    ) {
+        for (route, request, target) in self.batch.drain(..) {
+            if let Err(reject) = admit(route, request, target) {
+                self.refused.push((route, reject));
             }
         }
     }
 
+    /// Encode an admitted submit's outcome into its connection (`Err`
+    /// only when the service abandons the request), or drop and count it
+    /// if the connection is gone.
+    pub(crate) fn answer(&mut self, route: Route, outcome: Result<Response, Reject>) {
+        self.answered = true;
+        let Some(c) = lookup(&mut self.conns, route.conn) else {
+            bump(&self.link.stale_completions);
+            return;
+        };
+        let request_id = route.request_id;
+        match outcome {
+            Ok(response) => {
+                bump(&self.link.responses);
+                c.queue_answer(&Frame::Response {
+                    request_id,
+                    response,
+                });
+            }
+            Err(reject) => {
+                bump(&self.link.rejects);
+                c.queue_answer(&Frame::Reject { request_id, reject });
+            }
+        }
+        list(&mut self.work, c);
+    }
+
+    /// The loop's output step, after the slot's answers: answer the
+    /// refused submits, then flush every listed connection, finish its
+    /// drain and settle its epoll interest. A connection with a held-back
+    /// frame that can now move stays listed for the next pass.
+    pub(crate) fn output(&mut self) {
+        for (route, reject) in std::mem::take(&mut self.refused) {
+            if let Some(c) = lookup(&mut self.conns, route.conn) {
+                bump(&self.link.rejects);
+                c.queue_answer(&Frame::Reject {
+                    request_id: route.request_id,
+                    reject,
+                });
+                list(&mut self.work, c);
+            }
+        }
+        let mut kept = 0;
+        for i in 0..self.work.len() {
+            let slot = self.work[i];
+            if self.settle(slot) {
+                self.work[kept] = slot;
+                kept += 1;
+            }
+        }
+        self.work.truncate(kept);
+    }
+
     /// Flush, finish a drain, and settle the connection's epoll interest.
-    /// Returns whether it should go round again; a closed connection is
+    /// Returns whether it should stay listed; a closed connection is
     /// removed.
-    fn output(&mut self, slot: usize) -> bool {
+    fn settle(&mut self, slot: usize) -> bool {
         self.flush(slot);
         let Some(c) = self.conns[slot].as_mut() else {
             return false;
@@ -820,9 +910,7 @@ impl Edge {
             c.queue(&Frame::Drained);
             c.sent_drained = true;
             c.close_after_flush = true;
-            self.stats
-                .drained_connections
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.link.drained_connections);
             self.flush(slot);
         }
         let Some(c) = self.conns[slot].as_mut() else {
@@ -870,7 +958,7 @@ impl Edge {
         }
         if pending > self.high_water {
             self.high_water = pending;
-            self.stats
+            self.link
                 .wbuf_high_water
                 .store(pending as u64, Ordering::Relaxed);
         }
@@ -918,6 +1006,7 @@ impl Edge {
             self.inflight_total -= c.owed;
             self.live -= 1;
             self.free.push(slot);
+            self.link.active.store(self.live as u64, Ordering::Relaxed);
         }
     }
 }
@@ -1045,7 +1134,13 @@ mod tests {
 
         client.send(&Frame::MetricsRequest);
         match client.recv() {
-            Some(Frame::Metrics { json }) => assert!(json.contains("\"budget_deferrals\"")),
+            Some(Frame::Metrics { json }) => {
+                assert!(json.contains("\"budget_deferrals\""));
+                // The edge's own counters ride beside the service's.
+                assert!(json.contains("\"edge\": {"), "{json}");
+                assert!(json.contains("\"responses\": 2,"), "{json}");
+                assert!(json.contains("\"parks\": "), "{json}");
+            }
             other => panic!("expected metrics, got {other:?}"),
         }
 

@@ -23,7 +23,8 @@
 //!   every batch by construction.
 //! * **Event loop** — one `std::thread`, joined at drain or drop (no
 //!   tokio, the build is offline). The loop parks on a condvar when
-//!   fully idle and is woken by submits and drain; it never blocks while
+//!   fully idle (in its wire edge's `epoll_wait` when one is attached)
+//!   and is woken by submits and drain; it never blocks while
 //!   operations are in flight.
 //! * **Drain** ([`Service::drain`]) — stop admitting, finish everything
 //!   already admitted (queued *and* in flight), and return a
@@ -37,19 +38,21 @@
 //!   rejected), so a hostile neighbor cannot monopolise lanes even
 //!   with zero bank conflicts.
 //! * **Wire edge** ([`wire`], [`edge`]) — a length-prefixed binary
-//!   protocol over TCP served by one edge thread
-//!   ([`Service::serve_edge`]) that blocks in `epoll_wait` on its
-//!   sockets and one eventfd — no sleep-and-poll, no async runtime,
-//!   Linux only (elsewhere `serve_edge` returns
-//!   [`std::io::ErrorKind::Unsupported`]). Finished wire requests go
-//!   straight onto the edge's completion queue, and the event loop wakes
-//!   the edge at most once per machine slot, so responses and the
-//!   submits they trigger move in bursts (fewer slots per operation).
-//!   Typed frames for hello/submit/response/reject/metrics/drain, load
-//!   shedding with `retry_after_slots` backpressure, thousands of
-//!   concurrent connections, and bounded memory: an answer counts
-//!   against the in-flight caps until its bytes are written, so a
-//!   client that never reads holds at most its cap in answers.
+//!   protocol over TCP ([`Service::serve_edge`]), served by the event
+//!   loop's own thread: between slots it reads and decodes ready
+//!   connections, admits their submits under the lock it already takes,
+//!   and encodes each slot's answers straight into their connections'
+//!   write buffers — no edge thread, no hand-off between threads per
+//!   request, no async runtime. Readiness comes from `epoll` (Linux
+//!   only; elsewhere `serve_edge` returns
+//!   [`std::io::ErrorKind::Unsupported`]); an idle loop with an edge
+//!   polls briefly, then blocks in `epoll_wait` until a socket or an
+//!   in-process submit wakes it. Typed frames for
+//!   hello/submit/response/reject/metrics/drain, load shedding with
+//!   `retry_after_slots` backpressure, thousands of concurrent
+//!   connections, and bounded memory: an answer counts against the
+//!   in-flight caps until its bytes are written, so a client that never
+//!   reads holds at most its cap in answers.
 //! * **Observability** ([`metrics`]) — per-tenant counters and
 //!   HDR-style latency histograms (log₂ majors × 32 linear sub-buckets,
 //!   ≤ 3.2% quantile error) with p50/p90/p99 snapshots, exported as

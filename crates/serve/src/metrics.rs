@@ -11,6 +11,7 @@
 //! map iteration), so two runs with identical counts render
 //! byte-identically.
 
+use crate::edge::EdgeStats;
 use crate::request::TenantId;
 
 /// Linear sub-buckets per log₂ major level (the HDR "significant value
@@ -288,6 +289,25 @@ impl MetricsSnapshot {
     /// Render as ordered JSON (2-space indent, byte-stable for equal
     /// counter values).
     pub fn to_json(&self) -> String {
+        let mut out = self.json_fields();
+        out.push_str("\n}\n");
+        out
+    }
+
+    /// [`MetricsSnapshot::to_json`] with the wire edge's counters beside
+    /// the service's, under an `"edge"` key — the edge's answer to a
+    /// `MetricsRequest` frame.
+    pub(crate) fn to_json_with_edge(&self, edge: &EdgeStats) -> String {
+        let mut out = self.json_fields();
+        out.push_str(",\n  \"edge\": ");
+        edge.json_into(&mut out);
+        out.push_str("\n}\n");
+        out
+    }
+
+    /// The JSON object's opening brace and fields, without the newline
+    /// that ends the last field.
+    fn json_fields(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"completed\": {},\n", self.completed()));
@@ -334,8 +354,7 @@ impl MetricsSnapshot {
                 if i + 1 == self.tenants.len() { "" } else { "," }
             ));
         }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
+        out.push_str("  ]");
         out
     }
 }
@@ -433,5 +452,38 @@ mod tests {
         assert!(json.contains("\"name\": \"b\""));
         assert!(json.contains("\"rejected_migrating\": 2"));
         assert!(json.contains("\"budget_deferrals\": 0"));
+    }
+
+    #[test]
+    fn edge_counters_sit_beside_the_service_fields() {
+        let snapshot = Metrics::new(vec!["a".into()]).snapshot();
+        let edge = EdgeStats {
+            accepted: 1,
+            active: 2,
+            shed_connections: 3,
+            shed_submits: 4,
+            responses: 5,
+            rejects: 6,
+            wire_errors: 7,
+            drained_connections: 8,
+            stale_completions: 9,
+            wbuf_high_water: 10,
+            edge_polls: 11,
+            idle_spins: 12,
+            parks: 13,
+        };
+        let plain = snapshot.to_json();
+        let json = snapshot.to_json_with_edge(&edge);
+        let fields = plain.strip_suffix("\n}\n").unwrap();
+        let rest = json
+            .strip_prefix(fields)
+            .expect("the service fields come first");
+        assert!(
+            rest.starts_with(",\n  \"edge\": {\n    \"accepted\": 1,\n"),
+            "{rest}"
+        );
+        assert!(rest.ends_with("    \"parks\": 13\n  }\n}\n"), "{rest}");
+        assert!(rest.contains("\"idle_spins\": 12,"));
+        assert!(rest.contains("\"edge_polls\": 11,"));
     }
 }

@@ -2,9 +2,9 @@
 //! `eventfd` binding.
 //!
 //! This is the workspace's second audited `unsafe` island (the first is
-//! `resource-binding`'s shared-region containers). It is kept to four
-//! foreign calls — `epoll_create1`, `epoll_ctl`, `epoll_wait` and
-//! `eventfd` — and every file descriptor they return is owned by an
+//! `resource-binding`'s shared-region containers). It is kept to five
+//! foreign calls — `epoll_create1`, `epoll_ctl`, `epoll_wait`, `eventfd`
+//! and `listen` — and every file descriptor they return is owned by an
 //! [`OwnedFd`] at once, so closing is std's business. Every `unsafe`
 //! block carries a `SAFETY` comment (enforced by
 //! `clippy::undocumented_unsafe_blocks`), `EINTR` is retried, and a
@@ -23,12 +23,13 @@ pub(crate) const WRITABLE: u32 = 0x004;
 /// kernel, whatever the interest set.
 pub(crate) const CLOSED: u32 = 0x008 | 0x010;
 
-pub(crate) use imp::{EventFd, Poller};
+pub(crate) use imp::{listen, EventFd, Poller};
 
 #[cfg(target_os = "linux")]
 mod imp {
     use std::fs::File;
     use std::io::{self, Read as _, Write as _};
+    use std::net::TcpListener;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::raw::{c_int, c_uint};
 
@@ -68,6 +69,20 @@ mod imp {
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
         fn epoll_wait(epfd: c_int, events: *mut Event, maxevents: c_int, timeout: c_int) -> c_int;
         fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+        #[link_name = "listen"]
+        fn listen_fd(fd: c_int, backlog: c_int) -> c_int;
+    }
+
+    /// Listen again on the bound `listener` with an accept queue of
+    /// `backlog` connections (clamped to `c_int`; the kernel caps it
+    /// further at `net.core.somaxconn`). std listens with 128.
+    pub(crate) fn listen(listener: &TcpListener, backlog: usize) -> io::Result<()> {
+        let backlog = backlog.min(c_int::MAX as usize) as c_int;
+        // SAFETY: listen takes no pointers; `listener` owns a live socket
+        // descriptor for the duration of the call, and calling listen on
+        // a listening socket only changes its backlog.
+        check(unsafe { listen_fd(listener.as_raw_fd(), backlog) })?;
+        Ok(())
     }
 
     /// `-1` → the thread's `errno` as an [`io::Error`].
@@ -220,6 +235,7 @@ mod imp {
     //! refuses, so no value of these types ever exists.
 
     use std::io;
+    use std::net::TcpListener;
 
     /// Anything may be named in a registration; none ever happens.
     pub(crate) trait Source {}
@@ -230,6 +246,10 @@ mod imp {
             io::ErrorKind::Unsupported,
             "the TCP edge needs epoll and eventfd (Linux only)",
         )
+    }
+
+    pub(crate) fn listen(_: &TcpListener, _: usize) -> io::Result<()> {
+        Err(unsupported())
     }
 
     #[derive(Clone, Copy)]
@@ -302,6 +322,33 @@ mod tests {
         assert_ne!(poller.event(0).readiness() & READABLE, 0);
         wake.reset().unwrap();
         assert_eq!(poller.wait(Some(0)).unwrap(), 0);
+    }
+
+    /// std listens with a backlog of 128; past it, a connect waits out
+    /// SYN retransmits (a second or more). After `listen` with a deeper
+    /// queue, 300 connects nobody accepts yet all complete at once.
+    #[test]
+    fn relisten_deepens_the_accept_queue() {
+        use std::net::{TcpListener, TcpStream};
+        use std::time::{Duration, Instant};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen(&listener, 512).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let start = Instant::now();
+        let streams: Vec<TcpStream> = (0..300)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} waited: {e}"))
+            })
+            .collect();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(900),
+            "300 connects took {took:?}"
+        );
+        drop(streams);
+        assert!(listener.accept().is_ok(), "the listener still accepts");
     }
 
     #[test]

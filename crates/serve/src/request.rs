@@ -7,7 +7,7 @@ use std::sync::Arc;
 use cfm_core::op::{Completion, Operation};
 use parking_lot::{Condvar, Mutex};
 
-use crate::edge::{CompletionQueue, Route};
+use crate::edge::{Edge, Route};
 
 /// Index of a tenant in the [`crate::ServiceConfig`] roster.
 pub type TenantId = usize;
@@ -295,31 +295,26 @@ impl TicketInner {
 }
 
 /// Where an admitted request's outcome goes: an in-process [`Ticket`],
-/// or a wire connection's route on its edge's completion queue.
+/// or a connection of the wire edge the event loop serves.
 pub(crate) enum Reply {
     Ticket(Arc<TicketInner>),
-    Edge {
-        queue: Arc<CompletionQueue>,
-        route: Route,
-    },
+    Edge(Route),
 }
 
 impl Reply {
     /// Deliver the outcome (`Err` only when the service abandons the
-    /// request). Returns the completion queue it went to, which owes its
-    /// edge a wake check once the batch is delivered.
-    pub(crate) fn deliver(self, outcome: Result<Response, Reject>) -> Option<Arc<CompletionQueue>> {
+    /// request): fulfil or close the ticket, or encode the answer into
+    /// `edge`. A wire answer with no edge left to take it is dropped.
+    pub(crate) fn deliver(self, outcome: Result<Response, Reject>, edge: Option<&mut Edge>) {
         match self {
-            Reply::Ticket(ticket) => {
-                match outcome {
-                    Ok(response) => ticket.fulfill(response),
-                    Err(_) => ticket.close(),
+            Reply::Ticket(ticket) => match outcome {
+                Ok(response) => ticket.fulfill(response),
+                Err(_) => ticket.close(),
+            },
+            Reply::Edge(route) => {
+                if let Some(edge) = edge {
+                    edge.answer(route, outcome);
                 }
-                None
-            }
-            Reply::Edge { queue, route } => {
-                queue.push(route, outcome);
-                Some(queue)
             }
         }
     }

@@ -14,7 +14,13 @@
 //! machine exactly one slot and polls the new completions. A ticket's
 //! admission-to-fulfillment wall time is in the tenant's latency
 //! histogram before the ticket resolves.
+//!
+//! With a wire edge attached ([`Service::serve_edge`]) the same thread
+//! serves the edge's sockets between slots, admits decoded submits under
+//! the same lock, and parks in the edge's `epoll_wait` instead of on the
+//! condvar (see [`crate::edge`]).
 
+use std::io;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -26,11 +32,12 @@ use cfm_core::snapshot::{MachineSnapshot, SnapshotError};
 use cfm_core::spec::Footprint;
 use cfm_core::stats::Stats;
 use cfm_core::ProcId;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::config::{Criticality, ServiceConfig};
-use crate::edge::{CompletionQueue, Route};
+use crate::edge::{Edge, Link};
 use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::poll::EventFd;
 use crate::queue::{Pending, TenantQueue};
 use crate::request::{Reject, Reply, Request, Response, TenantId, Ticket, TicketInner};
 use crate::scheduler::{QosScheduler, QosTenant};
@@ -206,6 +213,26 @@ struct Inner {
     /// [`Footprints::admit`]): `footprints[t]` is the block
     /// claim tenant `t` holds, `None` = no claim registered.
     footprints: Vec<Option<Footprint>>,
+    /// The wire edge's hand-over between its handle and the loop.
+    edge: EdgeSlot,
+    /// The eventfd that wakes the loop, present only while the loop
+    /// waits in its edge's `epoll_wait` (see [`Shared::wake_loop`]).
+    epoll_wake: Option<Arc<EventFd>>,
+}
+
+/// Where the service's wire edge stands. The loop owns an attached edge;
+/// it drops an edge only under the state lock, so a handle that finds its
+/// edge open under the lock may still ask for it to close.
+enum EdgeSlot {
+    /// No edge.
+    None,
+    /// Handed over by [`Service::serve_edge`]; the loop takes it on its
+    /// next pass.
+    Pending(Box<Edge>),
+    /// Served by the loop.
+    Attached,
+    /// Its handle asked the loop to close it.
+    Closing,
 }
 
 impl Inner {
@@ -229,19 +256,78 @@ impl Inner {
     }
 }
 
-struct Shared {
+pub(crate) struct Shared {
     state: Mutex<Inner>,
-    /// The event loop parks here when fully idle; submits and
-    /// drain/shutdown notify it.
+    /// The event loop parks here when fully idle without an edge; submits
+    /// and drain/shutdown notify it.
     work: Condvar,
 }
 
+impl Shared {
+    /// Release the state lock and wake the loop if it is parked: through
+    /// the eventfd while it waits in its edge's `epoll_wait`, else through
+    /// the condvar (a no-op unless the loop sleeps there).
+    fn wake_loop(&self, mut inner: MutexGuard<'_, Inner>) {
+        // Test before taking: a submit to a running loop stores nothing.
+        let epoll = if inner.epoll_wake.is_some() {
+            inner.epoll_wake.take()
+        } else {
+            None
+        };
+        drop(inner);
+        match epoll {
+            // Writing a live eventfd fails only if its counter would
+            // overflow, which `notify` already treats as success.
+            Some(wake) => {
+                let _ = wake.notify();
+            }
+            None => {
+                self.work.notify_one();
+            }
+        }
+    }
+
+    /// Ask the loop to close the edge `link` belongs to, unless it has
+    /// already. A handed-over edge the loop has not taken yet is dropped
+    /// here.
+    pub(crate) fn detach_edge(&self, link: &Link) {
+        let mut inner = self.state.lock();
+        if link.is_closed() {
+            return;
+        }
+        match inner.edge {
+            EdgeSlot::Pending(_) => inner.edge = EdgeSlot::None,
+            EdgeSlot::Attached => {
+                inner.edge = EdgeSlot::Closing;
+                self.wake_loop(inner);
+            }
+            EdgeSlot::None | EdgeSlot::Closing => {}
+        }
+    }
+}
+
 /// The block an operation addresses and the block length it carries,
-/// from [`Service::target`].
+/// from [`target`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Target {
     offset: usize,
     data_len: Option<usize>,
+}
+
+/// The block `op` addresses, checked against the machine's `offsets`,
+/// and the block length it carries. The offset count never changes, so
+/// this needs no lock; the edge calls it as it decodes.
+pub(crate) fn target(op: &Operation, offsets: usize) -> Result<Target, Reject> {
+    let (offset, data_len) = match op {
+        Operation::Read { offset } | Operation::Rmw { offset, .. } => (*offset, None),
+        Operation::Write { offset, data } | Operation::Swap { offset, data } => {
+            (*offset, Some(data.len()))
+        }
+    };
+    if offset >= offsets {
+        return Err(Reject::NoSuchBlock { offset, offsets });
+    }
+    Ok(Target { offset, data_len })
 }
 
 /// One in-flight operation's service-side bookkeeping, indexed by the
@@ -272,8 +358,9 @@ struct LoopState {
     /// The last slot's completions, counted and then delivered on the
     /// next pass (see [`run_event_loop`]).
     fulfilled: Vec<(Reply, Response)>,
-    /// Edge queues owed a wake check by the current delivery.
-    wakes: Wakes,
+    /// The wire edge this loop serves, if any. Boxed: the loop's hot
+    /// state grows by one pointer.
+    edge: Option<Box<Edge>>,
     /// The loop's one clock read per pass, taken after the slot: the
     /// fulfilment instant of that slot's completions and the issue
     /// instant of the next pass's batch (refreshed after a park or a
@@ -340,6 +427,8 @@ impl Service {
                 migrating: vec![false; config.tenants.len()],
                 migration: None,
                 footprints: (0..config.tenants.len()).map(|_| None).collect(),
+                edge: EdgeSlot::None,
+                epoll_wake: None,
             }),
             work: Condvar::new(),
         });
@@ -365,7 +454,7 @@ impl Service {
             migrate_seen_at: None,
             batch: Vec::with_capacity(processors),
             fulfilled: Vec::with_capacity(processors),
-            wakes: Wakes::default(),
+            edge: None,
             pass_at: Instant::now(),
             report: None,
         };
@@ -427,78 +516,37 @@ impl Service {
     pub fn submit_request(&self, request: Request) -> Result<Ticket, Reject> {
         let Request { tenant, op } = request;
         // Validate against machine geometry before touching the lock.
-        let target = self.target(&op)?;
+        let target = target(&op, self.offsets)?;
         let mut inner = self.shared.state.lock();
-        let ticket = self.admit(&mut inner, tenant, op, target, || {
+        let ticket = Service::admit(&mut inner, tenant, op, target, || {
             let ticket = TicketInner::new();
             (Reply::Ticket(Arc::clone(&ticket)), ticket)
         })?;
-        drop(inner);
         // The loop may be parked; one waiter, one wake.
-        self.shared.work.notify_one();
+        self.shared.wake_loop(inner);
         Ok(Ticket { inner: ticket })
     }
 
-    /// The block `op` addresses, checked against the machine's offsets,
-    /// and the block length it carries. The offset count never changes,
-    /// so this needs no lock; the edge calls it as it decodes.
-    pub(crate) fn target(&self, op: &Operation) -> Result<Target, Reject> {
-        let (offset, data_len) = match op {
-            Operation::Read { offset } | Operation::Rmw { offset, .. } => (*offset, None),
-            Operation::Write { offset, data } | Operation::Swap { offset, data } => {
-                (*offset, Some(data.len()))
-            }
-        };
-        if offset >= self.offsets {
-            return Err(Reject::NoSuchBlock {
-                offset,
-                offsets: self.offsets,
-            });
-        }
-        Ok(Target { offset, data_len })
-    }
-
-    /// Submit a batch of wire requests, each already checked by
-    /// [`Service::target`], under one lock, each with its route on the
-    /// edge's completion queue. Every request goes through
-    /// [`Service::submit_request`]'s admission checks unchanged; the
-    /// refused ones come back in `refused` with their routes, and
-    /// `batch` is left empty.
-    pub(crate) fn submit_routed(
-        &self,
-        queue: &Arc<CompletionQueue>,
-        batch: &mut Vec<(Route, Request, Target)>,
-        refused: &mut Vec<(Route, Reject)>,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut admitted = false;
+    /// Hand `edge` to the event loop, which serves it from its next pass
+    /// on (see [`crate::edge::serve`]). Returns the shared state the
+    /// edge's handle closes it through; one edge at a time.
+    pub(crate) fn attach_edge(&self, edge: Box<Edge>) -> io::Result<Arc<Shared>> {
         let mut inner = self.shared.state.lock();
-        for (route, Request { tenant, op }, target) in batch.drain(..) {
-            let reply = || {
-                let reply = Reply::Edge {
-                    queue: Arc::clone(queue),
-                    route,
-                };
-                (reply, ())
-            };
-            match self.admit(&mut inner, tenant, op, target, reply) {
-                Ok(()) => admitted = true,
-                Err(reject) => refused.push((route, reject)),
-            }
+        if !matches!(inner.edge, EdgeSlot::None) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the service already serves a wire edge",
+            ));
         }
-        drop(inner);
-        if admitted {
-            self.shared.work.notify_one();
-        }
+        inner.edge = EdgeSlot::Pending(edge);
+        self.shared.wake_loop(inner);
+        Ok(Arc::clone(&self.shared))
     }
 
     /// Admit one request whose [`Target`] is checked, under the state
     /// lock. Only an admitted request gets its reply, from `reply`,
     /// which also returns the submitter's handle on it.
     fn admit<H>(
-        &self,
         inner: &mut Inner,
         tenant: TenantId,
         op: Operation,
@@ -651,8 +699,8 @@ impl Service {
                 target,
                 done: Arc::clone(&done),
             });
+            self.shared.wake_loop(inner);
         }
-        self.shared.work.notify_one();
         let mut slot = done.slot.lock();
         loop {
             if let Some(outcome) = slot.take() {
@@ -669,11 +717,9 @@ impl Service {
     /// # Panics
     /// Re-raises a panic of the event loop.
     pub fn drain(mut self) -> ServiceReport {
-        {
-            let mut inner = self.shared.state.lock();
-            inner.draining = true;
-        }
-        self.shared.work.notify_one();
+        let mut inner = self.shared.state.lock();
+        inner.draining = true;
+        self.shared.wake_loop(inner);
         let handle = self.event_loop.take().expect("joined only here or in drop");
         let mut state = handle
             .join()
@@ -754,11 +800,9 @@ impl Drop for Service {
         // Fast shutdown for the non-drain path: tell the loop to abandon
         // outstanding work (closing tickets) so the join below cannot
         // block on a parked-forever loop.
-        {
-            let mut inner = self.shared.state.lock();
-            inner.shutdown = true;
-        }
-        self.shared.work.notify_one();
+        let mut inner = self.shared.state.lock();
+        inner.shutdown = true;
+        self.shared.wake_loop(inner);
         if let Some(handle) = self.event_loop.take() {
             // A loop that panicked already unwound; dropping must not
             // panic over it.
@@ -774,18 +818,35 @@ impl Drop for Service {
 /// the previous slot's completions in the metrics and admits the next
 /// batch. It delivers those completions after counting them — once the
 /// lock is released, or still under it when it exits — so a ticket that
-/// has resolved is always already counted.
+/// has resolved is always already counted. With an edge attached, an
+/// iteration starts with the edge's input step, admits the decoded
+/// submits under the same lock, and ends its delivery with the edge's
+/// output step.
 fn run_event_loop(state: &mut LoopState) {
     // Hold the shared handle separately so locking it does not borrow
     // `state` (the exit helpers need `&mut LoopState` while the guard
     // lives).
     let shared = Arc::clone(&state.shared);
+    let metrics = || shared.state.lock().metrics.snapshot();
     loop {
+        // ---- Edge input: readiness when due, read and decode. --------
+        if let Some(edge) = state.edge.as_deref_mut() {
+            if edge.input(&metrics).is_err() {
+                // epoll itself failed: nothing is left to serve the edge
+                // with.
+                close_edge(state, &mut shared.state.lock());
+            }
+        }
+
         // ---- Record the last slot, then admit one op per idle lane. --
         let mut migration: Option<MigrationCmd> = None;
-        // Set when the loop would park with answers still to deliver:
-        // it delivers them outside the lock and parks on the next pass.
+        // Set when the loop would park with answers still to deliver (or
+        // connections still to visit): it delivers them outside the lock
+        // and parks on the next pass.
         let mut idle = false;
+        // Set when the loop parks in its edge's `epoll_wait`, outside the
+        // lock.
+        let mut park = false;
         {
             let mut inner = shared.state.lock();
             state.record(&mut inner.metrics);
@@ -794,10 +855,20 @@ fn run_event_loop(state: &mut LoopState) {
             state
                 .sched
                 .flush_deferrals(|t, d| inner.metrics.tenants[t].budget_deferrals += d);
+            if let Some(edge) = state.edge.as_deref_mut() {
+                inner.epoll_wake = None;
+                let inner = &mut *inner;
+                edge.admit(|route, Request { tenant, op }, target| {
+                    Service::admit(inner, tenant, op, target, || (Reply::Edge(route), ()))
+                });
+            }
             loop {
                 if inner.shutdown {
                     abandon(state, &mut inner);
                     return;
+                }
+                if !matches!(inner.edge, EdgeSlot::None | EdgeSlot::Attached) {
+                    switch_edge(state, &mut inner);
                 }
                 if inner.migration.is_some() {
                     // Quiesce toward the swap: issue nothing new. Once
@@ -836,11 +907,17 @@ fn run_event_loop(state: &mut LoopState) {
                     finish(state, &mut inner);
                     return;
                 }
-                if !state.fulfilled.is_empty() {
+                if !state.fulfilled.is_empty() || state.edge.as_ref().is_some_and(|e| e.busy()) {
                     idle = true;
                     break;
                 }
-                // Fully idle: park until a submit or drain wakes us.
+                // Fully idle: park until a submit, a drain or (with an
+                // edge) a socket wakes us.
+                if let Some(edge) = &state.edge {
+                    inner.epoll_wake = Some(edge.wake());
+                    park = true;
+                    break;
+                }
                 shared.work.wait(&mut inner);
                 state.pass_at = Instant::now();
             }
@@ -850,6 +927,15 @@ fn run_event_loop(state: &mut LoopState) {
         // ---- Swap boundary: source is drained, perform the move. -----
         if let Some(cmd) = migration {
             perform_migration(state, &shared, cmd);
+            state.pass_at = Instant::now();
+            continue;
+        }
+        if park {
+            if let Some(edge) = state.edge.as_deref_mut() {
+                if edge.idle_wait().is_err() {
+                    close_edge(state, &mut shared.state.lock());
+                }
+            }
             state.pass_at = Instant::now();
             continue;
         }
@@ -918,36 +1004,37 @@ impl LoopState {
         }
     }
 
-    /// Deliver the counted completions, then wake their edges.
+    /// Deliver the counted completions — wire answers straight into their
+    /// connections — then run the edge's output step.
     fn deliver(&mut self) {
         for (reply, response) in self.fulfilled.drain(..) {
-            self.wakes.note(reply.deliver(Ok(response)));
+            reply.deliver(Ok(response), self.edge.as_deref_mut());
         }
-        self.wakes.fire();
+        if let Some(edge) = self.edge.as_deref_mut() {
+            edge.output();
+        }
     }
 }
 
-/// The edge completion queues one slot's deliveries went to: each is
-/// checked once, after the whole slot is delivered, and its edge woken
-/// only if parked — at most one eventfd write per slot, so the edge picks
-/// up a slot's responses as one burst instead of one wake per response.
-#[derive(Default)]
-struct Wakes(Vec<Arc<CompletionQueue>>);
-
-impl Wakes {
-    fn note(&mut self, queue: Option<Arc<CompletionQueue>>) {
-        if let Some(q) = queue {
-            if !self.0.iter().any(|w| Arc::ptr_eq(w, &q)) {
-                self.0.push(q);
-            }
+/// Take a handed-over edge, or close the one its handle asked to close.
+fn switch_edge(state: &mut LoopState, inner: &mut Inner) {
+    match std::mem::replace(&mut inner.edge, EdgeSlot::None) {
+        EdgeSlot::Pending(edge) => {
+            state.edge = Some(edge);
+            inner.edge = EdgeSlot::Attached;
         }
+        EdgeSlot::Closing => state.edge = None,
+        slot => inner.edge = slot,
     }
+}
 
-    fn fire(&mut self) {
-        for q in self.0.drain(..) {
-            q.wake_if_parked();
-        }
-    }
+/// Close the loop's edge, and any edge still handed over, under the state
+/// lock (see [`EdgeSlot`]). Dropping an edge closes its sockets and
+/// releases its handle.
+fn close_edge(state: &mut LoopState, inner: &mut Inner) {
+    state.edge = None;
+    inner.edge = EdgeSlot::None;
+    inner.epoll_wake = None;
 }
 
 /// Execute one migration at the swap boundary: the source machine has
@@ -1028,11 +1115,13 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
 }
 
 /// Graceful-drain exit: the machine is idle and every admitted request
-/// has been fulfilled; deliver the last (already counted) answers and
-/// snapshot everything into the report.
+/// has been fulfilled; deliver the last (already counted) answers, close
+/// the edge once it has written them, and snapshot everything into the
+/// report.
 fn finish(state_ref: &mut LoopState, inner: &mut Inner) {
     debug_assert!(state_ref.machine.is_idle());
     state_ref.deliver();
+    close_edge(state_ref, inner);
     state_ref.report = Some(ServiceReport {
         metrics: inner.metrics.snapshot(),
         stats: *state_ref.machine.stats(),
@@ -1043,7 +1132,8 @@ fn finish(state_ref: &mut LoopState, inner: &mut Inner) {
 }
 
 /// Hard-shutdown exit (service dropped, not drained): close every
-/// outstanding ticket so no waiter deadlocks, then report what was done.
+/// outstanding ticket so no waiter deadlocks, answer every outstanding
+/// wire request with `ShuttingDown`, then report what was done.
 fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
     // A migration still parked (or mid-drain) resolves as ShuttingDown
     // so its caller does not wait forever.
@@ -1056,20 +1146,26 @@ fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
     // The last slot's completions are counted already; they resolve
     // with their responses, everything else as abandoned.
     state_ref.deliver();
-    let wakes = &mut state_ref.wakes;
+    let edge = &mut state_ref.edge;
     for q in &mut inner.queues {
         while let Some(pending) = q.pop() {
             inner.total_queued -= 1;
-            wakes.note(pending.reply.deliver(Err(Reject::ShuttingDown)));
+            pending
+                .reply
+                .deliver(Err(Reject::ShuttingDown), edge.as_deref_mut());
         }
     }
     for slot in &mut state_ref.inflight {
         if let Some(req) = slot.take() {
             state_ref.inflight_count -= 1;
-            wakes.note(req.reply.deliver(Err(Reject::ShuttingDown)));
+            req.reply
+                .deliver(Err(Reject::ShuttingDown), edge.as_deref_mut());
         }
     }
-    wakes.fire();
+    if let Some(edge) = edge.as_deref_mut() {
+        edge.output();
+    }
+    close_edge(state_ref, inner);
     state_ref.report = Some(ServiceReport {
         metrics: inner.metrics.snapshot(),
         stats: *state_ref.machine.stats(),

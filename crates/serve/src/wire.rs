@@ -251,6 +251,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_words(out: &mut Vec<u8>, words: &[Word]) {
+    out.reserve(4 + 8 * words.len());
     put_u32(out, words.len() as u32);
     for w in words {
         put_u64(out, *w);
@@ -519,21 +520,24 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u32` count, then that many words, decoded into one buffer of
+    /// exactly that size.
     fn words(&mut self) -> Result<Box<[Word]>, WireError> {
         let n = self.u32()? as usize;
         // A hostile count cannot exceed what the (already capped)
-        // payload physically holds — check before allocating.
+        // payload physically holds — `take` checks before allocating.
         let needed = n.checked_mul(8).ok_or(WireError::Truncated {
             needed: usize::MAX,
             got: self.remaining(),
         })?;
-        if self.remaining() < needed {
-            return Err(WireError::Truncated {
-                needed,
-                got: self.remaining(),
-            });
-        }
-        (0..n).map(|_| self.u64()).collect()
+        let bytes = self.take(needed)?;
+        let mut words = Vec::with_capacity(n);
+        words.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|w| Word::from_le_bytes(w.try_into().unwrap())),
+        );
+        Ok(words.into_boxed_slice())
     }
 
     fn string(&mut self, what: &'static str) -> Result<String, WireError> {
@@ -977,6 +981,25 @@ mod tests {
             Err(WireError::TrailingBytes {
                 ty: TY_DRAIN,
                 extra: 1
+            })
+        );
+    }
+
+    #[test]
+    fn hostile_word_count_is_refused_before_allocating() {
+        let mut body = encode(&Frame::Submit {
+            request_id: 1,
+            request: Request::new(0, Operation::write(2, vec![7; 2])),
+        })
+        .split_off(4);
+        // type, request id, tenant, op tag, offset: the count follows.
+        let count_at = 1 + 8 + 8 + 1 + 8;
+        body[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            decode_body(&body),
+            Err(WireError::Truncated {
+                needed: u32::MAX as usize * 8,
+                got: 16,
             })
         );
     }

@@ -1,38 +1,58 @@
-//! The wire edge blocks on readiness: an idle edge thread sleeps in
-//! `epoll_wait` without a timeout, and shutdown wakes it through its
-//! eventfd. Kept in its own test binary so that no other test's
-//! `cfm-edge` thread shares the process while the thread is sampled.
+//! The wire edge has no thread of its own: the service's event loop
+//! serves it, and an idle loop with an edge attached blocks in
+//! `epoll_wait` without a timeout once its short idle spin is over.
+//! In-process submits, drain, and both edge shutdown paths wake it
+//! there through its eventfd. Kept in its own test binary, with its
+//! tests run one at a time, so that no other service's `cfm-serve-loop`
+//! thread shares the process while the thread is sampled.
 #![cfg(target_os = "linux")]
 
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use conflict_free_memory::core::config::CfmConfig;
-use conflict_free_memory::serve::{EdgeConfig, Service, ServiceConfig, TenantSpec};
+use conflict_free_memory::core::op::Operation;
+use conflict_free_memory::serve::{EdgeConfig, EdgeHandle, Service, ServiceConfig, TenantSpec};
 
-fn service() -> Arc<Service> {
+/// One test at a time: each counts the process's threads.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn service() -> Service {
     let machine = CfmConfig::new(4, 1, 16).unwrap();
-    Arc::new(
-        Service::start(ServiceConfig::new(machine, 32).with_tenant(TenantSpec::new("idle")))
-            .unwrap(),
-    )
+    Service::start(ServiceConfig::new(machine, 32).with_tenant(TenantSpec::new("idle"))).unwrap()
 }
 
-/// `/proc/self/task/<tid>` of the one thread named `cfm-edge`.
-fn edge_task() -> std::path::PathBuf {
-    let tasks: Vec<_> = std::fs::read_dir("/proc/self/task")
+/// `/proc/self/task/<tid>` of every thread named `name`.
+fn tasks_named(name: &str) -> Vec<PathBuf> {
+    std::fs::read_dir("/proc/self/task")
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| {
-            std::fs::read_to_string(p.join("comm")).is_ok_and(|c| c.trim_end() == "cfm-edge")
-        })
-        .collect();
-    assert_eq!(tasks.len(), 1, "exactly one edge thread: {tasks:?}");
+        .filter(|p| std::fs::read_to_string(p.join("comm")).is_ok_and(|c| c.trim_end() == name))
+        .collect()
+}
+
+/// The one event-loop thread, after checking that no edge thread exists.
+/// A new thread names itself once it runs, so wait for the name.
+fn loop_task() -> PathBuf {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut tasks = tasks_named("cfm-serve-loop");
+    while tasks.is_empty() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+        tasks = tasks_named("cfm-serve-loop");
+    }
+    assert_eq!(
+        tasks_named("cfm-edge"),
+        Vec::<PathBuf>::new(),
+        "no edge thread"
+    );
+    assert_eq!(tasks.len(), 1, "exactly one event-loop thread: {tasks:?}");
     tasks.into_iter().next().unwrap()
 }
 
-fn voluntary_switches(task: &std::path::Path) -> u64 {
+fn voluntary_switches(task: &Path) -> u64 {
     let status = std::fs::read_to_string(task.join("status")).unwrap();
     status
         .lines()
@@ -43,20 +63,46 @@ fn voluntary_switches(task: &std::path::Path) -> u64 {
         .unwrap()
 }
 
-/// Over 200 ms of idleness the edge thread wakes a handful of times at
-/// most — a 100 µs sleep-and-poll loop would wake about two thousand
-/// times — and both shutdown paths wake the blocked thread promptly.
+/// The scheduler state letter of `task` (`S` while it sleeps).
+fn state(task: &Path) -> char {
+    let stat = std::fs::read_to_string(task.join("stat")).unwrap();
+    let after_comm = &stat[stat.rfind(')').expect("stat names the command") + 1..];
+    after_comm.trim_start().chars().next().unwrap()
+}
+
+/// Wait until the loop has blocked in its edge's `epoll_wait` and sleeps
+/// there.
+fn wait_parked(edge: &EdgeHandle, task: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while edge.stats().parks == 0 || state(task) != 'S' {
+        assert!(Instant::now() < deadline, "the idle loop never parked");
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Fail without dropping `service` and `edge`: when a wake is lost,
+/// dropping them would wait forever for the parked loop.
+fn fail_leaking(service: Service, edge: EdgeHandle, why: &str) -> ! {
+    std::mem::forget(edge);
+    std::mem::forget(service);
+    panic!("{why}");
+}
+
+/// Over 200 ms of idleness the loop wakes a handful of times at most —
+/// a loop that kept polling would wake thousands of times — and both
+/// edge shutdown paths wake the blocked loop promptly.
 #[test]
 fn idle_edge_costs_nothing_and_stops_promptly() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let service = service();
     let edge = service.serve_edge(EdgeConfig::default()).unwrap();
-    // Let the thread reach its first epoll_wait.
+    // Let the loop take the edge, spin out its idle bound and park.
     thread::sleep(Duration::from_millis(20));
-    let task = edge_task();
+    let task = loop_task();
     let before = voluntary_switches(&task);
     thread::sleep(Duration::from_millis(200));
     let woke = voluntary_switches(&task) - before;
-    assert!(woke <= 5, "idle edge woke {woke} times in 200 ms");
+    assert!(woke <= 5, "idle loop woke {woke} times in 200 ms");
 
     let start = Instant::now();
     edge.shutdown();
@@ -69,4 +115,62 @@ fn idle_edge_costs_nothing_and_stops_promptly() {
     drop(edge);
     let took = start.elapsed();
     assert!(took < Duration::from_millis(250), "drop took {took:?}");
+    service.drain();
+}
+
+/// An in-process submit reaches a loop parked in its edge's
+/// `epoll_wait`: the submit writes the eventfd, not the condvar.
+#[test]
+fn in_process_submit_wakes_a_loop_parked_in_epoll() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let service = service();
+    let edge = service.serve_edge(EdgeConfig::default()).unwrap();
+    let task = loop_task();
+    wait_parked(&edge, &task);
+    let parks = edge.stats().parks;
+
+    let mut ticket = service.submit(0, Operation::read(3)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let response = loop {
+        if let Some(response) = ticket.try_take() {
+            break response;
+        }
+        if Instant::now() > deadline {
+            fail_leaking(service, edge, "the parked loop never saw the submit");
+        }
+        thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(response.tenant, 0);
+    // The loop parked again once the submit was answered.
+    wait_parked(&edge, &task);
+    assert!(edge.stats().parks > parks);
+    edge.shutdown();
+    assert_eq!(service.drain().metrics.completed(), 1);
+}
+
+/// `drain` reaches a loop parked in its edge's `epoll_wait`, and the
+/// drain closes the edge still attached: shutting the handle down
+/// afterwards returns at once.
+#[test]
+fn drain_wakes_a_loop_parked_in_epoll_and_closes_the_edge() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let service = service();
+    let edge = service.serve_edge(EdgeConfig::default()).unwrap();
+    wait_parked(&edge, &loop_task());
+
+    let (tx, rx) = mpsc::channel();
+    let drainer = thread::spawn(move || tx.send(service.drain()).unwrap());
+    let Ok(report) = rx.recv_timeout(Duration::from_secs(5)) else {
+        // The drainer holds the service, blocked for good.
+        std::mem::forget(edge);
+        panic!("the parked loop never saw the drain");
+    };
+    drainer.join().unwrap();
+    assert_eq!(report.stats.bank_conflicts, 0);
+
+    let start = Instant::now();
+    let stats = edge.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(250), "shutdown took {took:?}");
+    assert_eq!(stats.active, 0);
 }

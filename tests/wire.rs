@@ -197,6 +197,64 @@ proptest! {
     }
 }
 
+/// Every frame that carries a block of words — a Write and a Swap
+/// submit, a Read response — round-trips at every word count from 0 to
+/// 64, and every cut of its body short of the end is refused as a typed
+/// `Truncated`, never a panic, a misparse or a different error.
+#[test]
+fn word_blocks_round_trip_and_every_cut_tail_is_truncated() {
+    use conflict_free_memory::core::op::{Completion, OpKind, Outcome};
+    use conflict_free_memory::serve::Response;
+
+    for n in 0..=64u64 {
+        let words: Vec<u64> = (0..n)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let frames = [
+            Frame::Submit {
+                request_id: n,
+                request: Request::new(1, Operation::write(5, words.clone())),
+            },
+            Frame::Submit {
+                request_id: n,
+                request: Request::new(2, Operation::swap(6, words.clone())),
+            },
+            Frame::Response {
+                request_id: n,
+                response: Response {
+                    tenant: 3,
+                    completion: Completion {
+                        proc: 2,
+                        kind: OpKind::Read,
+                        offset: 7,
+                        data: Some(words.clone().into_boxed_slice()),
+                        issued_at: 40,
+                        completed_at: 47,
+                        restarts: 0,
+                        outcome: Outcome::Completed,
+                        torn: false,
+                    },
+                    queued_ns: 100,
+                    total_ns: 900,
+                },
+            },
+        ];
+        for frame in frames {
+            let bytes = wire::encode(&frame);
+            let body = &bytes[4..];
+            assert_eq!(wire::decode_body(body), Ok(frame.clone()), "{n} words");
+            for cut in 0..body.len() {
+                match wire::decode_body(&body[..cut]) {
+                    Err(WireError::Truncated { needed, got }) => {
+                        assert!(got < needed, "{n} words cut at {cut}: {got} ≥ {needed}")
+                    }
+                    other => panic!("{n} words cut at {cut}: expected Truncated, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
 /// Stale protocol versions are a typed decode error with the stable
 /// code the edge forwards to clients, not a panic or a garbled frame.
 #[test]
