@@ -10,21 +10,21 @@
 //! [`Operation`]s a [`crate::program::Runner`] executes. One spec, two
 //! consumers: what is proven is exactly what runs.
 //!
-//! Two artifacts of the analysis live here because the machine and the
-//! service consume them:
+//! Two artifacts of the analysis live here, next to the specs they
+//! summarize:
 //!
-//! * [`Footprint`] — per-offset reader/writer processor sets. The
-//!   `cfm-serve` admission check compares tenants' footprints
-//!   ([`Footprint::conflicts_with`]) and rejects statically conflicting
-//!   programs before a single operation is queued.
+//! * [`Footprint`] — per-offset reader/writer processor sets, exact at
+//!   any processor count.
 //! * [`HazardSummary`] — the analyzer's output: a proven footprint plus
 //!   the ATT occupancy bound and per-bank access counts.
 //!
-//! Static proofs act at admission only (see `docs/static-analysis.md`);
-//! at runtime the machine proves every access with its own hazard test.
-//! Offsets with data-dependent expressions are never summarized.
+//! Both are consumed by `cfm-verify` only (see
+//! `docs/static-analysis.md`): neither admission nor the running machine
+//! reads them. At runtime the machine proves every access with its own
+//! hazard test. Offsets with data-dependent expressions are never
+//! summarized.
 
-use crate::op::{OpKind, Operation};
+use crate::op::Operation;
 use crate::{BlockOffset, ProcId};
 
 /// Identifier of a program-level lock in a [`ProgramSpec`]'s acquisition
@@ -417,9 +417,8 @@ impl std::fmt::Display for FootprintError {
 impl std::error::Error for FootprintError {}
 
 /// Per-offset reader/writer processor sets — the static access shape of
-/// a program (or a tenant's declared traffic). Sets are symbolic unions
-/// of strided residue classes ([`ProcClass`]), exact at any processor
-/// count.
+/// a program. Sets are symbolic unions of strided residue classes
+/// ([`ProcClass`]), exact at any processor count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footprint {
     offsets: usize,
@@ -428,18 +427,6 @@ pub struct Footprint {
     /// `writers[o]` = processors that run a write phase
     /// (write/swap/RMW) on block `o`.
     writers: Vec<ProcSet>,
-}
-
-/// A statically detected conflict between two footprints: the shared
-/// offset and which side writes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FootprintConflict {
-    /// The contested block offset.
-    pub offset: BlockOffset,
-    /// Whether the left-hand footprint writes the offset.
-    pub left_writes: bool,
-    /// Whether the right-hand footprint writes the offset.
-    pub right_writes: bool,
 }
 
 impl Footprint {
@@ -529,36 +516,6 @@ impl Footprint {
                 }
             }
         }
-    }
-
-    /// Record an [`Operation`]'s access (swap and RMW count as writes;
-    /// their read phase cannot conflict with their own entry).
-    pub fn record_op(&mut self, p: ProcId, op: &Operation) {
-        self.record(p, op.kind() != OpKind::Read, op.offset());
-    }
-
-    /// First offset where the two footprints statically conflict: both
-    /// touch it and at least one side writes. `None` = provably
-    /// non-interfering.
-    pub fn conflicts_with(&self, other: &Footprint) -> Option<FootprintConflict> {
-        let n = self.offsets.min(other.offsets);
-        for o in 0..n {
-            let l_touch = !self.readers[o].is_empty() || !self.writers[o].is_empty();
-            let r_touch = !other.readers[o].is_empty() || !other.writers[o].is_empty();
-            if !(l_touch && r_touch) {
-                continue;
-            }
-            let left_writes = !self.writers[o].is_empty();
-            let right_writes = !other.writers[o].is_empty();
-            if left_writes || right_writes {
-                return Some(FootprintConflict {
-                    offset: o,
-                    left_writes,
-                    right_writes,
-                });
-            }
-        }
-        None
     }
 
     /// The readers of `offset` as a symbolic set.
@@ -654,6 +611,7 @@ impl HazardSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::OpKind;
 
     #[test]
     fn offset_exprs_evaluate_and_classify() {
@@ -719,18 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_conflicts_need_a_writer() {
-        let mut a = Footprint::new(8);
-        a.record(0, false, 3);
-        let mut b = Footprint::new(8);
-        b.record(0, false, 3);
-        assert_eq!(a.conflicts_with(&b), None, "read/read sharing is fine");
-        b.record(0, true, 3);
-        let w = a.conflicts_with(&b).expect("read/write conflict");
-        assert_eq!((w.offset, w.left_writes, w.right_writes), (3, false, true));
-    }
-
-    #[test]
     fn instantiation_matches_footprint() {
         let spec = ProgramSpec::uniform(
             "mix",
@@ -748,7 +694,7 @@ mod tests {
         let mut dynamic = Footprint::new(16);
         for p in 0..3 {
             for op in spec.instantiate(p, 6, 16) {
-                dynamic.record_op(p, &op);
+                dynamic.record(p, op.kind() != OpKind::Read, op.offset());
             }
         }
         assert_eq!(fp, dynamic, "static footprint equals the executed one");

@@ -18,7 +18,7 @@
 //!    `Submit`'s block against the machine's offsets;
 //! 3. under the state lock it already takes for the slot, it admits those
 //!    submits through the same checks as
-//!    [`crate::Service::submit_request`];
+//!    [`crate::Service::submit`];
 //! 4. it delivers the last slot's completions, encoding each wire answer
 //!    straight into its connection's write buffer, then flushes write
 //!    buffers as far as the sockets allow, carrying partial writes across
@@ -29,6 +29,11 @@
 //! generation that is unique in the process, so a new connection that
 //! reuses a slot or a file descriptor never receives an old connection's
 //! response, even from an earlier edge of the same service.
+//!
+//! The edge keeps no copy of the machine's geometry: a `Welcome` and the
+//! retry hints read the configuration of the machine the loop steps when
+//! they are answered, so they follow a live migration
+//! ([`crate::Service::migrate`]).
 //!
 //! One service serves at most one edge at a time. The edge holds no
 //! `Arc<Service>`: the service can be drained as soon as the edge is shut
@@ -66,7 +71,7 @@
 //!   [`EdgeConfig::max_inflight_total`]): the submit is refused with
 //!   `Reject(Overloaded)` carrying a `retry_after_slots` hint computed
 //!   from the same drain model the service uses in-process;
-//! - the service's own admission ([`crate::Service::submit_request`]):
+//! - the service's own admission ([`crate::Service::submit`]):
 //!   any in-process [`crate::Reject`] is forwarded verbatim as a
 //!   `Reject` frame — the wire surface and the in-process surface are
 //!   the same typed enum.
@@ -98,12 +103,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cfm_core::config::CfmConfig;
 use parking_lot::{Condvar, Mutex};
 
 use crate::metrics::MetricsSnapshot;
 use crate::poll::{self, EventFd, Poller};
 use crate::request::{Reject, Request, Response};
-use crate::service::{target, Service, Shared, Target};
+use crate::service::{drain_window_slots, target, Service, Shared, Target};
 use crate::wire::{self, Decoder, Frame, PROTOCOL_VERSION};
 
 /// [`Frame::Error`] code for a frame that is well-formed but illegal in
@@ -363,14 +369,6 @@ pub fn serve(service: &Service, config: EdgeConfig) -> io::Result<EdgeHandle> {
         wake,
         poller,
         offsets: service.offsets(),
-        processors: service.processors() as u64,
-        bank_cycle: u64::from(service.bank_cycle()),
-        welcome: Frame::Welcome {
-            version: PROTOCOL_VERSION,
-            banks: service.banks() as u32,
-            offsets: service.offsets() as u32,
-            processors: service.processors() as u32,
-        },
         config,
         conns: Vec::new(),
         free: Vec::new(),
@@ -422,14 +420,6 @@ const STD_BACKLOG: usize = 128;
 /// connection of another edge, so an answer routed to a closed edge's
 /// connection cannot reach a later edge's.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// Retry hint in machine slots for a backlog of `waiting` operations:
-/// drained at one dequeue per lane per slot, plus one bank cycle of
-/// pipeline settle — the same model the service uses for its in-process
-/// [`Reject::QueueFull`] / [`Reject::Overloaded`] hints.
-fn retry_hint(waiting: usize, processors: u64, bank_cycle: u64) -> u64 {
-    (waiting as u64).div_ceil(processors.max(1)) + bank_cycle + 1
-}
 
 /// The connection slot a token names (its low 32 bits; the high bits
 /// are the generation).
@@ -515,10 +505,7 @@ pub(crate) struct Edge {
     wake: Arc<EventFd>,
     poller: Poller,
     config: EdgeConfig,
-    welcome: Frame,
     offsets: usize,
-    processors: u64,
-    bank_cycle: u64,
     /// Connection slots; a token's low 32 bits index this.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -586,19 +573,25 @@ impl Edge {
 
     /// The loop's input step: check readiness if due (see
     /// [`POLL_EVERY_PASSES`]), then read and decode every listed
-    /// connection. `metrics` snapshots the service for a
-    /// `MetricsRequest`. Fails only if epoll itself fails, which leaves
-    /// nothing to serve the edge with.
-    pub(crate) fn input(&mut self, metrics: &dyn Fn() -> MetricsSnapshot) -> io::Result<()> {
+    /// connection. `machine` is the configuration of the machine the
+    /// loop steps now, which a `Welcome` and the retry hints report;
+    /// `metrics` snapshots the service for a `MetricsRequest`. Fails only
+    /// if epoll itself fails, which leaves nothing to serve the edge
+    /// with.
+    pub(crate) fn input(
+        &mut self,
+        machine: &CfmConfig,
+        metrics: &dyn Fn() -> MetricsSnapshot,
+    ) -> io::Result<()> {
         self.passes = self.passes.wrapping_add(1);
         if std::mem::take(&mut self.answered) || self.passes.is_multiple_of(POLL_EVERY_PASSES) {
             bump(&self.link.edge_polls);
-            self.poll(Some(0))?;
+            self.poll(Some(0), machine)?;
         }
         for i in 0..self.work.len() {
             let slot = self.work[i];
             self.read(slot);
-            self.dispatch(slot, metrics);
+            self.dispatch(slot, machine, metrics);
         }
         Ok(())
     }
@@ -606,25 +599,25 @@ impl Edge {
     /// With the loop fully idle: poll for up to [`IDLE_SPIN`], yielding
     /// between polls, then block until something is ready. Fails only if
     /// epoll itself fails.
-    pub(crate) fn idle_wait(&mut self) -> io::Result<()> {
+    pub(crate) fn idle_wait(&mut self, machine: &CfmConfig) -> io::Result<()> {
         let start = Instant::now();
         while start.elapsed() < IDLE_SPIN {
             bump(&self.link.idle_spins);
-            if self.poll(Some(0))? > 0 {
+            if self.poll(Some(0), machine)? > 0 {
                 return Ok(());
             }
             thread::yield_now();
         }
         bump(&self.link.parks);
         let timeout = self.listener_paused.then_some(ACCEPT_RETRY_MS);
-        self.poll(timeout)?;
+        self.poll(timeout, machine)?;
         Ok(())
     }
 
     /// One `epoll_wait`: accept if the listener is ready (or waits to be
     /// rearmed), reset the eventfd, list the ready connections. Returns
     /// the number of events.
-    fn poll(&mut self, timeout_ms: Option<u32>) -> io::Result<usize> {
+    fn poll(&mut self, timeout_ms: Option<u32>, machine: &CfmConfig) -> io::Result<usize> {
         let n = self.poller.wait(timeout_ms)?;
         let mut accept = self.listener_paused;
         for i in 0..n {
@@ -643,13 +636,13 @@ impl Edge {
             }
         }
         if accept {
-            self.accept();
+            self.accept(machine);
         }
         Ok(n)
     }
 
     /// Accept every waiting connection, shedding past the cap.
-    fn accept(&mut self) {
+    fn accept(&mut self, machine: &CfmConfig) {
         if self.listener_paused {
             if self
                 .poller
@@ -667,8 +660,7 @@ impl Edge {
                     if self.live >= self.config.max_connections {
                         bump(&self.link.shed_connections);
                         bump(&self.link.rejects);
-                        let hint =
-                            retry_hint(self.inflight_total, self.processors, self.bank_cycle);
+                        let hint = drain_window_slots(machine, self.inflight_total);
                         shed_connection(stream, self.live, self.config.max_connections, hint);
                         continue;
                     }
@@ -741,7 +733,12 @@ impl Edge {
 
     /// Dispatch decoded frames until the decoder runs dry or a frame must
     /// wait (a frame whose answer the connection cannot take yet).
-    fn dispatch(&mut self, slot: usize, metrics: &dyn Fn() -> MetricsSnapshot) {
+    fn dispatch(
+        &mut self,
+        slot: usize,
+        machine: &CfmConfig,
+        metrics: &dyn Fn() -> MetricsSnapshot,
+    ) {
         let Some(c) = self.conns[slot].as_mut() else {
             return;
         };
@@ -802,11 +799,16 @@ impl Edge {
                         reject: Reject::Overloaded {
                             queued,
                             limit: config.max_inflight_total,
-                            retry_after_slots: retry_hint(queued, self.processors, self.bank_cycle),
+                            retry_after_slots: drain_window_slots(machine, queued),
                         },
                     });
                 }
-                Frame::Hello { .. } => c.queue(&self.welcome),
+                Frame::Hello { .. } => c.queue(&Frame::Welcome {
+                    version: PROTOCOL_VERSION,
+                    banks: machine.banks() as u32,
+                    offsets: self.offsets as u32,
+                    processors: machine.processors() as u32,
+                }),
                 Frame::MetricsRequest => c.queue(&Frame::Metrics {
                     json: metrics().to_json_with_edge(&link.stats()),
                 }),
@@ -1033,7 +1035,7 @@ mod tests {
     use crate::config::{ServiceConfig, TenantSpec};
     use crate::request::Response;
     use cfm_core::config::CfmConfig;
-    use cfm_core::op::Operation;
+    use cfm_core::op::{Operation, Outcome};
     use std::time::Duration;
 
     fn small_service() -> Arc<Service> {
@@ -1153,6 +1155,59 @@ mod tests {
         assert_eq!(stats.responses, 2);
         assert_eq!(stats.wire_errors, 0);
         assert_eq!(stats.drained_connections, 1);
+        let report = Arc::try_unwrap(service).ok().unwrap().drain();
+        assert_eq!(report.stats.bank_conflicts, 0);
+    }
+
+    #[test]
+    fn welcome_and_block_length_follow_a_migration() {
+        let service = small_service();
+        let edge = service.serve_edge(EdgeConfig::default()).unwrap();
+        let mut client = Client::connect(edge.addr());
+        let welcome = |banks, processors| Frame::Welcome {
+            version: PROTOCOL_VERSION,
+            banks,
+            offsets: 32,
+            processors,
+        };
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        client.send(&hello);
+        assert_eq!(client.recv(), Some(welcome(4, 4)));
+
+        let grown = CfmConfig::new(8, 1, 16).unwrap();
+        assert_eq!(service.migrate(&[], grown).unwrap().to_banks, 8);
+
+        // The same connection now sees the grown machine, and a write
+        // sized from its Welcome is admitted and read back.
+        client.send(&hello);
+        assert_eq!(client.recv(), Some(welcome(8, 8)));
+        client.send(&Frame::Submit {
+            request_id: 1,
+            request: crate::Request::new(0, Operation::write(5, vec![42; 8])),
+        });
+        match client.recv() {
+            Some(Frame::Response {
+                request_id: 1,
+                response,
+            }) => assert_eq!(response.completion.outcome, Outcome::Completed),
+            other => panic!("expected the write's response, got {other:?}"),
+        }
+        client.send(&Frame::Submit {
+            request_id: 2,
+            request: crate::Request::new(1, Operation::read(5)),
+        });
+        match client.recv() {
+            Some(Frame::Response {
+                request_id: 2,
+                response,
+            }) => assert_eq!(response.completion.data.as_deref(), Some(&[42; 8][..])),
+            other => panic!("expected the read's response, got {other:?}"),
+        }
+
+        drop(client);
+        edge.shutdown();
         let report = Arc::try_unwrap(service).ok().unwrap().drain();
         assert_eq!(report.stats.bank_conflicts, 0);
     }

@@ -102,5 +102,5 @@ pub use config::{Criticality, ServiceConfig, TenantSpec};
 pub use edge::{EdgeConfig, EdgeHandle, EdgeStats};
 pub use metrics::{Histogram, MetricsSnapshot, TenantMetrics};
 pub use request::{Reject, Request, Response, TenantId, Ticket};
-pub use service::{Footprints, MigrateError, MigrationReport, Service, ServiceReport, StartError};
+pub use service::{MigrateError, MigrationReport, Service, ServiceReport, StartError};
 pub use wire::{Frame, WireError, PROTOCOL_VERSION};

@@ -174,7 +174,6 @@ pub(crate) struct TenantCounters {
     pub(crate) rejected_queue_full: u64,
     pub(crate) rejected_overloaded: u64,
     pub(crate) rejected_shutdown: u64,
-    pub(crate) rejected_static: u64,
     pub(crate) rejected_migrating: u64,
     pub(crate) budget_deferrals: u64,
     pub(crate) latency: Histogram,
@@ -214,7 +213,6 @@ impl Metrics {
                     rejected_queue_full: c.rejected_queue_full,
                     rejected_overloaded: c.rejected_overloaded,
                     rejected_shutdown: c.rejected_shutdown,
-                    rejected_static: c.rejected_static,
                     rejected_migrating: c.rejected_migrating,
                     budget_deferrals: c.budget_deferrals,
                     latency: c.latency.clone(),
@@ -242,9 +240,6 @@ pub struct TenantMetrics {
     pub rejected_overloaded: u64,
     /// Submits refused during drain/shutdown.
     pub rejected_shutdown: u64,
-    /// Submits (and footprint admissions) refused by the static
-    /// footprint conflict gate ([`crate::Reject::StaticConflict`]).
-    pub rejected_static: u64,
     /// Submits shed while this tenant's queue was quiesced across a
     /// live migration ([`crate::Reject::Migrating`]).
     pub rejected_migrating: u64,
@@ -280,7 +275,6 @@ impl MetricsSnapshot {
                 t.rejected_queue_full
                     + t.rejected_overloaded
                     + t.rejected_shutdown
-                    + t.rejected_static
                     + t.rejected_migrating
             })
             .sum()
@@ -333,10 +327,6 @@ impl MetricsSnapshot {
             out.push_str(&format!(
                 "      \"rejected_shutdown\": {},\n",
                 t.rejected_shutdown
-            ));
-            out.push_str(&format!(
-                "      \"rejected_static\": {},\n",
-                t.rejected_static
             ));
             out.push_str(&format!(
                 "      \"rejected_migrating\": {},\n",

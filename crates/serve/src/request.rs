@@ -14,11 +14,11 @@ pub type TenantId = usize;
 
 /// One submission: the tenant plus its block operation.
 ///
-/// This is the *single* request envelope in the system — the in-process
-/// path ([`crate::Service::submit_request`]) consumes it directly, and
-/// the wire codec ([`crate::wire`]) encodes and decodes exactly this
-/// struct, so a frame that round-trips the codec is byte-for-byte the
-/// request the service admits. There is no separate "wire request"
+/// This is the *single* request envelope in the system — the wire codec
+/// ([`crate::wire`]) encodes and decodes exactly this struct, and the
+/// edge admits its tenant and operation through the same checks as the
+/// in-process [`crate::Service::submit`], so a frame that round-trips
+/// the codec is byte-for-byte the request the service admits. There is no separate "wire request"
 /// type to drift out of sync.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -86,42 +86,6 @@ pub enum Reject {
         /// Words required (= banks).
         want: usize,
     },
-    /// The request (or a whole declared footprint) statically conflicts
-    /// with a footprint another tenant already holds: both sides touch
-    /// the same block and at least one writes it. Carried witness names
-    /// the holder, the contested block, and which side writes — the
-    /// admission-time analogue of the analyzer's two-op conflict
-    /// witness (see `cfm-verify analyze`).
-    StaticConflict {
-        /// The tenant whose admitted footprint is in the way.
-        tenant: TenantId,
-        /// The contested block offset.
-        offset: usize,
-        /// Whether the admitted footprint writes the block.
-        held_writes: bool,
-        /// Whether the rejected request/footprint writes the block.
-        requested_writes: bool,
-    },
-    /// A footprint offered for admission was built over a different
-    /// block count than the service's memory — its claims would be
-    /// meaningless against this machine, so it is refused up front
-    /// rather than queried out of range later.
-    FootprintGeometry {
-        /// Blocks the offered footprint covers.
-        got: usize,
-        /// Blocks the service's machine has.
-        want: usize,
-    },
-    /// A footprint query fell outside its domain
-    /// ([`cfm_core::spec::FootprintError`]) — surfaced typed instead of
-    /// being misread as "no conflict". Unreachable when every admitted
-    /// footprint passed the [`Reject::FootprintGeometry`] gate.
-    FootprintRange {
-        /// The out-of-range offset.
-        offset: usize,
-        /// The footprint's domain size.
-        offsets: usize,
-    },
     /// The tenant is being live-migrated ([`crate::Service::migrate`]):
     /// its queue is quiesced across the checkpoint/restore boundary, so
     /// new submits are shed until the tenant is re-admitted on the
@@ -135,16 +99,6 @@ pub enum Reject {
         /// see `Migrating` again for the same migration.
         retry_after_slots: u64,
     },
-}
-
-impl From<cfm_core::spec::FootprintError> for Reject {
-    fn from(e: cfm_core::spec::FootprintError) -> Self {
-        match e {
-            cfm_core::spec::FootprintError::OffsetOutOfRange { offset, offsets } => {
-                Reject::FootprintRange { offset, offsets }
-            }
-        }
-    }
 }
 
 impl fmt::Display for Reject {
@@ -179,29 +133,6 @@ impl fmt::Display for Reject {
             }
             Reject::WrongBlockLength { got, want } => {
                 write!(f, "block data has {got} words, machine wants {want}")
-            }
-            Reject::StaticConflict {
-                tenant,
-                offset,
-                held_writes,
-                requested_writes,
-            } => {
-                let held = if *held_writes { "writes" } else { "reads" };
-                let req = if *requested_writes { "writes" } else { "reads" };
-                write!(
-                    f,
-                    "static conflict with tenant {tenant} on block {offset} \
-                     (held footprint {held} it, request {req} it)"
-                )
-            }
-            Reject::FootprintGeometry { got, want } => {
-                write!(f, "footprint covers {got} blocks, machine has {want}")
-            }
-            Reject::FootprintRange { offset, offsets } => {
-                write!(
-                    f,
-                    "footprint queried outside its domain (offset {offset} of {offsets})"
-                )
             }
             Reject::Migrating {
                 tenant,

@@ -27,9 +27,8 @@ use std::time::Instant;
 
 use cfm_core::config::{CfmConfig, Engine};
 use cfm_core::machine::CfmMachine;
-use cfm_core::op::{OpKind, Operation};
+use cfm_core::op::Operation;
 use cfm_core::snapshot::{MachineSnapshot, SnapshotError};
-use cfm_core::spec::Footprint;
 use cfm_core::stats::Stats;
 use cfm_core::ProcId;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -199,20 +198,15 @@ struct Inner {
     metrics: Metrics,
     draining: bool,
     shutdown: bool,
-    /// Current machine geometry, updated by a live migration — submit
-    /// validates block lengths against it, so it lives under the lock.
-    banks: usize,
-    processors: usize,
-    bank_cycle: u32,
+    /// The machine's current configuration, updated by a live migration
+    /// — submit validates block lengths against it, so it lives under
+    /// the lock.
+    config: CfmConfig,
     /// `migrating[t]`: tenant `t`'s queue is quiesced across a pending
     /// migration; its submits are shed with [`Reject::Migrating`].
     migrating: Vec<bool>,
     /// A migration waiting for the event loop to pick it up.
     migration: Option<MigrationCmd>,
-    /// Statically admitted per-tenant footprints (see
-    /// [`Footprints::admit`]): `footprints[t]` is the block
-    /// claim tenant `t` holds, `None` = no claim registered.
-    footprints: Vec<Option<Footprint>>,
     /// The wire edge's hand-over between its handle and the loop.
     edge: EdgeSlot,
     /// The eventfd that wakes the loop, present only while the loop
@@ -241,19 +235,19 @@ impl Inner {
     /// in-flight drain (≈ β = b + c − 1 plus restarts), the ATT settle
     /// window (≤ b − 1), and swap overhead.
     fn migration_window_slots(&self) -> u64 {
-        (2 * self.banks + self.bank_cycle as usize) as u64 + 64
+        (2 * self.config.banks() + self.config.bank_cycle() as usize) as u64 + 64
     }
+}
 
-    /// Estimate, in machine slots, of how long a backpressured client
-    /// should wait for `waiting` queued operations to drain: the event
-    /// loop dequeues at most one operation per lane per slot, plus one
-    /// bank cycle of pipeline settle. Used for the
-    /// [`Reject::QueueFull`] / [`Reject::Overloaded`] retry hints —
-    /// deliberately the same drain model as
-    /// [`Inner::migration_window_slots`], minus the swap overhead.
-    fn drain_window_slots(&self, waiting: usize) -> u64 {
-        (waiting as u64).div_ceil(self.processors as u64) + u64::from(self.bank_cycle) + 1
-    }
+/// Estimate, in machine slots, of how long a backpressured client should
+/// wait for `waiting` queued operations to drain on a machine of shape
+/// `config`: the event loop dequeues at most one operation per lane per
+/// slot, plus one bank cycle of pipeline settle. Used for the
+/// [`Reject::QueueFull`] / [`Reject::Overloaded`] retry hints, in process
+/// and at the edge — deliberately the same drain model as
+/// [`Inner::migration_window_slots`], minus the swap overhead.
+pub(crate) fn drain_window_slots(config: &CfmConfig, waiting: usize) -> u64 {
+    (waiting as u64).div_ceil(config.processors() as u64) + u64::from(config.bank_cycle()) + 1
 }
 
 pub(crate) struct Shared {
@@ -306,11 +300,10 @@ impl Shared {
     }
 }
 
-/// The block an operation addresses and the block length it carries,
-/// from [`target`].
+/// An operation whose block [`target`] checked against the machine's
+/// offsets, and the block length it carries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Target {
-    offset: usize,
     data_len: Option<usize>,
 }
 
@@ -327,7 +320,7 @@ pub(crate) fn target(op: &Operation, offsets: usize) -> Result<Target, Reject> {
     if offset >= offsets {
         return Err(Reject::NoSuchBlock { offset, offsets });
     }
-    Ok(Target { offset, data_len })
+    Ok(Target { data_len })
 }
 
 /// One in-flight operation's service-side bookkeeping, indexed by the
@@ -403,10 +396,8 @@ impl Service {
             return Err(StartError::ZeroBudgetWindow);
         }
 
-        let banks = config.machine.banks();
         let offsets = config.offsets;
         let processors = config.machine.processors();
-        let bank_cycle = config.machine.bank_cycle();
         let machine = CfmMachine::builder(config.machine).offsets(offsets).build();
 
         let shared = Arc::new(Shared {
@@ -421,12 +412,9 @@ impl Service {
                 metrics: Metrics::new(config.tenants.iter().map(|t| t.name.clone()).collect()),
                 draining: false,
                 shutdown: false,
-                banks,
-                processors,
-                bank_cycle,
+                config: config.machine,
                 migrating: vec![false; config.tenants.len()],
                 migration: None,
-                footprints: (0..config.tenants.len()).map(|_| None).collect(),
                 edge: EdgeSlot::None,
                 epoll_wake: None,
             }),
@@ -480,41 +468,32 @@ impl Service {
         self.offsets
     }
 
-    /// Processor lanes of the underlying machine — the `n` a tenant's
-    /// [`cfm_core::spec::ProgramSpec`] must be proven for. May change
-    /// across a [`Service::migrate`].
+    /// Processor lanes of the underlying machine — at most this many
+    /// operations are in flight at once. May change across a
+    /// [`Service::migrate`].
     pub fn processors(&self) -> usize {
-        self.shared.state.lock().processors
+        self.shared.state.lock().config.processors()
     }
 
     /// Bank cycle `c` of the underlying machine. May change across a
     /// [`Service::migrate`].
     pub fn bank_cycle(&self) -> u32 {
-        self.shared.state.lock().bank_cycle
+        self.shared.state.lock().config.bank_cycle()
     }
 
     /// Memory banks `b` of the underlying machine — the block length
     /// writes must carry. May grow across a [`Service::migrate`].
     pub fn banks(&self) -> usize {
-        self.shared.state.lock().banks
+        self.shared.state.lock().config.banks()
     }
 
-    /// Submit one block operation on behalf of `tenant` — convenience
-    /// wrapper packing the arguments into a [`Request`] for
-    /// [`Service::submit_request`].
+    /// Submit one block operation on behalf of `tenant`. The wire edge
+    /// admits each decoded [`Request`] through the same checks.
+    /// Validation and admission control happen here, synchronously: the
+    /// returned [`Ticket`] is only handed out for operations that *will*
+    /// be scheduled (absent shutdown). Rejections are typed backpressure
+    /// — see [`Reject`].
     pub fn submit(&self, tenant: TenantId, op: Operation) -> Result<Ticket, Reject> {
-        self.submit_request(Request::new(tenant, op))
-    }
-
-    /// Submit one [`Request`] envelope — the same struct the wire codec
-    /// ([`crate::wire`]) decodes, so the network edge and in-process
-    /// callers share one admission path verbatim. Validation and
-    /// admission control happen here, synchronously: the returned
-    /// [`Ticket`] is only handed out for operations that *will* be
-    /// scheduled (absent shutdown). Rejections are typed backpressure —
-    /// see [`Reject`].
-    pub fn submit_request(&self, request: Request) -> Result<Ticket, Reject> {
-        let Request { tenant, op } = request;
         // Validate against machine geometry before touching the lock.
         let target = target(&op, self.offsets)?;
         let mut inner = self.shared.state.lock();
@@ -553,18 +532,16 @@ impl Service {
         target: Target,
         reply: impl FnOnce() -> (Reply, H),
     ) -> Result<H, Reject> {
-        let Target { offset, data_len } = target;
+        let Target { data_len } = target;
         if tenant >= inner.queues.len() {
             return Err(Reject::UnknownTenant { tenant });
         }
         // Block length is machine geometry, and geometry can change
         // across a live migration — validate under the same lock.
         if let Some(got) = data_len {
-            if got != inner.banks {
-                return Err(Reject::WrongBlockLength {
-                    got,
-                    want: inner.banks,
-                });
+            let want = inner.config.banks();
+            if got != want {
+                return Err(Reject::WrongBlockLength { got, want });
             }
         }
         if inner.migrating[tenant] {
@@ -575,37 +552,13 @@ impl Service {
                 retry_after_slots,
             });
         }
-        // Static admission: a block another tenant's admitted footprint
-        // claims is off limits when either side writes it — the same
-        // reader/writer-set rule `Footprint::conflicts_with` applies to
-        // whole programs, checked here per operation. Out-of-range
-        // footprint queries surface as typed `Reject::FootprintRange`
-        // (unreachable while every claim passes the geometry gate, but
-        // never a silent "no conflict").
-        let writes = op.kind() != OpKind::Read;
-        for (holder, claim) in inner.footprints.iter().enumerate() {
-            if holder == tenant {
-                continue;
-            }
-            let Some(claim) = claim else { continue };
-            let held_writes = claim.written(offset)?;
-            if (claim.touches(offset)? && writes) || held_writes {
-                inner.metrics.tenants[tenant].rejected_static += 1;
-                return Err(Reject::StaticConflict {
-                    tenant: holder,
-                    offset,
-                    held_writes,
-                    requested_writes: writes,
-                });
-            }
-        }
         if inner.draining || inner.shutdown {
             inner.metrics.tenants[tenant].rejected_shutdown += 1;
             return Err(Reject::ShuttingDown);
         }
         if inner.queues[tenant].is_full() {
             let capacity = inner.queues[tenant].capacity;
-            let retry_after_slots = inner.drain_window_slots(inner.queues[tenant].len());
+            let retry_after_slots = drain_window_slots(&inner.config, inner.queues[tenant].len());
             inner.metrics.tenants[tenant].rejected_queue_full += 1;
             return Err(Reject::QueueFull {
                 tenant,
@@ -615,7 +568,7 @@ impl Service {
         }
         if inner.total_queued >= inner.max_queued {
             let (queued, limit) = (inner.total_queued, inner.max_queued);
-            let retry_after_slots = inner.drain_window_slots(queued);
+            let retry_after_slots = drain_window_slots(&inner.config, queued);
             inner.metrics.tenants[tenant].rejected_overloaded += 1;
             return Err(Reject::Overloaded {
                 queued,
@@ -633,12 +586,6 @@ impl Service {
         inner.total_queued += 1;
         inner.metrics.tenants[tenant].submitted += 1;
         Ok(handle)
-    }
-
-    /// The footprint-admission surface: claims and their withdrawal,
-    /// gathered behind one handle. See [`Footprints`].
-    pub fn footprints(&self) -> Footprints<'_> {
-        Footprints { service: self }
     }
 
     /// Current counters and latency quantiles (cheap clone under the
@@ -733,68 +680,6 @@ impl Service {
     }
 }
 
-/// The service's footprint-admission surface, obtained from
-/// [`Service::footprints`]: one handle over claims
-/// ([`Footprints::admit`]) and claim release
-/// ([`Footprints::withdraw`]). The handle borrows the service; it holds
-/// no state of its own.
-pub struct Footprints<'a> {
-    service: &'a Service,
-}
-
-impl Footprints<'_> {
-    /// Register `tenant`'s statically analyzed block footprint (e.g. a
-    /// [`cfm_core::spec::ProgramSpec`] footprint the `cfm-verify
-    /// analyze` pipeline proved). Admission is all-or-nothing: if the
-    /// footprint conflicts with any *other* tenant's admitted footprint
-    /// — both touch a block and at least one writes it — nothing is
-    /// registered and the typed [`Reject::StaticConflict`] carries the
-    /// witness. Once admitted, the claim also gates per-operation
-    /// submits from other tenants, and re-admitting replaces the
-    /// tenant's previous claim.
-    pub fn admit(&self, tenant: TenantId, footprint: Footprint) -> Result<(), Reject> {
-        // A footprint over the wrong block count would answer every
-        // later query out of range — refuse it typed, up front.
-        if footprint.offsets() != self.service.offsets {
-            return Err(Reject::FootprintGeometry {
-                got: footprint.offsets(),
-                want: self.service.offsets,
-            });
-        }
-        let mut inner = self.service.shared.state.lock();
-        if tenant >= inner.queues.len() {
-            return Err(Reject::UnknownTenant { tenant });
-        }
-        if inner.draining || inner.shutdown {
-            return Err(Reject::ShuttingDown);
-        }
-        for (holder, held) in inner.footprints.iter().enumerate() {
-            if holder == tenant {
-                continue;
-            }
-            let Some(held) = held else { continue };
-            if let Some(w) = held.conflicts_with(&footprint) {
-                inner.metrics.tenants[tenant].rejected_static += 1;
-                return Err(Reject::StaticConflict {
-                    tenant: holder,
-                    offset: w.offset,
-                    held_writes: w.left_writes,
-                    requested_writes: w.right_writes,
-                });
-            }
-        }
-        inner.footprints[tenant] = Some(footprint);
-        Ok(())
-    }
-
-    /// Withdraw `tenant`'s admitted footprint (if any), releasing its
-    /// block claim for other tenants.
-    pub fn withdraw(&self, tenant: TenantId) -> Option<Footprint> {
-        let mut inner = self.service.shared.state.lock();
-        inner.footprints.get_mut(tenant)?.take()
-    }
-}
-
 impl Drop for Service {
     fn drop(&mut self) {
         // Fast shutdown for the non-drain path: tell the loop to abandon
@@ -831,7 +716,7 @@ fn run_event_loop(state: &mut LoopState) {
     loop {
         // ---- Edge input: readiness when due, read and decode. --------
         if let Some(edge) = state.edge.as_deref_mut() {
-            if edge.input(&metrics).is_err() {
+            if edge.input(state.machine.config(), &metrics).is_err() {
                 // epoll itself failed: nothing is left to serve the edge
                 // with.
                 close_edge(state, &mut shared.state.lock());
@@ -932,7 +817,7 @@ fn run_event_loop(state: &mut LoopState) {
         }
         if park {
             if let Some(edge) = state.edge.as_deref_mut() {
-                if edge.idle_wait().is_err() {
+                if edge.idle_wait(state.machine.config()).is_err() {
                     close_edge(state, &mut shared.state.lock());
                 }
             }
@@ -1092,9 +977,7 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
                 replayed += 1;
             }
         }
-        inner.banks = to_banks;
-        inner.processors = processors;
-        inner.bank_cycle = target_cfg.bank_cycle();
+        inner.config = target_cfg;
         MigrationReport {
             snapshot_bytes,
             replayed,
@@ -1109,9 +992,6 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
         *m = false;
     }
     cmd.done.deliver(outcome);
-    drop(inner);
-    // Queued work (including the replayed operations) is issuable now.
-    shared.work.notify_one();
 }
 
 /// Graceful-drain exit: the machine is idle and every admitted request
@@ -1266,63 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_admission_rejects_static_conflicts() {
-        let service = small_service();
-        // Tenant 0 claims blocks 0..4 for writing.
-        let mut held = Footprint::new(32);
-        for o in 0..4 {
-            held.record(0, true, o);
-        }
-        service.footprints().admit(0, held).unwrap();
-
-        // A disjoint read-only footprint is admitted.
-        let mut fine = Footprint::new(32);
-        fine.record(0, false, 10);
-        service.footprints().admit(1, fine).unwrap();
-
-        // A footprint overlapping the written claim is refused with the
-        // witness, and nothing is registered for the loser.
-        let mut clash = Footprint::new(32);
-        clash.record(0, false, 2);
-        assert_eq!(
-            service.footprints().admit(1, clash).err(),
-            Some(Reject::StaticConflict {
-                tenant: 0,
-                offset: 2,
-                held_writes: true,
-                requested_writes: false,
-            })
-        );
-
-        // Per-op enforcement: tenant 1 cannot read tenant 0's written
-        // block, nor write a block tenant 0 reads elsewhere — but the
-        // holder itself still can.
-        assert_eq!(
-            service.submit(1, Operation::read(3)).err(),
-            Some(Reject::StaticConflict {
-                tenant: 0,
-                offset: 3,
-                held_writes: true,
-                requested_writes: false,
-            })
-        );
-        let t = service.submit(0, Operation::write(3, vec![5; 4])).unwrap();
-        assert_eq!(t.wait().unwrap().completion.outcome, Outcome::Completed);
-
-        // Withdrawal releases the claim.
-        assert!(service.footprints().withdraw(0).is_some());
-        service
-            .submit(1, Operation::read(3))
-            .unwrap()
-            .wait()
-            .unwrap();
-
-        let report = service.drain();
-        assert_eq!(report.metrics.tenants[1].rejected_static, 2);
-        assert_eq!(report.stats.bank_conflicts, 0);
-    }
-
-    #[test]
     fn drop_without_drain_closes_tickets() {
         let service = small_service();
         let tickets: Vec<Ticket> = (0..8)
@@ -1455,18 +1278,12 @@ mod tests {
 
     #[test]
     fn retry_hints_follow_the_drain_model() {
-        let service = small_service();
-        // backlog / lanes + bank cycle + 1, with 4 lanes and c·(b−1)+1 …
-        // for b = 4, c = 1 the cycle is 4: 8/4 + 4 + 1 would be 7 if the
-        // cycle were b·c; pin whatever the live geometry says instead of
-        // hardcoding an assumption.
-        let inner = service.shared.state.lock();
-        let cycle = u64::from(inner.bank_cycle);
-        assert_eq!(inner.drain_window_slots(8), 2 + cycle + 1);
-        assert_eq!(inner.drain_window_slots(0), cycle + 1);
-        assert_eq!(inner.drain_window_slots(5), 2 + cycle + 1);
-        drop(inner);
-        service.drain();
+        // The backlog over the lanes, rounded up, plus the bank cycle and
+        // one: 4 lanes at c = 2.
+        let cfg = CfmConfig::new(4, 2, 16).unwrap();
+        assert_eq!(drain_window_slots(&cfg, 8), 2 + 2 + 1);
+        assert_eq!(drain_window_slots(&cfg, 0), 2 + 1);
+        assert_eq!(drain_window_slots(&cfg, 5), 2 + 2 + 1);
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// One protocol frame. `Submit` carries the *same* [`Request`] struct
-/// the in-process [`crate::Service::submit_request`] consumes, and
+/// the in-process [`crate::Service::submit`] admits, and
 /// `Response` carries the same [`Response`] tickets resolve to — the
 /// codec round-trips the service's own types, there is no parallel
 /// wire-side model.
@@ -341,28 +341,6 @@ fn put_reject(out: &mut Vec<u8>, reject: &Reject) {
             out.push(5);
             put_u64(out, *got as u64);
             put_u64(out, *want as u64);
-        }
-        Reject::StaticConflict {
-            tenant,
-            offset,
-            held_writes,
-            requested_writes,
-        } => {
-            out.push(6);
-            put_u64(out, *tenant as u64);
-            put_u64(out, *offset as u64);
-            out.push(u8::from(*held_writes));
-            out.push(u8::from(*requested_writes));
-        }
-        Reject::FootprintGeometry { got, want } => {
-            out.push(7);
-            put_u64(out, *got as u64);
-            put_u64(out, *want as u64);
-        }
-        Reject::FootprintRange { offset, offsets } => {
-            out.push(8);
-            put_u64(out, *offset as u64);
-            put_u64(out, *offsets as u64);
         }
         Reject::Migrating {
             tenant,
@@ -625,20 +603,6 @@ fn take_reject(c: &mut Cursor<'_>) -> Result<Reject, WireError> {
         5 => Reject::WrongBlockLength {
             got: c.u64()? as usize,
             want: c.u64()? as usize,
-        },
-        6 => Reject::StaticConflict {
-            tenant: c.u64()? as usize,
-            offset: c.u64()? as usize,
-            held_writes: c.bool("held_writes")?,
-            requested_writes: c.bool("requested_writes")?,
-        },
-        7 => Reject::FootprintGeometry {
-            got: c.u64()? as usize,
-            want: c.u64()? as usize,
-        },
-        8 => Reject::FootprintRange {
-            offset: c.u64()? as usize,
-            offsets: c.u64()? as usize,
         },
         9 => Reject::Migrating {
             tenant: c.u64()? as usize,

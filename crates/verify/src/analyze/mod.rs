@@ -19,13 +19,11 @@
 //! * **per-bank access-count footprints** (the static bandwidth
 //!   shape).
 //!
-//! The proof is packaged as a [`HazardSummary`]. Its footprint acts at
-//! admission, exercised here end to end: `cfm-serve`
-//! ([`cfm_serve::service::Footprints::admit`]) rejects tenant programs
-//! whose static [`Footprint`] conflicts with an admitted tenant's,
-//! with a typed [`cfm_serve::Reject::StaticConflict`] witness. At
-//! runtime the machine needs no summary: its one-pass step proves each
-//! access with its own hazard test.
+//! The proof is packaged as a [`HazardSummary`], whose
+//! [`cfm_core::spec::Footprint`] the checks here read. Nothing outside
+//! the verifier consumes it: the service admits operations without it,
+//! and at runtime the machine proves each access with its own hazard
+//! test.
 //!
 //! The race verdict is deliberately one-sided (sound, not complete):
 //! *race-free statically ⇒ race-free dynamically*. The differential
@@ -45,7 +43,7 @@ use std::ops::RangeInclusive;
 
 use cfm_core::config::CfmConfig;
 use cfm_core::machine::CfmMachine;
-use cfm_core::spec::{Footprint, HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
+use cfm_core::spec::{HazardSummary, OffsetExpr, OpPattern, OpSpec, ProgramSpec};
 use cfm_core::stats::Stats;
 use cfm_core::trace::TraceEvent;
 use resource_binding::lockorder::LockOrderGraph;
@@ -640,102 +638,9 @@ fn differential_check(n: usize, c: u32, offsets: usize) -> Check {
     .with_metric("dynamic_races", dynamic_races)
 }
 
-/// Footprint admission on a live `cfm-serve` service: a conflicting
-/// tenant footprint (and a conflicting per-op submit) must be rejected
-/// with the typed witness while disjoint traffic flows conflict-free.
-fn serve_admission_check(offsets: usize) -> Check {
-    use cfm_serve::{Reject, Service, ServiceConfig, TenantSpec};
-    let name = "analyze/serve-admission";
-    let subj = "n=4 c=1 tenants=writer,reader";
-    let cfg = match CfmConfig::new(4, 1, 16) {
-        Ok(cfg) => cfg,
-        Err(e) => return Check::fail(name, subj, "config rejected", vec![format!("{e:?}")]),
-    };
-    let service = match Service::start(
-        ServiceConfig::new(cfg, offsets)
-            .with_tenant(TenantSpec::new("writer").queue_capacity(8))
-            .with_tenant(TenantSpec::new("reader").queue_capacity(8)),
-    ) {
-        Ok(s) => s,
-        Err(e) => return Check::fail(name, subj, "service refused to start", vec![e.to_string()]),
-    };
-
-    // Tenant 0 holds the hotspot program's footprint (writes block 0).
-    let held = standard_programs(4)
-        .into_iter()
-        .find(|s| s.name == "hotspot-writers")
-        .and_then(|s| s.footprint(offsets))
-        .expect("hotspot is analyzable");
-    if let Err(e) = service.footprints().admit(0, held) {
-        return Check::fail(
-            name,
-            subj,
-            "holder's own admission failed",
-            vec![e.to_string()],
-        );
-    }
-
-    // A disjoint read footprint is admitted...
-    let mut disjoint = Footprint::new(offsets);
-    disjoint.record(0, false, offsets - 1);
-    if let Err(e) = service.footprints().admit(1, disjoint) {
-        return Check::fail(name, subj, "disjoint admission failed", vec![e.to_string()]);
-    }
-    // ...but one touching the written block is refused with the witness.
-    let mut clash = Footprint::new(offsets);
-    clash.record(0, false, 0);
-    let fp_reject = service.footprints().admit(1, clash);
-    let fp_ok = matches!(
-        fp_reject,
-        Err(Reject::StaticConflict {
-            tenant: 0,
-            offset: 0,
-            held_writes: true,
-            ..
-        })
-    );
-    // Per-op enforcement: the reader cannot touch the claimed block.
-    let op_reject = service.submit(1, cfm_core::op::Operation::read(0)).err();
-    let op_ok = matches!(
-        op_reject,
-        Some(Reject::StaticConflict {
-            tenant: 0,
-            offset: 0,
-            held_writes: true,
-            requested_writes: false,
-        })
-    );
-    // The holder itself flows, conflict-free.
-    let ticket = service.submit(0, cfm_core::op::Operation::write(0, vec![7; 4]));
-    let completed = ticket.map(|t| t.wait().is_some()).unwrap_or(false);
-    let report = service.drain();
-
-    if fp_ok && op_ok && completed && report.stats.bank_conflicts == 0 {
-        Check::pass(
-            name,
-            subj,
-            "conflicting footprint and op rejected with the static witness; \
-             holder's traffic completed with 0 bank conflicts",
-        )
-        .with_metric("rejected_static", report.metrics.tenants[1].rejected_static)
-    } else {
-        Check::fail(
-            name,
-            subj,
-            "admission did not behave as proven",
-            vec![
-                format!("footprint reject: {fp_reject:?}"),
-                format!("op reject: {op_reject:?}"),
-                format!("holder completed: {completed}"),
-                format!("bank_conflicts: {}", report.stats.bank_conflicts),
-            ],
-        )
-    }
-}
-
-/// Run the analyze section: the `(n, c)` sweep, the fixed-config
-/// consumer integrations, and (with `self_test`) the seeded-defect
-/// self-tests.
+/// Run the analyze section: the `(n, c)` sweep, the fixed-config lock
+/// order, footprint range and differential checks, and (with
+/// `self_test`) the seeded-defect self-tests.
 pub fn verify(spec: &AnalyzeSpec, self_test: bool) -> Vec<Check> {
     let mut checks = Vec::new();
     for n in spec.n.clone() {
@@ -746,7 +651,6 @@ pub fn verify(spec: &AnalyzeSpec, self_test: bool) -> Vec<Check> {
     checks.push(lock_order_check(spec.offsets));
     checks.push(footprint_range_check(spec.offsets));
     checks.push(differential_check(4, 1, spec.offsets));
-    checks.push(serve_admission_check(spec.offsets));
     if self_test {
         checks.extend(self_tests(spec.offsets));
     }

@@ -51,10 +51,10 @@
 //!   zero bank conflicts (with a concrete two-op witness on the
 //!   misconfigured `b ∓ 1` neighbours), an ATT occupancy bound,
 //!   program-level lock-order acyclicity, and per-bank access
-//!   footprints; the resulting [`cfm_core::spec::HazardSummary`]'s
-//!   footprint is enforced by `cfm-serve` admission — with seeded-defect
-//!   self-tests and a differential gate against the dynamic race
-//!   detector (`cfm-verify analyze --ci`).
+//!   footprints, packaged as a [`cfm_core::spec::HazardSummary`] that
+//!   only these checks read — with seeded-defect self-tests and a
+//!   differential gate against the dynamic race detector
+//!   (`cfm-verify analyze --ci`).
 //! * [`restore`] — checkpoint/restore soaks: machines running under
 //!   active seeded fault plans are checkpointed mid-flight through the
 //!   versioned byte codec and restored — same shape (byte-identical
@@ -140,8 +140,7 @@ proving zero bank conflicts, the ATT occupancy bound, lock-order
 acyclicity, and per-bank footprints — and refuting the `b ∓ 1`
 neighbours with concrete witnesses. Every static race verdict is
 then differentially checked against the dynamic happens-before
-detector, and cfm-serve must reject a conflicting tenant footprint
-with the typed witness. `analyze --ci` adds the
+detector. `analyze --ci` adds the
 seeded-defect self-tests (conflicting program, ATT overflow, lock
 cycle).
 

@@ -80,12 +80,27 @@ fn wait_parked(edge: &EdgeHandle, task: &Path) {
     }
 }
 
-/// Fail without dropping `service` and `edge`: when a wake is lost,
-/// dropping them would wait forever for the parked loop.
-fn fail_leaking(service: Service, edge: EdgeHandle, why: &str) -> ! {
-    std::mem::forget(edge);
-    std::mem::forget(service);
+/// Fail without dropping `leak` (a service, an edge handle, or both):
+/// when a wake is lost, dropping them would wait forever for the parked
+/// loop.
+fn fail_leaking<T>(leak: T, why: &str) -> ! {
+    std::mem::forget(leak);
     panic!("{why}");
+}
+
+/// Run `close` on a helper thread and return how long it took, or `None`
+/// if it has not returned after 5 s — a lost wake then fails the test
+/// instead of hanging it.
+fn timed(close: impl FnOnce() + Send + 'static) -> Option<Duration> {
+    let (tx, rx) = mpsc::channel();
+    let closer = thread::spawn(move || {
+        let start = Instant::now();
+        close();
+        tx.send(start.elapsed()).unwrap();
+    });
+    let took = rx.recv_timeout(Duration::from_secs(5)).ok()?;
+    closer.join().unwrap();
+    Some(took)
 }
 
 /// Over 200 ms of idleness the loop wakes a handful of times at most —
@@ -104,16 +119,18 @@ fn idle_edge_costs_nothing_and_stops_promptly() {
     let woke = voluntary_switches(&task) - before;
     assert!(woke <= 5, "idle loop woke {woke} times in 200 ms");
 
-    let start = Instant::now();
-    edge.shutdown();
-    let took = start.elapsed();
+    let Some(took) = timed(move || {
+        edge.shutdown();
+    }) else {
+        fail_leaking(service, "the parked loop never saw the edge shutdown");
+    };
     assert!(took < Duration::from_millis(250), "shutdown took {took:?}");
 
     let edge = service.serve_edge(EdgeConfig::default()).unwrap();
     thread::sleep(Duration::from_millis(20));
-    let start = Instant::now();
-    drop(edge);
-    let took = start.elapsed();
+    let Some(took) = timed(move || drop(edge)) else {
+        fail_leaking(service, "the parked loop never saw the edge drop");
+    };
     assert!(took < Duration::from_millis(250), "drop took {took:?}");
     service.drain();
 }
@@ -136,7 +153,7 @@ fn in_process_submit_wakes_a_loop_parked_in_epoll() {
             break response;
         }
         if Instant::now() > deadline {
-            fail_leaking(service, edge, "the parked loop never saw the submit");
+            fail_leaking((service, edge), "the parked loop never saw the submit");
         }
         thread::sleep(Duration::from_millis(1));
     };
@@ -162,8 +179,7 @@ fn drain_wakes_a_loop_parked_in_epoll_and_closes_the_edge() {
     let drainer = thread::spawn(move || tx.send(service.drain()).unwrap());
     let Ok(report) = rx.recv_timeout(Duration::from_secs(5)) else {
         // The drainer holds the service, blocked for good.
-        std::mem::forget(edge);
-        panic!("the parked loop never saw the drain");
+        fail_leaking(edge, "the parked loop never saw the drain");
     };
     drainer.join().unwrap();
     assert_eq!(report.stats.bank_conflicts, 0);

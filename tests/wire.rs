@@ -69,11 +69,9 @@ fn sample_frame(tag: u8, id: u64, a: u64, b: u64, words: Vec<u64>) -> Frame {
         },
         8 => Frame::Reject {
             request_id: id,
-            reject: Reject::StaticConflict {
+            reject: Reject::Migrating {
                 tenant: a as usize,
-                offset: b as usize,
-                held_writes: a & 1 == 1,
-                requested_writes: b & 1 == 1,
+                retry_after_slots: b,
             },
         },
         9 => Frame::MetricsRequest,
@@ -82,6 +80,24 @@ fn sample_frame(tag: u8, id: u64, a: u64, b: u64, words: Vec<u64>) -> Frame {
         },
         11 => Frame::Drain,
         12 => Frame::Drained,
+        13 => Frame::Reject {
+            request_id: id,
+            reject: Reject::UnknownTenant { tenant: a as usize },
+        },
+        14 => Frame::Reject {
+            request_id: id,
+            reject: Reject::NoSuchBlock {
+                offset: a as usize,
+                offsets: b as usize,
+            },
+        },
+        15 => Frame::Reject {
+            request_id: id,
+            reject: Reject::WrongBlockLength {
+                got: a as usize,
+                want: b as usize,
+            },
+        },
         _ => Frame::Error {
             code: a as u16,
             message: format!("sampled error {b}"),
@@ -127,7 +143,7 @@ proptest! {
     /// time.
     #[test]
     fn frames_round_trip_through_the_incremental_decoder(
-        tag in 0u8..14,
+        tag in 0u8..17,
         id in 0u64..u64::MAX,
         a in 0u64..1_000_000,
         b in 0u64..1_000_000,
@@ -148,7 +164,7 @@ proptest! {
     /// never errors: the decoder waits for the remaining bytes.
     #[test]
     fn truncated_frames_wait_rather_than_misparse(
-        tag in 0u8..14,
+        tag in 0u8..17,
         id in 0u64..u64::MAX,
         a in 0u64..1_000_000,
         b in 0u64..1_000_000,
@@ -170,7 +186,7 @@ proptest! {
     /// in order, regardless of how the bytes are chunked.
     #[test]
     fn pipelined_sampled_frames_decode_in_order(
-        tags in proptest::collection::vec(0u16..14, 1..8),
+        tags in proptest::collection::vec(0u16..17, 1..8),
         seed in 0u64..u64::MAX,
         chunk in 1usize..33,
     ) {
@@ -253,6 +269,40 @@ fn word_blocks_round_trip_and_every_cut_tail_is_truncated() {
             }
         }
     }
+}
+
+/// Reject tags 6–8 name no reject any more, and the server never sends
+/// them: a frame carrying one is a typed `UnknownTag`, not a misparse.
+/// The surviving tags keep their numbers, so `Migrating` is still 9.
+#[test]
+fn retired_reject_tags_are_typed_unknown() {
+    let shutting_down = wire::encode(&Frame::Reject {
+        request_id: 7,
+        reject: Reject::ShuttingDown,
+    });
+    let body = &shutting_down[4..];
+    assert_eq!(body.last(), Some(&2), "the reject tag ends the body");
+    for tag in 6u8..=8 {
+        let mut retired = body.to_vec();
+        *retired.last_mut().unwrap() = tag;
+        // The payload the tag used to carry: two words and two flags.
+        retired.extend_from_slice(&[0; 18]);
+        assert_eq!(
+            wire::decode_body(&retired),
+            Err(WireError::UnknownTag {
+                what: "reject",
+                tag
+            })
+        );
+    }
+    let migrating = wire::encode(&Frame::Reject {
+        request_id: 7,
+        reject: Reject::Migrating {
+            tenant: 1,
+            retry_after_slots: 2,
+        },
+    });
+    assert_eq!(migrating[4 + body.len() - 1], 9);
 }
 
 /// Stale protocol versions are a typed decode error with the stable
