@@ -36,21 +36,16 @@
 //! edge; sustained connections, wire throughput, and `bank_conflicts`
 //! (asserted 0) land in the report's `edge` block.
 //!
-//! A **QoS phase** finishes the run: the adversarial tenant mix from
-//! `cfm-workloads` (one latency-critical probe plus hot-spot, scan,
-//! and bursty best-effort neighbours) serves over the wire while the
-//! probe's synchronous round-trip p99 is measured unloaded and then
-//! under full neighbour saturation. The loaded p99 must stay within
-//! 3× the unloaded p99 (best of five paired reps — single samples on
-//! a busy host are scheduler noise); the ratio lands in the `qos`
-//! block and is asserted in CI's bench-smoke gate.
+//! The latency-critical probe's queueing bound is asserted in slots, on
+//! the service's slot-clock twin, by `cfm-verify serve`
+//! (`serve/qos-bound`); its wire latency is measured by the benchmark's
+//! `critical_p50_us` (`perfbench/`).
 //!
 //! `--smoke` shrinks the per-tenant operation budget for CI.
 
 use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -58,10 +53,9 @@ use cfm_bench::print_table;
 use cfm_core::config::CfmConfig;
 use cfm_serve::wire::{self, Decoder, Frame};
 use cfm_serve::{
-    Criticality, EdgeConfig, Reject, Request, Service, ServiceConfig, TenantSpec, Ticket,
-    PROTOCOL_VERSION,
+    EdgeConfig, Reject, Request, Service, ServiceConfig, TenantSpec, Ticket, PROTOCOL_VERSION,
 };
-use cfm_workloads::tenants::{adversarial_mix, TenantProfile, TenantTraffic};
+use cfm_workloads::tenants::{TenantProfile, TenantTraffic};
 
 const PROCESSORS: usize = 16;
 const CLUSTER: u32 = 1;
@@ -549,229 +543,12 @@ fn edge_phase(ops_per_conn: u64) -> EdgeOutcome {
     }
 }
 
-/// What the QoS phase measured: the latency-critical probe's wire-path
-/// p99 with and without saturating best-effort neighbours.
-struct QosOutcome {
-    unloaded_p99_ns: u64,
-    loaded_p99_ns: u64,
-    ratio: f64,
-    bank_conflicts: u64,
-}
-
-/// Loaded p99 must stay within this factor of unloaded p99.
-const QOS_P99_FACTOR: f64 = 3.0;
-/// Paired reps; the best ratio is reported (host noise only inflates,
-/// so the minimum over reps is the least-contaminated measurement; on
-/// a single-CPU runner a generous rep count keeps the gate stable).
-const QOS_REPS: usize = 5;
-
-/// Minimal blocking wire client for the QoS phase.
-struct BlockingClient {
-    stream: TcpStream,
-    dec: Decoder,
-}
-
-impl BlockingClient {
-    fn connect(addr: SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).expect("edge accepts");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut c = BlockingClient {
-            stream,
-            dec: Decoder::new(),
-        };
-        c.send(&Frame::Hello {
-            version: PROTOCOL_VERSION,
-        });
-        assert!(
-            matches!(c.recv(), Some(Frame::Welcome { .. })),
-            "handshake completes"
-        );
-        c
-    }
-
-    fn send(&mut self, frame: &Frame) {
-        self.stream
-            .write_all(&wire::encode(frame))
-            .expect("client write");
-    }
-
-    fn recv(&mut self) -> Option<Frame> {
-        loop {
-            if let Some(f) = self.dec.next_frame().expect("edge speaks valid wire") {
-                return Some(f);
-            }
-            let mut buf = [0u8; 4096];
-            match self.stream.read(&mut buf) {
-                Ok(0) => return None,
-                Ok(n) => self.dec.feed(&buf[..n]),
-                Err(e) => panic!("client read failed: {e}"),
-            }
-        }
-    }
-
-    /// One synchronous submit → answer round trip; backpressure is
-    /// retried without counting the wait as wire latency.
-    fn ping(&mut self, tenant: usize, request_id: &mut u64, offset: usize) -> Duration {
-        loop {
-            *request_id += 1;
-            let id = *request_id;
-            let start = Instant::now();
-            self.send(&Frame::Submit {
-                request_id: id,
-                request: Request::new(tenant, cfm_core::op::Operation::read(offset)),
-            });
-            match self.recv() {
-                Some(Frame::Response {
-                    request_id: got, ..
-                }) if got == id => return start.elapsed(),
-                Some(Frame::Reject {
-                    request_id: got,
-                    reject: Reject::QueueFull { .. } | Reject::Overloaded { .. },
-                }) if got == id => std::thread::sleep(Duration::from_micros(200)),
-                other => panic!("unexpected ping answer: {other:?}"),
-            }
-        }
-    }
-}
-
-/// p99 of a sample set.
-fn p99_of(samples: &mut [Duration]) -> Duration {
-    samples.sort_unstable();
-    samples[(samples.len() * 99 / 100).min(samples.len() - 1)]
-}
-
-/// Saturate one best-effort tenant over its own connection until
-/// `stop`, then drain politely.
-fn saturate_tenant(
-    addr: SocketAddr,
-    tenant: usize,
-    mut traffic: TenantTraffic,
-    stop: Arc<AtomicBool>,
-) {
-    const SAT_WINDOW: usize = 16;
-    let mut client = BlockingClient::connect(addr);
-    let mut outstanding = 0usize;
-    let mut next_id = 0u64;
-    while !stop.load(Ordering::Acquire) {
-        if outstanding < SAT_WINDOW {
-            next_id += 1;
-            let op = traffic.take_ops(1).pop().expect("infinite stream");
-            client.send(&Frame::Submit {
-                request_id: next_id,
-                request: Request::new(tenant, op),
-            });
-            outstanding += 1;
-        } else {
-            match client.recv() {
-                Some(Frame::Response { .. } | Frame::Reject { .. }) => outstanding -= 1,
-                other => panic!("unexpected frame while saturating: {other:?}"),
-            }
-        }
-    }
-    client.send(&Frame::Drain);
-    while let Some(frame) = client.recv() {
-        if frame == Frame::Drained {
-            break;
-        }
-    }
-}
-
-/// The QoS phase: wire-path p99 of the latency-critical probe, alone
-/// and under a saturating hot-spot/scan/bursty mix, best of
-/// [`QOS_REPS`] paired reps.
-fn qos_phase(pings: usize) -> QosOutcome {
-    let cfg = CfmConfig::new(PROCESSORS, CLUSTER, WORD_WIDTH).expect("valid bench config");
-    let banks = cfg.banks();
-    let mix = adversarial_mix(OFFSETS);
-    let mut service_cfg = ServiceConfig::new(cfg, OFFSETS);
-    for t in &mix {
-        let mut spec = TenantSpec::new(t.name).queue_capacity(QUEUE_CAPACITY);
-        if t.critical {
-            spec = spec.criticality(Criticality::LatencyCritical);
-        }
-        service_cfg = service_cfg.with_tenant(spec);
-    }
-    let service = Arc::new(Service::start(service_cfg).expect("valid adversarial roster"));
-    let edge = service
-        .serve_edge(EdgeConfig::default())
-        .expect("edge binds loopback");
-    let addr = edge.addr();
-    let probe_tenant = mix
-        .iter()
-        .position(|t| t.critical)
-        .expect("mix has a probe");
-
-    let mut probe = BlockingClient::connect(addr);
-    let mut request_id = 0u64;
-    let mut best: Option<(f64, Duration, Duration)> = None;
-    for rep in 0..QOS_REPS {
-        let mut unloaded = Vec::with_capacity(pings);
-        for i in 0..pings {
-            unloaded.push(probe.ping(probe_tenant, &mut request_id, i % OFFSETS));
-        }
-        let unloaded_p99 = p99_of(&mut unloaded);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let neighbours: Vec<_> = mix
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.critical)
-            .map(|(tenant, t)| {
-                let traffic = TenantTraffic::new(
-                    t.profile.clone(),
-                    OFFSETS,
-                    banks,
-                    7_000 + rep as u64 * 10 + tenant as u64,
-                );
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || saturate_tenant(addr, tenant, traffic, stop))
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(20));
-
-        let mut loaded = Vec::with_capacity(pings);
-        for i in 0..pings {
-            loaded.push(probe.ping(probe_tenant, &mut request_id, i % OFFSETS));
-        }
-        stop.store(true, Ordering::Release);
-        for n in neighbours {
-            n.join().expect("neighbour thread");
-        }
-        let loaded_p99 = p99_of(&mut loaded);
-        let ratio = loaded_p99.as_nanos() as f64 / unloaded_p99.as_nanos().max(1) as f64;
-        if best.is_none_or(|(b, _, _)| ratio < b) {
-            best = Some((ratio, unloaded_p99, loaded_p99));
-        }
-    }
-    probe.send(&Frame::Drain);
-    while let Some(frame) = probe.recv() {
-        if frame == Frame::Drained {
-            break;
-        }
-    }
-    drop(probe);
-    let _ = edge.shutdown();
-    let report = Arc::try_unwrap(service).ok().expect("clients done").drain();
-
-    let (ratio, unloaded_p99, loaded_p99) = best.expect("QOS_REPS >= 1");
-    QosOutcome {
-        unloaded_p99_ns: unloaded_p99.as_nanos() as u64,
-        loaded_p99_ns: loaded_p99.as_nanos() as u64,
-        ratio,
-        bank_conflicts: report.stats.bank_conflicts,
-    }
-}
-
 #[allow(clippy::too_many_arguments)] // the report's full input set
 fn json_report(
     runs: &[TenantRun],
     report: &cfm_serve::ServiceReport,
     migration: &MigrationOutcome,
     edge: &EdgeOutcome,
-    qos: &QosOutcome,
     wall_s: f64,
     ops_target: u64,
     host_cpus: usize,
@@ -842,14 +619,6 @@ fn json_report(
         edge.bank_conflicts,
     ));
     out.push_str("  },\n");
-    out.push_str("  \"qos\": {\n");
-    out.push_str(&format!(
-        "    \"unloaded_p99_ns\": {},\n    \"loaded_p99_ns\": {},\n    \
-         \"ratio\": {:.3},\n    \"threshold\": {QOS_P99_FACTOR:.1},\n    \
-         \"bank_conflicts\": {}\n",
-        qos.unloaded_p99_ns, qos.loaded_p99_ns, qos.ratio, qos.bank_conflicts,
-    ));
-    out.push_str("  },\n");
     out.push_str(
         "  \"note\": \"Closed-loop clients, one thread per tenant, in-flight window per \
          client; latency is admission to fulfillment with HDR-style histograms (log2 \
@@ -862,10 +631,7 @@ fn json_report(
          over healthy throughput and must stay >= 0.9. The edge section holds every \
          wire connection open before traffic starts and through the drain handshake, \
          so 'connections' is true concurrency, not a ramp; bank_conflicts must stay 0 \
-         end to end over TCP. The qos section reports the latency-critical probe's \
-         synchronous wire p99 alone and under saturating hot-spot/scan/bursty \
-         neighbours, best of five paired reps; ratio is loaded over unloaded p99 and \
-         must stay <= 3.\",\n",
+         end to end over TCP.\",\n",
     );
     out.push_str("  \"tenants\": [\n");
     for (i, (run, m)) in runs.iter().zip(report.metrics.tenants.iter()).enumerate() {
@@ -968,29 +734,6 @@ fn main() {
         edge.bank_conflicts
     );
 
-    // QoS phase: the latency-critical probe's wire p99 under neighbour
-    // saturation, bounded against its unloaded p99.
-    let qos_pings: usize = if smoke { 150 } else { 400 };
-    let qos = qos_phase(qos_pings);
-    assert!(
-        qos.ratio <= QOS_P99_FACTOR,
-        "latency-critical wire p99 degraded {:.2}x under saturation (bound {}x): \
-         {} ns unloaded vs {} ns loaded",
-        qos.ratio,
-        QOS_P99_FACTOR,
-        qos.unloaded_p99_ns,
-        qos.loaded_p99_ns
-    );
-    assert_eq!(
-        qos.bank_conflicts, 0,
-        "conflict-freedom must hold under the adversarial QoS mix"
-    );
-    println!(
-        "qos phase: probe wire p99 {} ns unloaded, {} ns under saturating \
-         hot-spot/scan/bursty neighbours = {:.2}x (bound {}x, bank conflicts {})",
-        qos.unloaded_p99_ns, qos.loaded_p99_ns, qos.ratio, QOS_P99_FACTOR, qos.bank_conflicts
-    );
-
     let cfg = CfmConfig::new(PROCESSORS, CLUSTER, WORD_WIDTH).expect("valid bench config");
     let banks = cfg.banks();
     let roster = roster(banks);
@@ -1075,7 +818,7 @@ fn main() {
     );
 
     let json = json_report(
-        &runs, &report, &migration, &edge, &qos, wall_s, ops_target, host_cpus, smoke,
+        &runs, &report, &migration, &edge, wall_s, ops_target, host_cpus, smoke,
     );
     match std::fs::File::create("BENCH_serve.json").and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote BENCH_serve.json"),

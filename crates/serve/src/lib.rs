@@ -25,7 +25,9 @@
 //!   tokio, the build is offline). The loop parks on a condvar when
 //!   fully idle (in its wire edge's `epoll_wait` when one is attached)
 //!   and is woken by submits and drain; it never blocks while
-//!   operations are in flight.
+//!   operations are in flight. Its scheduling core holds no lock and
+//!   reads no clock, so [`twin::run`] steps the same core under a
+//!   virtual slot clock, single-threaded and deterministic.
 //! * **Drain** ([`Service::drain`]) — stop admitting, finish everything
 //!   already admitted (queued *and* in flight), and return a
 //!   [`ServiceReport`] with the machine's own statistics. Dropping a
@@ -96,6 +98,7 @@ pub mod queue;
 pub mod request;
 pub mod scheduler;
 pub mod service;
+pub mod twin;
 pub mod wire;
 
 pub use config::{Criticality, ServiceConfig, TenantSpec};

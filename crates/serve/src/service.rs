@@ -13,7 +13,9 @@
 //! it, the loop delivers those completions, issues the batch, steps the
 //! machine exactly one slot and polls the new completions. A ticket's
 //! admission-to-fulfillment wall time is in the tenant's latency
-//! histogram before the ticket resolves.
+//! histogram before the ticket resolves. The dequeue, issue, step and
+//! poll are the loop core (`LoopCore`), which the slot-clock twin
+//! ([`crate::twin`]) steps too.
 //!
 //! With a wire edge attached ([`Service::serve_edge`]) the same thread
 //! serves the edge's sockets between slots, admits decoded submits under
@@ -190,8 +192,9 @@ struct MigrationCmd {
     done: Arc<MigrationDone>,
 }
 
-/// Client-facing state: queues and counters, guarded by one mutex.
-struct Inner {
+/// Client-facing state: queues and counters, guarded by one mutex (a
+/// plain value in the slot-clock twin, [`crate::twin`]).
+pub(crate) struct Inner {
     queues: Vec<TenantQueue>,
     total_queued: usize,
     max_queued: usize,
@@ -230,6 +233,27 @@ enum EdgeSlot {
 }
 
 impl Inner {
+    /// Empty queues and counters for the roster of `config`.
+    pub(crate) fn new(config: &ServiceConfig) -> Inner {
+        Inner {
+            queues: config
+                .tenants
+                .iter()
+                .map(|t| TenantQueue::new(t.queue_capacity))
+                .collect(),
+            total_queued: 0,
+            max_queued: config.effective_max_queued(),
+            metrics: Metrics::new(config.tenants.iter().map(|t| t.name.clone()).collect()),
+            draining: false,
+            shutdown: false,
+            config: config.machine,
+            migrating: vec![false; config.tenants.len()],
+            migration: None,
+            edge: EdgeSlot::None,
+            epoll_wake: None,
+        }
+    }
+
     /// Upper-bound estimate, in machine slots, of the window a
     /// [`Reject::Migrating`] client should back off for: the worst-case
     /// in-flight drain (≈ β = b + c − 1 plus restarts), the ATT settle
@@ -332,25 +356,135 @@ struct InFlightReq {
     queued_ns: u64,
 }
 
-/// Everything the event-loop thread owns. Moved into the thread at start
-/// and returned by it (with `report` filled) at drain.
-struct LoopState {
-    machine: CfmMachine,
-    shared: Arc<Shared>,
+/// The event loop's scheduling core: the machine, the QoS scheduler and
+/// the processor lanes. It holds no lock, reads no clock and owns no
+/// thread — each step takes the state and the instant it needs — so the
+/// service thread ([`run_event_loop`]) and the slot-clock twin
+/// ([`crate::twin`]) run the same code. One pass is [`LoopCore::dequeue`]
+/// under the state lock, then [`LoopCore::issue_and_step`] and
+/// [`LoopCore::poll`] outside it.
+pub(crate) struct LoopCore {
+    pub(crate) machine: CfmMachine,
     sched: QosScheduler,
     /// `inflight[p]` is the request processor lane `p` is carrying.
     inflight: Vec<Option<InFlightReq>>,
-    free: Vec<ProcId>,
+    /// The idle processor lanes.
+    pub(crate) free: Vec<ProcId>,
     inflight_count: usize,
-    /// Machine cycle when the loop first saw the pending migration —
-    /// start of the drain window reported in [`MigrationReport`].
-    migrate_seen_at: Option<u64>,
     /// The slot batch being admitted and issued, kept to reuse its
     /// buffer.
     batch: Vec<(ProcId, Pending, TenantId)>,
     /// The last slot's completions, counted and then delivered on the
     /// next pass (see [`run_event_loop`]).
-    fulfilled: Vec<(Reply, Response)>,
+    pub(crate) fulfilled: Vec<(Reply, Response)>,
+}
+
+impl LoopCore {
+    /// The machine and scheduler for `config`, every lane idle.
+    pub(crate) fn new(config: &ServiceConfig) -> LoopCore {
+        let processors = config.machine.processors();
+        LoopCore {
+            machine: CfmMachine::builder(config.machine)
+                .offsets(config.offsets)
+                .build(),
+            sched: QosScheduler::new(
+                &config
+                    .tenants
+                    .iter()
+                    .map(|t| QosTenant {
+                        quantum: u64::from(t.weight),
+                        critical: t.criticality == Criticality::LatencyCritical,
+                        bank_budget: t.bank_budget,
+                    })
+                    .collect::<Vec<_>>(),
+                config.budget_window,
+            ),
+            inflight: (0..processors).map(|_| None).collect(),
+            free: (0..processors).rev().collect(),
+            inflight_count: 0,
+            batch: Vec::with_capacity(processors),
+            fulfilled: Vec::with_capacity(processors),
+        }
+    }
+
+    /// Whether this pass must step the machine: a batch to issue, an
+    /// operation in flight, or queued work. Budget-deferred work (queued
+    /// but unschedulable this window) counts, so the window can roll
+    /// over and refill budgets.
+    pub(crate) fn must_step(&self, inner: &Inner) -> bool {
+        !self.batch.is_empty() || self.inflight_count > 0 || inner.total_queued > 0
+    }
+
+    /// Dequeue up to one queued operation per idle processor, in the
+    /// scheduler's order: the latency-critical ring first, then
+    /// best-effort deficit round-robin.
+    pub(crate) fn dequeue(&mut self, inner: &mut Inner) {
+        while !self.free.is_empty() && inner.total_queued > 0 {
+            let queues = &inner.queues;
+            let Some(t) = self.sched.next(|t| !queues[t].is_empty()) else {
+                break;
+            };
+            let pending = inner.queues[t].pop().expect("scheduler saw work");
+            inner.total_queued -= 1;
+            let p = self.free.pop().expect("checked non-empty");
+            self.batch.push((p, pending, t));
+        }
+    }
+
+    /// Issue the dequeued batch, whose queueing ends at `at`, and step
+    /// the machine one slot.
+    pub(crate) fn issue_and_step(&mut self, at: Instant) {
+        for (p, pending, tenant) in self.batch.drain(..) {
+            let queued_ns = at.saturating_duration_since(pending.submitted).as_nanos() as u64;
+            self.machine
+                .issue(p, pending.op)
+                .expect("validated at admission onto an idle processor");
+            self.inflight[p] = Some(InFlightReq {
+                tenant,
+                reply: pending.reply,
+                submitted: pending.submitted,
+                queued_ns,
+            });
+            self.inflight_count += 1;
+        }
+        self.machine.step();
+        self.sched.on_slot();
+    }
+
+    /// Poll the lanes the slot delivered to into `fulfilled`, fulfilled
+    /// at `now`; their lanes are idle again.
+    pub(crate) fn poll(&mut self, now: Instant) {
+        for i in 0..self.machine.delivered().len() {
+            let p = self.machine.delivered()[i];
+            while let Some(completion) = self.machine.poll(p) {
+                let req = self.inflight[p]
+                    .take()
+                    .expect("completion implies an in-flight request");
+                self.inflight_count -= 1;
+                self.free.push(p);
+                let total_ns = now.saturating_duration_since(req.submitted).as_nanos() as u64;
+                self.fulfilled.push((
+                    req.reply,
+                    Response {
+                        tenant: req.tenant,
+                        completion,
+                        queued_ns: req.queued_ns,
+                        total_ns,
+                    },
+                ));
+            }
+        }
+    }
+}
+
+/// Everything the event-loop thread owns. Moved into the thread at start
+/// and returned by it (with `report` filled) at drain.
+struct LoopState {
+    core: LoopCore,
+    shared: Arc<Shared>,
+    /// Machine cycle when the loop first saw the pending migration —
+    /// start of the drain window reported in [`MigrationReport`].
+    migrate_seen_at: Option<u64>,
     /// The wire edge this loop serves, if any. Boxed: the loop's hot
     /// state grows by one pointer.
     edge: Option<Box<Edge>>,
@@ -376,8 +510,9 @@ pub struct Service {
 }
 
 impl Service {
-    /// Validate `config`, build the machine, and spawn the event loop.
-    pub fn start(config: ServiceConfig) -> Result<Service, StartError> {
+    /// Check that `config` can be served: a non-empty roster, no zero
+    /// weight, capacity or budget, and a non-zero budget window.
+    pub(crate) fn validate(config: &ServiceConfig) -> Result<(), StartError> {
         if config.tenants.is_empty() {
             return Err(StartError::NoTenants);
         }
@@ -395,53 +530,20 @@ impl Service {
         if config.budget_window == 0 {
             return Err(StartError::ZeroBudgetWindow);
         }
+        Ok(())
+    }
 
-        let offsets = config.offsets;
-        let processors = config.machine.processors();
-        let machine = CfmMachine::builder(config.machine).offsets(offsets).build();
-
+    /// Validate `config`, build the machine, and spawn the event loop.
+    pub fn start(config: ServiceConfig) -> Result<Service, StartError> {
+        Service::validate(&config)?;
         let shared = Arc::new(Shared {
-            state: Mutex::new(Inner {
-                queues: config
-                    .tenants
-                    .iter()
-                    .map(|t| TenantQueue::new(t.queue_capacity))
-                    .collect(),
-                total_queued: 0,
-                max_queued: config.effective_max_queued(),
-                metrics: Metrics::new(config.tenants.iter().map(|t| t.name.clone()).collect()),
-                draining: false,
-                shutdown: false,
-                config: config.machine,
-                migrating: vec![false; config.tenants.len()],
-                migration: None,
-                edge: EdgeSlot::None,
-                epoll_wake: None,
-            }),
+            state: Mutex::new(Inner::new(&config)),
             work: Condvar::new(),
         });
-
         let state = LoopState {
-            machine,
+            core: LoopCore::new(&config),
             shared: Arc::clone(&shared),
-            sched: QosScheduler::new(
-                &config
-                    .tenants
-                    .iter()
-                    .map(|t| QosTenant {
-                        quantum: u64::from(t.weight),
-                        critical: t.criticality == Criticality::LatencyCritical,
-                        bank_budget: t.bank_budget,
-                    })
-                    .collect::<Vec<_>>(),
-                config.budget_window,
-            ),
-            inflight: (0..processors).map(|_| None).collect(),
-            free: (0..processors).rev().collect(),
-            inflight_count: 0,
             migrate_seen_at: None,
-            batch: Vec::with_capacity(processors),
-            fulfilled: Vec::with_capacity(processors),
             edge: None,
             pass_at: Instant::now(),
             report: None,
@@ -459,26 +561,13 @@ impl Service {
         Ok(Service {
             shared,
             event_loop: Some(event_loop),
-            offsets,
+            offsets: config.offsets,
         })
     }
 
     /// Blocks of shared memory the machine exposes.
     pub fn offsets(&self) -> usize {
         self.offsets
-    }
-
-    /// Processor lanes of the underlying machine — at most this many
-    /// operations are in flight at once. May change across a
-    /// [`Service::migrate`].
-    pub fn processors(&self) -> usize {
-        self.shared.state.lock().config.processors()
-    }
-
-    /// Bank cycle `c` of the underlying machine. May change across a
-    /// [`Service::migrate`].
-    pub fn bank_cycle(&self) -> u32 {
-        self.shared.state.lock().config.bank_cycle()
     }
 
     /// Memory banks `b` of the underlying machine — the block length
@@ -525,7 +614,7 @@ impl Service {
     /// Admit one request whose [`Target`] is checked, under the state
     /// lock. Only an admitted request gets its reply, from `reply`,
     /// which also returns the submitter's handle on it.
-    fn admit<H>(
+    pub(crate) fn admit<H>(
         inner: &mut Inner,
         tenant: TenantId,
         op: Operation,
@@ -716,7 +805,7 @@ fn run_event_loop(state: &mut LoopState) {
     loop {
         // ---- Edge input: readiness when due, read and decode. --------
         if let Some(edge) = state.edge.as_deref_mut() {
-            if edge.input(state.machine.config(), &metrics).is_err() {
+            if edge.input(state.core.machine.config(), &metrics).is_err() {
                 // epoll itself failed: nothing is left to serve the edge
                 // with.
                 close_edge(state, &mut shared.state.lock());
@@ -738,6 +827,7 @@ fn run_event_loop(state: &mut LoopState) {
             // Fold budget-deferral counts into the metrics while the
             // lock is held anyway (no allocation, usually a no-op).
             state
+                .core
                 .sched
                 .flush_deferrals(|t, d| inner.metrics.tenants[t].budget_deferrals += d);
             if let Some(edge) = state.edge.as_deref_mut() {
@@ -762,28 +852,17 @@ fn run_event_loop(state: &mut LoopState) {
                     // lock; until then fall through with an empty batch
                     // so the machine keeps stepping.
                     if state.migrate_seen_at.is_none() {
-                        state.migrate_seen_at = Some(state.machine.cycle());
+                        state.migrate_seen_at = Some(state.core.machine.cycle());
                     }
-                    if state.inflight_count == 0 {
+                    if state.core.inflight_count == 0 {
                         migration = inner.migration.take();
                     }
                     break;
                 }
-                while !state.free.is_empty() && inner.total_queued > 0 {
-                    let queues = &inner.queues;
-                    let Some(t) = state.sched.next(|t| !queues[t].is_empty()) else {
-                        break;
-                    };
-                    let pending = inner.queues[t].pop().expect("scheduler saw work");
-                    inner.total_queued -= 1;
-                    let p = state.free.pop().expect("checked non-empty");
-                    state.batch.push((p, pending, t));
-                }
-                // Budget-deferred work (queued but unschedulable this
-                // window) must keep the loop stepping so the window can
-                // roll over and refill budgets — never park on it, and
-                // never mistake it for "drained".
-                if !state.batch.is_empty() || state.inflight_count > 0 || inner.total_queued > 0 {
+                state.core.dequeue(&mut inner);
+                // Never park on budget-deferred work, and never mistake
+                // it for "drained".
+                if state.core.must_step(&inner) {
                     break;
                 }
                 if inner.draining {
@@ -792,7 +871,8 @@ fn run_event_loop(state: &mut LoopState) {
                     finish(state, &mut inner);
                     return;
                 }
-                if !state.fulfilled.is_empty() || state.edge.as_ref().is_some_and(|e| e.busy()) {
+                if !state.core.fulfilled.is_empty() || state.edge.as_ref().is_some_and(|e| e.busy())
+                {
                     idle = true;
                     break;
                 }
@@ -817,7 +897,7 @@ fn run_event_loop(state: &mut LoopState) {
         }
         if park {
             if let Some(edge) = state.edge.as_deref_mut() {
-                if edge.idle_wait(state.machine.config()).is_err() {
+                if edge.idle_wait(state.core.machine.config()).is_err() {
                     close_edge(state, &mut shared.state.lock());
                 }
             }
@@ -828,61 +908,21 @@ fn run_event_loop(state: &mut LoopState) {
             continue;
         }
 
-        // ---- Issue the slot batch (outside the lock). ----------------
+        // ---- Issue the batch and step one slot, outside the lock. ----
         // Queueing ends at the start of this pass: the last clock read.
-        for (p, pending, tenant) in state.batch.drain(..) {
-            let queued_ns = state
-                .pass_at
-                .saturating_duration_since(pending.submitted)
-                .as_nanos() as u64;
-            state
-                .machine
-                .issue(p, pending.op)
-                .expect("validated at admission onto an idle processor");
-            state.inflight[p] = Some(InFlightReq {
-                tenant,
-                reply: pending.reply,
-                submitted: pending.submitted,
-                queued_ns,
-            });
-            state.inflight_count += 1;
-        }
-
-        // ---- One slot. ----------------------------------------------
-        state.machine.step();
-        state.sched.on_slot();
+        state.core.issue_and_step(state.pass_at);
 
         // ---- Complete: poll the lanes the slot delivered to; the next
         // pass records and delivers. The pass's one clock read.
-        let now = Instant::now();
-        state.pass_at = now;
-        for i in 0..state.machine.delivered().len() {
-            let p = state.machine.delivered()[i];
-            while let Some(completion) = state.machine.poll(p) {
-                let req = state.inflight[p]
-                    .take()
-                    .expect("completion implies an in-flight request");
-                state.inflight_count -= 1;
-                state.free.push(p);
-                let total_ns = now.saturating_duration_since(req.submitted).as_nanos() as u64;
-                state.fulfilled.push((
-                    req.reply,
-                    Response {
-                        tenant: req.tenant,
-                        completion,
-                        queued_ns: req.queued_ns,
-                        total_ns,
-                    },
-                ));
-            }
-        }
+        state.pass_at = Instant::now();
+        state.core.poll(state.pass_at);
     }
 }
 
 impl LoopState {
     /// Count the polled completions in `metrics`, under the state lock.
     fn record(&self, metrics: &mut Metrics) {
-        for (_, response) in &self.fulfilled {
+        for (_, response) in &self.core.fulfilled {
             let t = &mut metrics.tenants[response.tenant];
             t.completed += 1;
             t.latency.record(response.total_ns);
@@ -892,7 +932,7 @@ impl LoopState {
     /// Deliver the counted completions — wire answers straight into their
     /// connections — then run the edge's output step.
     fn deliver(&mut self) {
-        for (reply, response) in self.fulfilled.drain(..) {
+        for (reply, response) in self.core.fulfilled.drain(..) {
             reply.deliver(Ok(response), self.edge.as_deref_mut());
         }
         if let Some(edge) = self.edge.as_deref_mut() {
@@ -930,36 +970,36 @@ fn close_edge(state: &mut LoopState, inner: &mut Inner) {
 /// continues on it — the error travels back to the [`Service::migrate`]
 /// caller, nothing is lost.
 fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: MigrationCmd) {
-    debug_assert_eq!(state.inflight_count, 0);
-    let from_banks = state.machine.config().banks();
+    debug_assert_eq!(state.core.inflight_count, 0);
+    let from_banks = state.core.machine.config().banks();
     let seen_at = state
         .migrate_seen_at
         .take()
-        .unwrap_or(state.machine.cycle());
+        .unwrap_or(state.core.machine.cycle());
     // The machine is idle; only the ATT arbitration windows (≤ b − 1
     // slots, plus transient-repair holds) remain. Budget generously —
     // a pathological fault plan pinning a held entry is a typed error,
     // not a hang.
-    let budget = (from_banks as u64 + u64::from(state.machine.config().bank_cycle())) * 4 + 64;
+    let budget = (from_banks as u64 + u64::from(state.core.machine.config().bank_cycle())) * 4 + 64;
     let result = (|| -> Result<(usize, CfmMachine), MigrateError> {
-        if !state.machine.quiesce(budget) {
+        if !state.core.machine.quiesce(budget) {
             return Err(MigrateError::QuiesceTimeout { budget });
         }
-        let bytes = state.machine.checkpoint().to_bytes();
+        let bytes = state.core.machine.checkpoint().to_bytes();
         let restored = MachineSnapshot::from_bytes(&bytes)?.restore_into(cmd.target)?;
         Ok((bytes.len(), restored))
     })();
-    let drained_slots = state.machine.cycle() - seen_at;
+    let drained_slots = state.core.machine.cycle() - seen_at;
 
     let mut inner = shared.state.lock();
     let outcome = result.map(|(snapshot_bytes, restored)| {
         let target_cfg = *restored.config();
         let to_banks = target_cfg.banks();
         let processors = target_cfg.processors();
-        state.machine = restored;
-        state.inflight = (0..processors).map(|_| None).collect();
-        state.free = (0..processors).rev().collect();
-        state.inflight_count = 0;
+        state.core.machine = restored;
+        state.core.inflight = (0..processors).map(|_| None).collect();
+        state.core.free = (0..processors).rev().collect();
+        state.core.inflight_count = 0;
         // Re-chunk queued writes for the grown block length; the added
         // words are zero, matching the restored image's new banks.
         let mut replayed = 0;
@@ -999,15 +1039,15 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
 /// the edge once it has written them, and snapshot everything into the
 /// report.
 fn finish(state_ref: &mut LoopState, inner: &mut Inner) {
-    debug_assert!(state_ref.machine.is_idle());
+    debug_assert!(state_ref.core.machine.is_idle());
     state_ref.deliver();
     close_edge(state_ref, inner);
     state_ref.report = Some(ServiceReport {
         metrics: inner.metrics.snapshot(),
-        stats: *state_ref.machine.stats(),
-        cycles: state_ref.machine.cycle(),
-        parallel_slots: state_ref.machine.parallel_slots(),
-        engine: state_ref.machine.config().engine(),
+        stats: *state_ref.core.machine.stats(),
+        cycles: state_ref.core.machine.cycle(),
+        parallel_slots: state_ref.core.machine.parallel_slots(),
+        engine: state_ref.core.machine.config().engine(),
     });
 }
 
@@ -1035,9 +1075,9 @@ fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
                 .deliver(Err(Reject::ShuttingDown), edge.as_deref_mut());
         }
     }
-    for slot in &mut state_ref.inflight {
+    for slot in &mut state_ref.core.inflight {
         if let Some(req) = slot.take() {
-            state_ref.inflight_count -= 1;
+            state_ref.core.inflight_count -= 1;
             req.reply
                 .deliver(Err(Reject::ShuttingDown), edge.as_deref_mut());
         }
@@ -1048,10 +1088,10 @@ fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
     close_edge(state_ref, inner);
     state_ref.report = Some(ServiceReport {
         metrics: inner.metrics.snapshot(),
-        stats: *state_ref.machine.stats(),
-        cycles: state_ref.machine.cycle(),
-        parallel_slots: state_ref.machine.parallel_slots(),
-        engine: state_ref.machine.config().engine(),
+        stats: *state_ref.core.machine.stats(),
+        cycles: state_ref.core.machine.cycle(),
+        parallel_slots: state_ref.core.machine.parallel_slots(),
+        engine: state_ref.core.machine.config().engine(),
     });
 }
 
@@ -1193,7 +1233,6 @@ mod tests {
         assert!(report.snapshot_bytes > 0);
         // Geometry is live: blocks are 8 words now.
         assert_eq!(service.banks(), 8);
-        assert_eq!(service.processors(), 8);
         assert_eq!(
             service.submit(0, Operation::write(0, vec![1; 4])).err(),
             Some(Reject::WrongBlockLength { got: 4, want: 8 })

@@ -33,14 +33,15 @@
 //! * [`serve`] — multi-tenant service soaks over `cfm-serve`: a mixed
 //!   roster with a pure hot-spot tenant must keep `bank_conflicts` at 0,
 //!   honour the windowed deficit-round-robin fairness bound, exercise
-//!   typed queue-full backpressure without deadlocking, and complete
-//!   every admitted request on drain — with detector self-tests
-//!   (`cfm-verify serve --ci`).
+//!   typed queue-full backpressure without deadlocking, complete
+//!   every admitted request on drain, and, on the service's slot-clock
+//!   twin, issue the latency-critical probe on the first pass with an
+//!   idle processor, within `β − 1` slots behind restart-free work —
+//!   with detector self-tests (`cfm-verify serve --ci`).
 //! * [`edge`] — wire-protocol edge soaks over real TCP: N concurrent
 //!   clients push an adversarial tenant mix through `cfm-serve`'s
 //!   nonblocking edge with exactly-once accounting and zero bank
-//!   conflicts, the latency-critical probe's wire p99 is bounded live
-//!   against saturating neighbours, flood shedding must be typed with
+//!   conflicts, flood shedding must be typed with
 //!   retry hints, and seeded wire faults (stale version, unknown frame
 //!   type, oversized length) must each be caught by exactly the
 //!   intended [`cfm_serve::WireError`] detector
@@ -129,7 +130,11 @@ admitted operation with zero bank conflicts, a continuously backlogged
 weight-1 tenant must meet the windowed deficit-round-robin fairness
 bound against a weight-8 hog, queue flooding must produce typed
 QueueFull backpressure with no admission deadlock, and drain must
-complete all in-flight work. `--seeds` overrides the traffic seeds,
+complete all in-flight work. On the service's slot-clock twin, the
+latency-critical probe of an adversarial mix must be issued on the
+first pass with an idle processor, and within beta - 1 slots where
+the operations ahead of it do not restart; a failure prints its
+replay. `--seeds` overrides the traffic seeds (one twin run each),
 `--ops` the per-tenant operation budget; `serve --ci` adds detector
 self-tests.
 
@@ -158,9 +163,8 @@ version, aliased restore map) non-vacuous.
 The `edge` subcommand soaks the wire-protocol TCP edge: concurrent
 wire clients drive an adversarial tenant mix (latency-critical probe
 plus hot-spot, scan, and bursty neighbours) over real loopback
-sockets with exactly-once accounting and zero bank conflicts, the
-probe's wire p99 under saturation must stay within 3x its unloaded
-p99, and a flood against tiny edge caps must be shed with typed
+sockets with exactly-once accounting and zero bank conflicts, and a
+flood against tiny edge caps must be shed with typed
 Overloaded rejections carrying retry hints. `--seeds` overrides the
 traffic seeds, `--ops` the per-soak operation budget, `--clients` the
 concurrent client count; `edge --ci` adds seeded wire-fault

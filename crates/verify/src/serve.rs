@@ -20,20 +20,31 @@
 //!   non-vacuous) and every admitted ticket must still resolve — no
 //!   admission deadlock;
 //! * **drain-inflight** — draining with operations still in flight
-//!   completes every admitted request before the loop exits.
+//!   completes every admitted request before the loop exits;
+//! * **qos-bound** — on the slot-clock twin ([`cfm_serve::twin`]), the
+//!   adversarial mix runs on a 4-processor machine: a depth-1
+//!   latency-critical probe beside hot-spot, scan and bursty best-effort
+//!   neighbours whose queues stay full. Every probe request must be
+//!   issued on the first pass from its admission on that has an idle
+//!   processor, and, where no operation in flight at its admission
+//!   restarts, within `β − 1` slots of its admission (`docs/service.md`
+//!   §6 derives the constant). A failure prints its replay,
+//!   `cfm-verify serve --seeds <seed>`.
 //!
 //! The `self-test/serve-*` checks prove the detectors non-vacuous: the
 //! fairness bound must flag a rigged monopoly allocation, a
-//! one-slot queue must reject, and a dropped (not drained) service must
-//! close — not strand — its waiters.
+//! one-slot queue must reject, a dropped (not drained) service must
+//! close — not strand — its waiters, and the QoS property must fail on
+//! the same seed once the probe is demoted to best-effort.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cfm_core::config::CfmConfig;
-use cfm_serve::{Reject, Service, ServiceConfig, TenantSpec, Ticket};
-use cfm_workloads::tenants::{TenantProfile, TenantTraffic};
+use cfm_serve::twin;
+use cfm_serve::{Criticality, Reject, Service, ServiceConfig, TenantSpec, Ticket};
+use cfm_workloads::tenants::{adversarial_mix, TenantProfile, TenantTraffic};
 
 use crate::report::Check;
 
@@ -402,8 +413,158 @@ fn drain_inflight_check(seed: u64) -> Check {
     .with_metric("bank_conflicts", report.stats.bank_conflicts)
 }
 
+/// Processors of the `serve/qos-bound` machine.
+const QOS_PROCESSORS: usize = 4;
+/// Slots each `serve/qos-bound` twin run steps.
+const QOS_SLOTS: u64 = 4_000;
+
+/// What the QoS property found for the probe on one twin run.
+#[derive(Debug, Default)]
+struct QosOutcome {
+    /// The machine shape and seed.
+    subject: String,
+    /// The closed-form bound on a probe request's queueing, `β − 1`.
+    bound: u64,
+    /// Probe requests answered.
+    probes: u64,
+    /// Probe requests that broke the exact property or the closed form.
+    violations: u64,
+    /// The longest a probe request waited, admission to issue, in slots.
+    max_queued: u64,
+    /// Probe requests every operation in flight at whose admission
+    /// completed without a restart: the closed form applies to them.
+    closed_form: u64,
+    /// The first violation, described.
+    first: Option<String>,
+    bank_conflicts: u64,
+}
+
+/// Run the adversarial mix on the slot-clock twin for `seed`, the probe
+/// latency-critical or (for the self-test) best-effort, and check every
+/// probe request against the exact property and, where it applies, the
+/// closed form (`docs/service.md` §6).
+fn qos_run(seed: u64, probe_critical: bool) -> QosOutcome {
+    // The seed picks the shape, so a replay with the one seed reruns it.
+    let c = 1 + (seed % 2) as u32;
+    let cfg = CfmConfig::new(QOS_PROCESSORS, c, WORD_WIDTH).expect("valid QoS shape");
+    let beta = cfg.block_access_time();
+    let mut config = ServiceConfig::new(cfg, OFFSETS);
+    let mut clients = Vec::new();
+    let mut probe = 0;
+    for (t, tenant) in adversarial_mix(OFFSETS).into_iter().enumerate() {
+        let mut spec = TenantSpec::new(tenant.name).queue_capacity(QUEUE_CAPACITY);
+        // The probe keeps one request outstanding; the neighbours keep
+        // their queues full.
+        let window = if tenant.critical {
+            probe = t;
+            if probe_critical {
+                spec = spec.criticality(Criticality::LatencyCritical);
+            }
+            1
+        } else {
+            usize::MAX
+        };
+        config = config.with_tenant(spec);
+        let mut traffic =
+            TenantTraffic::new(tenant.profile, OFFSETS, cfg.banks(), seed * 10 + t as u64);
+        clients.push((
+            window,
+            std::iter::from_fn(move || traffic.take_ops(1).pop()),
+        ));
+    }
+    let report = twin::run(config, clients, QOS_SLOTS).expect("valid adversarial roster");
+
+    let mut o = QosOutcome {
+        subject: format!("n={QOS_PROCESSORS} c={c} beta={beta} seed={seed}"),
+        bound: beta - 1,
+        bank_conflicts: report.stats.bank_conflicts,
+        ..QosOutcome::default()
+    };
+    let idle = |s: u64| report.idle_lanes[s as usize];
+    for &(tenant, admitted, ref done) in &report.completions {
+        if tenant != probe {
+            continue;
+        }
+        o.probes += 1;
+        let queued = done.issued_at - admitted;
+        o.max_queued = o.max_queued.max(queued);
+        // The pass that issued the probe had an idle processor; no
+        // earlier pass from its admission on may have had one.
+        let mut broken = (admitted..done.issued_at).find(|&s| idle(s) > 0).map(|s| {
+            format!(
+                "probe admitted at slot {admitted} issued at {} but a processor was idle at {s}",
+                done.issued_at
+            )
+        });
+        // The operations holding a processor when the probe was admitted:
+        // issued before its admission pass, completed at or after it.
+        let held: Vec<_> = report
+            .completions
+            .iter()
+            .filter(|(_, _, e)| e.issued_at < admitted && admitted <= e.completed_at)
+            .collect();
+        if held.len() == QOS_PROCESSORS - idle(admitted)
+            && held.iter().all(|(_, _, e)| e.restarts == 0)
+        {
+            o.closed_form += 1;
+            if queued > o.bound && broken.is_none() {
+                broken = Some(format!(
+                    "probe admitted at slot {admitted} queued {queued} slots behind \
+                     restart-free operations (bound {})",
+                    o.bound
+                ));
+            }
+        }
+        if let Some(what) = broken {
+            o.violations += 1;
+            o.first.get_or_insert(what);
+        }
+    }
+    o
+}
+
+/// QoS bound: the latency-critical probe of the adversarial mix, on the
+/// slot-clock twin, is issued on the first pass with an idle processor
+/// and, behind restart-free operations, within `β − 1` slots.
+fn qos_bound(seed: u64) -> Check {
+    let o = qos_run(seed, true);
+    if o.violations == 0 && o.closed_form > 0 && o.bank_conflicts == 0 {
+        Check::pass(
+            "serve/qos-bound",
+            &o.subject,
+            format!(
+                "{} probe requests each issued on the first pass with an idle processor; \
+                 {} behind restart-free operations, all within {} slots (max queued {})",
+                o.probes, o.closed_form, o.bound, o.max_queued
+            ),
+        )
+    } else {
+        Check::fail(
+            "serve/qos-bound",
+            &o.subject,
+            format!(
+                "{} of {} probe requests broke the bound ({} under the closed form, \
+                 bank_conflicts={})",
+                o.violations, o.probes, o.closed_form, o.bank_conflicts
+            ),
+            vec![
+                format!("replay: cfm-verify serve --seeds {seed}"),
+                o.first
+                    .clone()
+                    .unwrap_or_else(|| "no probe request fell under the closed form".into()),
+            ],
+        )
+    }
+    .with_metric("probes", o.probes)
+    .with_metric("violations", o.violations)
+    .with_metric("max_queued_slots", o.max_queued)
+    .with_metric("bound_slots", o.bound)
+    .with_metric("closed_form_probes", o.closed_form)
+    .with_metric("bank_conflicts", o.bank_conflicts)
+}
+
 /// The seeded self-tests: each detector must catch a planted violation.
-fn self_tests() -> Vec<Check> {
+fn self_tests(seed: u64) -> Vec<Check> {
     let mut checks = Vec::new();
 
     // A rigged monopoly allocation (meek gets nothing in a healthy-sized
@@ -481,6 +642,31 @@ fn self_tests() -> Vec<Check> {
         )
     });
 
+    // Demoting the probe to best-effort on the same seed must break the
+    // exact property: the idle processor goes to a neighbour.
+    let inverted = qos_run(seed, false);
+    checks.push(
+        if inverted.violations > 0 {
+            Check::pass(
+                "self-test/serve-qos-inversion",
+                &inverted.subject,
+                format!(
+                    "a best-effort probe broke the bound on {} of {} requests: detector \
+                     non-vacuous",
+                    inverted.violations, inverted.probes
+                ),
+            )
+        } else {
+            Check::fail(
+                "self-test/serve-qos-inversion",
+                &inverted.subject,
+                "a best-effort probe met the latency-critical bound — the check is vacuous",
+                vec![format!("replay: cfm-verify serve --seeds {seed}")],
+            )
+        }
+        .with_metric("violations", inverted.violations),
+    );
+
     checks
 }
 
@@ -490,12 +676,14 @@ pub fn verify(spec: &ServeSpec, self_test: bool) -> Vec<Check> {
     for (index, &seed) in spec.seeds.iter().enumerate() {
         checks.extend(soak(spec, index, seed));
     }
-    checks.push(admission_check(spec.seeds.first().copied().unwrap_or(1)));
-    checks.push(drain_inflight_check(
-        spec.seeds.first().copied().unwrap_or(1),
-    ));
+    for &seed in &spec.seeds {
+        checks.push(qos_bound(seed));
+    }
+    let first = spec.seeds.first().copied().unwrap_or(1);
+    checks.push(admission_check(first));
+    checks.push(drain_inflight_check(first));
     if self_test {
-        checks.extend(self_tests());
+        checks.extend(self_tests(first));
     }
     checks
 }
@@ -516,7 +704,7 @@ mod tests {
 
     #[test]
     fn self_tests_all_pass() {
-        for check in self_tests() {
+        for check in self_tests(5) {
             assert_eq!(
                 check.status,
                 Status::Pass,

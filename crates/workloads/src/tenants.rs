@@ -201,9 +201,9 @@ pub struct MixTenant {
 /// shapes most hostile to a shared memory's latency tail — a pure
 /// hot-spot hammer on one block, a striding whole-memory scanner, and
 /// an on/off bursty source. All three neighbors are write-heavy and,
-/// driven closed-loop, saturate every lane the scheduler gives them;
-/// the probe's p99 under this mix versus unloaded is exactly the bound
-/// the QoS acceptance gate measures.
+/// driven closed-loop, saturate every lane the scheduler gives them.
+/// `cfm-verify serve` bounds the probe's queueing under this mix in
+/// slots (`serve/qos-bound`).
 ///
 /// # Panics
 /// If `blocks` is 0.
