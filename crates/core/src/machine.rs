@@ -132,8 +132,8 @@ struct Hazards<'a> {
 }
 
 impl Hazards<'_> {
-    /// Whether processor `p`'s access of `op` to logical bank `k` in
-    /// slot `now` is hazardous — the conditions under which the
+    /// Why processor `p`'s access of `op` to logical bank `k` in slot
+    /// `now` is hazardous, if it is — the conditions under which the
     /// reference body ([`CfmMachine::step_proc`]) could do anything but
     /// a plain access: a seeded-fault hook armed, a transient fault on
     /// `k`, a held ATT entry of the operation's own, or *any* other
@@ -142,11 +142,68 @@ impl Hazards<'_> {
     /// `read_conflict` is `None`, the write verdict is `Proceed`, and
     /// nothing is retried, restarted, aborted, held or released.
     #[inline]
-    fn access(&self, atts: &[Att], op: &InFlight, p: ProcId, k: BankId, now: Cycle) -> bool {
-        self.hooks
-            || self.fault_state.transient_fault(now, k)
-            || op.held_entry.is_some()
-            || (self.att_enabled && atts[k].contended_by_other(op.offset, p))
+    fn access(
+        &self,
+        atts: &[Att],
+        op: &InFlight,
+        p: ProcId,
+        k: BankId,
+        now: Cycle,
+    ) -> Option<Fallback> {
+        if self.hooks {
+            Some(Fallback::SeededHook)
+        } else if self.fault_state.transient_fault(now, k) {
+            Some(Fallback::TransientFault)
+        } else if op.held_entry.is_some() {
+            Some(Fallback::HeldEntry)
+        } else if self.att_enabled && atts[k].contended_by_other(op.offset, p) {
+            Some(Fallback::ContendedOffset)
+        } else {
+            None
+        }
+    }
+}
+
+/// Why the one-pass step sent an access to the reference body: the
+/// first disjunct of the hazard test that held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fallback {
+    SeededHook,
+    TransientFault,
+    HeldEntry,
+    ContendedOffset,
+}
+
+/// One-pass accesses the parallel engine sent to the reference body, by
+/// reason (see [`CfmMachine::fallbacks`]). Each access counts once,
+/// under the first reason that held, in the order of the fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fallbacks {
+    /// A seeded-fault hook was armed (ATT-insert drops or retry
+    /// suppressions), which sends every access.
+    pub seeded_hook: u64,
+    /// The fault plan put a transient error on the access's bank.
+    pub transient_fault: u64,
+    /// The operation holds its own ATT entry across a transient repair.
+    pub held_entry: u64,
+    /// Another processor's ATT entry arbitrates the same offset at the
+    /// bank.
+    pub contended_offset: u64,
+}
+
+impl Fallbacks {
+    /// Accesses sent to the reference body, all reasons together.
+    pub fn total(&self) -> u64 {
+        self.seeded_hook + self.transient_fault + self.held_entry + self.contended_offset
+    }
+
+    fn count(&mut self, why: Fallback) {
+        *match why {
+            Fallback::SeededHook => &mut self.seeded_hook,
+            Fallback::TransientFault => &mut self.transient_fault,
+            Fallback::HeldEntry => &mut self.held_entry,
+            Fallback::ContendedOffset => &mut self.contended_offset,
+        } += 1;
     }
 }
 
@@ -204,6 +261,9 @@ pub struct CfmMachine {
     /// the one-pass step proved (deliberately *not* in [`Stats`]: stats
     /// must stay byte-identical across engines).
     parallel_slots: u64,
+    /// One-pass accesses sent to the reference body, by reason: out of
+    /// [`Stats`] for the same reason, and not carried in snapshots.
+    fallbacks: Fallbacks,
 }
 
 /// Staged construction of a [`CfmMachine`] — the single entry point for
@@ -368,6 +428,7 @@ impl CfmMachine {
             retry_suppressions: 0,
             skip_remap_copy: false,
             parallel_slots: 0,
+            fallbacks: Fallbacks::default(),
             config,
         }
     }
@@ -481,6 +542,14 @@ impl CfmMachine {
     /// byte-identical across engines.
     pub fn parallel_slots(&self) -> u64 {
         self.parallel_slots
+    }
+
+    /// One-pass accesses the parallel engine sent to the reference body,
+    /// by reason (all 0 under [`Engine::Sequential`], which has no
+    /// proven path). Counted since the machine was built or restored:
+    /// unlike [`Self::parallel_slots`], snapshots do not carry them.
+    pub fn fallbacks(&self) -> Fallbacks {
+        self.fallbacks
     }
 
     /// Always 0: the machine steps one slot at a time and proves no
@@ -1178,7 +1247,8 @@ impl CfmMachine {
                 k -= b;
             }
             debug_assert_eq!(k, self.space.bank_for(now, p));
-            if hazards.access(&self.atts, op, p, k, now) {
+            if let Some(why) = hazards.access(&self.atts, op, p, k, now) {
+                self.fallbacks.count(why);
                 return Some(p);
             }
             let write = op.phase == Phase::Write;
@@ -2427,6 +2497,38 @@ mod tests {
         );
     }
 
+    /// The one-pass step's fallback tally names the fault and hook
+    /// reasons: a transient error on the access's bank, the entry a
+    /// faulted write phase holds across the repair, and an armed seeded
+    /// hook, which sends every access.
+    #[test]
+    fn fallbacks_count_fault_and_hook_reasons() {
+        let cfg = CfmConfig::new(4, 1, 16)
+            .unwrap()
+            .with_engine(Engine::Parallel { threads: 1 });
+        let mut m = CfmMachine::builder(cfg).offsets(8).build();
+        m.injector().fault_plan(FaultPlan::single(
+            1,
+            FaultKind::TransientBankError {
+                bank: 2,
+                repair_slot: 8,
+            },
+        ));
+        m.issue(0, Operation::write(3, vec![5, 6, 7, 8])).unwrap();
+        m.run(1_000).expect_idle();
+        let faulted = m.fallbacks();
+        assert!(faulted.transient_fault > 0, "{faulted:?}");
+        assert!(faulted.held_entry > 0, "{faulted:?}");
+        assert_eq!(faulted.seeded_hook + faulted.contended_offset, 0);
+
+        m.injector().drop_att_inserts(1);
+        m.issue(1, Operation::write(4, vec![1; 4])).unwrap();
+        m.run(1_000).expect_idle();
+        let hooked = m.fallbacks();
+        assert!(hooked.seeded_hook > 0, "{hooked:?}");
+        assert_eq!(hooked.total() - hooked.seeded_hook, faulted.total());
+    }
+
     #[test]
     fn exhausted_retries_surface_typed_transient_fault() {
         let mut m = machine(4, 1, 8);
@@ -2683,14 +2785,16 @@ mod tests {
 
     /// Slots of a trace with at least one access and no access routed to
     /// a bank whose ATT holds another processor's entry for the
-    /// accessing operation's offset — the one-pass step's proven slots,
-    /// counted from the trace's own issue, route and ATT events (the
-    /// workload must inject no faults).
-    fn slots_without_foreign_entries(trace: &MemoryTrace, banks: usize) -> u64 {
+    /// accessing operation's offset — the one-pass step's proven slots —
+    /// and the accesses that were so routed, counted from the trace's
+    /// own issue, route and ATT events (the workload must inject no
+    /// faults).
+    fn slots_without_foreign_entries(trace: &MemoryTrace, banks: usize) -> (u64, u64) {
         let mut live: Vec<Vec<(ProcId, BlockOffset)>> = vec![Vec::new(); banks];
         let mut offset_of: Vec<BlockOffset> = Vec::new();
         let mut current: Option<(Cycle, bool)> = None;
         let mut proven = 0;
+        let mut contended = 0;
         for e in trace.events() {
             match *e {
                 TraceEvent::Issue { proc, offset, .. } => {
@@ -2721,13 +2825,17 @@ mod tests {
                     }
                     let offset = offset_of[proc];
                     let foreign = live[bank].iter().any(|&(q, o)| q != proc && o == offset);
+                    contended += u64::from(foreign);
                     let hazard = current.is_some_and(|(_, h)| h) || foreign;
                     current = Some((slot, hazard));
                 }
                 _ => {}
             }
         }
-        proven + current.map_or(0, |(_, hazard)| u64::from(!hazard))
+        (
+            proven + current.map_or(0, |(_, hazard)| u64::from(!hazard)),
+            contended,
+        )
     }
 
     /// One access of a slot meets a foreign ATT entry while the other
@@ -2735,8 +2843,8 @@ mod tests {
     /// processor is writing, and a second writer deferring under
     /// `EarliestWins`. The one-pass step sends only that access through
     /// the reference body, stays byte-identical to
-    /// `Sequential`, and counts exactly the slots with no hazardous
-    /// access.
+    /// `Sequential`, counts exactly the slots with no hazardous access,
+    /// and counts each sent access under its reason, contended offset.
     #[test]
     fn one_pass_step_falls_back_per_access() {
         // (the second processor's operation on the written block 5,
@@ -2767,7 +2875,7 @@ mod tests {
                     completions.extend(m.run(10_000).expect_idle());
                 }
                 let memory: Vec<_> = (0..8).map(|o| m.peek_block(o)).collect();
-                let slots = m.parallel_slots();
+                let slots = (m.parallel_slots(), m.fallbacks());
                 (
                     completions,
                     *m.stats(),
@@ -2782,14 +2890,24 @@ mod tests {
             } else {
                 assert!(seq.1.write_restarts > 0, "the second writer defers");
             }
-            let proven = slots_without_foreign_entries(&seq.3, seq.2[0].len());
+            let (proven, contended) = slots_without_foreign_entries(&seq.3, seq.2[0].len());
             assert!(proven > 0 && proven < seq.1.cycles, "slots of both kinds");
+            assert_eq!(seq.4, (0, Fallbacks::default()), "no proven path");
             let par = run(Engine::Parallel { threads: 1 });
             assert_eq!(seq.0, par.0, "completions");
             assert_eq!(seq.1, par.1, "stats");
             assert_eq!(seq.2, par.2, "memory");
             assert_eq!(seq.3, par.3, "trace");
-            assert_eq!(par.4, proven, "proven slots counted exactly");
+            assert_eq!(par.4 .0, proven, "proven slots counted exactly");
+            assert!(contended > 0);
+            assert_eq!(
+                par.4 .1,
+                Fallbacks {
+                    contended_offset: contended,
+                    ..Fallbacks::default()
+                },
+                "each sent access counted once, under its reason"
+            );
         }
     }
 

@@ -16,9 +16,8 @@
 //!    ready;
 //! 2. it reads and decodes the listed connections, and checks each
 //!    `Submit`'s block against the machine's offsets;
-//! 3. under the state lock it already takes for the slot, it admits those
-//!    submits through the same checks as
-//!    [`crate::Service::submit`];
+//! 3. it admits those submits into the tenants' submission rings through
+//!    the same checks as [`crate::Service::submit`];
 //! 4. it delivers the last slot's completions, encoding each wire answer
 //!    straight into its connection's write buffer, then flushes write
 //!    buffers as far as the sockets allow, carrying partial writes across
@@ -516,7 +515,7 @@ pub(crate) struct Edge {
     listener_paused: bool,
     /// Connections to visit: read on the next pass, flushed on this one.
     work: Vec<usize>,
-    /// Decoded submits waiting for admission under the state lock.
+    /// Decoded submits waiting for admission.
     batch: Vec<(Route, Request, Target)>,
     /// Submits refused, waiting to be answered.
     refused: Vec<(Route, Reject)>,
@@ -828,9 +827,8 @@ impl Edge {
         }
     }
 
-    /// Hand every decoded submit to `admit` (the service's admission,
-    /// under its state lock); the refused ones are answered by the next
-    /// [`Edge::output`].
+    /// Hand every decoded submit to `admit` (the service's admission);
+    /// the refused ones are answered by the next [`Edge::output`].
     pub(crate) fn admit(
         &mut self,
         mut admit: impl FnMut(Route, Request, Target) -> Result<(), Reject>,
@@ -1252,7 +1250,7 @@ mod tests {
                 reject: Reject::UnknownTenant { tenant: 9 },
             })
         );
-        // Refused while decoding, before the batch reaches the lock.
+        // Refused while decoding, before the batch reaches admission.
         client.send(&Frame::Submit {
             request_id: 8,
             request: crate::Request::new(0, Operation::read(99)),

@@ -7,13 +7,17 @@
 //! avoids structurally). This crate is the front end that turns external
 //! per-tenant request streams into scheduled slots:
 //!
-//! * **Admission** ([`Service::submit`]) — bounded per-tenant queues with
-//!   typed rejection ([`Reject::QueueFull`], [`Reject::Overloaded`]):
-//!   overload sheds at the edge instead of queueing without bound, so
-//!   backpressure is explicit and a hot tenant cannot grow another
-//!   tenant's latency tail.
+//! * **Admission** ([`Service::submit`]) — a bounded submission ring per
+//!   tenant behind a gate only its submitters lock, with typed rejection
+//!   ([`Reject::QueueFull`], [`Reject::Overloaded`]): overload sheds at
+//!   the edge instead of queueing without bound, so backpressure is
+//!   explicit and a hot tenant cannot grow another tenant's latency
+//!   tail. The event loop never takes a gate: it finds work by reading
+//!   the rings' slot flags, and the only memory both sides write is the
+//!   slots it empties (and, where [`ServiceConfig::max_queued`] binds,
+//!   one count of queued operations).
 //! * **Scheduling** ([`scheduler::DrrScheduler`]) — a deficit round-robin
-//!   pass maps tenant queues onto idle processor lanes every slot; a
+//!   pass maps the tenants' rings onto idle processor lanes every slot; a
 //!   backlogged tenant is guaranteed its weight share of issue slots no
 //!   matter how hard another tenant pushes.
 //! * **Batching** — each event-loop iteration coalesces up to one
@@ -42,7 +46,7 @@
 //! * **Wire edge** ([`wire`], [`edge`]) — a length-prefixed binary
 //!   protocol over TCP ([`Service::serve_edge`]), served by the event
 //!   loop's own thread: between slots it reads and decodes ready
-//!   connections, admits their submits under the lock it already takes,
+//!   connections, admits their submits into the tenants' rings itself,
 //!   and encodes each slot's answers straight into their connections'
 //!   write buffers — no edge thread, no hand-off between threads per
 //!   request, no async runtime. Readiness comes from `epoll` (Linux

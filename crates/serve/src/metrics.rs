@@ -166,20 +166,27 @@ impl Histogram {
     }
 }
 
-/// One tenant's counters, maintained by the service.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TenantCounters {
+/// One tenant's admission counters, kept under the tenant's admission
+/// gate by its submitters.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Admissions {
     pub(crate) submitted: u64,
-    pub(crate) completed: u64,
     pub(crate) rejected_queue_full: u64,
     pub(crate) rejected_overloaded: u64,
     pub(crate) rejected_shutdown: u64,
     pub(crate) rejected_migrating: u64,
+}
+
+/// One tenant's completion counters, kept by the event loop.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TenantCounters {
+    pub(crate) completed: u64,
     pub(crate) budget_deferrals: u64,
     pub(crate) latency: Histogram,
 }
 
-/// All counters the service maintains, per tenant plus service-wide.
+/// The counters the event loop keeps, per tenant; the admission
+/// counters join them in a snapshot.
 #[derive(Debug, Clone)]
 pub(crate) struct Metrics {
     pub(crate) names: Vec<String>,
@@ -194,7 +201,9 @@ impl Metrics {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    /// A snapshot with tenant `t`'s admission counters from
+    /// `admissions(t)`.
+    pub(crate) fn snapshot(&self, admissions: impl Fn(TenantId) -> Admissions) -> MetricsSnapshot {
         let mut overall = Histogram::new();
         for t in &self.tenants {
             overall.merge(&t.latency);
@@ -205,17 +214,20 @@ impl Metrics {
                 .iter()
                 .zip(self.tenants.iter())
                 .enumerate()
-                .map(|(id, (name, c))| TenantMetrics {
-                    tenant: id,
-                    name: name.clone(),
-                    submitted: c.submitted,
-                    completed: c.completed,
-                    rejected_queue_full: c.rejected_queue_full,
-                    rejected_overloaded: c.rejected_overloaded,
-                    rejected_shutdown: c.rejected_shutdown,
-                    rejected_migrating: c.rejected_migrating,
-                    budget_deferrals: c.budget_deferrals,
-                    latency: c.latency.clone(),
+                .map(|(id, (name, c))| {
+                    let a = admissions(id);
+                    TenantMetrics {
+                        tenant: id,
+                        name: name.clone(),
+                        submitted: a.submitted,
+                        completed: c.completed,
+                        rejected_queue_full: a.rejected_queue_full,
+                        rejected_overloaded: a.rejected_overloaded,
+                        rejected_shutdown: a.rejected_shutdown,
+                        rejected_migrating: a.rejected_migrating,
+                        budget_deferrals: c.budget_deferrals,
+                        latency: c.latency.clone(),
+                    }
                 })
                 .collect(),
             overall,
@@ -429,13 +441,21 @@ mod tests {
     #[test]
     fn snapshot_json_is_ordered_and_stable() {
         let mut m = Metrics::new(vec!["a".into(), "b".into()]);
-        m.tenants[0].submitted = 3;
         m.tenants[0].completed = 2;
         m.tenants[0].latency.record(500);
-        m.tenants[1].rejected_queue_full = 1;
-        m.tenants[1].rejected_migrating = 2;
-        let json = m.snapshot().to_json();
-        assert_eq!(json, m.snapshot().to_json(), "byte-stable");
+        let admissions = |t: TenantId| {
+            let mut a = Admissions::default();
+            if t == 0 {
+                a.submitted = 3;
+            } else {
+                a.rejected_queue_full = 1;
+                a.rejected_migrating = 2;
+            }
+            a
+        };
+        let json = m.snapshot(admissions).to_json();
+        assert_eq!(json, m.snapshot(admissions).to_json(), "byte-stable");
+        assert!(json.contains("\"submitted\": 3"));
         let completed = json.find("\"completed\"").unwrap();
         let tenants = json.find("\"tenants\"").unwrap();
         assert!(completed < tenants, "key order fixed");
@@ -446,7 +466,7 @@ mod tests {
 
     #[test]
     fn edge_counters_sit_beside_the_service_fields() {
-        let snapshot = Metrics::new(vec!["a".into()]).snapshot();
+        let snapshot = Metrics::new(vec!["a".into()]).snapshot(|_| Admissions::default());
         let edge = EdgeStats {
             accepted: 1,
             active: 2,

@@ -2,33 +2,60 @@
 //!
 //! One thread, spawned at start and joined at drain or drop, owns the
 //! [`CfmMachine`] outright — clients never touch the machine, so the
-//! machine runs lock-free. Clients and the loop meet at a small shared
-//! state (tenant queues + counters) guarded by one mutex with short
-//! critical sections, plus a condvar the loop parks on
-//! when — and only when — there is neither queued nor in-flight work.
+//! machine runs lock-free. The state clients and the loop share is split
+//! by the thread that writes it. On a pass with no control change the
+//! loop writes no cache line a submitter writes, other than the ring
+//! slots it empties, the tickets it fulfils and, only where the global
+//! bound binds, its count:
 //!
-//! Per iteration the loop takes the state lock once. Under it, it counts
-//! the previous slot's completions and dequeues up to one operation per
-//! idle processor (deficit round-robin across tenants). After releasing
-//! it, the loop delivers those completions, issues the batch, steps the
-//! machine exactly one slot and polls the new completions. A ticket's
-//! admission-to-fulfillment wall time is in the tenant's latency
-//! histogram before the ticket resolves. The dequeue, issue, step and
-//! poll are the loop core (`LoopCore`), which the slot-clock twin
-//! ([`crate::twin`]) steps too.
+//! - **Admission gate**, one per tenant: a mutex only the tenant's
+//!   submitters take (in-process callers, and the loop itself for the
+//!   wire edge's admits). It holds the ring's tail, the closed and
+//!   migrating flags, a copy of the machine configuration that block
+//!   lengths are checked against, and the tenant's admission counters.
+//! - **Submission ring**, one per tenant: `queue_capacity` slots on cache
+//!   lines of their own, each an operation under its own mutex and a
+//!   `full` flag the loop reads without locking. The capacity is the
+//!   queue bound, so [`Reject::QueueFull`] fires exactly when
+//!   `queue_capacity` operations wait.
+//! - **Control block**: drain, shutdown, a pending migration and the wire
+//!   edge's hand-over. Its writers raise an `attention` flag; the loop
+//!   locks the block only when the flag is up, and to park.
+//! - **Completion counters**: completions, budget deferrals and latency
+//!   histograms, under a lock only the loop writes, once per pass. A
+//!   ticket's admission-to-fulfillment wall time is counted before the
+//!   ticket resolves.
+//! - **Global bound**: an atomic count of queued operations, kept only
+//!   when [`crate::ServiceConfig::max_queued`] is below the sum of the
+//!   queue capacities, the only case in which it can bind.
 //!
-//! With a wire edge attached ([`Service::serve_edge`]) the same thread
-//! serves the edge's sockets between slots, admits decoded submits under
-//! the same lock, and parks in the edge's `epoll_wait` instead of on the
-//! condvar (see [`crate::edge`]).
+//! Per pass the loop counts the previous slot's completions, reads the
+//! control block if `attention` is up, and dequeues up to one operation
+//! per idle processor (deficit round-robin across the rings). Then it
+//! delivers the counted completions, issues the batch, steps the machine
+//! exactly one slot and polls the new completions. The dequeue, issue,
+//! step and poll are the loop core (`LoopCore`), which the slot-clock
+//! twin ([`crate::twin`]) steps against the same state.
+//!
+//! With nothing queued or in flight the loop parks: on a condvar, or in
+//! its wire edge's `epoll_wait` when one is attached ([`crate::edge`]).
+//! Under the control lock it stores `parked` and then looks at the rings
+//! once more; a submitter on another thread stores its slot's `full`
+//! flag and then loads `parked`, all four accesses SeqCst. In the single
+//! order of SeqCst accesses one of the two stores comes first, so either
+//! the loop sees the operation and does not park, or the submitter sees
+//! `parked` and wakes the loop through the control block, whose lock the
+//! loop holds until it waits (`docs/service.md` §1).
 
 use std::io;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use cfm_core::config::{CfmConfig, Engine};
-use cfm_core::machine::CfmMachine;
+use cfm_core::machine::{CfmMachine, Fallbacks};
 use cfm_core::op::Operation;
 use cfm_core::snapshot::{MachineSnapshot, SnapshotError};
 use cfm_core::stats::Stats;
@@ -37,9 +64,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::config::{Criticality, ServiceConfig};
 use crate::edge::{Edge, Link};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Admissions, Metrics, MetricsSnapshot};
 use crate::poll::EventFd;
-use crate::queue::{Pending, TenantQueue};
+use crate::queue::Pending;
 use crate::request::{Reject, Reply, Request, Response, TenantId, Ticket, TicketInner};
 use crate::scheduler::{QosScheduler, QosTenant};
 
@@ -99,6 +126,10 @@ pub struct ServiceReport {
     /// whose every access was proven (0 under [`Engine::Sequential`]; see
     /// [`cfm_core::machine::CfmMachine::parallel_slots`]).
     pub parallel_slots: u64,
+    /// One-pass accesses the parallel engine sent to the reference body,
+    /// by reason, since the machine was built or last migrated (see
+    /// [`cfm_core::machine::CfmMachine::fallbacks`]).
+    pub fallbacks: Fallbacks,
     /// Engine the machine ran.
     pub engine: Engine,
 }
@@ -186,40 +217,15 @@ impl MigrationDone {
     }
 }
 
-/// A migration request parked in [`Inner`] for the event loop.
+/// A migration request parked in the control block for the event loop.
 struct MigrationCmd {
     target: CfmConfig,
     done: Arc<MigrationDone>,
 }
 
-/// Client-facing state: queues and counters, guarded by one mutex (a
-/// plain value in the slot-clock twin, [`crate::twin`]).
-pub(crate) struct Inner {
-    queues: Vec<TenantQueue>,
-    total_queued: usize,
-    max_queued: usize,
-    metrics: Metrics,
-    draining: bool,
-    shutdown: bool,
-    /// The machine's current configuration, updated by a live migration
-    /// — submit validates block lengths against it, so it lives under
-    /// the lock.
-    config: CfmConfig,
-    /// `migrating[t]`: tenant `t`'s queue is quiesced across a pending
-    /// migration; its submits are shed with [`Reject::Migrating`].
-    migrating: Vec<bool>,
-    /// A migration waiting for the event loop to pick it up.
-    migration: Option<MigrationCmd>,
-    /// The wire edge's hand-over between its handle and the loop.
-    edge: EdgeSlot,
-    /// The eventfd that wakes the loop, present only while the loop
-    /// waits in its edge's `epoll_wait` (see [`Shared::wake_loop`]).
-    epoll_wake: Option<Arc<EventFd>>,
-}
-
 /// Where the service's wire edge stands. The loop owns an attached edge;
-/// it drops an edge only under the state lock, so a handle that finds its
-/// edge open under the lock may still ask for it to close.
+/// it drops an edge only under the control lock, so a handle that finds
+/// its edge open under the lock may still ask for it to close.
 enum EdgeSlot {
     /// No edge.
     None,
@@ -232,28 +238,50 @@ enum EdgeSlot {
     Closing,
 }
 
-impl Inner {
-    /// Empty queues and counters for the roster of `config`.
-    pub(crate) fn new(config: &ServiceConfig) -> Inner {
-        Inner {
-            queues: config
-                .tenants
-                .iter()
-                .map(|t| TenantQueue::new(t.queue_capacity))
-                .collect(),
-            total_queued: 0,
-            max_queued: config.effective_max_queued(),
-            metrics: Metrics::new(config.tenants.iter().map(|t| t.name.clone()).collect()),
-            draining: false,
-            shutdown: false,
-            config: config.machine,
-            migrating: vec![false; config.tenants.len()],
-            migration: None,
-            edge: EdgeSlot::None,
-            epoll_wake: None,
-        }
-    }
+/// A value on cache lines of its own, so that writes to its neighbours
+/// never invalidate it. 128 bytes, not 64: x86's spatial prefetcher
+/// fetches 64-byte lines in aligned pairs.
+#[repr(align(128))]
+struct Line<T>(T);
 
+impl<T> Deref for Line<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// One slot of a submission ring, on cache lines of its own (see
+/// [`Line`]).
+#[repr(align(128))]
+struct Slot {
+    /// Whether `pending` holds an operation. The submitter stores it, with
+    /// Release (SeqCst from another thread than the loop's), once the
+    /// operation is in `pending`; the loop loads it with Acquire before
+    /// taking the operation, and stores `false` with Release once it has,
+    /// which the next submitter's Acquire load pairs with. The two sides
+    /// take the mutex only in turn, so it is never contended.
+    full: AtomicBool,
+    pending: Mutex<Option<Pending>>,
+}
+
+/// The producer side of a tenant's ring, locked only by its submitters.
+struct Gate {
+    /// The slot the next admitted operation goes into.
+    tail: usize,
+    /// Draining or shut down: every submit is refused.
+    closed: bool,
+    /// Quiesced across a pending migration: submits are shed with
+    /// [`Reject::Migrating`].
+    migrating: bool,
+    /// The machine's configuration, updated by a live migration: write
+    /// blocks are checked against its bank count.
+    config: CfmConfig,
+    admissions: Admissions,
+}
+
+impl Gate {
     /// Upper-bound estimate, in machine slots, of the window a
     /// [`Reject::Migrating`] client should back off for: the worst-case
     /// in-flight drain (≈ β = b + c − 1 plus restarts), the ATT settle
@@ -263,36 +291,300 @@ impl Inner {
     }
 }
 
+/// One tenant's admission gate and the ring behind it.
+struct Tenant {
+    gate: Line<Mutex<Gate>>,
+    ring: Box<[Slot]>,
+}
+
+impl Tenant {
+    /// Whether ring slot `head` holds an operation.
+    fn ready(&self, head: usize, order: Ordering) -> bool {
+        self.ring[head].full.load(order)
+    }
+
+    /// Grow the queued writes, from `head` on, to blocks of `banks`
+    /// words (the added words are zero, matching a restored image's new
+    /// banks), with the gate held so that none arrives meanwhile.
+    /// Returns how many operations are queued.
+    fn rechunk(&self, head: usize, banks: usize) -> usize {
+        let mut queued = 0;
+        let mut i = head;
+        while queued < self.ring.len() && self.ready(i, Ordering::Acquire) {
+            if let Some(Pending {
+                op: Operation::Write { data, .. } | Operation::Swap { data, .. },
+                ..
+            }) = &mut *self.ring[i].pending.lock()
+            {
+                if data.len() < banks {
+                    let mut grown = data.to_vec();
+                    grown.resize(banks, 0);
+                    *data = grown.into_boxed_slice();
+                }
+            }
+            queued += 1;
+            i = (i + 1) % self.ring.len();
+        }
+        queued
+    }
+}
+
+/// The service-wide bound on queued operations.
+struct Queued {
+    count: AtomicUsize,
+    limit: usize,
+}
+
+/// Flags every pass reads and few writes.
+struct Signals {
+    /// Raised, under the control lock, by every write to the control
+    /// block; lowered by the loop when it reads the block.
+    attention: AtomicBool,
+    /// The loop is parked, or about to: a submit from another thread must
+    /// wake it.
+    parked: AtomicBool,
+}
+
+/// What the loop is told rather than asked: drain, shutdown, a migration
+/// and the wire edge's hand-over.
+struct Control {
+    draining: bool,
+    shutdown: bool,
+    /// A migration is in progress, from [`Service::migrate`] until the
+    /// loop delivers its outcome.
+    migrating: bool,
+    /// A migration waiting for the event loop to perform it.
+    migration: Option<MigrationCmd>,
+    /// The wire edge's hand-over between its handle and the loop.
+    edge: EdgeSlot,
+    /// The eventfd that wakes the loop, present only while the loop
+    /// waits in its edge's `epoll_wait` (see [`Shared::wake_loop`]).
+    epoll_wake: Option<Arc<EventFd>>,
+}
+
 /// Estimate, in machine slots, of how long a backpressured client should
 /// wait for `waiting` queued operations to drain on a machine of shape
 /// `config`: the event loop dequeues at most one operation per lane per
 /// slot, plus one bank cycle of pipeline settle. Used for the
 /// [`Reject::QueueFull`] / [`Reject::Overloaded`] retry hints, in process
 /// and at the edge — deliberately the same drain model as
-/// [`Inner::migration_window_slots`], minus the swap overhead.
+/// [`Gate::migration_window_slots`], minus the swap overhead.
 pub(crate) fn drain_window_slots(config: &CfmConfig, waiting: usize) -> u64 {
     (waiting as u64).div_ceil(config.processors() as u64) + u64::from(config.bank_cycle()) + 1
 }
 
+/// The state the clients, the edge's handle and the event loop share,
+/// split by writer (see the module docs). In the slot-clock twin
+/// ([`crate::twin`]) it is a plain value on one thread.
 pub(crate) struct Shared {
-    state: Mutex<Inner>,
-    /// The event loop parks here when fully idle without an edge; submits
-    /// and drain/shutdown notify it.
+    tenants: Box<[Tenant]>,
+    /// Present only where [`crate::ServiceConfig::max_queued`] can bind.
+    queued: Option<Line<Queued>>,
+    signals: Line<Signals>,
+    control: Line<Mutex<Control>>,
+    /// The event loop parks here, under the control lock, when fully
+    /// idle without an edge.
     work: Condvar,
+    /// Completion counters, written by the loop once per pass.
+    done: Line<Mutex<Metrics>>,
+    offsets: usize,
 }
 
 impl Shared {
-    /// Release the state lock and wake the loop if it is parked: through
-    /// the eventfd while it waits in its edge's `epoll_wait`, else through
-    /// the condvar (a no-op unless the loop sleeps there).
-    fn wake_loop(&self, mut inner: MutexGuard<'_, Inner>) {
-        // Test before taking: a submit to a running loop stores nothing.
-        let epoll = if inner.epoll_wake.is_some() {
-            inner.epoll_wake.take()
-        } else {
-            None
+    /// Empty rings, open gates and zeroed counters for `config`.
+    pub(crate) fn new(config: &ServiceConfig) -> Shared {
+        let tenants = config
+            .tenants
+            .iter()
+            .map(|t| Tenant {
+                gate: Line(Mutex::new(Gate {
+                    tail: 0,
+                    closed: false,
+                    migrating: false,
+                    config: config.machine,
+                    admissions: Admissions::default(),
+                })),
+                ring: (0..t.queue_capacity)
+                    .map(|_| Slot {
+                        full: AtomicBool::new(false),
+                        pending: Mutex::new(None),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let capacity: usize = config.tenants.iter().map(|t| t.queue_capacity).sum();
+        let limit = config.effective_max_queued();
+        Shared {
+            tenants,
+            queued: (limit < capacity).then(|| {
+                Line(Queued {
+                    count: AtomicUsize::new(0),
+                    limit,
+                })
+            }),
+            signals: Line(Signals {
+                attention: AtomicBool::new(false),
+                parked: AtomicBool::new(false),
+            }),
+            control: Line(Mutex::new(Control {
+                draining: false,
+                shutdown: false,
+                migrating: false,
+                migration: None,
+                edge: EdgeSlot::None,
+                epoll_wake: None,
+            })),
+            work: Condvar::new(),
+            done: Line(Mutex::new(Metrics::new(
+                config.tenants.iter().map(|t| t.name.clone()).collect(),
+            ))),
+            offsets: config.offsets,
+        }
+    }
+
+    /// Validate and admit one in-process submit (see [`Service::submit`]).
+    pub(crate) fn submit(&self, tenant: TenantId, op: Operation) -> Result<Ticket, Reject> {
+        // Validate against machine geometry before touching a lock.
+        let target = target(&op, self.offsets)?;
+        self.admit(tenant, op, target, false, || {
+            let ticket = TicketInner::new();
+            (Reply::Ticket(Arc::clone(&ticket)), Ticket { inner: ticket })
+        })
+    }
+
+    /// Admit one request whose [`Target`] is checked, under its tenant's
+    /// gate. Only an admitted request gets its reply, from `reply`, which
+    /// also returns the submitter's handle on it. `from_loop` marks a
+    /// push by the thread that dequeues (the edge's admits, the twin's
+    /// clients), which needs no SeqCst store and never wakes anyone.
+    pub(crate) fn admit<H>(
+        &self,
+        tenant: TenantId,
+        op: Operation,
+        target: Target,
+        from_loop: bool,
+        reply: impl FnOnce() -> (Reply, H),
+    ) -> Result<H, Reject> {
+        let Target { data_len } = target;
+        let Some(t) = self.tenants.get(tenant) else {
+            return Err(Reject::UnknownTenant { tenant });
         };
-        drop(inner);
+        let mut gate = t.gate.lock();
+        // Block length is machine geometry, and geometry can change
+        // across a live migration: checked under the gate that the swap
+        // updates.
+        if let Some(got) = data_len {
+            let want = gate.config.banks();
+            if got != want {
+                return Err(Reject::WrongBlockLength { got, want });
+            }
+        }
+        if gate.migrating {
+            gate.admissions.rejected_migrating += 1;
+            return Err(Reject::Migrating {
+                tenant,
+                retry_after_slots: gate.migration_window_slots(),
+            });
+        }
+        if gate.closed {
+            gate.admissions.rejected_shutdown += 1;
+            return Err(Reject::ShuttingDown);
+        }
+        let slot = &t.ring[gate.tail];
+        // The slot at the tail is still full only when every slot is.
+        if slot.full.load(Ordering::Acquire) {
+            let capacity = t.ring.len();
+            gate.admissions.rejected_queue_full += 1;
+            return Err(Reject::QueueFull {
+                tenant,
+                capacity,
+                retry_after_slots: drain_window_slots(&gate.config, capacity),
+            });
+        }
+        if let Some(q) = &self.queued {
+            let counted = q
+                .count
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |queued| {
+                    (queued < q.limit).then_some(queued + 1)
+                });
+            if let Err(queued) = counted {
+                gate.admissions.rejected_overloaded += 1;
+                return Err(Reject::Overloaded {
+                    queued,
+                    limit: q.limit,
+                    retry_after_slots: drain_window_slots(&gate.config, queued),
+                });
+            }
+        }
+
+        let (reply, handle) = reply();
+        *slot.pending.lock() = Some(Pending {
+            op,
+            reply,
+            submitted: Instant::now(),
+        });
+        gate.tail = (gate.tail + 1) % t.ring.len();
+        gate.admissions.submitted += 1;
+        if from_loop {
+            slot.full.store(true, Ordering::Release);
+        } else {
+            slot.full.store(true, Ordering::SeqCst);
+            drop(gate);
+            // The loop may be parked; one waiter, one wake.
+            if self.signals.parked.load(Ordering::SeqCst) {
+                self.wake_loop(self.control.lock());
+            }
+        }
+        Ok(handle)
+    }
+
+    /// Take the operation in tenant `t`'s ring slot `head`, which is
+    /// [`Tenant::ready`], and move `head` on.
+    fn take(&self, t: TenantId, head: &mut usize) -> Pending {
+        let ring = &self.tenants[t].ring;
+        let slot = &ring[*head];
+        let pending = slot
+            .pending
+            .lock()
+            .take()
+            .expect("a full slot holds an operation");
+        slot.full.store(false, Ordering::Release);
+        *head = (*head + 1) % ring.len();
+        if let Some(q) = &self.queued {
+            q.count.fetch_sub(1, Ordering::Relaxed);
+        }
+        pending
+    }
+
+    /// Whether any ring holds an operation at its head in `heads`.
+    fn any_queued(&self, heads: &[usize], order: Ordering) -> bool {
+        self.tenants
+            .iter()
+            .zip(heads)
+            .any(|(t, &head)| t.ready(head, order))
+    }
+
+    /// Refuse every further submit, as a drain or a shutdown does before
+    /// it tells the loop.
+    fn close_gates(&self) {
+        for t in self.tenants.iter() {
+            t.gate.lock().closed = true;
+        }
+    }
+
+    /// Raise `attention` for the control write just made under `ctl`,
+    /// then wake the loop.
+    fn signal(&self, ctl: MutexGuard<'_, Control>) {
+        self.signals.attention.store(true, Ordering::Release);
+        self.wake_loop(ctl);
+    }
+
+    /// Release the control lock and wake the loop if it is parked:
+    /// through the eventfd while it waits in its edge's `epoll_wait`, else
+    /// through the condvar (a no-op unless the loop sleeps there).
+    fn wake_loop(&self, mut ctl: MutexGuard<'_, Control>) {
+        let epoll = ctl.epoll_wake.take();
+        drop(ctl);
         match epoll {
             // Writing a live eventfd fails only if its counter would
             // overflow, which `notify` already treats as success.
@@ -305,19 +597,27 @@ impl Shared {
         }
     }
 
+    /// Current counters and latency quantiles. The completions are read
+    /// first, so no tenant shows more completed than submitted.
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
+        self.done
+            .lock()
+            .snapshot(|t| self.tenants[t].gate.lock().admissions)
+    }
+
     /// Ask the loop to close the edge `link` belongs to, unless it has
     /// already. A handed-over edge the loop has not taken yet is dropped
     /// here.
     pub(crate) fn detach_edge(&self, link: &Link) {
-        let mut inner = self.state.lock();
+        let mut ctl = self.control.lock();
         if link.is_closed() {
             return;
         }
-        match inner.edge {
-            EdgeSlot::Pending(_) => inner.edge = EdgeSlot::None,
+        match ctl.edge {
+            EdgeSlot::Pending(_) => ctl.edge = EdgeSlot::None,
             EdgeSlot::Attached => {
-                inner.edge = EdgeSlot::Closing;
-                self.wake_loop(inner);
+                ctl.edge = EdgeSlot::Closing;
+                self.signal(ctl);
             }
             EdgeSlot::None | EdgeSlot::Closing => {}
         }
@@ -356,16 +656,18 @@ struct InFlightReq {
     queued_ns: u64,
 }
 
-/// The event loop's scheduling core: the machine, the QoS scheduler and
-/// the processor lanes. It holds no lock, reads no clock and owns no
-/// thread — each step takes the state and the instant it needs — so the
-/// service thread ([`run_event_loop`]) and the slot-clock twin
-/// ([`crate::twin`]) run the same code. One pass is [`LoopCore::dequeue`]
-/// under the state lock, then [`LoopCore::issue_and_step`] and
-/// [`LoopCore::poll`] outside it.
+/// The event loop's scheduling core: the machine, the QoS scheduler, the
+/// processor lanes and the rings' heads. It holds no lock, reads no clock
+/// and owns no thread — each step takes the shared state and the instant
+/// it needs — so the service thread ([`run_event_loop`]) and the
+/// slot-clock twin ([`crate::twin`]) run the same code. One pass is
+/// [`LoopCore::dequeue`], then [`LoopCore::issue_and_step`] and
+/// [`LoopCore::poll`].
 pub(crate) struct LoopCore {
     pub(crate) machine: CfmMachine,
     sched: QosScheduler,
+    /// `heads[t]`: the slot of tenant `t`'s ring the loop takes next.
+    heads: Vec<usize>,
     /// `inflight[p]` is the request processor lane `p` is carrying.
     inflight: Vec<Option<InFlightReq>>,
     /// The idle processor lanes.
@@ -399,6 +701,7 @@ impl LoopCore {
                     .collect::<Vec<_>>(),
                 config.budget_window,
             ),
+            heads: vec![0; config.tenants.len()],
             inflight: (0..processors).map(|_| None).collect(),
             free: (0..processors).rev().collect(),
             inflight_count: 0,
@@ -411,21 +714,28 @@ impl LoopCore {
     /// operation in flight, or queued work. Budget-deferred work (queued
     /// but unschedulable this window) counts, so the window can roll
     /// over and refill budgets.
-    pub(crate) fn must_step(&self, inner: &Inner) -> bool {
-        !self.batch.is_empty() || self.inflight_count > 0 || inner.total_queued > 0
+    pub(crate) fn must_step(&self, shared: &Shared) -> bool {
+        !self.batch.is_empty()
+            || self.inflight_count > 0
+            || shared.any_queued(&self.heads, Ordering::Acquire)
     }
 
     /// Dequeue up to one queued operation per idle processor, in the
     /// scheduler's order: the latency-critical ring first, then
     /// best-effort deficit round-robin.
-    pub(crate) fn dequeue(&mut self, inner: &mut Inner) {
-        while !self.free.is_empty() && inner.total_queued > 0 {
-            let queues = &inner.queues;
-            let Some(t) = self.sched.next(|t| !queues[t].is_empty()) else {
+    pub(crate) fn dequeue(&mut self, shared: &Shared) {
+        // The scheduler is asked only while some ring holds work: asked
+        // with none, it would walk every tenant and forfeit each one's
+        // deficit.
+        while !self.free.is_empty() && shared.any_queued(&self.heads, Ordering::Acquire) {
+            let heads = &self.heads;
+            let Some(t) = self
+                .sched
+                .next(|t| shared.tenants[t].ready(heads[t], Ordering::Acquire))
+            else {
                 break;
             };
-            let pending = inner.queues[t].pop().expect("scheduler saw work");
-            inner.total_queued -= 1;
+            let pending = shared.take(t, &mut self.heads[t]);
             let p = self.free.pop().expect("checked non-empty");
             self.batch.push((p, pending, t));
         }
@@ -485,6 +795,8 @@ struct LoopState {
     /// Machine cycle when the loop first saw the pending migration —
     /// start of the drain window reported in [`MigrationReport`].
     migrate_seen_at: Option<u64>,
+    /// The loop has seen the drain command.
+    draining: bool,
     /// The wire edge this loop serves, if any. Boxed: the loop's hot
     /// state grows by one pointer.
     edge: Option<Box<Edge>>,
@@ -506,7 +818,6 @@ pub struct Service {
     shared: Arc<Shared>,
     /// The event-loop thread; `None` once [`Service::drain`] joined it.
     event_loop: Option<JoinHandle<LoopState>>,
-    offsets: usize,
 }
 
 impl Service {
@@ -536,14 +847,12 @@ impl Service {
     /// Validate `config`, build the machine, and spawn the event loop.
     pub fn start(config: ServiceConfig) -> Result<Service, StartError> {
         Service::validate(&config)?;
-        let shared = Arc::new(Shared {
-            state: Mutex::new(Inner::new(&config)),
-            work: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::new(&config));
         let state = LoopState {
             core: LoopCore::new(&config),
             shared: Arc::clone(&shared),
             migrate_seen_at: None,
+            draining: false,
             edge: None,
             pass_at: Instant::now(),
             report: None,
@@ -561,19 +870,18 @@ impl Service {
         Ok(Service {
             shared,
             event_loop: Some(event_loop),
-            offsets: config.offsets,
         })
     }
 
     /// Blocks of shared memory the machine exposes.
     pub fn offsets(&self) -> usize {
-        self.offsets
+        self.shared.offsets
     }
 
     /// Memory banks `b` of the underlying machine — the block length
     /// writes must carry. May grow across a [`Service::migrate`].
     pub fn banks(&self) -> usize {
-        self.shared.state.lock().config.banks()
+        self.shared.tenants[0].gate.lock().config.banks()
     }
 
     /// Submit one block operation on behalf of `tenant`. The wire edge
@@ -583,104 +891,29 @@ impl Service {
     /// be scheduled (absent shutdown). Rejections are typed backpressure
     /// — see [`Reject`].
     pub fn submit(&self, tenant: TenantId, op: Operation) -> Result<Ticket, Reject> {
-        // Validate against machine geometry before touching the lock.
-        let target = target(&op, self.offsets)?;
-        let mut inner = self.shared.state.lock();
-        let ticket = Service::admit(&mut inner, tenant, op, target, || {
-            let ticket = TicketInner::new();
-            (Reply::Ticket(Arc::clone(&ticket)), ticket)
-        })?;
-        // The loop may be parked; one waiter, one wake.
-        self.shared.wake_loop(inner);
-        Ok(Ticket { inner: ticket })
+        self.shared.submit(tenant, op)
     }
 
     /// Hand `edge` to the event loop, which serves it from its next pass
     /// on (see [`crate::edge::serve`]). Returns the shared state the
     /// edge's handle closes it through; one edge at a time.
     pub(crate) fn attach_edge(&self, edge: Box<Edge>) -> io::Result<Arc<Shared>> {
-        let mut inner = self.shared.state.lock();
-        if !matches!(inner.edge, EdgeSlot::None) {
+        let mut ctl = self.shared.control.lock();
+        if !matches!(ctl.edge, EdgeSlot::None) {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 "the service already serves a wire edge",
             ));
         }
-        inner.edge = EdgeSlot::Pending(edge);
-        self.shared.wake_loop(inner);
+        ctl.edge = EdgeSlot::Pending(edge);
+        self.shared.signal(ctl);
         Ok(Arc::clone(&self.shared))
     }
 
-    /// Admit one request whose [`Target`] is checked, under the state
-    /// lock. Only an admitted request gets its reply, from `reply`,
-    /// which also returns the submitter's handle on it.
-    pub(crate) fn admit<H>(
-        inner: &mut Inner,
-        tenant: TenantId,
-        op: Operation,
-        target: Target,
-        reply: impl FnOnce() -> (Reply, H),
-    ) -> Result<H, Reject> {
-        let Target { data_len } = target;
-        if tenant >= inner.queues.len() {
-            return Err(Reject::UnknownTenant { tenant });
-        }
-        // Block length is machine geometry, and geometry can change
-        // across a live migration — validate under the same lock.
-        if let Some(got) = data_len {
-            let want = inner.config.banks();
-            if got != want {
-                return Err(Reject::WrongBlockLength { got, want });
-            }
-        }
-        if inner.migrating[tenant] {
-            let retry_after_slots = inner.migration_window_slots();
-            inner.metrics.tenants[tenant].rejected_migrating += 1;
-            return Err(Reject::Migrating {
-                tenant,
-                retry_after_slots,
-            });
-        }
-        if inner.draining || inner.shutdown {
-            inner.metrics.tenants[tenant].rejected_shutdown += 1;
-            return Err(Reject::ShuttingDown);
-        }
-        if inner.queues[tenant].is_full() {
-            let capacity = inner.queues[tenant].capacity;
-            let retry_after_slots = drain_window_slots(&inner.config, inner.queues[tenant].len());
-            inner.metrics.tenants[tenant].rejected_queue_full += 1;
-            return Err(Reject::QueueFull {
-                tenant,
-                capacity,
-                retry_after_slots,
-            });
-        }
-        if inner.total_queued >= inner.max_queued {
-            let (queued, limit) = (inner.total_queued, inner.max_queued);
-            let retry_after_slots = drain_window_slots(&inner.config, queued);
-            inner.metrics.tenants[tenant].rejected_overloaded += 1;
-            return Err(Reject::Overloaded {
-                queued,
-                limit,
-                retry_after_slots,
-            });
-        }
-
-        let (reply, handle) = reply();
-        inner.queues[tenant].push(Pending {
-            op,
-            reply,
-            submitted: Instant::now(),
-        });
-        inner.total_queued += 1;
-        inner.metrics.tenants[tenant].submitted += 1;
-        Ok(handle)
-    }
-
-    /// Current counters and latency quantiles (cheap clone under the
-    /// state lock; does not disturb the event loop).
+    /// Current counters and latency quantiles (a copy taken under the
+    /// counters' locks; does not disturb the event loop).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.state.lock().metrics.snapshot()
+        self.shared.metrics()
     }
 
     /// Live-migrate the service onto a machine of shape `target` —
@@ -718,24 +951,25 @@ impl Service {
             ready: Condvar::new(),
         });
         {
-            let mut inner = self.shared.state.lock();
-            if inner.draining || inner.shutdown {
+            let mut ctl = self.shared.control.lock();
+            if ctl.draining || ctl.shutdown {
                 return Err(MigrateError::ShuttingDown);
             }
-            if inner.migration.is_some() || inner.migrating.iter().any(|&m| m) {
+            if ctl.migrating {
                 return Err(MigrateError::MigrationInProgress);
             }
-            if let Some(&t) = tenants.iter().find(|&&t| t >= inner.queues.len()) {
+            if let Some(&t) = tenants.iter().find(|&&t| t >= self.shared.tenants.len()) {
                 return Err(MigrateError::UnknownTenant { tenant: t });
             }
             for &t in tenants {
-                inner.migrating[t] = true;
+                self.shared.tenants[t].gate.lock().migrating = true;
             }
-            inner.migration = Some(MigrationCmd {
+            ctl.migrating = true;
+            ctl.migration = Some(MigrationCmd {
                 target,
                 done: Arc::clone(&done),
             });
-            self.shared.wake_loop(inner);
+            self.shared.signal(ctl);
         }
         let mut slot = done.slot.lock();
         loop {
@@ -753,9 +987,12 @@ impl Service {
     /// # Panics
     /// Re-raises a panic of the event loop.
     pub fn drain(mut self) -> ServiceReport {
-        let mut inner = self.shared.state.lock();
-        inner.draining = true;
-        self.shared.wake_loop(inner);
+        // Close the gates before telling the loop: once it sees the
+        // command, the rings hold everything it will ever be given.
+        self.shared.close_gates();
+        let mut ctl = self.shared.control.lock();
+        ctl.draining = true;
+        self.shared.signal(ctl);
         let handle = self.event_loop.take().expect("joined only here or in drop");
         let mut state = handle
             .join()
@@ -774,9 +1011,10 @@ impl Drop for Service {
         // Fast shutdown for the non-drain path: tell the loop to abandon
         // outstanding work (closing tickets) so the join below cannot
         // block on a parked-forever loop.
-        let mut inner = self.shared.state.lock();
-        inner.shutdown = true;
-        self.shared.wake_loop(inner);
+        self.shared.close_gates();
+        let mut ctl = self.shared.control.lock();
+        ctl.shutdown = true;
+        self.shared.signal(ctl);
         if let Some(handle) = self.event_loop.take() {
             // A loop that panicked already unwound; dropping must not
             // panic over it.
@@ -788,103 +1026,84 @@ impl Drop for Service {
 /// The event-loop body, run by the service's loop thread for its whole
 /// lifetime.
 ///
-/// Each iteration takes the state lock once. Under it, the loop counts
-/// the previous slot's completions in the metrics and admits the next
-/// batch. It delivers those completions after counting them — once the
-/// lock is released, or still under it when it exits — so a ticket that
-/// has resolved is always already counted. With an edge attached, an
-/// iteration starts with the edge's input step, admits the decoded
-/// submits under the same lock, and ends its delivery with the edge's
-/// output step.
+/// Each pass counts the previous slot's completions under the completion
+/// lock and delivers them only afterwards, on every way out of the pass,
+/// so a ticket that has resolved is always already counted. With an
+/// edge attached, a pass starts with the edge's input step and admits
+/// the decoded submits into the rings, and its delivery ends with the
+/// edge's output step.
 fn run_event_loop(state: &mut LoopState) {
-    // Hold the shared handle separately so locking it does not borrow
-    // `state` (the exit helpers need `&mut LoopState` while the guard
-    // lives).
+    // Hold the shared handle separately so that using it does not borrow
+    // `state`.
     let shared = Arc::clone(&state.shared);
-    let metrics = || shared.state.lock().metrics.snapshot();
+    let metrics = || shared.metrics();
     loop {
         // ---- Edge input: readiness when due, read and decode. --------
         if let Some(edge) = state.edge.as_deref_mut() {
             if edge.input(state.core.machine.config(), &metrics).is_err() {
                 // epoll itself failed: nothing is left to serve the edge
                 // with.
-                close_edge(state, &mut shared.state.lock());
+                close_edge(state, &mut shared.control.lock());
             }
         }
 
-        // ---- Record the last slot, then admit one op per idle lane. --
-        let mut migration: Option<MigrationCmd> = None;
-        // Set when the loop would park with answers still to deliver (or
-        // connections still to visit): it delivers them outside the lock
-        // and parks on the next pass.
-        let mut idle = false;
-        // Set when the loop parks in its edge's `epoll_wait`, outside the
-        // lock.
-        let mut park = false;
-        {
-            let mut inner = shared.state.lock();
-            state.record(&mut inner.metrics);
-            // Fold budget-deferral counts into the metrics while the
-            // lock is held anyway (no allocation, usually a no-op).
-            state
-                .core
-                .sched
-                .flush_deferrals(|t, d| inner.metrics.tenants[t].budget_deferrals += d);
-            if let Some(edge) = state.edge.as_deref_mut() {
-                inner.epoll_wake = None;
-                let inner = &mut *inner;
-                edge.admit(|route, Request { tenant, op }, target| {
-                    Service::admit(inner, tenant, op, target, || (Reply::Edge(route), ()))
-                });
+        // ---- Count the last slot, then admit the edge's submits. -----
+        state.record();
+        if let Some(edge) = state.edge.as_deref_mut() {
+            edge.admit(|route, Request { tenant, op }, target| {
+                shared.admit(tenant, op, target, true, || (Reply::Edge(route), ()))
+            });
+        }
+
+        // ---- Commands, read only when one was given. -----------------
+        let mut quiesce = false;
+        let mut migration = None;
+        if shared.signals.attention.load(Ordering::Acquire) {
+            let mut ctl = shared.control.lock();
+            shared.signals.attention.store(false, Ordering::Relaxed);
+            if ctl.shutdown {
+                abandon(state, &mut ctl);
+                return;
             }
-            loop {
-                if inner.shutdown {
-                    abandon(state, &mut inner);
+            if !matches!(ctl.edge, EdgeSlot::None | EdgeSlot::Attached) {
+                switch_edge(state, &mut ctl);
+            }
+            state.draining |= ctl.draining;
+            if ctl.migration.is_some() {
+                // Quiesce toward the swap: issue nothing new, and read
+                // the block again next pass. Once the last in-flight
+                // operation completes, take the command and perform the
+                // migration; until then the machine keeps stepping.
+                shared.signals.attention.store(true, Ordering::Relaxed);
+                quiesce = true;
+                let cycle = state.core.machine.cycle();
+                state.migrate_seen_at.get_or_insert(cycle);
+                if state.core.inflight_count == 0 {
+                    migration = ctl.migration.take();
+                }
+            }
+        }
+
+        // ---- Dequeue one op per idle lane. ---------------------------
+        // Set when nothing is left to step: the pass only delivers.
+        let mut idle = false;
+        // Set when, besides, nothing is left to deliver or visit: the
+        // loop parks after delivering.
+        let mut park = false;
+        if !quiesce {
+            state.core.dequeue(&shared);
+            // Never park on budget-deferred work, and never mistake it
+            // for "drained".
+            if !state.core.must_step(&shared) {
+                if state.draining {
+                    // Nothing queued, nothing in flight, the gates
+                    // closed: the service is drained.
+                    finish(state);
                     return;
                 }
-                if !matches!(inner.edge, EdgeSlot::None | EdgeSlot::Attached) {
-                    switch_edge(state, &mut inner);
-                }
-                if inner.migration.is_some() {
-                    // Quiesce toward the swap: issue nothing new. Once
-                    // the last in-flight operation completes, take the
-                    // command and perform the migration outside the
-                    // lock; until then fall through with an empty batch
-                    // so the machine keeps stepping.
-                    if state.migrate_seen_at.is_none() {
-                        state.migrate_seen_at = Some(state.core.machine.cycle());
-                    }
-                    if state.core.inflight_count == 0 {
-                        migration = inner.migration.take();
-                    }
-                    break;
-                }
-                state.core.dequeue(&mut inner);
-                // Never park on budget-deferred work, and never mistake
-                // it for "drained".
-                if state.core.must_step(&inner) {
-                    break;
-                }
-                if inner.draining {
-                    // Nothing queued, nothing in flight, no new admits:
-                    // the service is drained.
-                    finish(state, &mut inner);
-                    return;
-                }
-                if !state.core.fulfilled.is_empty() || state.edge.as_ref().is_some_and(|e| e.busy())
-                {
-                    idle = true;
-                    break;
-                }
-                // Fully idle: park until a submit, a drain or (with an
-                // edge) a socket wakes us.
-                if let Some(edge) = &state.edge {
-                    inner.epoll_wake = Some(edge.wake());
-                    park = true;
-                    break;
-                }
-                shared.work.wait(&mut inner);
-                state.pass_at = Instant::now();
+                idle = true;
+                park = state.core.fulfilled.is_empty()
+                    && !state.edge.as_ref().is_some_and(|e| e.busy());
             }
         }
         state.deliver();
@@ -896,37 +1115,40 @@ fn run_event_loop(state: &mut LoopState) {
             continue;
         }
         if park {
-            if let Some(edge) = state.edge.as_deref_mut() {
-                if edge.idle_wait(state.core.machine.config()).is_err() {
-                    close_edge(state, &mut shared.state.lock());
-                }
-            }
-            state.pass_at = Instant::now();
+            state.park();
             continue;
         }
         if idle {
             continue;
         }
 
-        // ---- Issue the batch and step one slot, outside the lock. ----
+        // ---- Issue the batch and step one slot. ----------------------
         // Queueing ends at the start of this pass: the last clock read.
         state.core.issue_and_step(state.pass_at);
 
         // ---- Complete: poll the lanes the slot delivered to; the next
-        // pass records and delivers. The pass's one clock read.
+        // pass counts and delivers. The pass's one clock read.
         state.pass_at = Instant::now();
         state.core.poll(state.pass_at);
     }
 }
 
 impl LoopState {
-    /// Count the polled completions in `metrics`, under the state lock.
-    fn record(&self, metrics: &mut Metrics) {
-        for (_, response) in &self.core.fulfilled {
-            let t = &mut metrics.tenants[response.tenant];
-            t.completed += 1;
-            t.latency.record(response.total_ns);
+    /// Count the polled completions and the scheduler's budget deferrals
+    /// under the completion lock, taken only when there is one to count.
+    fn record(&mut self) {
+        let shared = &self.shared;
+        let mut done = (!self.core.fulfilled.is_empty()).then(|| shared.done.lock());
+        if let Some(done) = &mut done {
+            for (_, response) in &self.core.fulfilled {
+                let t = &mut done.tenants[response.tenant];
+                t.completed += 1;
+                t.latency.record(response.total_ns);
+            }
         }
+        self.core.sched.flush_deferrals(|t, d| {
+            done.get_or_insert_with(|| shared.done.lock()).tenants[t].budget_deferrals += d
+        });
     }
 
     /// Deliver the counted completions — wire answers straight into their
@@ -939,27 +1161,65 @@ impl LoopState {
             edge.output();
         }
     }
-}
 
-/// Take a handed-over edge, or close the one its handle asked to close.
-fn switch_edge(state: &mut LoopState, inner: &mut Inner) {
-    match std::mem::replace(&mut inner.edge, EdgeSlot::None) {
-        EdgeSlot::Pending(edge) => {
-            state.edge = Some(edge);
-            inner.edge = EdgeSlot::Attached;
+    /// Park until a submit, a command or (with an edge) a socket wakes
+    /// the loop, unless one came in while the loop was deciding to.
+    fn park(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        let mut ctl = shared.control.lock();
+        shared.signals.parked.store(true, Ordering::SeqCst);
+        // A submit that missed `parked` is in its ring by now, and a
+        // command raised `attention` under the lock held here.
+        let woken = shared.signals.attention.load(Ordering::Relaxed)
+            || shared.any_queued(&self.core.heads, Ordering::SeqCst);
+        if !woken {
+            match self.edge.as_deref_mut() {
+                Some(edge) => {
+                    ctl.epoll_wake = Some(edge.wake());
+                    drop(ctl);
+                    if edge.idle_wait(self.core.machine.config()).is_err() {
+                        close_edge(self, &mut shared.control.lock());
+                    }
+                }
+                None => shared.work.wait(&mut ctl),
+            }
         }
-        EdgeSlot::Closing => state.edge = None,
-        slot => inner.edge = slot,
+        shared.signals.parked.store(false, Ordering::Relaxed);
+        self.pass_at = Instant::now();
+    }
+
+    /// The final report, with the completion counters as they stand.
+    fn report(&self) -> ServiceReport {
+        ServiceReport {
+            metrics: self.shared.metrics(),
+            stats: *self.core.machine.stats(),
+            cycles: self.core.machine.cycle(),
+            parallel_slots: self.core.machine.parallel_slots(),
+            fallbacks: self.core.machine.fallbacks(),
+            engine: self.core.machine.config().engine(),
+        }
     }
 }
 
-/// Close the loop's edge, and any edge still handed over, under the state
-/// lock (see [`EdgeSlot`]). Dropping an edge closes its sockets and
-/// releases its handle.
-fn close_edge(state: &mut LoopState, inner: &mut Inner) {
+/// Take a handed-over edge, or close the one its handle asked to close.
+fn switch_edge(state: &mut LoopState, ctl: &mut Control) {
+    match std::mem::replace(&mut ctl.edge, EdgeSlot::None) {
+        EdgeSlot::Pending(edge) => {
+            state.edge = Some(edge);
+            ctl.edge = EdgeSlot::Attached;
+        }
+        EdgeSlot::Closing => close_edge(state, ctl),
+        slot => ctl.edge = slot,
+    }
+}
+
+/// Close the loop's edge, and any edge still handed over, under the
+/// control lock (see [`EdgeSlot`]). Dropping an edge closes its sockets
+/// and releases its handle.
+fn close_edge(state: &mut LoopState, ctl: &mut Control) {
     state.edge = None;
-    inner.edge = EdgeSlot::None;
-    inner.epoll_wake = None;
+    ctl.edge = EdgeSlot::None;
+    ctl.epoll_wake = None;
 }
 
 /// Execute one migration at the swap boundary: the source machine has
@@ -969,7 +1229,7 @@ fn close_edge(state: &mut LoopState, inner: &mut Inner) {
 /// length. On any failure the source machine is kept and the service
 /// continues on it — the error travels back to the [`Service::migrate`]
 /// caller, nothing is lost.
-fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: MigrationCmd) {
+fn perform_migration(state: &mut LoopState, shared: &Shared, cmd: MigrationCmd) {
     debug_assert_eq!(state.core.inflight_count, 0);
     let from_banks = state.core.machine.config().banks();
     let seen_at = state
@@ -991,46 +1251,36 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
     })();
     let drained_slots = state.core.machine.cycle() - seen_at;
 
-    let mut inner = shared.state.lock();
+    let target_cfg = result.as_ref().ok().map(|(_, restored)| *restored.config());
+    let mut replayed = 0;
+    // Per tenant, under its gate: re-chunk the queued writes for the
+    // target's block length and check new ones against it, then
+    // re-admit the tenant, success or not.
+    for (t, tenant) in shared.tenants.iter().enumerate() {
+        let mut gate = tenant.gate.lock();
+        if let Some(cfg) = target_cfg {
+            replayed += tenant.rechunk(state.core.heads[t], cfg.banks());
+            gate.config = cfg;
+        }
+        gate.migrating = false;
+    }
     let outcome = result.map(|(snapshot_bytes, restored)| {
         let target_cfg = *restored.config();
-        let to_banks = target_cfg.banks();
         let processors = target_cfg.processors();
         state.core.machine = restored;
         state.core.inflight = (0..processors).map(|_| None).collect();
         state.core.free = (0..processors).rev().collect();
         state.core.inflight_count = 0;
-        // Re-chunk queued writes for the grown block length; the added
-        // words are zero, matching the restored image's new banks.
-        let mut replayed = 0;
-        for q in &mut inner.queues {
-            for pending in q.queue.iter_mut() {
-                if let Operation::Write { data, .. } | Operation::Swap { data, .. } =
-                    &mut pending.op
-                {
-                    if data.len() < to_banks {
-                        let mut grown = data.to_vec();
-                        grown.resize(to_banks, 0);
-                        *data = grown.into_boxed_slice();
-                    }
-                }
-                replayed += 1;
-            }
-        }
-        inner.config = target_cfg;
         MigrationReport {
             snapshot_bytes,
             replayed,
             drained_slots,
             from_banks,
-            to_banks,
+            to_banks: target_cfg.banks(),
             engine: target_cfg.engine(),
         }
     });
-    // Re-admit the quiesced tenants, success or not.
-    for m in inner.migrating.iter_mut() {
-        *m = false;
-    }
+    shared.control.lock().migrating = false;
     cmd.done.deliver(outcome);
 }
 
@@ -1038,46 +1288,40 @@ fn perform_migration(state: &mut LoopState, shared: &Arc<Shared>, cmd: Migration
 /// has been fulfilled; deliver the last (already counted) answers, close
 /// the edge once it has written them, and snapshot everything into the
 /// report.
-fn finish(state_ref: &mut LoopState, inner: &mut Inner) {
-    debug_assert!(state_ref.core.machine.is_idle());
-    state_ref.deliver();
-    close_edge(state_ref, inner);
-    state_ref.report = Some(ServiceReport {
-        metrics: inner.metrics.snapshot(),
-        stats: *state_ref.core.machine.stats(),
-        cycles: state_ref.core.machine.cycle(),
-        parallel_slots: state_ref.core.machine.parallel_slots(),
-        engine: state_ref.core.machine.config().engine(),
-    });
+fn finish(state: &mut LoopState) {
+    debug_assert!(state.core.machine.is_idle());
+    state.deliver();
+    let shared = Arc::clone(&state.shared);
+    close_edge(state, &mut shared.control.lock());
+    state.report = Some(state.report());
 }
 
 /// Hard-shutdown exit (service dropped, not drained): close every
 /// outstanding ticket so no waiter deadlocks, answer every outstanding
-/// wire request with `ShuttingDown`, then report what was done.
-fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
+/// wire request with `ShuttingDown`, then report what was done. The
+/// gates are closed, so the rings hold all that is left.
+fn abandon(state: &mut LoopState, ctl: &mut Control) {
     // A migration still parked (or mid-drain) resolves as ShuttingDown
     // so its caller does not wait forever.
-    if let Some(cmd) = inner.migration.take() {
+    if let Some(cmd) = ctl.migration.take() {
         cmd.done.deliver(Err(MigrateError::ShuttingDown));
     }
-    for m in inner.migrating.iter_mut() {
-        *m = false;
-    }
+    let shared = Arc::clone(&state.shared);
     // The last slot's completions are counted already; they resolve
     // with their responses, everything else as abandoned.
-    state_ref.deliver();
-    let edge = &mut state_ref.edge;
-    for q in &mut inner.queues {
-        while let Some(pending) = q.pop() {
-            inner.total_queued -= 1;
-            pending
+    state.deliver();
+    let edge = &mut state.edge;
+    for (t, head) in state.core.heads.iter_mut().enumerate() {
+        while shared.tenants[t].ready(*head, Ordering::Acquire) {
+            shared
+                .take(t, head)
                 .reply
                 .deliver(Err(Reject::ShuttingDown), edge.as_deref_mut());
         }
     }
-    for slot in &mut state_ref.core.inflight {
+    for slot in &mut state.core.inflight {
         if let Some(req) = slot.take() {
-            state_ref.core.inflight_count -= 1;
+            state.core.inflight_count -= 1;
             req.reply
                 .deliver(Err(Reject::ShuttingDown), edge.as_deref_mut());
         }
@@ -1085,14 +1329,8 @@ fn abandon(state_ref: &mut LoopState, inner: &mut Inner) {
     if let Some(edge) = edge.as_deref_mut() {
         edge.output();
     }
-    close_edge(state_ref, inner);
-    state_ref.report = Some(ServiceReport {
-        metrics: inner.metrics.snapshot(),
-        stats: *state_ref.core.machine.stats(),
-        cycles: state_ref.core.machine.cycle(),
-        parallel_slots: state_ref.core.machine.parallel_slots(),
-        engine: state_ref.core.machine.config().engine(),
-    });
+    close_edge(state, ctl);
+    state.report = Some(state.report());
 }
 
 #[cfg(test)]
@@ -1282,7 +1520,7 @@ mod tests {
         let service = small_service();
         // Pin the quiesce flag directly (the real window is too short
         // to catch from outside deterministically).
-        service.shared.state.lock().migrating[0] = true;
+        service.shared.tenants[0].gate.lock().migrating = true;
         match service.submit(0, Operation::read(0)).unwrap_err() {
             Reject::Migrating {
                 tenant,
@@ -1296,7 +1534,7 @@ mod tests {
         }
         // The untouched tenant is admitted as usual.
         let t = service.submit(1, Operation::read(0)).unwrap();
-        service.shared.state.lock().migrating[0] = false;
+        service.shared.tenants[0].gate.lock().migrating = false;
         t.wait().unwrap();
         let report = service.drain();
         assert_eq!(report.metrics.tenants[0].rejected_migrating, 1);
@@ -1312,6 +1550,262 @@ mod tests {
         assert_eq!(snap.tenants[0].submitted, 1);
         assert_eq!(snap.tenants[0].completed, 1);
         assert!(snap.tenants[0].latency.p99_ns() > 0);
+        service.drain();
+    }
+
+    /// A submit from a thread other than the loop's wakes a loop that
+    /// is parked, or just deciding to park, on its condvar: 1,000 times,
+    /// each answer within a deadline.
+    #[test]
+    fn admission_submit_wakes_a_parked_loop() {
+        let service = small_service();
+        for i in 0..1_000 {
+            let deadline = Instant::now() + std::time::Duration::from_secs(5);
+            // Alternate between a loop that has announced `parked` and
+            // one still on its way there, reached after a delay that
+            // sweeps the passes between the last answer and the park.
+            if i % 2 == 0 {
+                while !service.shared.signals.parked.load(Ordering::SeqCst) {
+                    assert!(Instant::now() < deadline, "the idle loop never parked");
+                    std::thread::yield_now();
+                }
+            } else {
+                for _ in 0..i % 200 {
+                    std::hint::spin_loop();
+                }
+            }
+            let mut ticket = service.submit(i % 2, Operation::read(i % 32)).unwrap();
+            while ticket.try_take().is_none() {
+                if Instant::now() > deadline {
+                    // Dropping the service would join a loop that never
+                    // woke.
+                    std::mem::forget(service);
+                    panic!("submit {i} never woke the parked loop");
+                }
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(service.drain().metrics.completed(), 1_000);
+    }
+
+    /// A submit that lands after the loop's last look at the rings, but
+    /// before it announces `parked`, sees no parked loop and wakes
+    /// nobody: the loop's look after announcing must find it, and not
+    /// park.
+    #[test]
+    fn admission_park_looks_again_after_announcing() {
+        let cfg = CfmConfig::new(4, 1, 16).unwrap();
+        let config = ServiceConfig::new(cfg, 32).with_tenant(TenantSpec::new("a"));
+        let shared = Arc::new(Shared::new(&config));
+        let mut state = LoopState {
+            core: LoopCore::new(&config),
+            shared: Arc::clone(&shared),
+            migrate_seen_at: None,
+            draining: false,
+            edge: None,
+            pass_at: Instant::now(),
+            report: None,
+        };
+        let _ticket = shared.submit(0, Operation::read(0)).unwrap();
+        let (parked, returned) = std::sync::mpsc::channel();
+        let looper = std::thread::spawn(move || {
+            state.park();
+            parked.send(()).unwrap();
+        });
+        // A loop that parks anyway is left blocked, not joined.
+        returned
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the loop parked with an operation in its ring");
+        looper.join().unwrap();
+    }
+
+    /// `drain` racing four submitter threads strands no ticket: every
+    /// submit is either refused with `ShuttingDown` or answered.
+    #[test]
+    fn admission_drain_races_submitters() {
+        for round in 0..20 {
+            let cfg = CfmConfig::new(4, 1, 16).unwrap();
+            let mut config = ServiceConfig::new(cfg, 32);
+            for t in 0..4 {
+                config = config.with_tenant(TenantSpec::new(&format!("t{t}")).queue_capacity(8));
+            }
+            let service = Service::start(config).unwrap();
+            let shared = Arc::clone(&service.shared);
+            let admitted = Arc::new(AtomicUsize::new(0));
+            let submitters: Vec<_> = (0..4)
+                .map(|t| {
+                    let shared = Arc::clone(&shared);
+                    let admitted = Arc::clone(&admitted);
+                    std::thread::spawn(move || {
+                        let mut tickets = Vec::new();
+                        loop {
+                            match shared.submit(t, Operation::read(tickets.len() % 32)) {
+                                Ok(ticket) => {
+                                    tickets.push(ticket);
+                                    admitted.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Err(Reject::QueueFull { .. }) => std::thread::yield_now(),
+                                Err(Reject::ShuttingDown) => return tickets,
+                                Err(other) => panic!("unexpected rejection: {other}"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Drain once the submitters are under way, later each round.
+            while admitted.load(Ordering::Relaxed) < 8 * (round + 1) {
+                std::thread::yield_now();
+            }
+            let report = service.drain();
+            let tickets: Vec<Ticket> = submitters
+                .into_iter()
+                .flat_map(|s| s.join().unwrap())
+                .collect();
+            assert_eq!(report.metrics.completed(), tickets.len() as u64);
+            for ticket in tickets {
+                assert!(ticket.is_ready(), "round {round}: a ticket was stranded");
+                assert!(ticket.wait().is_some());
+            }
+        }
+    }
+
+    /// `QueueFull` fires at exactly `queue_capacity` queued operations,
+    /// with the retry hint of a full queue, and each operation the loop
+    /// core dequeues makes room for exactly one more.
+    #[test]
+    fn admission_queue_full_at_capacity() {
+        let cfg = CfmConfig::new(4, 1, 16).unwrap();
+        let config =
+            ServiceConfig::new(cfg, 32).with_tenant(TenantSpec::new("a").queue_capacity(6));
+        let shared = Shared::new(&config);
+        let mut core = LoopCore::new(&config);
+        for i in 0..6 {
+            shared.submit(0, Operation::read(i)).unwrap();
+        }
+        let full = Reject::QueueFull {
+            tenant: 0,
+            capacity: 6,
+            retry_after_slots: drain_window_slots(&cfg, 6),
+        };
+        assert_eq!(
+            shared.submit(0, Operation::read(0)).err(),
+            Some(full.clone())
+        );
+        // Four lanes take four operations: four more fit, then no more.
+        core.dequeue(&shared);
+        assert_eq!(core.batch.len(), 4);
+        for i in 0..4 {
+            shared.submit(0, Operation::read(i)).unwrap();
+        }
+        assert_eq!(shared.submit(0, Operation::read(0)).err(), Some(full));
+        assert_eq!(shared.metrics().tenants[0].rejected_queue_full, 2);
+    }
+
+    /// With a binding `max_queued` and two submitter threads, admitted
+    /// work not yet dequeued never exceeds the limit, and a full queue
+    /// past it is refused with `Overloaded`.
+    #[test]
+    fn admission_max_queued_binds_across_submitters() {
+        const LIMIT: usize = 10;
+        const PER_THREAD: usize = 2_000;
+        let cfg = CfmConfig::new(4, 1, 16).unwrap();
+        let config = ServiceConfig::new(cfg, 32)
+            .with_tenant(TenantSpec::new("a").queue_capacity(8))
+            .with_tenant(TenantSpec::new("b").queue_capacity(8))
+            .max_queued(LIMIT);
+        let shared = Arc::new(Shared::new(&config));
+        let submitters: Vec<_> = (0..2)
+            .map(|t| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let (mut admitted, mut overloaded) = (0, 0);
+                    while admitted < PER_THREAD {
+                        match shared.submit(t, Operation::read(0)) {
+                            Ok(_) => admitted += 1,
+                            Err(Reject::Overloaded { queued, limit, .. }) => {
+                                assert_eq!((queued, limit), (LIMIT, LIMIT));
+                                overloaded += 1;
+                            }
+                            Err(Reject::QueueFull { .. }) => {}
+                            Err(other) => panic!("unexpected rejection: {other}"),
+                        }
+                    }
+                    overloaded
+                })
+            })
+            .collect();
+        // This thread dequeues, as the loop would.
+        let mut heads = [0, 0];
+        let mut taken = 0;
+        while taken < 2 * PER_THREAD {
+            let waiting: usize = (0..2)
+                .map(|t| {
+                    let ring = &shared.tenants[t].ring;
+                    (0..ring.len())
+                        .filter(|&i| ring[i].full.load(Ordering::Acquire))
+                        .count()
+                })
+                .sum();
+            assert!(waiting <= LIMIT, "{waiting} queued over a limit of {LIMIT}");
+            for (t, head) in heads.iter_mut().enumerate() {
+                if shared.tenants[t].ready(*head, Ordering::Acquire) {
+                    drop(shared.take(t, head));
+                    taken += 1;
+                }
+            }
+        }
+        let overloaded: u64 = submitters.into_iter().map(|s| s.join().unwrap()).sum();
+        let counted: u64 = shared
+            .metrics()
+            .tenants
+            .iter()
+            .map(|t| t.rejected_overloaded)
+            .sum();
+        assert_eq!(counted, overloaded);
+        assert_eq!(
+            shared
+                .queued
+                .as_ref()
+                .unwrap()
+                .count
+                .load(Ordering::Relaxed),
+            0
+        );
+    }
+
+    /// The limit is counted only where it can bind: not when it is at or
+    /// above the sum of the queue capacities.
+    #[test]
+    fn admission_counts_the_global_bound_only_where_it_binds() {
+        let cfg = CfmConfig::new(4, 1, 16).unwrap();
+        let two = |limit: Option<usize>| {
+            let config = ServiceConfig::new(cfg, 32)
+                .with_tenant(TenantSpec::new("a").queue_capacity(8))
+                .with_tenant(TenantSpec::new("b").queue_capacity(8));
+            let config = match limit {
+                Some(limit) => config.max_queued(limit),
+                None => config,
+            };
+            Shared::new(&config).queued.is_some()
+        };
+        assert!(!two(None));
+        assert!(!two(Some(16)));
+        assert!(!two(Some(100)));
+        assert!(two(Some(15)));
+    }
+
+    /// Once `Ticket::wait` returns, `metrics()` already counts the
+    /// completion.
+    #[test]
+    fn admission_wait_sees_the_completion_counted() {
+        let service = small_service();
+        for i in 0..500u64 {
+            let ticket = service
+                .submit((i % 2) as usize, Operation::read(0))
+                .unwrap();
+            ticket.wait().unwrap();
+            assert_eq!(service.metrics().completed(), i + 1);
+        }
         service.drain();
     }
 

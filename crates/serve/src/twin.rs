@@ -2,12 +2,12 @@
 //!
 //! [`run`] steps the loop core the service thread runs — deficit
 //! round-robin dequeue onto idle processors, issue and one slot, polling
-//! the delivered lanes — from one thread with no lock, no park and no
-//! edge. Admission goes through the service's own admission checks on a
-//! plain state, and answers through the same reply path as a served
-//! ticket, so a twin run is the threaded service's schedule with the wall
-//! clock taken out: the same roster and traffic give the same
-//! [`TwinReport`], byte for byte, on either engine. `cfm-verify serve`
+//! the delivered lanes — from one thread with no park and no edge.
+//! Admission goes through the service's own gates and rings, on a shared
+//! state no other thread sees, and answers through the same reply path
+//! as a served ticket, so a twin run is the threaded service's schedule
+//! with the wall clock taken out: the same roster and traffic give the
+//! same [`TwinReport`], byte for byte, on either engine. `cfm-verify serve`
 //! asserts the latency-critical tenant's queueing bound in slots on it
 //! (`docs/service.md` §6).
 //!
@@ -19,8 +19,8 @@
 //!    would);
 //! 2. the core dequeues onto the idle processors;
 //! 3. the last slot's answers are delivered — after the dequeue, as the
-//!    thread delivers them after releasing its lock, so a client sees
-//!    them on the next pass;
+//!    thread delivers them after counting them, so a client sees them on
+//!    the next pass;
 //! 4. unless nothing is queued or in flight (the thread would park), the
 //!    core issues the batch, steps one slot and polls.
 //!
@@ -35,7 +35,7 @@ use cfm_core::stats::Stats;
 
 use crate::config::ServiceConfig;
 use crate::request::{Reply, TenantId, Ticket, TicketInner};
-use crate::service::{target, Inner, LoopCore, Service, StartError};
+use crate::service::{target, LoopCore, Service, Shared, StartError};
 
 /// What a twin run did: every answered request on the slot clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub fn run<I: Iterator<Item = Operation>>(
     slots: u64,
 ) -> Result<TwinReport, StartError> {
     Service::validate(&config)?;
-    let mut inner = Inner::new(&config);
+    let shared = Shared::new(&config);
     let mut core = LoopCore::new(&config);
     // The core stamps wall-clock latencies; the twin reports none.
     let at = Instant::now();
@@ -90,7 +90,7 @@ pub fn run<I: Iterator<Item = Operation>>(
             while outstanding.len() < *window {
                 let Some(op) = ops.next() else { break };
                 let admitted = target(&op, config.offsets).and_then(|target| {
-                    Service::admit(&mut inner, tenant, op, target, || {
+                    shared.admit(tenant, op, target, true, || {
                         let ticket = TicketInner::new();
                         (Reply::Ticket(Arc::clone(&ticket)), Ticket { inner: ticket })
                     })
@@ -101,12 +101,12 @@ pub fn run<I: Iterator<Item = Operation>>(
             }
         }
         let idle = core.free.len();
-        core.dequeue(&mut inner);
+        core.dequeue(&shared);
         for (reply, response) in core.fulfilled.drain(..) {
             reply.deliver(Ok(response), None);
             progress = true;
         }
-        if core.must_step(&inner) {
+        if core.must_step(&shared) {
             report.idle_lanes.push(idle);
             core.issue_and_step(at);
             core.poll(at);

@@ -51,16 +51,17 @@ use crate::report::Check;
 /// Which service soaks to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSpec {
-    /// Traffic seeds; each soaks one roster on one machine shape
-    /// (shapes rotate per seed index).
+    /// Traffic seeds; each soaks one roster on one machine shape, which
+    /// the seed picks, so a seed alone replays its soak.
     pub seeds: Vec<u64>,
     /// Operations each tenant submits per soak.
     pub ops_per_tenant: u64,
 }
 
 impl Default for ServeSpec {
-    /// Two seeded soaks rotating machine shapes, sized so the fairness
-    /// window closes well before either driver runs out of operations.
+    /// Two seeded soaks (on shapes n=4 c=2 and n=4 c=1), sized so the
+    /// fairness window closes well before either driver runs out of
+    /// operations.
     fn default() -> Self {
         ServeSpec {
             seeds: vec![11, 12],
@@ -69,7 +70,7 @@ impl Default for ServeSpec {
     }
 }
 
-/// `(n, c)` machine shapes the soak rotates through.
+/// `(n, c)` machine shapes a soak's seed picks from.
 const SHAPES: [(usize, u32); 3] = [(4, 1), (8, 1), (4, 2)];
 
 const WORD_WIDTH: u32 = 16;
@@ -141,8 +142,9 @@ fn wait_for_completions(service: &Service, target: u64) -> cfm_serve::MetricsSna
 }
 
 /// One seeded soak: conflict-freedom + fairness on a hog/meek roster.
-fn soak(spec: &ServeSpec, index: usize, seed: u64) -> Vec<Check> {
-    let (n, c) = SHAPES[index % SHAPES.len()];
+fn soak(spec: &ServeSpec, seed: u64) -> Vec<Check> {
+    // The seed picks the shape, so a replay with the one seed reruns it.
+    let (n, c) = SHAPES[(seed % SHAPES.len() as u64) as usize];
     let cfg = CfmConfig::new(n, c, WORD_WIDTH).expect("valid soak shape");
     let banks = cfg.banks();
     let subject = format!("n={n} c={c} seed={seed}");
@@ -223,7 +225,7 @@ fn soak(spec: &ServeSpec, index: usize, seed: u64) -> Vec<Check> {
                     "bank_conflicts={} completed={completed} admitted={admitted}",
                     report.stats.bank_conflicts
                 ),
-                vec![],
+                vec![format!("replay: cfm-verify serve --seeds {seed}")],
             )
         }
         .with_metric("ops", completed)
@@ -246,10 +248,13 @@ fn soak(spec: &ServeSpec, index: usize, seed: u64) -> Vec<Check> {
                 "serve/fairness",
                 &subject,
                 format!("meek tenant starved: {meek_delta} of {window} < bound {bound}"),
-                vec![format!(
-                    "window={window} meek={meek_delta} bound={bound} slack={}",
-                    fairness_slack(n)
-                )],
+                vec![
+                    format!(
+                        "window={window} meek={meek_delta} bound={bound} slack={}",
+                        fairness_slack(n)
+                    ),
+                    format!("replay: cfm-verify serve --seeds {seed}"),
+                ],
             )
         }
         .with_metric("window", window)
@@ -673,8 +678,8 @@ fn self_tests(seed: u64) -> Vec<Check> {
 /// Run the serve soak suite.
 pub fn verify(spec: &ServeSpec, self_test: bool) -> Vec<Check> {
     let mut checks = Vec::new();
-    for (index, &seed) in spec.seeds.iter().enumerate() {
-        checks.extend(soak(spec, index, seed));
+    for &seed in &spec.seeds {
+        checks.extend(soak(spec, seed));
     }
     for &seed in &spec.seeds {
         checks.push(qos_bound(seed));
@@ -713,6 +718,26 @@ mod tests {
                 check.detail
             );
         }
+    }
+
+    /// A soak's shape follows its seed, not the seed's place in
+    /// `--seeds`, so a printed seed replays the soak it names.
+    #[test]
+    fn a_soak_seed_picks_its_own_shape() {
+        let subject = |seeds: Vec<u64>| {
+            let spec = ServeSpec {
+                seeds,
+                ops_per_tenant: 200,
+            };
+            verify(&spec, false)
+                .into_iter()
+                .filter(|check| check.name == "serve/fairness" && check.subject.ends_with("seed=3"))
+                .map(|check| check.subject)
+                .collect::<Vec<_>>()
+        };
+        let alone = subject(vec![3]);
+        assert_eq!(alone, ["n=4 c=1 seed=3"]);
+        assert_eq!(subject(vec![1, 2, 3]), alone);
     }
 
     #[test]

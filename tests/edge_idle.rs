@@ -4,7 +4,10 @@
 //! In-process submits, drain, and both edge shutdown paths wake it
 //! there through its eventfd. Kept in its own test binary, with its
 //! tests run one at a time, so that no other service's `cfm-serve-loop`
-//! thread shares the process while the thread is sampled.
+//! thread runs while the thread is sampled. A joined loop thread's
+//! `/proc/self/task` entry can outlive the join, so each test lists the
+//! loop threads before it starts its service and samples only the new
+//! one.
 #![cfg(target_os = "linux")]
 
 use std::path::{Path, PathBuf};
@@ -20,9 +23,14 @@ use conflict_free_memory::serve::{EdgeConfig, EdgeHandle, Service, ServiceConfig
 /// One test at a time: each counts the process's threads.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn service() -> Service {
+/// A started service and its event-loop thread's task.
+fn service() -> (Service, PathBuf) {
+    let before = tasks_named("cfm-serve-loop");
     let machine = CfmConfig::new(4, 1, 16).unwrap();
-    Service::start(ServiceConfig::new(machine, 32).with_tenant(TenantSpec::new("idle"))).unwrap()
+    let service =
+        Service::start(ServiceConfig::new(machine, 32).with_tenant(TenantSpec::new("idle")))
+            .unwrap();
+    (service, loop_task(&before))
 }
 
 /// `/proc/self/task/<tid>` of every thread named `name`.
@@ -34,21 +42,31 @@ fn tasks_named(name: &str) -> Vec<PathBuf> {
         .collect()
 }
 
-/// The one event-loop thread, after checking that no edge thread exists.
-/// A new thread names itself once it runs, so wait for the name.
-fn loop_task() -> PathBuf {
+/// The one event-loop thread not in `before`, after checking that no
+/// edge thread exists. A new thread names itself once it runs, so wait
+/// for the name.
+fn loop_task(before: &[PathBuf]) -> PathBuf {
     let deadline = Instant::now() + Duration::from_secs(5);
-    let mut tasks = tasks_named("cfm-serve-loop");
+    let new = || {
+        let mut tasks = tasks_named("cfm-serve-loop");
+        tasks.retain(|t| !before.contains(t));
+        tasks
+    };
+    let mut tasks = new();
     while tasks.is_empty() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(1));
-        tasks = tasks_named("cfm-serve-loop");
+        tasks = new();
     }
     assert_eq!(
         tasks_named("cfm-edge"),
         Vec::<PathBuf>::new(),
         "no edge thread"
     );
-    assert_eq!(tasks.len(), 1, "exactly one event-loop thread: {tasks:?}");
+    assert_eq!(
+        tasks.len(),
+        1,
+        "exactly one new event-loop thread: {tasks:?}"
+    );
     tasks.into_iter().next().unwrap()
 }
 
@@ -109,11 +127,10 @@ fn timed(close: impl FnOnce() + Send + 'static) -> Option<Duration> {
 #[test]
 fn idle_edge_costs_nothing_and_stops_promptly() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let service = service();
+    let (service, task) = service();
     let edge = service.serve_edge(EdgeConfig::default()).unwrap();
     // Let the loop take the edge, spin out its idle bound and park.
     thread::sleep(Duration::from_millis(20));
-    let task = loop_task();
     let before = voluntary_switches(&task);
     thread::sleep(Duration::from_millis(200));
     let woke = voluntary_switches(&task) - before;
@@ -140,9 +157,8 @@ fn idle_edge_costs_nothing_and_stops_promptly() {
 #[test]
 fn in_process_submit_wakes_a_loop_parked_in_epoll() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let service = service();
+    let (service, task) = service();
     let edge = service.serve_edge(EdgeConfig::default()).unwrap();
-    let task = loop_task();
     wait_parked(&edge, &task);
     let parks = edge.stats().parks;
 
@@ -171,9 +187,9 @@ fn in_process_submit_wakes_a_loop_parked_in_epoll() {
 #[test]
 fn drain_wakes_a_loop_parked_in_epoll_and_closes_the_edge() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let service = service();
+    let (service, task) = service();
     let edge = service.serve_edge(EdgeConfig::default()).unwrap();
-    wait_parked(&edge, &loop_task());
+    wait_parked(&edge, &task);
 
     let (tx, rx) = mpsc::channel();
     let drainer = thread::spawn(move || tx.send(service.drain()).unwrap());

@@ -301,10 +301,11 @@ fn spin(mut ticket: Ticket) -> Response {
 
 /// A ticket that has resolved is already counted: once its waiter
 /// returns, `metrics()` reports it `completed`. The event loop counts a
-/// slot's completions under the state lock at the next admission and
-/// delivers them only after, and that order must hold on each way out
-/// of the pass: serving on, parking idle, quiescing for a migration,
-/// and the drain exit, whose report must count every delivered answer.
+/// slot's completions under its completion lock at the start of the
+/// next pass and delivers them only after, and that order must hold on
+/// each way out of the pass: serving on, parking idle, quiescing for a
+/// migration, and the drain exit, whose report must count every
+/// delivered answer.
 #[test]
 fn resolved_tickets_are_already_counted() {
     // c = 4 → b = 16: multi-slot operations keep a backlog in flight
