@@ -15,21 +15,8 @@
 //! bounds its share and the CFM layout keeps `bank_conflicts` at 0 —
 //! both are asserted in the report.
 //!
-//! A **live-migration phase** precedes the soak: a two-tenant service
-//! runs the same read budget on an untouched "steady" tenant twice — once
-//! undisturbed and once while the "moving" tenant is live-migrated
-//! onto a machine with two extra spare banks (`Service::migrate`,
-//! quiesce → checkpoint → restore → replay — the reconfiguration an
-//! operator runs to provision spares ahead of an expected fault).
-//! Keeping the AT-space geometry fixed isolates the migration stall
-//! itself: the untouched tenant must sustain ≥ 0.9× its healthy
-//! throughput across the boundary. (Cross-geometry migrations change
-//! per-op block width, so their throughput is not comparable; their
-//! correctness is proven by `cfm-verify restore --ci`.) The ratio and
-//! the migration geometry are recorded in the report's `migration`
-//! block (see `docs/checkpoint-restore.md`).
-//!
-//! A **wire-edge phase** then measures the TCP surface: ≥ 1 000
+//! A **wire-edge phase** precedes the soak and measures the TCP
+//! surface: ≥ 1 000
 //! concurrent wire clients (opened before any traffic flows, held open
 //! until every one has completed its budget and the per-connection
 //! drain handshake) pump closed-loop reads through the nonblocking
@@ -39,7 +26,10 @@
 //! The latency-critical probe's queueing bound is asserted in slots, on
 //! the service's slot-clock twin, by `cfm-verify serve`
 //! (`serve/qos-bound`); its wire latency is measured by the benchmark's
-//! `critical_p50_us` (`perfbench/`).
+//! `critical_p50_us` (`perfbench/`). A live migration's cost to an
+//! untouched tenant is asserted in slots on the twin too, by
+//! `cfm-verify restore` (`restore/migration`): no pass outside the swap
+//! window leaves a processor idle while that tenant has work queued.
 //!
 //! `--smoke` shrinks the per-tenant operation budget for CI.
 
@@ -153,159 +143,6 @@ fn drive_tenant(
         }
     }
     (completed, rejected)
-}
-
-/// What the live-migration phase measured: the untouched tenant's
-/// throughput with and without a concurrent migration, plus the
-/// migration geometry.
-struct MigrationOutcome {
-    steady_ops: u64,
-    healthy_ops_per_s: f64,
-    migrated_ops_per_s: f64,
-    ratio: f64,
-    snapshot_bytes: usize,
-    replayed: usize,
-    from_banks: usize,
-    to_banks: usize,
-    from_spares: usize,
-    to_spares: usize,
-}
-
-/// Spare banks the migration target adds: the same AT-space geometry
-/// with standby capacity provisioned ahead of an expected fault.
-const MIGRATION_SPARES: usize = 2;
-
-/// Drive one read-only tenant closed-loop for `ops` completions and
-/// return the wall seconds it took. The tenant is never part of a
-/// migration set, so any `Reject::Migrating` here is a contract
-/// violation and panics.
-fn drive_steady_reader(service: &Service, tenant: usize, ops: u64) -> f64 {
-    let start = Instant::now();
-    let mut outstanding: VecDeque<Ticket> = VecDeque::with_capacity(WINDOW);
-    let mut completed = 0u64;
-    let mut next = 0usize;
-    while completed < ops {
-        if outstanding.len() < WINDOW {
-            match service.submit(tenant, cfm_core::op::Operation::read(next % OFFSETS)) {
-                Ok(t) => {
-                    outstanding.push_back(t);
-                    next += 1;
-                }
-                Err(Reject::QueueFull { .. } | Reject::Overloaded { .. }) => {
-                    if let Some(t) = outstanding.pop_front() {
-                        t.wait().expect("service alive during bench");
-                        completed += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(other) => panic!("untouched tenant shed during migration: {other}"),
-            }
-        } else if let Some(t) = outstanding.pop_front() {
-            t.wait().expect("service alive during bench");
-            completed += 1;
-        }
-    }
-    for t in outstanding {
-        t.wait().expect("service alive during bench");
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Run the two-tenant migration roster once. With `migrate` the moving
-/// tenant is live-migrated onto a machine with twice the processors
-/// while the steady tenant's read budget runs; without, the same
-/// budget runs undisturbed. Returns the steady tenant's wall seconds
-/// and, for the migrated run, the `MigrationReport`.
-fn migration_run(ops: u64, migrate: bool) -> (f64, Option<cfm_serve::MigrationReport>) {
-    let cfg = CfmConfig::new(PROCESSORS, CLUSTER, WORD_WIDTH).expect("valid bench config");
-    let banks = cfg.banks();
-    let service = Arc::new(
-        Service::start(
-            ServiceConfig::new(cfg, OFFSETS)
-                .with_tenant(TenantSpec::new("moving").queue_capacity(QUEUE_CAPACITY))
-                .with_tenant(TenantSpec::new("steady").queue_capacity(QUEUE_CAPACITY)),
-        )
-        .expect("valid service config"),
-    );
-
-    // Pre-boundary sentinel on the moving tenant: must be durable
-    // (zero-extended, untorn) after the swap.
-    service
-        .submit(0, cfm_core::op::Operation::write(7, vec![41; banks]))
-        .expect("admitted")
-        .wait()
-        .expect("sentinel served");
-
-    let steady = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || drive_steady_reader(&service, 1, ops))
-    };
-    let report = if migrate {
-        let target = CfmConfig::new(PROCESSORS, CLUSTER, WORD_WIDTH)
-            .and_then(|c| c.with_spares(MIGRATION_SPARES))
-            .expect("valid target config");
-        Some(service.migrate(&[0], target).expect("live migration"))
-    } else {
-        None
-    };
-    let wall_s = steady.join().expect("steady client thread");
-
-    if migrate {
-        let resp = service
-            .submit(0, cfm_core::op::Operation::read(7))
-            .expect("migrated tenant re-admitted")
-            .wait()
-            .expect("post-migration read served");
-        let data = resp.completion.data.as_deref().unwrap_or(&[]);
-        assert!(
-            data.len() == banks && data.iter().all(|&w| w == 41) && !resp.completion.torn,
-            "pre-boundary write not durable across the migration: {data:?}"
-        );
-    }
-    let service = Arc::try_unwrap(service).ok().expect("clients joined");
-    let drained = service.drain();
-    assert_eq!(
-        drained.stats.bank_conflicts, 0,
-        "conflict-freedom must hold across the migration boundary"
-    );
-    (wall_s, report)
-}
-
-/// Repetitions per arm of the migration phase. Each arm reports its
-/// best run: host scheduling noise only ever slows a run down, so the
-/// fastest sample is the tightest estimate of sustainable throughput —
-/// while the migration stall itself is deterministic and present in
-/// every migrated sample.
-const MIGRATION_REPS: usize = 5;
-
-/// Measure the untouched tenant's sustained throughput with and
-/// without a concurrent live migration of its neighbour.
-fn migration_phase(ops: u64) -> MigrationOutcome {
-    let mut healthy_s = f64::INFINITY;
-    let mut migrated_s = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..MIGRATION_REPS {
-        healthy_s = healthy_s.min(migration_run(ops, false).0);
-        let (wall_s, rep) = migration_run(ops, true);
-        migrated_s = migrated_s.min(wall_s);
-        report = rep;
-    }
-    let report = report.expect("migrated run produced a report");
-    let healthy_ops_per_s = ops as f64 / healthy_s;
-    let migrated_ops_per_s = ops as f64 / migrated_s;
-    MigrationOutcome {
-        steady_ops: ops,
-        healthy_ops_per_s,
-        migrated_ops_per_s,
-        ratio: migrated_ops_per_s / healthy_ops_per_s,
-        snapshot_bytes: report.snapshot_bytes,
-        replayed: report.replayed,
-        from_banks: report.from_banks,
-        to_banks: report.to_banks,
-        from_spares: 0,
-        to_spares: MIGRATION_SPARES,
-    }
 }
 
 /// Concurrent wire connections the edge phase sustains (the acceptance
@@ -494,8 +331,7 @@ fn edge_phase(ops_per_conn: u64) -> EdgeOutcome {
         Service::start(
             ServiceConfig::new(cfg, OFFSETS)
                 .with_tenant(TenantSpec::new("edge-a").queue_capacity(EDGE_CONNECTIONS))
-                .with_tenant(TenantSpec::new("edge-b").queue_capacity(EDGE_CONNECTIONS))
-                .max_queued(2 * EDGE_CONNECTIONS),
+                .with_tenant(TenantSpec::new("edge-b").queue_capacity(EDGE_CONNECTIONS)),
         )
         .expect("valid service config"),
     );
@@ -543,11 +379,9 @@ fn edge_phase(ops_per_conn: u64) -> EdgeOutcome {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // the report's full input set
 fn json_report(
     runs: &[TenantRun],
     report: &cfm_serve::ServiceReport,
-    migration: &MigrationOutcome,
     edge: &EdgeOutcome,
     wall_s: f64,
     ops_target: u64,
@@ -583,25 +417,6 @@ fn json_report(
         report.metrics.overall.mean_ns(),
     ));
     out.push_str("  },\n");
-    out.push_str("  \"migration\": {\n");
-    out.push_str(&format!(
-        "    \"steady_ops\": {},\n    \"healthy_ops_per_s\": {:.0},\n    \
-         \"migrated_ops_per_s\": {:.0},\n    \"ratio\": {:.3},\n    \
-         \"threshold\": 0.9,\n    \"snapshot_bytes\": {},\n    \"replayed\": {},\n    \
-         \"from_banks\": {},\n    \"to_banks\": {},\n    \"from_spares\": {},\n    \
-         \"to_spares\": {}\n",
-        migration.steady_ops,
-        migration.healthy_ops_per_s,
-        migration.migrated_ops_per_s,
-        migration.ratio,
-        migration.snapshot_bytes,
-        migration.replayed,
-        migration.from_banks,
-        migration.to_banks,
-        migration.from_spares,
-        migration.to_spares,
-    ));
-    out.push_str("  },\n");
     out.push_str("  \"edge\": {\n");
     out.push_str(&format!(
         "    \"connections\": {},\n    \"ops\": {},\n    \"responses\": {},\n    \
@@ -624,11 +439,7 @@ fn json_report(
          client; latency is admission to fulfillment with HDR-style histograms (log2 \
          majors x 32 linear sub-buckets, <= 3.2% quantile error, exact below 32 ns). \
          hotspot drives 100% of its traffic at one block; bank_conflicts must stay 0 \
-         regardless. The migration section runs the untouched tenant's read \
-         budget with and without a concurrent live migration of its neighbour onto a \
-         machine with two extra spare banks (same AT-space geometry, so per-op cost is \
-         comparable and the ratio isolates the migration stall); ratio is migrated \
-         over healthy throughput and must stay >= 0.9. The edge section holds every \
+         regardless. The edge section holds every \
          wire connection open before traffic starts and through the drain handshake, \
          so 'connections' is true concurrency, not a ramp; bank_conflicts must stay 0 \
          end to end over TCP.\",\n",
@@ -670,33 +481,6 @@ fn main() {
     let host_cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-
-    // Live-migration phase: the untouched tenant's read budget runs
-    // once undisturbed and once concurrently with a live migration of
-    // its neighbour onto a machine with twice the processors.
-    let migration_ops: u64 = if smoke { 5_000 } else { 50_000 };
-    let migration = migration_phase(migration_ops);
-    assert!(
-        migration.ratio >= 0.9,
-        "untouched tenant dropped below 0.9x healthy throughput during live \
-         migration: {:.3} ({:.0} vs {:.0} ops/s)",
-        migration.ratio,
-        migration.migrated_ops_per_s,
-        migration.healthy_ops_per_s
-    );
-    println!(
-        "migration phase: steady tenant {:.0} ops/s healthy, {:.0} ops/s during a \
-         live migration ({} banks, {} -> {} spares, {}-byte snapshot, {} replayed) \
-         = {:.3}x",
-        migration.healthy_ops_per_s,
-        migration.migrated_ops_per_s,
-        migration.from_banks,
-        migration.from_spares,
-        migration.to_spares,
-        migration.snapshot_bytes,
-        migration.replayed,
-        migration.ratio
-    );
 
     // Wire-edge phase: the full fleet connects before the first op and
     // every connection completes its budget and the drain handshake.
@@ -817,9 +601,7 @@ fn main() {
         report.stats.bank_conflicts
     );
 
-    let json = json_report(
-        &runs, &report, &migration, &edge, wall_s, ops_target, host_cpus, smoke,
-    );
+    let json = json_report(&runs, &report, &edge, wall_s, ops_target, host_cpus, smoke);
     match std::fs::File::create("BENCH_serve.json").and_then(|mut f| f.write_all(json.as_bytes())) {
         Ok(()) => println!("wrote BENCH_serve.json"),
         Err(e) => println!("could not write BENCH_serve.json: {e}"),

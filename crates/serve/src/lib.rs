@@ -18,8 +18,9 @@
 //!   one count of queued operations).
 //! * **Scheduling** ([`scheduler::DrrScheduler`]) — a deficit round-robin
 //!   pass maps the tenants' rings onto idle processor lanes every slot; a
-//!   backlogged tenant is guaranteed its weight share of issue slots no
-//!   matter how hard another tenant pushes.
+//!   backlogged tenant is guaranteed its weight share of issue slots,
+//!   less at most one quantum, no matter how hard another tenant pushes
+//!   (the bound and its derivation: `docs/service.md` §3).
 //! * **Batching** — each event-loop iteration coalesces up to one
 //!   operation per idle processor into a single-slot batch, issues the
 //!   batch, and steps the machine exactly one slot; the machine's
@@ -98,7 +99,6 @@ pub mod config;
 pub mod edge;
 pub mod metrics;
 mod poll;
-pub mod queue;
 pub mod request;
 pub mod scheduler;
 pub mod service;

@@ -12,13 +12,11 @@
 //! amortised-forever: a tenant cannot hoard credit while idle and then
 //! monopolise the machine.
 //!
-//! **Fairness bound.** While a tenant stays backlogged, any window of
-//! `W` consecutive dequeues grants it at least
-//! `floor(W · w_t / Σw) − w_max` operations: each full rotation hands
-//! every backlogged tenant exactly its quantum, so the deviation from
-//! the proportional share never exceeds one quantum. The serve soak
-//! (`cfm-verify serve`) asserts this bound with one tenant driving pure
-//! hot-spot traffic.
+//! **Fairness bound.** While every tenant stays backlogged, any window
+//! of `W` consecutive dequeues grants tenant `t` at least
+//! `⌊W · w_t / Σw⌋ − w_max` of them. `docs/service.md` §3 derives it,
+//! and `cfm-verify serve` asserts it on the slot-clock twin
+//! (`serve/fairness`) with one tenant driving pure hot-spot traffic.
 //!
 //! **QoS extension.** [`QosScheduler`] layers two policies on top of
 //! plain DRR, both configured per tenant through

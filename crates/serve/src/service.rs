@@ -35,7 +35,9 @@
 //! delivers the counted completions, issues the batch, steps the machine
 //! exactly one slot and polls the new completions. The dequeue, issue,
 //! step and poll are the loop core (`LoopCore`), which the slot-clock
-//! twin ([`crate::twin`]) steps against the same state.
+//! twin ([`crate::twin`]) steps against the same state; a migration's
+//! gate quiescing (`Shared::quiesce_gates`) and swap
+//! (`perform_migration`) are shared the same way.
 //!
 //! With nothing queued or in flight the loop parks: on a condvar, or in
 //! its wire edge's `epoll_wait` when one is attached ([`crate::edge`]).
@@ -66,7 +68,6 @@ use crate::config::{Criticality, ServiceConfig};
 use crate::edge::{Edge, Link};
 use crate::metrics::{Admissions, Metrics, MetricsSnapshot};
 use crate::poll::EventFd;
-use crate::queue::Pending;
 use crate::request::{Reject, Reply, Request, Response, TenantId, Ticket, TicketInner};
 use crate::scheduler::{QosScheduler, QosTenant};
 
@@ -183,7 +184,7 @@ impl From<SnapshotError> for MigrateError {
 }
 
 /// What a successful [`Service::migrate`] did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Serialised snapshot size — the migration goes through the full
     /// [`MachineSnapshot::to_bytes`] / `from_bytes` byte path, as a
@@ -250,6 +251,13 @@ impl<T> Deref for Line<T> {
     fn deref(&self) -> &T {
         &self.0
     }
+}
+
+/// One admitted-but-not-yet-issued operation, as a ring slot holds it.
+struct Pending {
+    op: Operation,
+    reply: Reply,
+    submitted: Instant,
 }
 
 /// One slot of a submission ring, on cache lines of its own (see
@@ -564,6 +572,20 @@ impl Shared {
             .any(|(t, &head)| t.ready(head, order))
     }
 
+    /// Shed the named tenants' submits with [`Reject::Migrating`] until
+    /// [`perform_migration`] re-admits them, as a migration does before
+    /// it tells the loop. Every name is checked first, so an unknown one
+    /// quiesces nobody.
+    pub(crate) fn quiesce_gates(&self, tenants: &[TenantId]) -> Result<(), MigrateError> {
+        if let Some(&tenant) = tenants.iter().find(|&&t| t >= self.tenants.len()) {
+            return Err(MigrateError::UnknownTenant { tenant });
+        }
+        for &t in tenants {
+            self.tenants[t].gate.lock().migrating = true;
+        }
+        Ok(())
+    }
+
     /// Refuse every further submit, as a drain or a shutdown does before
     /// it tells the loop.
     fn close_gates(&self) {
@@ -679,6 +701,10 @@ pub(crate) struct LoopCore {
     /// The last slot's completions, counted and then delivered on the
     /// next pass (see [`run_event_loop`]).
     pub(crate) fulfilled: Vec<(Reply, Response)>,
+    /// Machine cycle when the loop first quiesced toward a pending
+    /// migration: the start of the drain window [`MigrationReport`]
+    /// reports.
+    migrate_seen_at: Option<u64>,
 }
 
 impl LoopCore {
@@ -707,7 +733,17 @@ impl LoopCore {
             inflight_count: 0,
             batch: Vec::with_capacity(processors),
             fulfilled: Vec::with_capacity(processors),
+            migrate_seen_at: None,
         }
+    }
+
+    /// Quiesce toward a pending migration's swap, on a pass that
+    /// dequeues nothing: note the cycle the migration was first seen at,
+    /// and say whether the last in-flight operation has completed, so
+    /// that [`perform_migration`] may run.
+    pub(crate) fn quiesced_for_swap(&mut self) -> bool {
+        self.migrate_seen_at.get_or_insert(self.machine.cycle());
+        self.inflight_count == 0
     }
 
     /// Whether this pass must step the machine: a batch to issue, an
@@ -792,9 +828,6 @@ impl LoopCore {
 struct LoopState {
     core: LoopCore,
     shared: Arc<Shared>,
-    /// Machine cycle when the loop first saw the pending migration —
-    /// start of the drain window reported in [`MigrationReport`].
-    migrate_seen_at: Option<u64>,
     /// The loop has seen the drain command.
     draining: bool,
     /// The wire edge this loop serves, if any. Boxed: the loop's hot
@@ -851,7 +884,6 @@ impl Service {
         let state = LoopState {
             core: LoopCore::new(&config),
             shared: Arc::clone(&shared),
-            migrate_seen_at: None,
             draining: false,
             edge: None,
             pass_at: Instant::now(),
@@ -958,12 +990,7 @@ impl Service {
             if ctl.migrating {
                 return Err(MigrateError::MigrationInProgress);
             }
-            if let Some(&t) = tenants.iter().find(|&&t| t >= self.shared.tenants.len()) {
-                return Err(MigrateError::UnknownTenant { tenant: t });
-            }
-            for &t in tenants {
-                self.shared.tenants[t].gate.lock().migrating = true;
-            }
+            self.shared.quiesce_gates(tenants)?;
             ctl.migrating = true;
             ctl.migration = Some(MigrationCmd {
                 target,
@@ -1076,9 +1103,7 @@ fn run_event_loop(state: &mut LoopState) {
                 // migration; until then the machine keeps stepping.
                 shared.signals.attention.store(true, Ordering::Relaxed);
                 quiesce = true;
-                let cycle = state.core.machine.cycle();
-                state.migrate_seen_at.get_or_insert(cycle);
-                if state.core.inflight_count == 0 {
+                if state.core.quiesced_for_swap() {
                     migration = ctl.migration.take();
                 }
             }
@@ -1110,7 +1135,9 @@ fn run_event_loop(state: &mut LoopState) {
 
         // ---- Swap boundary: source is drained, perform the move. -----
         if let Some(cmd) = migration {
-            perform_migration(state, &shared, cmd);
+            let outcome = perform_migration(&mut state.core, &shared, cmd.target);
+            shared.control.lock().migrating = false;
+            cmd.done.deliver(outcome);
             state.pass_at = Instant::now();
             continue;
         }
@@ -1222,34 +1249,34 @@ fn close_edge(state: &mut LoopState, ctl: &mut Control) {
     ctl.epoll_wake = None;
 }
 
-/// Execute one migration at the swap boundary: the source machine has
-/// no operation in flight. Quiesce the ATT windows, checkpoint through
-/// the full byte codec, restore onto the target shape, swap the
-/// machine, and re-chunk queued writes for the (possibly grown) block
-/// length. On any failure the source machine is kept and the service
-/// continues on it — the error travels back to the [`Service::migrate`]
-/// caller, nothing is lost.
-fn perform_migration(state: &mut LoopState, shared: &Shared, cmd: MigrationCmd) {
-    debug_assert_eq!(state.core.inflight_count, 0);
-    let from_banks = state.core.machine.config().banks();
-    let seen_at = state
-        .migrate_seen_at
-        .take()
-        .unwrap_or(state.core.machine.cycle());
+/// Execute one migration once [`LoopCore::quiesced_for_swap`] holds:
+/// quiesce the ATT windows, checkpoint through the full byte codec,
+/// restore onto `target`, swap the machine, re-chunk queued writes for
+/// the (possibly grown) block length and re-admit the quiesced tenants.
+/// On any failure the source machine keeps serving; nothing is lost. The
+/// service thread and the slot-clock twin ([`crate::twin`]) both call it.
+pub(crate) fn perform_migration(
+    core: &mut LoopCore,
+    shared: &Shared,
+    target: CfmConfig,
+) -> Result<MigrationReport, MigrateError> {
+    debug_assert_eq!(core.inflight_count, 0);
+    let from_banks = core.machine.config().banks();
+    let seen_at = core.migrate_seen_at.take().unwrap_or(core.machine.cycle());
     // The machine is idle; only the ATT arbitration windows (≤ b − 1
     // slots, plus transient-repair holds) remain. Budget generously —
     // a pathological fault plan pinning a held entry is a typed error,
     // not a hang.
-    let budget = (from_banks as u64 + u64::from(state.core.machine.config().bank_cycle())) * 4 + 64;
+    let budget = (from_banks as u64 + u64::from(core.machine.config().bank_cycle())) * 4 + 64;
     let result = (|| -> Result<(usize, CfmMachine), MigrateError> {
-        if !state.core.machine.quiesce(budget) {
+        if !core.machine.quiesce(budget) {
             return Err(MigrateError::QuiesceTimeout { budget });
         }
-        let bytes = state.core.machine.checkpoint().to_bytes();
-        let restored = MachineSnapshot::from_bytes(&bytes)?.restore_into(cmd.target)?;
+        let bytes = core.machine.checkpoint().to_bytes();
+        let restored = MachineSnapshot::from_bytes(&bytes)?.restore_into(target)?;
         Ok((bytes.len(), restored))
     })();
-    let drained_slots = state.core.machine.cycle() - seen_at;
+    let drained_slots = core.machine.cycle() - seen_at;
 
     let target_cfg = result.as_ref().ok().map(|(_, restored)| *restored.config());
     let mut replayed = 0;
@@ -1259,18 +1286,18 @@ fn perform_migration(state: &mut LoopState, shared: &Shared, cmd: MigrationCmd) 
     for (t, tenant) in shared.tenants.iter().enumerate() {
         let mut gate = tenant.gate.lock();
         if let Some(cfg) = target_cfg {
-            replayed += tenant.rechunk(state.core.heads[t], cfg.banks());
+            replayed += tenant.rechunk(core.heads[t], cfg.banks());
             gate.config = cfg;
         }
         gate.migrating = false;
     }
-    let outcome = result.map(|(snapshot_bytes, restored)| {
+    result.map(|(snapshot_bytes, restored)| {
         let target_cfg = *restored.config();
         let processors = target_cfg.processors();
-        state.core.machine = restored;
-        state.core.inflight = (0..processors).map(|_| None).collect();
-        state.core.free = (0..processors).rev().collect();
-        state.core.inflight_count = 0;
+        core.machine = restored;
+        core.inflight = (0..processors).map(|_| None).collect();
+        core.free = (0..processors).rev().collect();
+        core.inflight_count = 0;
         MigrationReport {
             snapshot_bytes,
             replayed,
@@ -1279,9 +1306,7 @@ fn perform_migration(state: &mut LoopState, shared: &Shared, cmd: MigrationCmd) 
             to_banks: target_cfg.banks(),
             engine: target_cfg.engine(),
         }
-    });
-    shared.control.lock().migrating = false;
-    cmd.done.deliver(outcome);
+    })
 }
 
 /// Graceful-drain exit: the machine is idle and every admitted request
@@ -1600,7 +1625,6 @@ mod tests {
         let mut state = LoopState {
             core: LoopCore::new(&config),
             shared: Arc::clone(&shared),
-            migrate_seen_at: None,
             draining: false,
             edge: None,
             pass_at: Instant::now(),

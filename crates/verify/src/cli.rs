@@ -127,7 +127,7 @@ impl Command {
             ],
             Command::Trace => &["n=", "c=", "--sharers", "--engine"],
             Command::Chaos => &["--seeds", "--engines"],
-            Command::Serve | Command::Restore => &["--seeds", "--ops"],
+            Command::Serve | Command::Restore => &["--seeds"],
             Command::Analyze => &["n=", "c=", "--sweep", "--offsets"],
             Command::Edge => &["--seeds", "--ops", "--clients"],
             Command::All => &[],
@@ -241,7 +241,7 @@ impl Flags {
                 let d = ServeSpec::default();
                 vec![Section::Serve(ServeSpec {
                     seeds: self.seeds.unwrap_or(d.seeds),
-                    ops_per_tenant: self.ops.unwrap_or(d.ops_per_tenant),
+                    ..d
                 })]
             }
             Command::Analyze => {
@@ -256,7 +256,6 @@ impl Flags {
                 let d = RestoreSpec::default();
                 vec![Section::Restore(RestoreSpec {
                     seeds: self.seeds.unwrap_or(d.seeds),
-                    ops_per_tenant: self.ops.unwrap_or(d.ops_per_tenant),
                 })]
             }
             Command::Edge => {
@@ -707,15 +706,15 @@ mod tests {
         let o = parse(&args(&["serve", "--ci", "--format", "json"])).unwrap();
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
-        let o = parse(&args(&["serve", "--seeds", "3,4", "--ops", "500"])).unwrap();
+        let o = parse(&args(&["serve", "--seeds", "3,4"])).unwrap();
         assert_eq!(
             o.sections,
             vec![Section::Serve(ServeSpec {
                 seeds: vec![3, 4],
-                ops_per_tenant: 500,
+                ..ServeSpec::default()
             })]
         );
-        assert!(parse(&args(&["serve", "--ops", "0"])).is_err());
+        assert!(parse(&args(&["serve", "--ops", "500"])).is_err());
         assert!(parse(&args(&["serve", "--seeds", "nope"])).is_err());
         assert!(parse(&args(&["serve", "--model"])).is_err());
     }
@@ -798,15 +797,12 @@ mod tests {
         let o = parse(&args(&["restore", "--ci", "--format", "json"])).unwrap();
         assert!(o.self_test);
         assert_eq!(o.format, Format::Json);
-        let o = parse(&args(&["restore", "--seeds", "3,4", "--ops", "500"])).unwrap();
+        let o = parse(&args(&["restore", "--seeds", "3,4"])).unwrap();
         assert_eq!(
             o.sections,
-            vec![Section::Restore(RestoreSpec {
-                seeds: vec![3, 4],
-                ops_per_tenant: 500,
-            })]
+            vec![Section::Restore(RestoreSpec { seeds: vec![3, 4] })]
         );
-        assert!(parse(&args(&["restore", "--ops", "0"])).is_err());
+        assert!(parse(&args(&["restore", "--ops", "500"])).is_err());
         assert!(parse(&args(&["restore", "--seeds", "nope"])).is_err());
         assert!(parse(&args(&["restore", "--model"])).is_err());
     }

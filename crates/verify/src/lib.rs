@@ -30,14 +30,12 @@
 //!   post-remap injectivity, race freedom, write durability across
 //!   remap boundaries, lock correctness, and stuck-switch detection —
 //!   with seeded-fault self-tests (`cfm-verify chaos --ci`).
-//! * [`serve`] — multi-tenant service soaks over `cfm-serve`: a mixed
-//!   roster with a pure hot-spot tenant must keep `bank_conflicts` at 0,
-//!   honour the windowed deficit-round-robin fairness bound, exercise
-//!   typed queue-full backpressure without deadlocking, complete
-//!   every admitted request on drain, and, on the service's slot-clock
-//!   twin, issue the latency-critical probe on the first pass with an
-//!   idle processor, within `β − 1` slots behind restart-free work —
-//!   with detector self-tests (`cfm-verify serve --ci`).
+//! * [`serve`] — multi-tenant service checks over `cfm-serve`: on the
+//!   service's slot-clock twin, a pure hot-spot hog must leave 0 bank
+//!   conflicts and a meek tenant its deficit-round-robin share in every
+//!   window, and the latency-critical probe must issue within `β − 1`
+//!   slots; typed backpressure must not deadlock and drain must complete
+//!   every admitted request — with self-tests (`cfm-verify serve --ci`).
 //! * [`edge`] — wire-protocol edge soaks over real TCP: N concurrent
 //!   clients push an adversarial tenant mix through `cfm-serve`'s
 //!   nonblocking edge with exactly-once accounting and zero bank
@@ -60,10 +58,9 @@
 //!   active seeded fault plans are checkpointed mid-flight through the
 //!   versioned byte codec and restored — same shape (byte-identical
 //!   continuation), into a strictly larger shape (memory durable,
-//!   target trace race-free), and live-migrated at the service layer
-//!   while an untouched tenant keeps serving — with seeded-corruption
-//!   self-tests for the typed [`cfm_core::snapshot::SnapshotError`]
-//!   taxonomy (`cfm-verify restore --ci`).
+//!   target trace race-free), and live-migrated on the service's twin
+//!   without refusing or starving an untouched tenant — with self-tests
+//!   (`cfm-verify restore --ci`).
 //! * [`report`] / [`json`] — structured findings rendered as text or
 //!   byte-stable JSON (`--format json`) for the CI gate.
 //! * [`cli`] — the `cfm-verify` binary: one argument loop for the bare
@@ -94,11 +91,11 @@ USAGE:
   cfm-verify trace [OPTIONS] [--engine E]
   cfm-verify chaos [--seeds LIST] [--engines LIST]
              [--self-test | --ci] [--format F]
-  cfm-verify serve [--seeds LIST] [--ops N]
+  cfm-verify serve [--seeds LIST]
              [--self-test | --ci] [--format F]
   cfm-verify analyze [--sweep n=A..=B c=C..=D] [--offsets N]
              [--self-test | --ci] [--format F]
-  cfm-verify restore [--seeds LIST] [--ops N]
+  cfm-verify restore [--seeds LIST]
              [--self-test | --ci] [--format F]
   cfm-verify edge [--seeds LIST] [--ops N] [--clients N]
              [--self-test | --ci] [--format F]
@@ -124,19 +121,16 @@ stuck-switch detectability. `--seeds` overrides the default plan seeds,
 sequential,parallel); `chaos --ci` adds self-tests that
 prove each detector non-vacuous.
 
-The `serve` subcommand soaks the cfm-serve multi-tenant request
-service: a roster with one pure hot-spot tenant must complete every
-admitted operation with zero bank conflicts, a continuously backlogged
-weight-1 tenant must meet the windowed deficit-round-robin fairness
-bound against a weight-8 hog, queue flooding must produce typed
-QueueFull backpressure with no admission deadlock, and drain must
-complete all in-flight work. On the service's slot-clock twin, the
-latency-critical probe of an adversarial mix must be issued on the
-first pass with an idle processor, and within beta - 1 slots where
-the operations ahead of it do not restart; a failure prints its
-replay. `--seeds` overrides the traffic seeds (one twin run each),
-`--ops` the per-tenant operation budget; `serve --ci` adds detector
-self-tests.
+The `serve` subcommand checks the cfm-serve multi-tenant request
+service. On the service's slot-clock twin, a weight-8 pure hot-spot
+hog beside a backlogged weight-1 tenant must cause zero bank conflicts,
+answer or refuse every offer alike on both engines, and leave the meek
+tenant floor(W/9) - 8 of every W issues; a latency-critical probe must
+issue on the first pass with an idle processor, within beta - 1 slots
+behind restart-free work; a failure prints its replay. Queue flooding
+must produce typed QueueFull backpressure with no admission deadlock,
+and drain must complete all in-flight work. `--seeds` overrides the
+traffic seeds; `serve --ci` adds detector self-tests.
 
 The `analyze` subcommand runs the static program analyzer: every
 standard program spec is abstractly interpreted on each swept `(n, c)`
@@ -153,12 +147,11 @@ The `restore` subcommand soaks checkpoint/restore and live migration
 under active seeded fault plans: a mid-flight checkpoint restored into
 the same shape must continue byte-identically; a quiesced snapshot
 restored onto a machine with twice the processors and banks must keep
-every unmasked word and serve a race-free workload; a service-level
-live migration must move a tenant through the full byte codec while an
-untouched tenant keeps completing. `--seeds` overrides the fault-plan
-seeds, `--ops` the untouched tenant's read budget; `restore --ci` adds
-self-tests proving the typed corruption detectors (truncation, stale
-version, aliased restore map) non-vacuous.
+every unmasked word and serve a race-free workload; on the service's
+slot-clock twin, a live migration must never refuse or starve an
+untouched tenant and must keep a pre-boundary write whole. `--seeds`
+overrides the fault-plan seeds; `restore --ci` adds self-tests proving
+the typed corruption detectors and the refusal check non-vacuous.
 
 The `edge` subcommand soaks the wire-protocol TCP edge: concurrent
 wire clients drive an adversarial tenant mix (latency-critical probe

@@ -21,30 +21,43 @@
 //! * **race-freedom** — the target machine's post-restore trace is
 //!   race-free under the happens-before detector (the restore map
 //!   introduced no aliasing the schedule could trip over);
-//! * **migration** — [`Service::migrate`] moves a tenant onto a larger
-//!   machine through the full byte codec while an untouched tenant
-//!   keeps completing reads; a write committed before the boundary
-//!   reads back whole (zero-extended, never torn) after it.
+//! * **migration** — on the service's slot-clock twin
+//!   ([`cfm_serve::twin`]), a live migration moves one tenant through
+//!   the full byte codec twice: onto twice the banks, and onto the same
+//!   shape with two spare banks. The migration starts while an
+//!   untouched steady tenant is backlogged; that tenant must never be
+//!   refused, no pass outside the swap window may leave a processor
+//!   idle while its queue holds work, the swap must drain within the
+//!   `Migrating` retry hint the quiesced tenant was given, and a write
+//!   committed before the boundary must read back whole (zero-extended,
+//!   never torn) after it. The runs are exact and start no client
+//!   thread; a failure prints its replay, `cfm-verify restore --seeds
+//!   <seed>`.
 //!
-//! The `self-test/restore-*` checks prove the [`SnapshotError`] taxonomy
-//! non-vacuous: a truncated snapshot, a stale format version, and an
-//! aliased restore map must each be refused by exactly the intended
-//! typed detector while a pristine snapshot still round-trips.
+//! The `self-test/restore-*` checks prove the detectors non-vacuous: a
+//! truncated snapshot, a stale format version, and an aliased restore
+//! map must each be refused by exactly the intended typed
+//! [`SnapshotError`] while a pristine snapshot still round-trips, and
+//! adding the steady tenant to the migration set must break its
+//! never-refused property.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use cfm_core::config::CfmConfig;
 use cfm_core::fault::FaultPlan;
 use cfm_core::machine::CfmMachine;
+use cfm_core::op::OpKind;
 use cfm_core::op::Operation;
 use cfm_core::program::{ScriptDriver, Scripted};
 use cfm_core::snapshot::{MachineSnapshot, SnapshotError};
 use cfm_core::Word;
-use cfm_serve::{Reject, Service, ServiceConfig, TenantSpec, Ticket};
+use cfm_serve::twin::{self, Migration, TwinReport};
+use cfm_serve::{MigrationReport, Reject, ServiceConfig, TenantId, TenantSpec};
+use cfm_workloads::tenants::TenantProfile;
 
 use crate::chaos::{plan_params, shape_for, soak_scripts};
 use crate::report::Check;
+use crate::serve::{client, TwinClient};
 use crate::trace::hb;
 
 /// Cycle budget for every restore drive loop.
@@ -68,21 +81,16 @@ const MIDPOINT_STEPS: u64 = 12;
 pub struct RestoreSpec {
     /// Fault-plan seeds; each soaks one machine shape (the chaos suite's
     /// shapes, rotating per seed index and covering all four with the
-    /// default seed list).
+    /// default seed list). The first also seeds the migration runs'
+    /// traffic.
     pub seeds: Vec<u64>,
-    /// Read operations the untouched tenant completes across the live
-    /// migration boundary.
-    pub ops_per_tenant: u64,
 }
 
 impl Default for RestoreSpec {
-    /// Four seeded soaks, one per machine shape, plus a live-migration
-    /// soak sized so the untouched tenant is still serving when the
-    /// boundary crosses.
+    /// Four seeded soaks, one per machine shape.
     fn default() -> Self {
         RestoreSpec {
             seeds: vec![0xD1CE, 0xFACE, 0xB0BA, 0xCAFE],
-            ops_per_tenant: 2_000,
         }
     }
 }
@@ -364,161 +372,231 @@ fn cross_shape_checks(seed: u64, (n, c, spares): (usize, u32, usize)) -> Vec<Che
     checks
 }
 
-/// Drive one read-only tenant closed-loop until it has completed `ops`
-/// operations. Returns an error if the tenant was ever shed with a
-/// rejection an untouched tenant must never see.
-fn drive_reader(service: &Service, tenant: usize, ops: u64) -> Result<u64, String> {
-    let mut outstanding: VecDeque<Ticket> = VecDeque::new();
-    let mut completed = 0u64;
-    let mut next = 0usize;
-    while completed < ops {
-        if outstanding.len() < 32 {
-            match service.submit(tenant, Operation::read(next % OFFSETS)) {
-                Ok(t) => {
-                    outstanding.push_back(t);
-                    next += 1;
-                }
-                Err(Reject::QueueFull { .. } | Reject::Overloaded { .. }) => {
-                    if let Some(t) = outstanding.pop_front() {
-                        t.wait().ok_or("ticket abandoned mid-soak")?;
-                        completed += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(other) => return Err(format!("untouched tenant shed: {other}")),
-            }
-        } else if let Some(t) = outstanding.pop_front() {
-            t.wait().ok_or("ticket abandoned mid-soak")?;
-            completed += 1;
-        }
-    }
-    for t in outstanding {
-        t.wait().ok_or("ticket abandoned mid-soak")?;
-        completed += 1;
-    }
-    Ok(completed)
+/// The migration runs' two tenants, the slot their migration is asked
+/// for at, the slots they are served before the run drains, and the
+/// block and word of the moving tenant's sentinel write.
+const MOVING: TenantId = 0;
+const STEADY: TenantId = 1;
+const MIGRATE_AT: u64 = 600;
+const MIGRATION_SLOTS: u64 = 1_500;
+const SENTINEL: usize = 7;
+const SENTINEL_WORD: Word = 41;
+
+/// The machine every migration run starts on, and the two targets: twice
+/// the banks, and the same shape with two spare banks provisioned ahead
+/// of an expected fault.
+fn migration_shapes() -> [CfmConfig; 3] {
+    let source = CfmConfig::new(4, 1, 16).expect("valid shape");
+    let grown = CfmConfig::new(8, 1, 16).expect("valid target");
+    let spares = source.with_spares(2).expect("spare pool fits");
+    [source, grown, spares]
 }
 
-/// Live migration at the service layer: move one tenant onto a machine
-/// with twice the banks while an untouched tenant keeps completing, and
-/// prove a pre-boundary write durable (zero-extended, never torn) after
-/// the swap.
-fn migration_check(ops: u64) -> Check {
-    let cfg = CfmConfig::new(4, 1, 16).expect("valid shape");
-    let banks = cfg.banks();
-    let subject = format!("restore: migrate (4,1)->(8,1), {ops} untouched reads");
-    let service = Arc::new(
-        Service::start(
-            ServiceConfig::new(cfg, OFFSETS)
-                .with_tenant(TenantSpec::new("moving").queue_capacity(64))
-                .with_tenant(TenantSpec::new("steady").queue_capacity(64)),
-        )
-        .expect("valid config"),
-    );
+/// Serve the two migration tenants on the twin and migrate the tenants
+/// in `set` onto `target` at [`MIGRATE_AT`]. The moving tenant writes
+/// its sentinel, then keeps its queue full of reads of it between
+/// writes to other blocks (those queued at the swap are re-chunked; once
+/// blocks grow, the rest are refused); the steady tenant keeps its queue
+/// full of seeded uniform reads, so it stays backlogged and offers on
+/// every pass.
+fn migration_run(seed: u64, target: CfmConfig, set: &[TenantId]) -> TwinReport {
+    let [source, ..] = migration_shapes();
+    let banks = source.banks();
+    let config = ServiceConfig::new(source, OFFSETS)
+        .with_tenant(TenantSpec::new("moving").queue_capacity(64))
+        .with_tenant(TenantSpec::new("steady").queue_capacity(64));
+    let sentinel = Operation::write(SENTINEL, vec![SENTINEL_WORD; banks]);
+    let moving = std::iter::once(sentinel).chain((1..).flat_map(move |i: Word| {
+        let block = SENTINEL + 1 + i as usize % (OFFSETS - SENTINEL - 1);
+        [
+            Operation::write(block, vec![i; banks]),
+            Operation::read(SENTINEL),
+        ]
+    }));
+    let reads = TenantProfile::Uniform {
+        write_fraction: 0.0,
+    };
+    let steady = client(reads, (OFFSETS, banks), seed, usize::MAX);
+    let clients: Vec<TwinClient> = vec![(usize::MAX, Box::new(moving)), steady];
+    let migration = Migration {
+        at: MIGRATE_AT,
+        tenants: set.to_vec(),
+        target,
+    };
+    twin::run(config, clients, MIGRATION_SLOTS, Some(migration)).expect("valid migration roster")
+}
 
-    // Sentinel committed strictly before the boundary.
-    let sentinel = service
-        .submit(0, Operation::write(7, vec![41; banks]))
-        .expect("admitted")
-        .wait();
-    if sentinel.is_none() {
-        return Check::fail(
-            "restore/migration",
-            &subject,
-            "sentinel write abandoned before the migration",
-            vec![],
+/// The steady tenant's refusals for any reason but its own full queue.
+fn steady_shed(report: &TwinReport) -> Vec<&(TenantId, u64, Reject)> {
+    report
+        .refused
+        .iter()
+        .filter(|(t, _, r)| *t == STEADY && !matches!(r, Reject::QueueFull { .. }))
+        .collect()
+}
+
+/// Every way one twin migration run onto `target` broke the
+/// zero-downtime contract (`docs/checkpoint-restore.md`), and the
+/// `Migrating` hint the moving tenant was given.
+fn migration_violations(report: &TwinReport, target: CfmConfig) -> (Vec<String>, Option<u64>) {
+    let banks = migration_shapes()[0].banks();
+    let Some((seen, Ok(moved))) = &report.migration else {
+        return (
+            vec![format!("migration outcome {:?}", report.migration)],
+            None,
         );
-    }
-
-    let reader = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || drive_reader(&service, 1, ops))
     };
-
-    let target = CfmConfig::new(8, 1, 16).expect("valid target");
-    let report = match service.migrate(&[0], target) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = reader.join();
-            return Check::fail(
-                "restore/migration",
-                &subject,
-                format!("live migration failed: {e}"),
-                vec![],
-            );
-        }
-    };
-
-    let steady = match reader.join().expect("reader thread") {
-        Ok(completed) => completed,
-        Err(e) => {
-            return Check::fail(
-                "restore/migration",
-                &subject,
-                "the untouched tenant did not keep serving across the boundary",
-                vec![e],
-            )
-        }
-    };
-
-    let mut witnesses = Vec::new();
-    if service.banks() != 8 || report.from_banks != banks || report.to_banks != 8 {
-        witnesses.push(format!(
-            "geometry wrong after swap: service has {} banks, report {} -> {}",
-            service.banks(),
-            report.from_banks,
-            report.to_banks
+    let (seen, swapped) = (*seen, seen + moved.drained_slots);
+    let mut violations = Vec::new();
+    if (moved.from_banks, moved.to_banks) != (banks, target.banks()) {
+        violations.push(format!(
+            "swapped {} -> {} banks",
+            moved.from_banks, moved.to_banks
         ));
     }
-    match service
-        .submit(0, Operation::read(7))
-        .expect("migrated tenant re-admitted")
-        .wait()
+    // The steady tenant offers on every pass, the swap window's too; only
+    // its own full queue may refuse it.
+    if let Some((_, slot, reject)) = steady_shed(report).first() {
+        violations.push(format!(
+            "the steady tenant was refused at slot {slot}: {reject}"
+        ));
+    }
+
+    // Per slot, the operations issued, and the steady tenant's admitted
+    // but not issued after the dequeue: a pass that leaves a lane idle
+    // while the latter is positive starves it.
+    let slots = report.idle_lanes.len();
+    let (mut issued, mut queued) = (vec![0usize; slots], vec![0i64; slots]);
+    for &(t, admitted, ref done) in &report.completions {
+        issued[done.issued_at as usize] += 1;
+        if t == STEADY {
+            queued[admitted as usize] += 1;
+            queued[done.issued_at as usize] -= 1;
+        }
+    }
+    let mut backlog = 0;
+    for s in 0..slots {
+        backlog += queued[s];
+        let outside = !(seen..swapped).contains(&(s as u64));
+        if s as u64 == seen && backlog == 0 {
+            violations.push(format!(
+                "the migration started at slot {seen} with the steady tenant idle"
+            ));
+        } else if outside && backlog > 0 && report.idle_lanes[s] > issued[s] {
+            violations.push(format!(
+                "slot {s}, outside the swap window [{seen}, {swapped}), left a processor idle \
+                 while the steady tenant had work queued"
+            ));
+        }
+    }
+
+    let hint = report
+        .refused
+        .iter()
+        .find_map(|(t, _, reject)| match reject {
+            Reject::Migrating {
+                retry_after_slots, ..
+            } if *t == MOVING => Some(*retry_after_slots),
+            _ => None,
+        });
+    if hint.is_none_or(|hint| moved.drained_slots > hint) {
+        let drained = moved.drained_slots;
+        violations.push(format!("the swap drained {drained} slots, hint {hint:?}"));
+    }
+
+    let ops = report.completions.iter().filter(|op| op.0 == MOVING);
+    let moving = |kind| ops.clone().map(|op| &op.2).filter(move |c| c.kind == kind);
+    if moving(OpKind::Write)
+        .next()
+        .is_none_or(|c| c.completed_at >= seen)
     {
-        Some(resp) => {
-            let data = resp.completion.data.as_deref().unwrap_or(&[]);
-            let whole = data.len() == 8
-                && data[..banks].iter().all(|&w| w == 41)
-                && data[banks..].iter().all(|&w| w == 0);
-            if !whole || resp.completion.torn {
-                witnesses.push(format!(
-                    "pre-boundary write not durable: read {data:?} (torn={})",
-                    resp.completion.torn
-                ));
-            }
-        }
-        None => witnesses.push("post-migration read abandoned".into()),
+        violations.push("the sentinel write did not commit before the boundary".into());
     }
-    let service = Arc::try_unwrap(service).ok().expect("reader joined");
-    let drained = service.drain();
-    if drained.stats.bank_conflicts != 0 {
-        witnesses.push(format!(
-            "{} bank conflicts on the target",
-            drained.stats.bank_conflicts
+    let mut after = moving(OpKind::Read)
+        .filter(|c| c.issued_at >= swapped)
+        .peekable();
+    if after.peek().is_none() {
+        violations.push("no read of the sentinel after the swap".into());
+    }
+    let whole = |data: &[Word]| {
+        data.len() == target.banks()
+            && data[..banks].iter().all(|&w| w == SENTINEL_WORD)
+            && data[banks..].iter().all(|&w| w == 0)
+    };
+    if let Some(c) = after.find(|c| c.torn || !whole(c.data.as_deref().unwrap_or(&[]))) {
+        violations.push(format!(
+            "the sentinel read back as {:?} (torn={})",
+            c.data, c.torn
         ));
     }
-    if witnesses.is_empty() {
-        Check::pass(
-            "restore/migration",
-            &subject,
-            format!(
-                "tenant migrated through a {}-byte snapshot ({} queued ops replayed); \
-                 untouched tenant completed {steady} reads; pre-boundary write whole",
-                report.snapshot_bytes, report.replayed
-            ),
-        )
-        .with_metric("snapshot_bytes", report.snapshot_bytes as u64)
-        .with_metric("replayed", report.replayed as u64)
+    if report.stats.bank_conflicts != 0 {
+        violations.push(format!("{} bank conflicts", report.stats.bank_conflicts));
+    }
+    (violations, hint)
+}
+
+/// Live migration of the moving tenant onto `target` on the twin, held
+/// to the zero-downtime contract.
+fn migration_check(seed: u64, target: CfmConfig) -> Check {
+    let shape = |c: CfmConfig| format!("({},{},{})", c.processors(), c.bank_cycle(), c.spares());
+    let from = shape(migration_shapes()[0]);
+    let subject = format!(
+        "restore: migrate {from} -> {} seed={seed:#x}",
+        shape(target)
+    );
+    let report = migration_run(seed, target, &[MOVING]);
+    let (violations, hint) = migration_violations(&report, target);
+    let moved = report.migration.as_ref().and_then(|(_, m)| m.as_ref().ok());
+    let metric = |f: fn(&MigrationReport) -> u64| moved.map_or(0, f);
+    let steady = report.completions.iter().filter(|c| c.0 == STEADY).count() as u64;
+    let check = match moved {
+        Some(moved) if violations.is_empty() => {
+            let detail = format!(
+                "{} queued ops replayed through a {}-byte snapshot, drained in {} slots (hint \
+                 {}); the steady tenant was never shed or starved; the sentinel read back whole",
+                moved.replayed,
+                moved.snapshot_bytes,
+                moved.drained_slots,
+                hint.unwrap_or(0)
+            );
+            Check::pass("restore/migration", &subject, detail)
+        }
+        _ => {
+            let replay = format!("replay: cfm-verify restore --seeds {seed}");
+            let witnesses = violations.iter().take(8).cloned().chain([replay]).collect();
+            let detail = "the live migration broke the zero-downtime contract";
+            Check::fail("restore/migration", &subject, detail, witnesses)
+        }
+    };
+    check
+        .with_metric("violations", violations.len() as u64)
+        .with_metric("drained_slots", metric(|m| m.drained_slots))
+        .with_metric("hint_slots", hint.unwrap_or(0))
+        .with_metric("snapshot_bytes", metric(|m| m.snapshot_bytes as u64))
+        .with_metric("replayed", metric(|m| m.replayed as u64))
         .with_metric("steady_completions", steady)
-        .with_metric("from_banks", report.from_banks as u64)
-        .with_metric("to_banks", report.to_banks as u64)
+        .with_metric("from_banks", metric(|m| m.from_banks as u64))
+        .with_metric("to_banks", metric(|m| m.to_banks as u64))
+}
+
+/// Adding the steady tenant to the migration set must break its
+/// never-refused property on the same seed.
+fn migration_self_test(seed: u64) -> Check {
+    let subject = format!("restore: migrate moving and steady, seed={seed:#x}");
+    let report = migration_run(seed, migration_shapes()[1], &[MOVING, STEADY]);
+    let refused = steady_shed(&report).len();
+    if refused > 0 {
+        let detail = format!("the migrated steady tenant was refused {refused} times");
+        Check::pass("self-test/restore-migration-refusal", &subject, detail)
+            .with_metric("caught", 1)
     } else {
+        let detail = "a migrated steady tenant was never refused — the check is vacuous";
+        let replay = format!("replay: cfm-verify restore --seeds {seed}");
         Check::fail(
-            "restore/migration",
+            "self-test/restore-migration-refusal",
             &subject,
-            "the live migration broke the zero-downtime contract",
-            witnesses,
+            detail,
+            vec![replay],
         )
     }
 }
@@ -535,14 +613,16 @@ fn seed_snapshot() -> (MachineSnapshot, Vec<u8>) {
     (snap, bytes)
 }
 
-/// Seeded-corruption self-tests: each tampered snapshot must be refused
-/// by exactly the intended [`SnapshotError`] detector while the pristine
-/// control still round-trips.
-pub fn self_tests() -> Vec<Check> {
+/// The self-tests: each tampered snapshot must be refused by exactly the
+/// intended [`SnapshotError`] detector while the pristine control still
+/// round-trips, and the migration's refusal check must catch a migrated
+/// steady tenant on `seed`.
+pub fn self_tests(seed: u64) -> Vec<Check> {
     vec![
         truncated_self_test(),
         stale_version_self_test(),
         aliased_map_self_test(),
+        migration_self_test(seed),
     ]
 }
 
@@ -645,8 +725,8 @@ fn aliased_map_self_test() -> Check {
 }
 
 /// Run the restore soak suite: per-shape mid-flight and cross-shape
-/// restores under active fault plans, the live-migration soak, and
-/// (when `self_test`) the seeded-corruption self-tests.
+/// restores under active fault plans, the two twin migrations, and
+/// (when `self_test`) the self-tests.
 pub fn verify(spec: &RestoreSpec, self_test: bool) -> Vec<Check> {
     let mut checks = Vec::new();
     for (i, &seed) in spec.seeds.iter().enumerate() {
@@ -654,9 +734,12 @@ pub fn verify(spec: &RestoreSpec, self_test: bool) -> Vec<Check> {
         checks.push(byte_identical_check(seed, shape));
         checks.extend(cross_shape_checks(seed, shape));
     }
-    checks.push(migration_check(spec.ops_per_tenant));
+    let first = spec.seeds.first().copied().unwrap_or(0);
+    let [_, grown, spares] = migration_shapes();
+    checks.push(migration_check(first, grown));
+    checks.push(migration_check(first, spares));
     if self_test {
-        checks.extend(self_tests());
+        checks.extend(self_tests(first));
     }
     checks
 }
@@ -675,7 +758,7 @@ mod tests {
 
     #[test]
     fn self_tests_all_catch_their_corruption() {
-        for check in self_tests() {
+        for check in self_tests(0xD1CE) {
             assert_eq!(
                 check.status,
                 Status::Pass,
@@ -689,11 +772,10 @@ mod tests {
 
     #[test]
     fn micro_soak_passes_end_to_end() {
-        // Two shapes and a small migration so `cargo test` stays fast;
-        // the CI gate runs the full default spec in release mode.
+        // Two shapes so `cargo test` stays fast; the CI gate runs the
+        // full default spec in release mode.
         let spec = RestoreSpec {
             seeds: vec![0xD1CE, 0xFACE],
-            ops_per_tenant: 300,
         };
         for check in verify(&spec, false) {
             assert_eq!(

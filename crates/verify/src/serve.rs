@@ -1,71 +1,74 @@
-//! `cfm-verify serve` — multi-tenant service soak.
+//! `cfm-verify serve` — the multi-tenant service's contract.
 //!
 //! The static sections prove the schedule conflict-free and the trace
 //! layer re-derives it from healthy executions; this section asserts the
 //! *service-level* contract of `cfm-serve` under adversarial tenant
-//! mixes:
+//! mixes. The conflict-freedom, fairness and QoS checks run on the
+//! slot-clock twin ([`cfm_serve::twin`]), so they are exact, start no
+//! client thread, and a failure prints its replay,
+//! `cfm-verify serve --seeds <seed>`:
 //!
-//! * **conflict-freedom** — a mixed roster including one pure hot-spot
-//!   tenant (100% of its traffic at a single block) soaks the machine;
-//!   `bank_conflicts` must stay 0 and every admitted operation must
-//!   complete exactly once;
-//! * **fairness** — with a weight-8 hog and a weight-1 meek tenant both
-//!   continuously backlogged, any observed window of `W` completions
-//!   grants the meek tenant at least `floor(W·w/Σw) − slack` of them —
-//!   the windowed deficit-round-robin bound (the slack covers one
-//!   quantum per boundary plus the in-flight skew of one batch per
-//!   processor lane);
+//! * **conflict-freedom** — a weight-8 hog sending pure hot-spot traffic
+//!   (every operation on one block) beside a weight-1 meek tenant
+//!   sending uniform traffic, both with their queues kept full, on a
+//!   machine shape the seed picks. `bank_conflicts` must stay 0, every
+//!   operation offered must be answered once or refused, and the run
+//!   must give the same report on both engines;
+//! * **fairness** — on the same run, in every pass-aligned window while
+//!   both tenants are backlogged, the meek tenant's issues must be at
+//!   least `⌊W·w_meek/Σw⌋ − w_max` of the window's `W`, the deficit
+//!   round-robin bound over dequeues (`docs/service.md` §3);
+//! * **qos-bound** — the adversarial mix runs on a 4-processor machine:
+//!   a depth-1 latency-critical probe beside hot-spot, scan and bursty
+//!   best-effort neighbours whose queues stay full. Every probe request
+//!   must be issued on the first pass from its admission on that has an
+//!   idle processor, and, where no operation in flight at its admission
+//!   restarts, within `β − 1` slots of its admission (`docs/service.md`
+//!   §6 derives the constant).
+//!
+//! Two checks run on the threaded service:
+//!
 //! * **admission** — flooding a bounded queue without reaping must
 //!   produce typed `QueueFull` rejections (the backpressure path is
 //!   non-vacuous) and every admitted ticket must still resolve — no
 //!   admission deadlock;
 //! * **drain-inflight** — draining with operations still in flight
-//!   completes every admitted request before the loop exits;
-//! * **qos-bound** — on the slot-clock twin ([`cfm_serve::twin`]), the
-//!   adversarial mix runs on a 4-processor machine: a depth-1
-//!   latency-critical probe beside hot-spot, scan and bursty best-effort
-//!   neighbours whose queues stay full. Every probe request must be
-//!   issued on the first pass from its admission on that has an idle
-//!   processor, and, where no operation in flight at its admission
-//!   restarts, within `β − 1` slots of its admission (`docs/service.md`
-//!   §6 derives the constant). A failure prints its replay,
-//!   `cfm-verify serve --seeds <seed>`.
+//!   completes every admitted request before the loop exits.
 //!
-//! The `self-test/serve-*` checks prove the detectors non-vacuous: the
-//! fairness bound must flag a rigged monopoly allocation, a
-//! one-slot queue must reject, a dropped (not drained) service must
-//! close — not strand — its waiters, and the QoS property must fail on
-//! the same seed once the probe is demoted to best-effort.
+//! The `self-test/serve-*` checks prove the detectors non-vacuous: on
+//! the same seed, promoting the hog to latency-critical must break the
+//! fairness bound, an answer dropped from the report must break the
+//! accounting, and demoting the QoS probe to best-effort must break its
+//! property; a one-slot queue must reject, and a dropped (not drained)
+//! service must close — not strand — its waiters.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cfm_core::config::CfmConfig;
-use cfm_serve::twin;
-use cfm_serve::{Criticality, Reject, Service, ServiceConfig, TenantSpec, Ticket};
+use cfm_core::config::{CfmConfig, Engine};
+use cfm_serve::twin::{self, TwinReport};
+use cfm_serve::{Criticality, Reject, Service, ServiceConfig, TenantSpec};
 use cfm_workloads::tenants::{adversarial_mix, TenantProfile, TenantTraffic};
 
 use crate::report::Check;
 
-/// Which service soaks to run.
+/// Which service checks to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeSpec {
-    /// Traffic seeds; each soaks one roster on one machine shape, which
-    /// the seed picks, so a seed alone replays its soak.
+    /// Traffic seeds; each runs the hog/meek roster once per engine on a
+    /// machine shape the seed picks, and the QoS mix once, so a seed
+    /// alone replays its checks.
     pub seeds: Vec<u64>,
-    /// Operations each tenant submits per soak.
-    pub ops_per_tenant: u64,
+    /// Slots the hog/meek roster is served before its run drains.
+    pub slots: u64,
 }
 
 impl Default for ServeSpec {
-    /// Two seeded soaks (on shapes n=4 c=2 and n=4 c=1), sized so the
-    /// fairness window closes well before either driver runs out of
-    /// operations.
+    /// Two seeds (shapes n=4 c=2 and n=4 c=1), each run long enough to
+    /// answer over 10,000 operations.
     fn default() -> Self {
         ServeSpec {
             seeds: vec![11, 12],
-            ops_per_tenant: 6_000,
+            slots: 45_000,
         }
     }
 }
@@ -76,193 +79,207 @@ const SHAPES: [(usize, u32); 3] = [(4, 1), (8, 1), (4, 2)];
 const WORD_WIDTH: u32 = 16;
 const OFFSETS: usize = 32;
 const QUEUE_CAPACITY: usize = 64;
-/// Per-driver in-flight window; larger than the queue capacity so a
-/// driver keeps its tenant's queue full (continuously backlogged).
-const WINDOW: usize = 96;
 
 /// Hog:meek scheduling weights for the fairness soak.
 const W_HOG: u32 = 8;
 const W_MEEK: u32 = 1;
 
-/// Fairness slack: one quantum can be owed at each window boundary,
-/// plus one batch per lane may complete inside the window that was
-/// dequeued before it.
-fn fairness_slack(processors: usize) -> u64 {
-    2 * u64::from(W_HOG) + processors as u64
+/// The soak's machine shape for `seed`.
+fn soak_shape(seed: u64) -> (usize, u32) {
+    SHAPES[(seed % SHAPES.len() as u64) as usize]
 }
 
-/// The windowed DRR lower bound on the meek tenant's completions.
-fn fairness_bound(window: u64, processors: usize) -> i64 {
-    let share = window * u64::from(W_MEEK) / u64::from(W_HOG + W_MEEK);
-    share as i64 - fairness_slack(processors) as i64
+/// A twin client keeping up to `window` requests outstanding from seeded
+/// `profile` traffic over `offsets` blocks of `banks` words.
+pub(crate) fn client(
+    profile: TenantProfile,
+    shape: (usize, usize),
+    seed: u64,
+    window: usize,
+) -> TwinClient {
+    let mut traffic = TenantTraffic::new(profile, shape.0, shape.1, seed);
+    let ops = std::iter::from_fn(move || traffic.take_ops(1).pop());
+    (window, Box::new(ops))
 }
 
-/// Drive one tenant closed-loop from its own thread: keep up to
-/// [`WINDOW`] operations in flight, reaping the oldest to make room and
-/// absorbing backpressure by reaping instead of spinning.
-fn drive_tenant(service: &Service, tenant: usize, mut traffic: TenantTraffic, ops: u64) -> u64 {
-    let mut outstanding: VecDeque<Ticket> = VecDeque::with_capacity(WINDOW);
-    let mut completed = 0u64;
-    let mut submitted = 0u64;
-    while completed < ops {
-        if submitted < ops && outstanding.len() < WINDOW {
-            let op = traffic.take_ops(1).pop().expect("infinite stream");
-            match service.submit(tenant, op) {
-                Ok(ticket) => {
-                    outstanding.push_back(ticket);
-                    submitted += 1;
-                }
-                Err(Reject::QueueFull { .. } | Reject::Overloaded { .. }) => {
-                    if let Some(ticket) = outstanding.pop_front() {
-                        ticket.wait().expect("service alive during soak");
-                        completed += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(other) => panic!("unexpected rejection in soak: {other}"),
-            }
-        } else if let Some(ticket) = outstanding.pop_front() {
-            ticket.wait().expect("service alive during soak");
-            completed += 1;
-        }
-    }
-    completed
-}
+/// A twin client: its window and its operations.
+pub(crate) type TwinClient = (usize, Box<dyn Iterator<Item = cfm_core::op::Operation>>);
 
-/// Block until the service has completed at least `target` operations.
-fn wait_for_completions(service: &Service, target: u64) -> cfm_serve::MetricsSnapshot {
-    loop {
-        let snap = service.metrics();
-        if snap.completed() >= target {
-            return snap;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// One seeded soak: conflict-freedom + fairness on a hog/meek roster.
-fn soak(spec: &ServeSpec, seed: u64) -> Vec<Check> {
-    // The seed picks the shape, so a replay with the one seed reruns it.
-    let (n, c) = SHAPES[(seed % SHAPES.len() as u64) as usize];
+/// Serve the hog/meek roster on the twin for `seed` on `engine`, the hog
+/// best-effort or (for the self-test) latency-critical, both tenants
+/// keeping their queues full.
+fn hog_meek(seed: u64, slots: u64, engine: Engine, hog: Criticality) -> TwinReport {
+    let (n, c) = soak_shape(seed);
     let cfg = CfmConfig::new(n, c, WORD_WIDTH).expect("valid soak shape");
-    let banks = cfg.banks();
-    let subject = format!("n={n} c={c} seed={seed}");
+    let tenant = |name, weight| {
+        TenantSpec::new(name)
+            .weight(weight)
+            .queue_capacity(QUEUE_CAPACITY)
+    };
+    let config = ServiceConfig::new(cfg.with_engine(engine), OFFSETS)
+        .with_tenant(tenant("hog", W_HOG).criticality(hog))
+        .with_tenant(tenant("meek", W_MEEK));
+    let hot = TenantProfile::HotSpot {
+        hot_offset: 0,
+        hot_fraction: 1.0,
+        write_fraction: 0.5,
+    };
+    let uniform = TenantProfile::Uniform {
+        write_fraction: 0.3,
+    };
+    let clients = vec![
+        client(hot, (OFFSETS, cfg.banks()), seed * 10, usize::MAX),
+        client(uniform, (OFFSETS, cfg.banks()), seed * 10 + 1, usize::MAX),
+    ];
+    twin::run(config, clients, slots, None).expect("valid soak roster")
+}
 
-    let service = Arc::new(
-        Service::start(
-            ServiceConfig::new(cfg, OFFSETS)
-                .with_tenant(
-                    TenantSpec::new("hog")
-                        .weight(W_HOG)
-                        .queue_capacity(QUEUE_CAPACITY),
-                )
-                .with_tenant(
-                    TenantSpec::new("meek")
-                        .weight(W_MEEK)
-                        .queue_capacity(QUEUE_CAPACITY),
-                ),
-        )
-        .expect("valid soak config"),
-    );
+/// Each tenant whose offered operations are not all answered or
+/// refused, described.
+fn unaccounted(report: &TwinReport) -> Vec<String> {
+    (0..report.offered.len())
+        .filter_map(|t| {
+            let answered = report.completions.iter().filter(|c| c.0 == t).count() as u64;
+            let refused = report.refused.iter().filter(|r| r.0 == t).count() as u64;
+            let offered = report.offered[t];
+            (answered + refused != offered).then(|| {
+                format!("tenant {t}: {offered} offered, {answered} answered, {refused} refused")
+            })
+        })
+        .collect()
+}
 
-    let ops = spec.ops_per_tenant;
-    let handles: Vec<_> = [
-        TenantProfile::HotSpot {
-            hot_offset: 0,
-            hot_fraction: 1.0,
-            write_fraction: 0.5,
-        },
-        TenantProfile::Uniform {
-            write_fraction: 0.3,
-        },
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(tenant, profile)| {
-        let service = Arc::clone(&service);
-        let traffic = TenantTraffic::new(profile, OFFSETS, banks, seed * 10 + tenant as u64);
-        std::thread::spawn(move || drive_tenant(&service, tenant, traffic, ops))
-    })
-    .collect();
+/// What the windowed DRR bound found on one run.
+#[derive(Debug, Default)]
+struct Fairness {
+    /// Windows checked, and window ends at which one fell under the bound.
+    windows: u64,
+    violations: u64,
+    /// The least of the meek tenant's issues minus the bound, floored,
+    /// and the first violating window.
+    min_margin: i64,
+    first: Option<String>,
+}
 
-    // Fairness window: warm up until both tenants are backlogged and
-    // completing, then measure a window of completions ending well
-    // before either driver's budget runs out.
-    let warmup = ops / 10;
-    let window_target = ops; // total across both tenants
-    let t0 = wait_for_completions(&service, warmup);
-    let t1 = wait_for_completions(&service, warmup + window_target);
-    let window = t1.completed() - t0.completed();
-    let meek_delta = t1.tenants[1].completed - t0.tenants[1].completed;
-    let bound = fairness_bound(window, n);
-
-    for h in handles {
-        h.join().expect("driver thread");
+/// Check the DRR bound (`docs/service.md` §3) on the hog/meek `report`:
+/// in every window of passes `[s1, s2)` in each of which both tenants'
+/// rings still held work after the dequeue, the meek tenant's `m` issues
+/// of the window's `W` satisfy `Σw·m ≥ w_meek·W − Σw·w_max`, which
+/// implies `m ≥ ⌊W·w_meek/Σw⌋ − w_max`. With `d = Σw·meek − w_meek·all`
+/// over the issues before each pass boundary, a window's slack is
+/// `d₂ − d₁`, least for the start with the largest `d₁`, so one running
+/// maximum per backlogged run checks every window.
+fn fairness(report: &TwinReport) -> Fairness {
+    let (sum, w) = (i64::from(W_HOG + W_MEEK), i64::from(W_MEEK));
+    let slots = report.idle_lanes.len();
+    // Per slot, each tenant's issues, and (as a difference array) its
+    // operations admitted but not issued after that pass's dequeue.
+    let mut issued = vec![[0i64; 2]; slots];
+    let mut waiting = vec![[0i64; 2]; slots + 1];
+    for &(t, admitted, ref done) in &report.completions {
+        issued[done.issued_at as usize][t] += 1;
+        waiting[admitted as usize][t] += 1;
+        waiting[done.issued_at as usize][t] -= 1;
     }
-    let service = Arc::try_unwrap(service).ok().expect("drivers joined");
-    let report = service.drain();
-
-    let admitted: u64 = report.metrics.tenants.iter().map(|t| t.submitted).sum();
-    let completed = report.metrics.completed();
-    let mut checks = Vec::new();
-
-    checks.push(
-        if report.stats.bank_conflicts == 0 && completed == admitted && completed == 2 * ops {
-            Check::pass(
-                "serve/conflict-freedom",
-                &subject,
-                format!(
-                    "{completed} ops (one pure hot-spot tenant) in {} slots, 0 bank conflicts",
-                    report.cycles
-                ),
-            )
-        } else {
-            Check::fail(
-                "serve/conflict-freedom",
-                &subject,
-                format!(
-                    "bank_conflicts={} completed={completed} admitted={admitted}",
-                    report.stats.bank_conflicts
-                ),
-                vec![format!("replay: cfm-verify serve --seeds {seed}")],
-            )
+    let mut f = Fairness {
+        min_margin: i64::MAX,
+        ..Fairness::default()
+    };
+    let (mut all, mut meek, mut backlog, mut starts) = (0, 0, [0i64; 2], 0);
+    // The start with the largest `d` in the current backlogged run.
+    let mut peak: Option<(i64, usize)> = None;
+    for s in 0..=slots {
+        let d = sum * meek - w * all;
+        if let Some((d1, s1)) = peak {
+            f.windows += starts;
+            let margin = (d - d1).div_euclid(sum) + i64::from(W_HOG);
+            f.min_margin = f.min_margin.min(margin);
+            if d - d1 < -sum * i64::from(W_HOG) {
+                f.violations += 1;
+                f.first
+                    .get_or_insert_with(|| format!("passes {s1}..{s}: margin {margin}"));
+            }
         }
-        .with_metric("ops", completed)
-        .with_metric("bank_conflicts", report.stats.bank_conflicts)
-        .with_metric("cycles", report.cycles),
-    );
-
-    checks.push(
-        if (meek_delta as i64) >= bound {
-            Check::pass(
-                "serve/fairness",
-                &subject,
-                format!(
-                    "meek tenant got {meek_delta} of {window} completions under a weight-8 \
-                     hot-spot hog (bound {bound})"
-                ),
-            )
-        } else {
-            Check::fail(
-                "serve/fairness",
-                &subject,
-                format!("meek tenant starved: {meek_delta} of {window} < bound {bound}"),
-                vec![
-                    format!(
-                        "window={window} meek={meek_delta} bound={bound} slack={}",
-                        fairness_slack(n)
-                    ),
-                    format!("replay: cfm-verify serve --seeds {seed}"),
-                ],
-            )
+        if s == slots {
+            break;
         }
-        .with_metric("window", window)
-        .with_metric("meek_completions", meek_delta)
-        .with_metric("bound", bound.max(0) as u64),
-    );
+        backlog[0] += waiting[s][0];
+        backlog[1] += waiting[s][1];
+        if backlog[0] > 0 && backlog[1] > 0 {
+            peak = peak.filter(|&(d1, _)| d1 >= d).or(Some((d, s)));
+            starts += 1;
+        } else {
+            (peak, starts) = (None, 0);
+        }
+        all += issued[s][0] + issued[s][1];
+        meek += issued[s][1];
+    }
+    f
+}
 
-    checks
+/// One seeded soak: the hog/meek roster on both engines, checked for
+/// conflict-freedom, accounting, engine equality and the DRR bound.
+fn soak(spec: &ServeSpec, seed: u64) -> Vec<Check> {
+    let (n, c) = soak_shape(seed);
+    let subject = format!("n={n} c={c} seed={seed}");
+    let replay = format!("replay: cfm-verify serve --seeds {seed}");
+    let best_effort = Criticality::BestEffort;
+    let report = hog_meek(seed, spec.slots, Engine::Sequential, best_effort);
+    let parallel = Engine::Parallel { threads: 1 };
+    let identical = report == hog_meek(seed, spec.slots, parallel, best_effort);
+    let ops = report.completions.len() as u64;
+    let conflicts = report.stats.bank_conflicts;
+    let mut witnesses = unaccounted(&report);
+    if !identical {
+        witnesses.push("the sequential and parallel engines' reports differ".into());
+    }
+    let conflict_free = if conflicts == 0 && witnesses.is_empty() {
+        Check::pass(
+            "serve/conflict-freedom",
+            &subject,
+            format!(
+                "{ops} ops (one pure hot-spot tenant) in {} slots, 0 bank conflicts; every \
+                 offer answered or refused; same report on both engines",
+                report.stats.cycles
+            ),
+        )
+    } else {
+        witnesses.push(replay.clone());
+        let detail = format!("bank_conflicts={conflicts} ops={ops}");
+        Check::fail("serve/conflict-freedom", &subject, detail, witnesses)
+    }
+    .with_metric("ops", ops)
+    .with_metric("refused", report.refused.len() as u64)
+    .with_metric("bank_conflicts", conflicts)
+    .with_metric("cycles", report.stats.cycles)
+    .with_metric("engines_identical", u64::from(identical));
+
+    let f = fairness(&report);
+    let fair = if f.violations == 0 && f.windows > 0 {
+        Check::pass(
+            "serve/fairness",
+            &subject,
+            format!(
+                "in all {} backlogged windows the meek tenant issued at least \
+                 W/9 - 8 of W under a weight-8 hot-spot hog (least margin {})",
+                f.windows, f.min_margin
+            ),
+        )
+        .with_metric("min_margin", f.min_margin as u64)
+    } else {
+        let first = f
+            .first
+            .unwrap_or_else(|| "no window had both tenants backlogged".into());
+        let detail = format!(
+            "the meek tenant fell under the DRR bound at {} window ends",
+            f.violations
+        );
+        Check::fail("serve/fairness", &subject, detail, vec![first, replay])
+    }
+    .with_metric("windows", f.windows)
+    .with_metric("violations", f.violations);
+
+    vec![conflict_free, fair]
 }
 
 /// Admission check: flood a bounded queue without reaping; typed
@@ -274,8 +291,7 @@ fn admission_check(seed: u64) -> Check {
     let subject = format!("capacity={QUEUE_CAPACITY} seed={seed}");
     let service = Service::start(
         ServiceConfig::new(cfg, OFFSETS)
-            .with_tenant(TenantSpec::new("flood").queue_capacity(QUEUE_CAPACITY))
-            .max_queued(QUEUE_CAPACITY),
+            .with_tenant(TenantSpec::new("flood").queue_capacity(QUEUE_CAPACITY)),
     )
     .expect("valid config");
 
@@ -289,7 +305,6 @@ fn admission_check(seed: u64) -> Check {
     );
     let mut tickets = Vec::new();
     let mut queue_full = 0u64;
-    let mut overloaded = 0u64;
     // Submit far more than the queue holds, never reaping: the bound
     // must push back. (The loop is concurrently draining the queue, so
     // admissions and rejections interleave.)
@@ -298,7 +313,6 @@ fn admission_check(seed: u64) -> Check {
         match service.submit(0, op) {
             Ok(t) => tickets.push(t),
             Err(Reject::QueueFull { .. }) => queue_full += 1,
-            Err(Reject::Overloaded { .. }) => overloaded += 1,
             Err(other) => {
                 return Check::fail(
                     "serve/admission",
@@ -342,13 +356,11 @@ fn admission_check(seed: u64) -> Check {
         "serve/admission",
         &subject,
         format!(
-            "{admitted} admitted and resolved, {queue_full} queue-full + {overloaded} \
-             overloaded rejections, no deadlock"
+            "{admitted} admitted and resolved, {queue_full} queue-full rejections, no deadlock"
         ),
     )
     .with_metric("admitted", admitted)
     .with_metric("queue_full_rejections", queue_full)
-    .with_metric("overloaded_rejections", overloaded)
     .with_metric("bank_conflicts", report.stats.bank_conflicts)
 }
 
@@ -470,14 +482,14 @@ fn qos_run(seed: u64, probe_critical: bool) -> QosOutcome {
             usize::MAX
         };
         config = config.with_tenant(spec);
-        let mut traffic =
-            TenantTraffic::new(tenant.profile, OFFSETS, cfg.banks(), seed * 10 + t as u64);
-        clients.push((
+        clients.push(client(
+            tenant.profile,
+            (OFFSETS, cfg.banks()),
+            seed * 10 + t as u64,
             window,
-            std::iter::from_fn(move || traffic.take_ops(1).pop()),
         ));
     }
-    let report = twin::run(config, clients, QOS_SLOTS).expect("valid adversarial roster");
+    let report = twin::run(config, clients, QOS_SLOTS, None).expect("valid adversarial roster");
 
     let mut o = QosOutcome {
         subject: format!("n={QOS_PROCESSORS} c={c} beta={beta} seed={seed}"),
@@ -569,37 +581,44 @@ fn qos_bound(seed: u64) -> Check {
 }
 
 /// The seeded self-tests: each detector must catch a planted violation.
-fn self_tests(seed: u64) -> Vec<Check> {
+fn self_tests(spec: &ServeSpec, seed: u64) -> Vec<Check> {
     let mut checks = Vec::new();
+    let (n, c) = soak_shape(seed);
+    let subject = format!("n={n} c={c} seed={seed}");
+    let replay = format!("replay: cfm-verify serve --seeds {seed}");
 
-    // A rigged monopoly allocation (meek gets nothing in a healthy-sized
-    // window) must violate the fairness bound the soak asserts.
-    let window = 4_000u64;
-    let rigged_meek = 0i64;
-    checks.push(if rigged_meek < fairness_bound(window, 4) {
-        Check::pass(
-            "self-test/serve-fairness",
-            format!("window={window} meek=0"),
-            format!(
-                "monopoly allocation violates the bound ({} > 0): detector non-vacuous",
-                fairness_bound(window, 4)
-            ),
-        )
-    } else {
-        Check::fail(
-            "self-test/serve-fairness",
-            format!("window={window} meek=0"),
-            "fairness bound accepts a total monopoly — the check is vacuous",
-            vec![format!("bound={}", fairness_bound(window, 4))],
-        )
-    });
+    // On the same seed, promoting the hog to latency-critical must break
+    // the fairness bound (every idle lane goes to the hog), and an answer
+    // dropped from the report must break the accounting.
+    let verdict = |name: &str, caught: bool, what: String| {
+        if caught {
+            Check::pass(name, &subject, format!("{what}: detector non-vacuous"))
+        } else {
+            let detail = format!("{what} — the check is vacuous");
+            Check::fail(name, &subject, detail, vec![replay.clone()])
+        }
+    };
+    let critical = Criticality::LatencyCritical;
+    let f = fairness(&hog_meek(seed, spec.slots, Engine::Sequential, critical));
+    let what = format!(
+        "a latency-critical hog broke the bound at {} window ends",
+        f.violations
+    );
+    checks.push(verdict("self-test/serve-fairness", f.violations > 0, what));
+    let mut report = hog_meek(seed, 1_000, Engine::Sequential, Criticality::BestEffort);
+    report.completions.pop();
+    let lost = unaccounted(&report);
+    let what = format!("a dropped answer left {lost:?}");
+    checks.push(verdict(
+        "self-test/serve-lost-answer",
+        !lost.is_empty(),
+        what,
+    ));
 
     // A one-slot queue must reject an un-reaped flood with QueueFull.
     let cfg = CfmConfig::new(4, 1, WORD_WIDTH).expect("valid shape");
     let service = Service::start(
-        ServiceConfig::new(cfg, OFFSETS)
-            .with_tenant(TenantSpec::new("tiny").queue_capacity(1))
-            .max_queued(1),
+        ServiceConfig::new(cfg, OFFSETS).with_tenant(TenantSpec::new("tiny").queue_capacity(1)),
     )
     .expect("valid config");
     let mut rejected = false;
@@ -607,9 +626,7 @@ fn self_tests(seed: u64) -> Vec<Check> {
     for offset in 0..64 {
         match service.submit(0, cfm_core::op::Operation::read(offset % OFFSETS)) {
             Ok(t) => tickets.push(t),
-            Err(Reject::QueueFull { capacity: 1, .. }) | Err(Reject::Overloaded { .. }) => {
-                rejected = true;
-            }
+            Err(Reject::QueueFull { capacity: 1, .. }) => rejected = true,
             Err(_) => {}
         }
     }
@@ -666,7 +683,7 @@ fn self_tests(seed: u64) -> Vec<Check> {
                 "self-test/serve-qos-inversion",
                 &inverted.subject,
                 "a best-effort probe met the latency-critical bound — the check is vacuous",
-                vec![format!("replay: cfm-verify serve --seeds {seed}")],
+                vec![replay],
             )
         }
         .with_metric("violations", inverted.violations),
@@ -688,7 +705,7 @@ pub fn verify(spec: &ServeSpec, self_test: bool) -> Vec<Check> {
     checks.push(admission_check(first));
     checks.push(drain_inflight_check(first));
     if self_test {
-        checks.extend(self_tests(first));
+        checks.extend(self_tests(spec, first));
     }
     checks
 }
@@ -698,18 +715,15 @@ mod tests {
     use super::*;
     use crate::report::Status;
 
-    #[test]
-    fn fairness_bound_is_proportional_minus_slack() {
-        // 9000-completion window, weights 8:1 → share 1000, slack 20.
-        assert_eq!(fairness_bound(9_000, 4), 1000 - 20);
-        // Tiny windows give a vacuous (negative) bound rather than a
-        // false positive.
-        assert!(fairness_bound(10, 4) < 0);
+    /// A short spec so `cargo test` stays fast; the CI gate runs the
+    /// default spec in release mode.
+    fn micro(seeds: Vec<u64>) -> ServeSpec {
+        ServeSpec { seeds, slots: 600 }
     }
 
     #[test]
     fn self_tests_all_pass() {
-        for check in self_tests(5) {
+        for check in self_tests(&micro(vec![5]), 5) {
             assert_eq!(
                 check.status,
                 Status::Pass,
@@ -724,31 +738,21 @@ mod tests {
     /// `--seeds`, so a printed seed replays the soak it names.
     #[test]
     fn a_soak_seed_picks_its_own_shape() {
-        let subject = |seeds: Vec<u64>| {
-            let spec = ServeSpec {
-                seeds,
-                ops_per_tenant: 200,
-            };
-            verify(&spec, false)
+        let fairness = |seeds: Vec<u64>| {
+            verify(&micro(seeds), false)
                 .into_iter()
                 .filter(|check| check.name == "serve/fairness" && check.subject.ends_with("seed=3"))
-                .map(|check| check.subject)
+                .map(|check| (check.subject, check.detail))
                 .collect::<Vec<_>>()
         };
-        let alone = subject(vec![3]);
-        assert_eq!(alone, ["n=4 c=1 seed=3"]);
-        assert_eq!(subject(vec![1, 2, 3]), alone);
+        let alone = fairness(vec![3]);
+        assert_eq!(alone[0].0, "n=4 c=1 seed=3");
+        assert_eq!(fairness(vec![1, 2, 3]), alone);
     }
 
     #[test]
     fn micro_soak_passes_end_to_end() {
-        // A deliberately tiny soak so `cargo test` stays fast; the CI
-        // gate runs the full default spec in release mode.
-        let spec = ServeSpec {
-            seeds: vec![5],
-            ops_per_tenant: 400,
-        };
-        for check in verify(&spec, false) {
+        for check in verify(&micro(vec![5]), false) {
             assert_eq!(
                 check.status,
                 Status::Pass,
